@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -21,7 +20,13 @@ from .config import (
     parse_config_file,
     solver_method,
 )
-from .models import registered_functions, validate_assumptions
+from .models import (
+    AdditiveDiagonalDiffusion,
+    ModelSpec,
+    ZeroDrift,
+    registered_functions,
+    validate_assumptions,
+)
 from .noise import burkholder_constant, example_covariance
 from .solver import EXACT_GAUSSIAN, SolverConfig
 from .spectrum import (
@@ -112,71 +117,67 @@ def verify_lemmas(tolerances: LemmaTolerances | None = None) -> LemmaReport:
     def log_uniform(lo, hi, size=None):
         return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
+    def record(names, draws, limit, sample):
+        """Run `sample` `draws` times; each call returns one ratio per check name."""
+        worst, violations = [0.0] * len(names), [0] * len(names)
+        for _ in range(draws):
+            for i, ratio in enumerate(sample()):
+                worst[i] = max(worst[i], ratio)
+                violations[i] += ratio > limit
+        checks.extend(
+            LemmaCheck(name, draws, v, w, v == 0) for name, v, w in zip(names, violations, worst)
+        )
+
     # (i) power smoothing: lam^mu e^{-lam t} <= (mu/e)^mu t^-mu
-    worst, violations = 0.0, 0
-    for _ in range(tol.bound_draws):
+    def power_smoothing():
         lam, t, mu = log_uniform(1e-2, 1e6), log_uniform(1e-6, 10.0), rng.uniform(0.0, 2.0)
         lhs = lam**mu * math.exp(-lam * t)
         rhs = smoothing_constant("power", mu) * t**-mu
-        ratio = lhs / rhs if rhs > 0 else math.inf
-        worst = max(worst, ratio)
-        violations += ratio > slack
-    checks.append(LemmaCheck("power_smoothing", tol.bound_draws, violations, worst, violations == 0))
+        return (lhs / rhs if rhs > 0 else math.inf,)
 
     # (ii) difference: lam^-nu (1 - e^{-lam t}) <= C(nu) t^nu
-    worst, violations = 0.0, 0
-    for _ in range(tol.bound_draws):
+    def difference_smoothing():
         lam, t, nu = log_uniform(1e-2, 1e6), log_uniform(1e-6, 10.0), rng.uniform(0.0, 1.0)
         lhs = lam**-nu * -math.expm1(-lam * t)
-        rhs = smoothing_constant("difference", nu) * t**nu
-        ratio = lhs / rhs
-        worst = max(worst, ratio)
-        violations += ratio > slack
-    checks.append(LemmaCheck("difference_smoothing", tol.bound_draws, violations, worst, violations == 0))
+        return (lhs / (smoothing_constant("difference", nu) * t**nu),)
 
-    # (iii)/(iv) bounds with the derived constants, random vectors at N = 64
     op = dirichlet_laplacian_1d(64)
-    worst3, violations3, worst4, violations4 = 0.0, 0, 0.0, 0
-    for _ in range(tol.bound_draws):
+
+    def random_window(shortest):
+        """A random vector at N = 64, smoothness rho, start tau1 and log-uniform width."""
         x = SpectralCoeffs(rng.standard_normal(64))
-        rho = rng.uniform(0.0, 1.0)
-        tau1 = rng.uniform(0.0, 0.5)
-        delta = log_uniform(1e-4, 0.5)
+        return x, rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5), log_uniform(shortest, 0.5)
+
+    # (iii)/(iv) bounds with the derived constants
+    def convolution_bounds():
+        x, rho, tau1, delta = random_window(1e-4)
         norm_sq = float(np.sum(x.values**2))
         energy = stochastic_convolution_energy(op, rho, tau1, tau1 + delta, x)
-        bound = 0.5 * smoothing_constant("integral", rho) * delta ** (1.0 - rho) * norm_sq
-        ratio = energy / bound
-        worst3 = max(worst3, ratio)
-        violations3 += ratio > slack
+        energy_bound = 0.5 * smoothing_constant("integral", rho) * delta ** (1.0 - rho) * norm_sq
         flow = deterministic_convolution_norm(op, rho, tau1, tau1 + delta, x)
-        bound = smoothing_constant("convolution", rho) * delta ** (1.0 - rho) * math.sqrt(norm_sq)
-        ratio = flow / bound
-        worst4 = max(worst4, ratio)
-        violations4 += ratio > slack
-    checks.append(LemmaCheck("convolution_energy_bound", tol.bound_draws, violations3, worst3, violations3 == 0))
-    checks.append(LemmaCheck("convolution_flow_bound", tol.bound_draws, violations4, worst4, violations4 == 0))
+        flow_bound = smoothing_constant("convolution", rho) * delta ** (1.0 - rho)
+        return energy / energy_bound, flow / (flow_bound * math.sqrt(norm_sq))
 
     # exactness of the closed forms against adaptive quadrature
-    worst, violations = 0.0, 0
-    for _ in range(tol.exactness_draws):
-        x = SpectralCoeffs(rng.standard_normal(64))
-        rho = rng.uniform(0.0, 1.0)
-        tau1 = rng.uniform(0.0, 0.5)
-        tau2 = tau1 + log_uniform(1e-3, 0.5)
+    def convolution_exactness():
+        x, rho, tau1, delta = random_window(1e-3)
+        tau2 = tau1 + delta
         energy_q, norm_q = _convolution_quad_oracles(op, rho, tau1, tau2, x)
         energy = stochastic_convolution_energy(op, rho, tau1, tau2, x)
         flow = deterministic_convolution_norm(op, rho, tau1, tau2, x)
-        err = max(abs(energy - energy_q) / energy_q, abs(flow - norm_q) / norm_q)
-        worst = max(worst, err)
-        violations += err > tol.exactness_rtol
-    checks.append(LemmaCheck("convolution_exactness", tol.exactness_draws, violations, worst, violations == 0))
+        return (max(abs(energy - energy_q) / energy_q, abs(flow - norm_q) / norm_q),)
+
+    record(("power_smoothing",), tol.bound_draws, slack, power_smoothing)
+    record(("difference_smoothing",), tol.bound_draws, slack, difference_smoothing)
+    record(("convolution_energy_bound", "convolution_flow_bound"), tol.bound_draws, slack,
+           convolution_bounds)
+    record(("convolution_exactness",), tol.exactness_draws, tol.exactness_rtol,
+           convolution_exactness)
 
     # moment inequality at p in {2, 4} for an exactly sampled noise response
     n = 32
     op_mc = dirichlet_laplacian_1d(n)
     cov = example_covariance(n)
-    from .models import AdditiveDiagonalDiffusion, ModelSpec, ZeroDrift
-
     model = ModelSpec(
         operator=op_mc,
         covariance=cov,
@@ -335,11 +336,7 @@ def _run_verify_assumptions(cfg, out_dir: Path) -> list[str]:
         for c in report.checks
     ]
     write_csv(out_dir / "assumptions.csv", cfg.resolved(), ["check", "passed", "measured"], rows)
-    return [
-        f"{c.name}: {'PASS' if c.passed else 'FAIL'} "
-        + " ".join(f"{k}={_format_cell(v)}" for k, v in sorted(c.measured.items()))
-        for c in report.checks
-    ]
+    return [f"{name}: {'PASS' if passed else 'FAIL'} {measured}" for name, passed, measured in rows]
 
 
 _RUNNERS = {

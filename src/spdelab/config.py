@@ -66,12 +66,21 @@ class ExperimentConfig:
     def _line(self, key: str) -> int | None:
         return self.lines.get(key)
 
-    def get_str(self, key: str, default: str | None = None) -> str:
+    def _get(self, key: str, default, convert, expected: str):
         if key not in self.entries:
             if default is None:
                 raise ConfigError("missing required key", key=key)
             return default
-        return self.entries[key]
+        raw = self.entries[key]
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(
+                f"expected {expected}, got {raw!r}", key=key, line=self._line(key)
+            ) from None
+
+    def get_str(self, key: str, default: str | None = None) -> str:
+        return self._get(key, default, str, "a string")
 
     def get_choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str:
         value = self.get_str(key, default)
@@ -82,47 +91,18 @@ class ExperimentConfig:
         return value
 
     def get_int(self, key: str, default: int | None = None) -> int:
-        if key not in self.entries:
-            if default is None:
-                raise ConfigError("missing required key", key=key)
-            return default
-        try:
-            return int(self.entries[key])
-        except ValueError:
-            raise ConfigError(
-                f"expected an integer, got {self.entries[key]!r}",
-                key=key,
-                line=self._line(key),
-            ) from None
+        return self._get(key, default, int, "an integer")
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.entries:
-            if default is None:
-                raise ConfigError("missing required key", key=key)
-            return default
-        try:
-            return float(self.entries[key])
-        except ValueError:
-            raise ConfigError(
-                f"expected a number, got {self.entries[key]!r}",
-                key=key,
-                line=self._line(key),
-            ) from None
+        return self._get(key, default, float, "a number")
 
     def get_floats(self, key: str, default: list[float] | None = None) -> list[float]:
-        if key not in self.entries:
-            if default is None:
-                raise ConfigError("missing required key", key=key)
-            return list(default)
-        raw = self.entries[key]
-        try:
-            return [float(part) for part in raw.split(",") if part.strip() != ""]
-        except ValueError:
-            raise ConfigError(
-                f"expected a comma-separated number list, got {raw!r}",
-                key=key,
-                line=self._line(key),
-            ) from None
+        return self._get(
+            key,
+            None if default is None else list(default),
+            lambda raw: [float(part) for part in raw.split(",") if part.strip() != ""],
+            "a comma-separated number list",
+        )
 
     def get_ints(self, key: str, default: list[int] | None = None) -> list[int]:
         values = self.get_floats(key, default)

@@ -288,36 +288,12 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
         AssumptionCheck("drift_lipschitz", math.isfinite(lip_f), {"constant": lip_f})
     )
 
-    lip_g = model.diffusion.lipschitz
-    if isinstance(model.diffusion, NemytskiiDiffusion):
-        rng = np.random.default_rng(probe_seed)
-        fn = get_scalar_function(model.diffusion.function).fn
-        m = model.diffusion.grid_size
-        basis = transforms.sine_basis_matrix(n, m)
-        ratios = []
-        for _ in range(8):
-            x = rng.standard_normal(n) / np.arange(1, n + 1)
-            y = x + 0.1 * rng.standard_normal(n) / np.arange(1, n + 1)
-            ua, ub = transforms.synthesize(x, m)[0], transforms.synthesize(y, m)[0]
-            # rows of `images`: coefficients of (g(u_x) - g(u_y)) e_m, one per basis mode
-            images = transforms.analyze((fn(ua) - fn(ub)) * basis, n)
-            gap = float(np.sqrt(np.sum(cov.variances[:, None] * images**2)))
-            ratios.append(gap / float(np.linalg.norm(x - y)))
-        measured_lip = max(ratios)
+    diffusion = model.diffusion
+    if isinstance(diffusion, AdditiveDiagonalDiffusion):
         checks.append(
-            AssumptionCheck(
-                "diffusion_lipschitz",
-                math.isfinite(measured_lip),
-                {"constant": lip_g, "measured": measured_lip},
-            )
+            AssumptionCheck("diffusion_lipschitz", True, {"constant": diffusion.lipschitz})
         )
-    else:
-        checks.append(
-            AssumptionCheck("diffusion_lipschitz", True, {"constant": lip_g})
-        )
-
-    if isinstance(model.diffusion, AdditiveDiagonalDiffusion):
-        weights = op.eigenvalues**model.r * cov.variances * model.diffusion.multipliers**2
+        weights = op.eigenvalues**model.r * cov.variances * diffusion.multipliers**2
         sums = _dyadic_partial_sums(weights)
         norm = math.sqrt(sums[-1])
         if len(sums) == 3 and n >= 16:
@@ -333,17 +309,40 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
             )
         )
     else:
-        rng = np.random.default_rng(probe_seed + 1)
-        fn = get_scalar_function(model.diffusion.function).fn
-        m = model.diffusion.grid_size
+        fn = get_scalar_function(diffusion.function).fn
+        m = diffusion.grid_size
         basis = transforms.sine_basis_matrix(n, m)
+        modes = np.arange(1, n + 1)
+
+        def image_norm(values: np.ndarray, r: float) -> float:
+            """Weighted Hilbert-Schmidt norm of multiplication by grid `values`."""
+            # rows of `images`: coefficients of values * e_i, one per noise mode i
+            images = transforms.analyze(values * basis, n)
+            weighted = op.eigenvalues[None, :] ** r * images**2
+            return float(np.sqrt(np.sum(cov.variances[:, None] * weighted)))
+
+        rng = np.random.default_rng(probe_seed)
         ratios = []
         for _ in range(8):
-            x = rng.standard_normal(n) / np.arange(1, n + 1)
+            x = rng.standard_normal(n) / modes
+            y = x + 0.1 * rng.standard_normal(n) / modes
+            ua, ub = transforms.synthesize(x, m)[0], transforms.synthesize(y, m)[0]
+            # at r = 0 the weight is exactly 1.0: the plain Hilbert-Schmidt norm
+            ratios.append(image_norm(fn(ua) - fn(ub), 0.0) / float(np.linalg.norm(x - y)))
+        measured_lip = max(ratios)
+        checks.append(
+            AssumptionCheck(
+                "diffusion_lipschitz",
+                math.isfinite(measured_lip),
+                {"constant": diffusion.lipschitz, "measured": measured_lip},
+            )
+        )
+        rng = np.random.default_rng(probe_seed + 1)
+        ratios = []
+        for _ in range(8):
+            x = rng.standard_normal(n) / modes
             u = transforms.synthesize(x, m)[0]
-            images = transforms.analyze(fn(u) * basis, n)
-            weighted = op.eigenvalues[None, :] ** model.r * images**2
-            norm = float(np.sqrt(np.sum(cov.variances[:, None] * weighted)))
+            norm = image_norm(fn(u), model.r)
             ratios.append(norm / (1.0 + hdot_norm(op, model.r, SpectralCoeffs(x))))
         measured = max(ratios)
         checks.append(

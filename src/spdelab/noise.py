@@ -10,7 +10,6 @@ the same per-step block).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -11,17 +11,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .models import (
-    AdditiveDiagonalDiffusion,
-    DiagonalLinearDrift,
-    ModelSpec,
-    NemytskiiDiffusion,
-    NemytskiiDrift,
-)
+from .models import AdditiveDiagonalDiffusion, DiagonalLinearDrift, ModelSpec
 from .noise import CovarianceSpectrum
 from .solver import EXPONENTIAL_EULER, SolverConfig, map_paths
 from .spectrum import SpectralCoeffs, SpectralOperator
@@ -192,13 +186,9 @@ def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
     drift = model.drift
     if isinstance(drift, DiagonalLinearDrift):
         drift = DiagonalLinearDrift(drift.multipliers[:n_modes])
-    elif isinstance(drift, NemytskiiDrift):
-        drift = NemytskiiDrift(drift.function, drift.grid_size)
     diffusion = model.diffusion
     if isinstance(diffusion, AdditiveDiagonalDiffusion):
         diffusion = AdditiveDiagonalDiffusion(diffusion.multipliers[:n_modes])
-    elif isinstance(diffusion, NemytskiiDiffusion):
-        diffusion = NemytskiiDiffusion(diffusion.function, diffusion.grid_size)
     return ModelSpec(
         operator=SpectralOperator(model.operator.eigenvalues[:n_modes]),
         covariance=CovarianceSpectrum(model.covariance.variances[:n_modes]),

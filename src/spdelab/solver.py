@@ -4,13 +4,17 @@ Two steppers share the same per-(path, step) noise draws and so are pathwise
 coupled: the one-step frozen-integrand exponential scheme
 x_{j+1} = E(h)[x_j - h F(x_j) + G(x_j) dW_j], and, for linear models driven by
 state-independent diagonal noise, the exact Gaussian transition of each mode.
-Paths are independent given their streams and may be executed concurrently;
-results are a pure function of (model, config, path index).
+Paths are independent given their streams and may be executed concurrently.
+For models without a Nemytskii term a path's result is a pure function of
+(model, config, path index).  A Nemytskii term goes through the dense sine
+transforms, whose matrix products BLAS rounds differently for different row
+counts, so a row's last bits (about 1e-15 relative) depend on the block it is
+computed in.  ``map_paths`` fixes the blocks from the path count and
+``block_size`` alone, so results never depend on the worker count.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -113,12 +117,17 @@ def exponential_euler_step(
         raise ValueError(f"step must be positive, got {h}")
     if x.dimension != model.dimension or dW.dimension != model.dimension:
         raise ValueError("dimension mismatch in exponential Euler step")
-    state = x.values[None, :]
-    integrand = state - h * _drift_rows(model, state) + _diffusion_rows(
-        model, state, dW.values[None, :]
-    )
     decay = np.exp(-model.operator.eigenvalues * h)
-    return SpectralCoeffs((decay * integrand)[0])
+    return SpectralCoeffs(_euler_rows(model, decay, h, x.values[None, :], dW.values[None, :])[0])
+
+
+def _euler_rows(
+    model: ModelSpec, decay: np.ndarray, h: float, states: np.ndarray, increments: np.ndarray
+) -> np.ndarray:
+    """The exponential Euler update, row-wise on matching (paths, modes) arrays."""
+    return decay * (
+        states - h * _drift_rows(model, states) + _diffusion_rows(model, states, increments)
+    )
 
 
 def _require_linear_additive(model: ModelSpec) -> np.ndarray:
@@ -153,31 +162,34 @@ def _simulate_block(
     h = config.h
     streams = [NoiseStream(config.master_seed, i) for i in path_indices]
     z = np.empty((block, n))
+    lam = model.operator.eigenvalues
+    decay = np.exp(-lam * h)
 
     if method == EXACT_GAUSSIAN:
         g = _require_linear_additive(model)
-        lam = model.operator.eigenvalues
-        decay = np.exp(-lam * h)
         transition_sd = np.sqrt(
             g**2 * model.covariance.variances * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
         )
-        for j in range(config.steps):
-            for b, stream in enumerate(streams):
-                z[b] = stream.step_normals(j, n)
-            state = decay * state + transition_sd * z
-            if j + 1 in record:
-                out[:, record[j + 1], :] = state
-        return out
 
-    decay = np.exp(-model.operator.eigenvalues * h)
-    noise_sd = np.sqrt(model.covariance.variances * h)
+        def advance(rows: np.ndarray, normals: np.ndarray) -> np.ndarray:
+            return decay * rows + transition_sd * normals
+
+    else:
+        noise_sd = np.sqrt(model.covariance.variances * h)
+
+        def advance(rows: np.ndarray, normals: np.ndarray) -> np.ndarray:
+            return _euler_rows(model, decay, h, rows, noise_sd * normals)
+
     for j in range(config.steps):
         for b, stream in enumerate(streams):
             z[b] = stream.step_normals(j, n)
-        increments = noise_sd * z
-        state = decay * (
-            state - h * _drift_rows(model, state) + _diffusion_rows(model, state, increments)
-        )
+        state = advance(state, z)
+        if not np.isfinite(state).all():
+            bad = path_indices[np.flatnonzero(~np.isfinite(state).all(axis=1))[0]]
+            raise ValueError(
+                f"non-finite state on path {bad} at step {j + 1} of {config.steps} "
+                f"(t = {(j + 1) * h:g})"
+            )
         if j + 1 in record:
             out[:, record[j + 1], :] = state
     return out

@@ -1,5 +1,7 @@
 """CLI and config-file tests: parsing, experiment kinds, and reproducibility."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,22 @@ class TestRunSimulate:
         assert all(row.split(",")[0] == "0.0" for row in rows)
         assert rows[0].split(",")[2] == "1.0"  # the initial coefficient
         assert all(row.split(",")[3] == "0.0" for row in rows)  # deterministic start
+
+    def test_non_finite_state_stops_the_run(self, tmp_path, capsys):
+        # F(x) = -2000 x makes the modes with lam_k < 2000 grow like e^{(2000 - lam_k) t},
+        # which overflows long before T = 4
+        config = write_config(
+            tmp_path,
+            "kind = simulate\nmodel.N = 8\nmodel.drift = linear\n"
+            "model.drift.multipliers = -2000\nsolver.T = 4\nsolver.steps = 400\n"
+            "solver.paths = 4\nsolver.seed = 1\n",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(config), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert re.search(r"error: non-finite state on path \d+ at step \d+ of 400",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "out" / "snapshots.csv").exists()
 
 
 class TestRunProbes:

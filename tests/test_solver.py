@@ -1,6 +1,7 @@
 """Integrator tests: stepping identities, determinism, and the exact oracle."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,13 +11,21 @@ from spdelab.models import (
     DiagonalLinearDrift,
     ModelSpec,
     NemytskiiDiffusion,
+    NemytskiiDrift,
     ZeroDrift,
 )
-from spdelab.noise import CovarianceSpectrum, NoiseIncrement, example_covariance
+from spdelab.noise import (
+    CovarianceSpectrum,
+    NoiseIncrement,
+    NoiseStream,
+    example_covariance,
+    sample_increment,
+)
 from spdelab.solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
     SolverConfig,
+    _simulate_block,
     ensemble_snapshots,
     exact_ou_path,
     exponential_euler_step,
@@ -33,6 +42,26 @@ def linear_additive_model(n=8, g=1.0, x0=None, covariance=None):
         drift=ZeroDrift(),
         diffusion=AdditiveDiagonalDiffusion(np.full(n, g)),
         initial=SpectralCoeffs(x0 if x0 is not None else np.zeros(n)),
+    )
+
+
+def nemytskii_model(n=8):
+    return ModelSpec(
+        operator=dirichlet_laplacian_1d(n),
+        covariance=example_covariance(n),
+        drift=NemytskiiDrift("tanh", 4 * n),
+        diffusion=NemytskiiDiffusion("cos", 4 * n),
+        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+    )
+
+
+def diagonal_linear_model(n=8):
+    return ModelSpec(
+        operator=dirichlet_laplacian_1d(n),
+        covariance=example_covariance(n),
+        drift=DiagonalLinearDrift(np.linspace(-3.0, 3.0, n)),
+        diffusion=AdditiveDiagonalDiffusion(np.full(n, 0.5)),
+        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
     )
 
 
@@ -97,6 +126,21 @@ class TestExponentialEulerStep:
         mean_step = exponential_euler_step(model, x, NoiseIncrement(np.zeros(n), h), h)
         expected = np.exp(-model.operator.eigenvalues * h) * (1.0 - h * 0.3) * x.values
         np.testing.assert_allclose(mean_step.values, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "make_model", [linear_additive_model, diagonal_linear_model, nemytskii_model]
+    )
+    def test_single_steps_reproduce_the_kernel(self, make_model):
+        model = make_model(8)
+        config = SolverConfig(T=0.05, steps=25, paths=4, master_seed=6)
+        stream = NoiseStream(config.master_seed, 3)
+        state = model.initial
+        for j in range(config.steps):
+            dW = sample_increment(model.covariance, config.h, stream, step_index=j)
+            state = exponential_euler_step(model, state, dW, config.h)
+        np.testing.assert_array_equal(
+            state.values, simulate_path(model, config, 3).state_at(0.05).values
+        )
 
     def test_nonpositive_step_rejected(self):
         model = linear_additive_model(2)
@@ -173,6 +217,26 @@ class TestSimulatePath:
         sd = np.sqrt(q * -np.expm1(-2.0 * lam * config.T) / (2.0 * lam))
         se = sd / math.sqrt(config.paths)
         assert np.all(np.abs(rows[:, 0, :].mean(axis=0) - expected) <= 3.0 * se + 1e-12)
+
+    def test_non_finite_state_names_path_and_step(self):
+        # F(x) = -2000 x: mode 1 grows like e^{(2000 - pi^2) t} and overflows
+        model = ModelSpec(
+            operator=dirichlet_laplacian_1d(2),
+            covariance=CovarianceSpectrum(np.zeros(2)),
+            drift=DiagonalLinearDrift(np.array([-2000.0, 0.0])),
+            diffusion=AdditiveDiagonalDiffusion(np.ones(2)),
+            initial=SpectralCoeffs(np.array([1.0, 0.0])),
+        )
+        config = SolverConfig(T=4.0, steps=400, paths=8)
+        # scalar oracle: the noiseless recurrence of mode 1 up to the first step whose
+        # drift value F(x) = -2000 x overflows
+        x, step = 1.0, 0
+        while math.isfinite(x):
+            x = math.exp(-math.pi**2 * config.h) * (x - config.h * (x * -2000.0))
+            step += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=rf"path 5 at step {step} of 400 "):
+                _simulate_block(model, config, [5, 6, 7])
 
 
 class TestExactOUPath:
@@ -253,12 +317,24 @@ class TestEnsembleExecution:
         threaded = ensemble_snapshots(model, config, workers=4)
         np.testing.assert_array_equal(serial, threaded)
 
-    def test_single_path_matches_its_ensemble_row(self):
-        model = linear_additive_model(8)
+    # A single path runs as a 1-row block; in the ensemble, path 133 sits in the
+    # 32-row block of paths 128-159. Additive models do only elementwise arithmetic, so the row is
+    # bitwise the same; the sine transforms of a Nemytskii model are matrix
+    # products that BLAS may round differently for different row counts.
+    @pytest.mark.parametrize(
+        "make_model, compare",
+        [
+            (linear_additive_model, np.testing.assert_array_equal),
+            (nemytskii_model, partial(np.testing.assert_allclose, rtol=1e-12)),
+        ],
+        ids=["additive", "nemytskii"],
+    )
+    def test_single_path_matches_its_ensemble_row(self, make_model, compare):
+        model = make_model(8)
         config = SolverConfig(T=0.05, steps=10, paths=160, master_seed=5, snapshot_times=(0.05,))
         rows = ensemble_snapshots(model, config)
         traj = simulate_path(model, config, 133)
-        np.testing.assert_array_equal(traj.states[0].values, rows[133, 0, :])
+        compare(traj.states[0].values, rows[133, 0, :])
 
     def test_map_paths_preserves_path_order(self):
         model = linear_additive_model(4)
