@@ -1,4 +1,9 @@
-"""Batch experiment runner: config file in, CSV tables and summary lines out."""
+"""Batch experiment runner: config file in, CSV tables and summary lines out.
+
+scipy is imported lazily, inside the functions that use it, so that commands
+other than `verify-lemmas` start with numpy and spdelab only; `verify-lemmas`
+pays the scipy import, at its first sharp constant or quadrature.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from . import probes, solver
 from .config import (
@@ -90,6 +94,8 @@ class LemmaReport:
 
 def _convolution_quad_oracles(op, rho, tau1, tau2, x) -> tuple[float, float]:
     """Adaptive-quadrature values of the two convolution quantities."""
+    from scipy.integrate import quad, quad_vec  # lazy: keeps scipy off the CLI's start-up path
+
     lam = op.eigenvalues
     weights = x.values**2 * lam**rho
 
@@ -350,6 +356,7 @@ _RUNNERS = {
 
 
 def run(config_path: str, args) -> int:
+    cfg = error = None
     try:
         cfg = parse_config_file(config_path)
         _apply_overrides(cfg, args)
@@ -358,13 +365,15 @@ def run(config_path: str, args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         summary = _RUNNERS[kind](cfg, out_dir)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        error = f"config error: {exc}"
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for warning in cfg.warnings:
+        error = f"error: {exc}"
+    # warnings gathered before a failure are printed too, ahead of the error
+    for warning in cfg.warnings if cfg is not None else ():
         print(f"warning: {warning}", file=sys.stderr)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     for line in summary:
         print(line)
     return 0

@@ -180,18 +180,20 @@ def _simulate_block(
         def advance(rows: np.ndarray, normals: np.ndarray) -> np.ndarray:
             return _euler_rows(model, decay, h, rows, noise_sd * normals)
 
-    for j in range(config.steps):
-        for b, stream in enumerate(streams):
-            z[b] = stream.step_normals(j, n)
-        state = advance(state, z)
-        if not np.isfinite(state).all():
-            bad = path_indices[np.flatnonzero(~np.isfinite(state).all(axis=1))[0]]
-            raise ValueError(
-                f"non-finite state on path {bad} at step {j + 1} of {config.steps} "
-                f"(t = {(j + 1) * h:g})"
-            )
-        if j + 1 in record:
-            out[:, record[j + 1], :] = state
+    # an overflow or invalid operation leaves a non-finite state, which the check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(config.steps):
+            for b, stream in enumerate(streams):
+                z[b] = stream.step_normals(j, n)
+            state = advance(state, z)
+            if not np.isfinite(state).all():
+                bad = path_indices[np.flatnonzero(~np.isfinite(state).all(axis=1))[0]]
+                raise ValueError(
+                    f"non-finite state on path {bad} at step {j + 1} of {config.steps} "
+                    f"(t = {(j + 1) * h:g})"
+                )
+            if j + 1 in record:
+                out[:, record[j + 1], :] = state
     return out
 
 

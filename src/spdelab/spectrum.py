@@ -4,6 +4,10 @@ Everything here acts mode-wise on a truncated spectrum 0 < lam_1 <= ... <= lam_N
 the heat semigroup e^{-tA}, fractional powers A^{r/2}, the fractional-space norms
 ||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the closed-form time integrals of the
 semigroup that control smoothing (their sharp one-dimensional constants included).
+
+scipy is imported lazily, inside `_sup_over_positive_axis`, so that importing this
+module loads numpy only; of the CLI commands, only `verify-lemmas` reaches a
+sharp interior constant and pays the scipy import.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -122,6 +125,8 @@ def _sup_over_positive_axis(f) -> float:
     within rounding of an edge case) the refinement switches to a bounded search
     over a widened log range.
     """
+    from scipy.optimize import minimize_scalar  # lazy: keeps scipy off the CLI's start-up path
+
     grid = np.logspace(-8.0, 4.0, 481)
     vals = f(grid)
     i = int(np.argmax(vals))

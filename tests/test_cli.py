@@ -1,10 +1,15 @@
 """CLI and config-file tests: parsing, experiment kinds, and reproducibility."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import spdelab
 from spdelab.cli import main
 from spdelab.config import ConfigError, parse_config_text
 
@@ -93,21 +98,32 @@ class TestRunSimulate:
         assert rows[0].split(",")[2] == "1.0"  # the initial coefficient
         assert all(row.split(",")[3] == "0.0" for row in rows)  # deterministic start
 
+    # F(x) = -2000 x makes the modes with lam_k < 2000 grow like e^{(2000 - lam_k) t},
+    # which overflows long before T = 4
+    STIFF = (
+        "kind = simulate\nmodel.N = 8\nmodel.drift = linear\n"
+        "model.drift.multipliers = -2000\nsolver.T = 4\nsolver.steps = 400\n"
+        "solver.paths = 4\n"
+    )
+    NON_FINITE = r"error: non-finite state on path \d+ at step \d+ of 400 \(t = [\d.]+\)"
+
+    # an overflow warning escaping the solver would raise here instead of reaching stderr
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_state_stops_the_run(self, tmp_path, capsys):
-        # F(x) = -2000 x makes the modes with lam_k < 2000 grow like e^{(2000 - lam_k) t},
-        # which overflows long before T = 4
-        config = write_config(
-            tmp_path,
-            "kind = simulate\nmodel.N = 8\nmodel.drift = linear\n"
-            "model.drift.multipliers = -2000\nsolver.T = 4\nsolver.steps = 400\n"
-            "solver.paths = 4\nsolver.seed = 1\n",
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", str(config), "--output-dir", str(tmp_path / "out")])
+        config = write_config(tmp_path, self.STIFF + "solver.seed = 1\n")
+        code = main(["run", str(config), "--output-dir", str(tmp_path / "out")])
         assert code == 2
-        assert re.search(r"error: non-finite state on path \d+ at step \d+ of 400",
-                         capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.fullmatch(self.NON_FINITE + "\n", err), err
         assert not (tmp_path / "out" / "snapshots.csv").exists()
+
+    def test_warnings_are_printed_when_the_run_fails(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.STIFF)
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "warning: solver.seed not set; defaulting to 0"
+        assert re.fullmatch(self.NON_FINITE, err[1])
+        assert len(err) == 2
 
 
 class TestRunProbes:
@@ -220,3 +236,58 @@ class TestCommandLine:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+
+# Runs every config but the last through `cli.main` in a fresh interpreter, lists
+# the scipy modules loaded by then, and then runs the last config (verify-lemmas).
+_STARTUP_SCRIPT = """
+import json, sys
+from spdelab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out, *configs, lemmas = sys.argv[1:]
+codes = [cli.main(["run", c, "--output-dir", out]) for c in configs]
+loaded = scipy_modules()
+lemmas_code = cli.main(["run", lemmas, "--output-dir", out])
+print(json.dumps({"codes": codes, "scipy": loaded, "lemmas_code": lemmas_code,
+                  "scipy_after_lemmas": bool(scipy_modules())}))
+"""
+
+
+class TestStartup:
+    CONFIGS = {
+        "simulate": "kind = simulate\nmodel.N = 8\nmodel.drift = nemytskii\n"
+        "model.drift.function = tanh\nmodel.drift.grid = 16\n"
+        "solver.T = 0.01\nsolver.steps = 2\nsolver.paths = 3\nsolver.seed = 0\n",
+        "probe-temporal": BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.004\n"
+        "solver.steps = 200\nsolver.paths = 20\nsolver.seed = 0\nprobe.s = 0\n"
+        "probe.anchor = 0.002\nprobe.lags = 2e-5,4e-5,1e-4,1.6e-4,2.6e-4,7.2e-4,1.2e-3,2e-3\n",
+        "probe-spatial": "kind = probe-spatial\nmodel.N = 16\nsolver.T = 0.1\n"
+        "solver.steps = 4\nsolver.paths = 20\nsolver.seed = 0\n"
+        "solver.method = exact-gaussian\nprobe.s = 1\nprobe.sweep_N = 4,8,16\n",
+        "example-section5": "kind = example-section5\nseries.N = 100,1000\nsolver.seed = 0\n",
+        "verify-assumptions": "kind = verify-assumptions\nmodel.N = 16\n"
+        "model.diffusion = nemytskii\nmodel.diffusion.function = cos\n"
+        "model.diffusion.grid = 32\nsolver.seed = 0\n",
+        "verify-lemmas": "kind = verify-lemmas\nsolver.seed = 0\nlemmas.bound_draws = 5\n"
+        "lemmas.exactness_draws = 2\nlemmas.paths = 50\n",
+    }
+
+    def test_only_verify_lemmas_imports_scipy(self, tmp_path):
+        paths = [str(write_config(tmp_path, text, f"{kind}.cfg"))
+                 for kind, text in self.CONFIGS.items()]
+        src = str(Path(spdelab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path / "out"), *paths],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * (len(paths) - 1)
+        assert result["scipy"] == []
+        assert result["lemmas_code"] == 0
+        assert result["scipy_after_lemmas"]
