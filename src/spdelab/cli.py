@@ -259,12 +259,12 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
     else:
         mults = probes.geometric_lag_multiples(10, max(config.steps // 4, 100))
         lags = [m * config.h for m in mults]
+    results = probes.temporal_probe(
+        model, config, s_values, anchor, lags, method=method, workers=workers
+    )
     summary = []
     fit_rows = []
-    for idx, s in enumerate(s_values):
-        fit, table = probes.temporal_probe(
-            model, config, s, anchor, lags, method=method, workers=workers
-        )
+    for idx, (s, (fit, table)) in enumerate(zip(s_values, results)):
         write_csv(
             out_dir / f"temporal_s{idx}.csv",
             cfg.resolved(),
@@ -287,13 +287,13 @@ def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
         model, config, s, n_values, method=solver_method(cfg), workers=workers
     )
     write_csv(out_dir / "spatial_sweep.csv", cfg.resolved(), ["N", "value"], sweep)
+    summary = [f"sweep s={s:g}: values {' '.join(f'{v:.5g}' for _, v in sweep)}"]
     gaps = [abs(b[1] - a[1]) for a, b in zip(sweep, sweep[1:])]
-    cauchy = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-    rel = gaps[-1] / sweep[-1][1] if sweep[-1][1] else math.inf
-    return [
-        f"sweep s={s:g}: values {' '.join(f'{v:.5g}' for _, v in sweep)}",
-        f"gaps decreasing: {cauchy}; final relative gap {rel:.3%}",
-    ]
+    if gaps:  # a gap needs two sweep values
+        cauchy = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+        rel = gaps[-1] / sweep[-1][1] if sweep[-1][1] else math.inf
+        summary.append(f"gaps decreasing: {cauchy}; final relative gap {rel:.3%}")
+    return summary
 
 
 def _run_verify_lemmas(cfg, out_dir: Path) -> list[str]:

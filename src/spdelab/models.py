@@ -278,6 +278,18 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
     fail to shrink flag a divergent series (the declared r is too large).
     Nemytskii nonlinearities are probed at random states; measured ratios are
     reported, not proven.
+
+    The Nemytskii Lipschitz probe measures, for random coefficient vectors
+    x != y with grid values u, v, the ratio
+    sqrt(sum_i q_i |analyze((g(u) - g(v)) e_i)|^2) / |x - y| and passes when
+    it is at most L sqrt(2 sum_i q_i), L the declared constant of g.  The
+    bound holds on the grid y_j = j/M with the mean-square norm
+    |w|_M^2 = (1/M) sum_j w_j^2: `analyze` is the orthogonal projection onto
+    n modes in that inner product, so |analyze(w)| <= |w|_M; |e_i| <= sqrt(2)
+    pointwise, so |w e_i|_M <= sqrt(2) |w|_M; g is L-Lipschitz, so
+    |g(u) - g(v)|_M <= L |u - v|_M, and |u - v|_M = |x - y| by discrete
+    Parseval, since M >= 2N.  A ratio above the bound means the declared
+    constant understates g.
     """
     checks: list[AssumptionCheck] = []
     op, cov = model.operator, model.covariance
@@ -330,10 +342,11 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
             # at r = 0 the weight is exactly 1.0: the plain Hilbert-Schmidt norm
             ratios.append(image_norm(fn(ua) - fn(ub), 0.0) / float(np.linalg.norm(x - y)))
         measured_lip = max(ratios)
+        lip_bound = diffusion.lipschitz * math.sqrt(2.0 * float(np.sum(cov.variances)))
         checks.append(
             AssumptionCheck(
                 "diffusion_lipschitz",
-                math.isfinite(measured_lip),
+                measured_lip <= lip_bound,
                 {"constant": diffusion.lipschitz, "measured": measured_lip},
             )
         )

@@ -79,6 +79,11 @@ class NoiseStream:
     (master seed, path index); ``step_normals(j, n)`` returns the first n
     standard normals of segment j.  Two streams built from the same indices
     produce bitwise-identical output.
+
+    The stream keeps one state dict, built in ``__init__`` with a zero
+    counter, an empty output buffer and no cached 32-bit half.  Assigning the
+    dict to the bit generator only reads it, so those fields stay as set; each
+    draw writes just the step index into counter word 2 and assigns the dict.
     """
 
     def __init__(self, master_seed: int, path_index: int = 0):
@@ -93,16 +98,16 @@ class NoiseStream:
         self._gen = Generator(self._bitgen)
         self._state = self._bitgen.state
         self._counter = self._state["state"]["counter"]
+        self._counter[:] = 0
+        self._state["buffer_pos"] = 4
+        self._state["has_uint32"] = 0
+        self._state["uinteger"] = 0
 
     def step_normals(self, step_index: int, count: int) -> np.ndarray:
         """First `count` standard normal draws of the segment for `step_index`."""
         if step_index < 0:
             raise ValueError(f"step index must be >= 0, got {step_index}")
-        self._counter[:] = 0
         self._counter[2] = step_index
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
         self._bitgen.state = self._state
         return self._gen.standard_normal(count)
 

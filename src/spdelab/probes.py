@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import AdditiveDiagonalDiffusion, DiagonalLinearDrift, ModelSpec
+from .models import AdditiveDiagonalDiffusion, DiagonalLinearDrift, ModelSpec, ZeroDrift
 from .noise import CovarianceSpectrum
 from .solver import EXPONENTIAL_EULER, SolverConfig, map_paths
 from .spectrum import SpectralCoeffs, SpectralOperator
@@ -81,27 +81,31 @@ def _norm_rows(eigenvalues: np.ndarray, s: float, rows: np.ndarray) -> np.ndarra
 def increment_samples(
     model: ModelSpec,
     config: SolverConfig,
-    s: float,
+    s_values: Sequence[float],
     lag_pairs: Sequence[tuple[float, float]],
     method: str = EXPONENTIAL_EULER,
     workers: int = 1,
-) -> list[np.ndarray]:
-    """Per-lag arrays of ||X(t2) - X(t1)||_s, both times read from the same path."""
+) -> np.ndarray:
+    """Samples of ||X(t2) - X(t1)||_s for every s in `s_values` and every lag pair.
+
+    Both times of a pair are read from the same path, and every (s, pair)
+    column from the same ensemble: one ``map_paths`` run serves them all.
+    Returns an array (len(s_values), len(lag_pairs), paths).
+    """
     times = sorted({float(t) for pair in lag_pairs for t in pair})
     run_config = dataclasses.replace(config, snapshot_times=tuple(times))
     run_config.snapshot_steps()  # validates grid alignment
     index = {t: i for i, t in enumerate(times)}
+    first = [index[t1] for t1, _ in lag_pairs]
+    second = [index[t2] for _, t2 in lag_pairs]
     lam = model.operator.eigenvalues
 
     def reduce_block(rows: np.ndarray) -> np.ndarray:
-        cols = [
-            _norm_rows(lam, s, rows[:, index[t2], :] - rows[:, index[t1], :])
-            for t1, t2 in lag_pairs
-        ]
-        return np.stack(cols, axis=1)
+        diffs = rows[:, second, :] - rows[:, first, :]
+        return np.stack([_norm_rows(lam, s, diffs) for s in s_values], axis=1)
 
     table = map_paths(model, run_config, reduce_block, method=method, workers=workers)
-    return [table[:, i] for i in range(len(lag_pairs))]
+    return np.moveaxis(table, 0, -1)
 
 
 def fit_holder_exponent(
@@ -152,28 +156,32 @@ def geometric_lag_multiples(count: int, max_multiple: int) -> list[int]:
 def temporal_probe(
     model: ModelSpec,
     config: SolverConfig,
-    s: float,
+    s_values: Sequence[float],
     anchor: float,
     lags: Sequence[float],
     p: float | None = None,
     method: str = EXPONENTIAL_EULER,
     workers: int = 1,
-) -> tuple[HolderEstimate, list[tuple[float, float, float]]]:
-    """Fit the temporal Hölder exponent at smoothness s from increments off an anchor.
+) -> list[tuple[HolderEstimate, list[tuple[float, float, float]]]]:
+    """Fit the temporal Hölder exponent at each smoothness s from increments off an anchor.
 
-    Returns the fit and the per-lag table (lag, estimate, stderr).
+    The increments X(anchor + lag) - X(anchor) of one ensemble serve every s.
+    Returns, per s in `s_values`, the fit and the per-lag table
+    (lag, estimate, stderr).
     """
     p = model.p if p is None else p
     pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(model, config, s, pairs, method=method, workers=workers)
-    table = []
-    for lag, arr in zip(lags, samples):
-        est, se = estimate_lp_norm(arr, p)
-        table.append((float(lag), est, se))
-    fit = fit_holder_exponent(
-        [(lag, est) for lag, est, _ in table], predicted_temporal_exponent(model.r, s)
+    samples = increment_samples(
+        model, config, s_values, pairs, method=method, workers=workers
     )
-    return fit, table
+    results = []
+    for s, per_lag in zip(s_values, samples):
+        table = [(float(lag), *estimate_lp_norm(arr, p)) for lag, arr in zip(lags, per_lag)]
+        fit = fit_holder_exponent(
+            [(lag, est) for lag, est, _ in table], predicted_temporal_exponent(model.r, s)
+        )
+        results.append((fit, table))
+    return results
 
 
 def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
@@ -210,27 +218,39 @@ def spatial_sweep(
 ) -> list[tuple[int, float]]:
     """Estimated sup over snapshots of the (s, p) moment norm at growing truncations.
 
-    Every truncation re-instantiates the model on the leading sub-spectrum; the
-    per-(path, step, mode) noise addressing makes the runs share their draws,
-    so successive sweep values differ exactly by the added modes' contribution.
+    Truncation n is the model on its leading n modes.  The noise is addressed
+    per (path, step, mode), so every truncation reads the same draws.  With
+    zero or diagonal linear drift and additive diagonal diffusion each mode
+    evolves on its own, elementwise, so the first n modes of a run at the
+    largest truncation are bitwise the run at n: one ensemble, reduced over
+    every prefix, serves the whole sweep.  A Nemytskii term couples the modes
+    through the sine transforms, so such a model runs once per truncation.
+    Either way successive values differ by the added modes' contribution.
     """
     n_values = list(n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ValueError("truncation dimensions must be strictly increasing")
+    if n_values and n_values[0] < 1:
+        raise ValueError(f"truncation dimensions must be >= 1, got {n_values[0]}")
+    decoupled = isinstance(model.drift, (ZeroDrift, DiagonalLinearDrift)) and isinstance(
+        model.diffusion, AdditiveDiagonalDiffusion
+    )
+    runs = [n_values] if decoupled and n_values else [[n] for n in n_values]
     results = []
-    for n in n_values:
-        sub = truncate_model(model, n)
+    for run in runs:
+        sub = truncate_model(model, run[-1])
         lam = sub.operator.eigenvalues
 
         def reduce_block(rows: np.ndarray) -> np.ndarray:
-            return _norm_rows(lam, s, rows)
+            return np.stack([_norm_rows(lam[:n], s, rows[..., :n]) for n in run], axis=1)
 
         norms = map_paths(model=sub, config=config, reduce_block=reduce_block,
                           method=method, workers=workers)
-        value = max(
-            estimate_lp_norm(norms[:, i], model.p)[0] for i in range(norms.shape[1])
-        )
-        results.append((n, value))
+        for k, n in enumerate(run):
+            value = max(
+                estimate_lp_norm(norms[:, k, i], model.p)[0] for i in range(norms.shape[2])
+            )
+            results.append((n, value))
     return results
 
 
@@ -314,7 +334,9 @@ def continuity_modulus(
         raise ValueError(f"the top-norm modulus probe requires r = 0, got r = {model.r}")
     lags = sorted(float(lag) for lag in lags)
     pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(model, config, 1.0, pairs, method=method, workers=workers)
+    samples = increment_samples(
+        model, config, (1.0,), pairs, method=method, workers=workers
+    )[0]
     return [
         (lag, estimate_lp_norm(arr, model.p)[0]) for lag, arr in zip(lags, samples)
     ]

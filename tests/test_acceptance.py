@@ -189,16 +189,16 @@ def test_criterion_05_temporal_exponents():
     model0 = borderline_model(64)
     h0 = 2e-5
     config0 = SolverConfig(T=200 * h0, steps=200, paths=10_000, master_seed=505)
-    fit0, _ = temporal_probe(
-        model0, config0, s=0.0, anchor=100 * h0, lags=[m * h0 for m in mults],
+    [(fit0, _)] = temporal_probe(
+        model0, config0, s_values=(0.0,), anchor=100 * h0, lags=[m * h0 for m in mults],
         method=EXPONENTIAL_EULER,
     )
     # s = 0.5: window spanning the scaling range of the smoothness-weighted norm
     model5 = borderline_model(256)
     h5 = 1.2e-3
     config5 = SolverConfig(T=164 * h5, steps=164, paths=10_000, master_seed=506)
-    fit5, _ = temporal_probe(
-        model5, config5, s=0.5, anchor=64 * h5, lags=[m * h5 for m in mults],
+    [(fit5, _)] = temporal_probe(
+        model5, config5, s_values=(0.5,), anchor=64 * h5, lags=[m * h5 for m in mults],
         method=EXPONENTIAL_EULER,
     )
     ok0 = abs(fit0.slope - 0.5) <= 0.1

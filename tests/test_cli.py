@@ -157,6 +157,37 @@ class TestRunProbes:
         rows = (tmp_path / "out" / "spatial_sweep.csv").read_text().splitlines()[2:]
         assert [int(r.split(",")[0]) for r in rows] == [4, 8, 16, 32]
 
+    def test_single_value_sweep_has_no_gap_line(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "kind = probe-spatial\nmodel.N = 16\nsolver.T = 0.1\nsolver.steps = 10\n"
+            "solver.paths = 50\nsolver.seed = 3\nprobe.sweep_N = 16\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1 and "gaps" not in captured.out
+        rows = (tmp_path / "out" / "spatial_sweep.csv").read_text().splitlines()[2:]
+        assert len(rows) == 1 and rows[0].startswith("16,")
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            "kind = probe-temporal\nsolver.T = 0.004\nsolver.steps = 200\n"
+            "probe.s = 0, 0.5, 1\nprobe.anchor = 0.002\n"
+            "probe.lags = 2e-5,4e-5,6e-5,1e-4,1.6e-4,2.6e-4,4.4e-4,7.2e-4,1.2e-3,2e-3\n",
+            "kind = probe-spatial\nsolver.T = 0.1\nsolver.steps = 10\n"
+            "probe.sweep_N = 2, 4, 8, 16\n",
+        ],
+        ids=["temporal", "spatial"],
+    )
+    def test_probe_simulates_the_ensemble_once(self, probe, tmp_path, capsys, map_paths_calls):
+        config = write_config(
+            tmp_path, BASE_MODEL + probe + "solver.paths = 40\nsolver.seed = 2\nsolver.workers = 2\n"
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(map_paths_calls) == 1
+
 
 class TestRunVerifiers:
     def test_lemma_suite_passes(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spdelab import models
 from spdelab.models import (
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
@@ -167,3 +168,18 @@ class TestValidateAssumptions:
         )
         assert report.check("diffusion_lipschitz").measured["measured"] > 0.0
         assert report.check("diffusion_growth").measured["measured"] > 0.0
+
+    @pytest.mark.parametrize("name", [entry.name for entry in registered_functions()])
+    def test_shipped_diffusions_meet_their_lipschitz_bound(self, name):
+        report = validate_assumptions(make_model(32, diffusion=NemytskiiDiffusion(name, 64)))
+        assert report.check("diffusion_lipschitz").passed
+
+    def test_understated_lipschitz_constant_fails(self, monkeypatch):
+        # cos is 1-Lipschitz; declared at 0.5, the bound 0.5 sqrt(2 sum q) = 0.967
+        # falls below the measured ratio of about 1.1
+        monkeypatch.setitem(models._REGISTRY, "cos", models.ScalarFunction("cos", np.cos, 0.5))
+        model = make_model(64, drift=NemytskiiDrift("tanh", 256),
+                           diffusion=NemytskiiDiffusion("cos", 256))
+        check = validate_assumptions(model).check("diffusion_lipschitz")
+        assert check.measured["constant"] == 0.5
+        assert not check.passed

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
-from spdelab.models import AdditiveDiagonalDiffusion, ModelSpec, ZeroDrift
+from spdelab.models import (
+    AdditiveDiagonalDiffusion,
+    DiagonalLinearDrift,
+    ModelSpec,
+    NemytskiiDiffusion,
+    NemytskiiDrift,
+    ZeroDrift,
+)
 from spdelab.noise import CovarianceSpectrum, example_covariance
 from spdelab.probes import (
     continuity_modulus,
@@ -21,15 +28,42 @@ from spdelab.probes import (
     increment_samples,
     predicted_temporal_exponent,
     spatial_sweep,
+    temporal_probe,
     truncate_model,
 )
-from spdelab.solver import EXACT_GAUSSIAN, SolverConfig, ensemble_snapshots
+from spdelab.solver import (
+    EXACT_GAUSSIAN,
+    EXPONENTIAL_EULER,
+    SolverConfig,
+    ensemble_snapshots,
+    map_paths,
+)
 from spdelab.spectrum import (
     SpectralCoeffs,
     SpectralOperator,
     dirichlet_laplacian_1d,
     stochastic_convolution_energy,
 )
+
+
+def linear_drift_model(n):
+    return ModelSpec(
+        operator=dirichlet_laplacian_1d(n),
+        covariance=example_covariance(n),
+        drift=DiagonalLinearDrift(np.linspace(-5.0, 5.0, n)),
+        diffusion=AdditiveDiagonalDiffusion(np.linspace(1.0, 0.5, n)),
+        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+    )
+
+
+def nemytskii_model(n):
+    return ModelSpec(
+        operator=dirichlet_laplacian_1d(n),
+        covariance=example_covariance(n),
+        drift=NemytskiiDrift("tanh", 2 * n),
+        diffusion=NemytskiiDiffusion("cos", 2 * n),
+        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+    )
 
 
 def borderline_model(n=8, r=0.0):
@@ -124,14 +158,14 @@ class TestIncrementSamples:
     def test_zero_lag_gives_zero_samples(self):
         model = borderline_model()
         config = SolverConfig(T=0.1, steps=10, paths=16, master_seed=2)
-        samples = increment_samples(model, config, 0.0, [(0.05, 0.05)])
-        np.testing.assert_array_equal(samples[0], np.zeros(16))
+        samples = increment_samples(model, config, (0.0,), [(0.05, 0.05)])
+        np.testing.assert_array_equal(samples[0, 0], np.zeros(16))
 
     def test_off_grid_times_rejected(self):
         model = borderline_model()
         config = SolverConfig(T=0.1, steps=10, paths=4, master_seed=2)
         with pytest.raises(ValueError):
-            increment_samples(model, config, 0.0, [(0.05, 0.0733)])
+            increment_samples(model, config, (0.0,), [(0.05, 0.0733)])
 
     def test_second_moment_matches_gaussian_transition_algebra(self):
         n = 8
@@ -139,8 +173,8 @@ class TestIncrementSamples:
         t1, t2 = 0.02, 0.03
         config = SolverConfig(T=0.05, steps=100, paths=4000, master_seed=6)
         samples = increment_samples(
-            model, config, 0.0, [(t1, t2)], method=EXACT_GAUSSIAN
-        )[0]
+            model, config, (0.0,), [(t1, t2)], method=EXACT_GAUSSIAN
+        )[0, 0]
         lam = model.operator.eigenvalues
         q = model.covariance.variances
         v1 = q * -np.expm1(-2.0 * lam * t1) / (2.0 * lam)
@@ -153,7 +187,7 @@ class TestIncrementSamples:
     def test_paths_are_uncorrelated(self):
         model = borderline_model()
         config = SolverConfig(T=0.05, steps=20, paths=2000, master_seed=13)
-        samples = increment_samples(model, config, 0.0, [(0.0, 0.05)])[0]
+        samples = increment_samples(model, config, (0.0,), [(0.0, 0.05)])[0, 0]
         even, odd = samples[0::2], samples[1::2]
         corr = np.corrcoef(even, odd)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(even.size)
@@ -163,13 +197,28 @@ class TestIncrementSamples:
         model = borderline_model(n)
         t1, t2 = 0.04, 0.05
         config = SolverConfig(T=0.05, steps=50, paths=2000, master_seed=4)
-        coupled = increment_samples(model, config, 0.0, [(t1, t2)])[0]
+        coupled = increment_samples(model, config, (0.0,), [(t1, t2)])[0, 0]
         run = dataclasses_replace_snapshots(config, (t1, t2))
         rows = ensemble_snapshots(model, run)
         crossed = np.sqrt(
             np.sum((np.roll(rows[:, 1, :], 1, axis=0) - rows[:, 0, :]) ** 2, axis=1)
         )
         assert coupled.var() < crossed.var()
+
+    def test_every_smoothness_reads_the_same_paths(self, map_paths_calls):
+        model = linear_drift_model(16)
+        config = SolverConfig(T=0.06, steps=120, paths=120, master_seed=9)
+        anchor = 20 * config.h
+        lags = [k * config.h for k in (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)]
+        s_values = (0.0, 0.5, 1.0)
+        one_by_one = [
+            temporal_probe(model, config, (s,), anchor, lags, p=4.0)[0] for s in s_values
+        ]
+        map_paths_calls.clear()
+        together = temporal_probe(model, config, s_values, anchor, lags, p=4.0)
+        assert len(map_paths_calls) == 1
+        assert together == one_by_one
+        assert [fit.predicted for fit, _ in together] == [0.5, 0.25, 0.0]
 
 
 def dataclasses_replace_snapshots(config, times):
@@ -215,6 +264,47 @@ class TestSpatialSweep:
         )
         with pytest.raises(ValueError):
             truncate_model(model, 17)
+
+    @pytest.mark.parametrize(
+        "model, method",
+        [
+            (linear_drift_model(32), EXPONENTIAL_EULER),
+            (borderline_model(32, r=0.0), EXACT_GAUSSIAN),
+            (nemytskii_model(16), EXPONENTIAL_EULER),
+        ],
+        ids=["euler-linear-drift", "exact-gaussian", "nemytskii"],
+    )
+    def test_sweep_equals_one_run_per_truncation(self, model, method):
+        n_values = [2, 5, model.dimension // 2, model.dimension]
+        s = 1.0
+        config = SolverConfig(T=0.04, steps=8, paths=150, master_seed=31,
+                              snapshot_times=(0.01, 0.02, 0.04))
+        reference = []
+        for n in n_values:
+            sub = truncate_model(model, n)
+            lam = sub.operator.eigenvalues
+            norms = map_paths(
+                sub, config, lambda rows: np.sqrt(np.sum(lam**s * rows**2, axis=-1)),
+                method=method,
+            )
+            value = max(estimate_lp_norm(norms[:, i], model.p)[0] for i in range(3))
+            reference.append((n, value))
+        assert spatial_sweep(model, config, s, n_values, method=method) == reference
+
+    @pytest.mark.parametrize(
+        "model, expected_runs",
+        [(linear_drift_model(16), 1), (nemytskii_model(16), 3)],
+        ids=["decoupled", "nemytskii"],
+    )
+    def test_decoupled_models_simulate_once(self, model, expected_runs, map_paths_calls):
+        config = SolverConfig(T=0.02, steps=4, paths=8, master_seed=3)
+        sweep = spatial_sweep(model, config, 0.5, [4, 8, 16])
+        assert [n for n, _ in sweep] == [4, 8, 16]
+        assert len(map_paths_calls) == expected_runs
+
+    def test_rejects_empty_truncation(self):
+        with pytest.raises(ValueError):
+            spatial_sweep(borderline_model(8), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [0, 4])
 
 
 class TestExampleSeries:

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdelab.models import (
     AdditiveDiagonalDiffusion,
@@ -21,6 +23,7 @@ from spdelab.noise import (
     example_covariance,
     sample_increment,
 )
+from spdelab.probes import truncate_model
 from spdelab.solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
@@ -343,3 +346,32 @@ class TestEnsembleExecution:
         firsts = map_paths(model, config, lambda rows: rows[:, 0, 1], block_size=16)
         rows = ensemble_snapshots(model, config)
         np.testing.assert_array_equal(firsts, rows[:, 0, 1])
+
+    # Decoupled models (zero or diagonal linear drift, additive diagonal noise)
+    # update each mode on its own, and the draws are prefix-stable, so a run
+    # on the leading n modes is the first n columns of the full run, bitwise.
+    # spatial_sweep relies on this to serve a whole sweep from one run.
+    @given(
+        data=st.data(),
+        n_full=st.integers(min_value=1, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        method=st.sampled_from([EXPONENTIAL_EULER, EXACT_GAUSSIAN]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_run_is_a_prefix_of_the_full_run(self, data, n_full, seed, method):
+        n = data.draw(st.integers(min_value=1, max_value=n_full), label="n")
+        if method == EXACT_GAUSSIAN:
+            model = linear_additive_model(n_full, g=0.7, x0=np.linspace(1.0, 0.0, n_full))
+        else:
+            model = data.draw(
+                st.sampled_from([linear_additive_model, diagonal_linear_model]), label="model"
+            )(n_full)
+        config = SolverConfig(T=0.02, steps=4, paths=3, master_seed=seed,
+                              snapshot_times=(0.0, 0.01, 0.02))
+
+        def identity(rows):
+            return rows
+
+        full = map_paths(model, config, identity, method=method)
+        truncated = map_paths(truncate_model(model, n), config, identity, method=method)
+        np.testing.assert_array_equal(truncated, full[..., :n])
