@@ -71,6 +71,5 @@ from .spectrum import (
     smoothing_constant,
     stochastic_convolution_energy,
 )
-from .transforms import sine_transform_forward, sine_transform_inverse
 
 __version__ = "0.1.0"

@@ -199,34 +199,99 @@ class ModelSpec:
         return self.operator.dimension
 
 
-def _drift_rows(model: ModelSpec, states: np.ndarray) -> np.ndarray:
-    """Drift evaluated row-wise on a (paths, modes) state array."""
+class Workspace:
+    """Scratch arrays reused across the steps of one block of rows.
+
+    ``get(name, shape)`` returns the same float array for a name as long as the
+    shape stays the same, so a loop that asks for its buffers on every step
+    allocates them once.  What `_drift_rows` and `_diffusion_rows` write here
+    stays valid until their next call with the same workspace.  A workspace
+    belongs to one caller at a time: two blocks sharing one would overwrite
+    each other's rows.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[name] = np.empty(shape)
+        return arr
+
+
+def _pointwise(fn: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """fn(values), written into `out` when fn is a numpy ufunc; other functions allocate."""
+    if isinstance(fn, np.ufunc):
+        return fn(values, out=out)
+    return fn(values)
+
+
+def _drift_rows(
+    model: ModelSpec,
+    states: np.ndarray,
+    work: Workspace,
+    state_grid: np.ndarray | None = None,
+) -> np.ndarray:
+    """Drift evaluated row-wise on a (paths, modes) state array.
+
+    A Nemytskii drift uses `state_grid`, the states synthesized on its grid,
+    when given.  The result may be an array of `work`.
+    """
     drift = model.drift
     if isinstance(drift, ZeroDrift):
         return np.zeros_like(states)
     if isinstance(drift, DiagonalLinearDrift):
-        return states * drift.multipliers
+        return np.multiply(states, drift.multipliers, out=work.get("drift", states.shape))
     fn = get_scalar_function(drift.function).fn
-    grid_values = transforms.synthesize(states, drift.grid_size)
-    return transforms.analyze(fn(grid_values), model.dimension)
+    grid_shape = (states.shape[0], drift.grid_size - 1)
+    if state_grid is None:
+        state_grid = transforms.synthesize(
+            states, drift.grid_size, out=work.get("drift grid", grid_shape)
+        )
+    values = _pointwise(fn, state_grid, work.get("drift values", grid_shape))
+    return transforms.analyze(values, model.dimension, out=work.get("drift", states.shape))
 
 
-def _diffusion_rows(model: ModelSpec, states: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """G(state) dW evaluated row-wise on matching (paths, modes) arrays."""
+def _diffusion_rows(
+    model: ModelSpec,
+    states: np.ndarray,
+    increments: np.ndarray,
+    work: Workspace,
+    state_grid: np.ndarray | None = None,
+) -> np.ndarray:
+    """G(state) dW evaluated row-wise on matching (paths, modes) arrays.
+
+    A Nemytskii diffusion uses `state_grid`, the states synthesized on its
+    grid, when given.  The result may be an array of `work`.
+    """
     diffusion = model.diffusion
     if isinstance(diffusion, AdditiveDiagonalDiffusion):
-        return increments * diffusion.multipliers
+        return np.multiply(
+            increments, diffusion.multipliers, out=work.get("diffusion", increments.shape)
+        )
     fn = get_scalar_function(diffusion.function).fn
-    state_values = transforms.synthesize(states, diffusion.grid_size)
-    noise_values = transforms.synthesize(increments, diffusion.grid_size)
-    return transforms.analyze(fn(state_values) * noise_values, model.dimension)
+    grid_shape = (states.shape[0], diffusion.grid_size - 1)
+    if state_grid is None:
+        state_grid = transforms.synthesize(
+            states, diffusion.grid_size, out=work.get("diffusion grid", grid_shape)
+        )
+    noise_values = transforms.synthesize(
+        increments, diffusion.grid_size, out=work.get("noise grid", grid_shape)
+    )
+    values = _pointwise(fn, state_grid, work.get("diffusion values", grid_shape))
+    # into the noise buffer: a non-ufunc fn may return the shared state grid itself
+    np.multiply(values, noise_values, out=noise_values)
+    return transforms.analyze(noise_values, model.dimension,
+                              out=work.get("diffusion", increments.shape))
 
 
 def apply_drift(model: ModelSpec, x: SpectralCoeffs) -> SpectralCoeffs:
     """Evaluate the drift F(x) in eigenmode coefficients."""
     if x.dimension != model.dimension:
         raise ValueError(f"dimension mismatch: {x.dimension} != {model.dimension}")
-    return SpectralCoeffs(_drift_rows(model, x.values[None, :])[0])
+    return SpectralCoeffs(_drift_rows(model, x.values[None, :], Workspace())[0])
 
 
 def apply_diffusion_increment(
@@ -238,7 +303,9 @@ def apply_diffusion_increment(
             f"dimension mismatch: state {x.dimension}, increment {dW.dimension}, "
             f"model {model.dimension}"
         )
-    return SpectralCoeffs(_diffusion_rows(model, x.values[None, :], dW.values[None, :])[0])
+    return SpectralCoeffs(
+        _diffusion_rows(model, x.values[None, :], dW.values[None, :], Workspace())[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -270,6 +337,17 @@ def _dyadic_partial_sums(weights: np.ndarray) -> list[float]:
     return [float(np.sum(weights[:c])) for c in cuts]
 
 
+def _increments_shrink(sums: list[float], n: int) -> bool:
+    """Whether the dyadic partial sums of an n-term series have shrinking increments.
+
+    Tested from n = 16 on, where each dyadic block holds at least four terms.
+    """
+    if len(sums) == 3 and n >= 16:
+        inc1, inc2 = sums[1] - sums[0], sums[2] - sums[1]
+        return inc2 < inc1 or inc2 == 0.0
+    return True
+
+
 def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionReport:
     """Check the standing assumptions at the truncated level and record constants.
 
@@ -290,6 +368,21 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
     |g(u) - g(v)|_M <= L |u - v|_M, and |u - v|_M = |x - y| by discrete
     Parseval, since M >= 2N.  A ratio above the bound means the declared
     constant understates g.
+
+    The Nemytskii growth probe reports, at random states x with grid values
+    u, the largest ratio |A^{r/2} G(x)|_HS / (1 + |x|_r).  For
+    (G(x) w)(y) = g(u(y)) w(y) the squared norm is a series over noise modes,
+    sum_i t_i with t_i = q_i sum_k lambda_k^r <g(u) e_i, e_k>^2, the inner
+    products taken by `analyze`.  The assumption needs that series to stay
+    bounded as N grows, so it is tested as in the additive case: on the
+    partial sums over i at N/4, N/2 and N, from N = 16 on.  When the terms
+    vary regularly in i, the dyadic block sums of a convergent series shrink,
+    while an increment that does not shrink means each doubling of N adds at
+    least as much as the last.  The check passes when the increments shrink
+    at every probe state.  For the constant g = 1, t_i = q_i lambda_i^r
+    exactly, since the grid inner products of the basis are exact for
+    M >= 2N; that is the additive weight with g_i = 1, so both spellings of
+    the identity operator get the same verdict.
     """
     checks: list[AssumptionCheck] = []
     op, cov = model.operator, model.covariance
@@ -308,15 +401,10 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
         weights = op.eigenvalues**model.r * cov.variances * diffusion.multipliers**2
         sums = _dyadic_partial_sums(weights)
         norm = math.sqrt(sums[-1])
-        if len(sums) == 3 and n >= 16:
-            inc1, inc2 = sums[1] - sums[0], sums[2] - sums[1]
-            converging = inc2 < inc1 or inc2 == 0.0
-        else:
-            converging = True
         checks.append(
             AssumptionCheck(
                 "diffusion_growth",
-                math.isfinite(norm) and converging,
+                math.isfinite(norm) and _increments_shrink(sums, n),
                 {"hs_norm": norm, "partial_sums": tuple(sums)},
             )
         )
@@ -326,12 +414,16 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
         basis = transforms.sine_basis_matrix(n, m)
         modes = np.arange(1, n + 1)
 
-        def image_norm(values: np.ndarray, r: float) -> float:
-            """Weighted Hilbert-Schmidt norm of multiplication by grid `values`."""
+        def image_terms(values: np.ndarray, r: float) -> np.ndarray:
+            """Terms q_i lambda_k^r <values e_i, e_k>^2 of the squared weighted
+            Hilbert-Schmidt norm of multiplication by grid `values`; row i per noise mode."""
             # rows of `images`: coefficients of values * e_i, one per noise mode i
             images = transforms.analyze(values * basis, n)
             weighted = op.eigenvalues[None, :] ** r * images**2
-            return float(np.sqrt(np.sum(cov.variances[:, None] * weighted)))
+            return cov.variances[:, None] * weighted
+
+        def image_norm(terms: np.ndarray) -> float:
+            return float(np.sqrt(np.sum(terms)))
 
         rng = np.random.default_rng(probe_seed)
         ratios = []
@@ -340,7 +432,9 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
             y = x + 0.1 * rng.standard_normal(n) / modes
             ua, ub = transforms.synthesize(x, m)[0], transforms.synthesize(y, m)[0]
             # at r = 0 the weight is exactly 1.0: the plain Hilbert-Schmidt norm
-            ratios.append(image_norm(fn(ua) - fn(ub), 0.0) / float(np.linalg.norm(x - y)))
+            ratios.append(
+                image_norm(image_terms(fn(ua) - fn(ub), 0.0)) / float(np.linalg.norm(x - y))
+            )
         measured_lip = max(ratios)
         lip_bound = diffusion.lipschitz * math.sqrt(2.0 * float(np.sum(cov.variances)))
         checks.append(
@@ -352,15 +446,18 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
         )
         rng = np.random.default_rng(probe_seed + 1)
         ratios = []
+        converging = True
         for _ in range(8):
             x = rng.standard_normal(n) / modes
             u = transforms.synthesize(x, m)[0]
-            norm = image_norm(fn(u), model.r)
-            ratios.append(norm / (1.0 + hdot_norm(op, model.r, SpectralCoeffs(x))))
+            terms = image_terms(fn(u), model.r)
+            ratios.append(image_norm(terms) / (1.0 + hdot_norm(op, model.r, SpectralCoeffs(x))))
+            mode_sums = _dyadic_partial_sums(np.sum(terms, axis=1))
+            converging = converging and _increments_shrink(mode_sums, n)
         measured = max(ratios)
         checks.append(
             AssumptionCheck(
-                "diffusion_growth", math.isfinite(measured), {"measured": measured}
+                "diffusion_growth", math.isfinite(measured) and converging, {"measured": measured}
             )
         )
 

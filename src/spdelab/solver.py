@@ -11,6 +11,17 @@ transforms, whose matrix products BLAS rounds differently for different row
 counts, so a row's last bits (about 1e-15 relative) depend on the block it is
 computed in.  ``map_paths`` fixes the blocks from the path count and
 ``block_size`` alone, so results never depend on the worker count.
+
+Each call of ``_simulate_block`` creates one workspace (``models.Workspace``)
+holding the block's scratch arrays: the grid values of states and noise, the
+pointwise images, and the drift and diffusion rows.  They are allocated on the
+first step and reused by every later one, and the state, noise and finiteness
+rows are updated in place, so a step allocates no block-sized array; only the
+per-path normal draws are fresh.  The workspace is local to the call: it is never
+shared between blocks or between threads.  When drift and diffusion are both
+Nemytskii on one grid, each step synthesizes the state once and both evaluate
+the same grid values.  In-place updates keep the operation order of the
+textbook formulas, so results are bitwise those of the allocating form.
 """
 
 from __future__ import annotations
@@ -21,9 +32,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import transforms
 from .models import (
     AdditiveDiagonalDiffusion,
     ModelSpec,
+    NemytskiiDiffusion,
+    NemytskiiDrift,
+    Workspace,
     ZeroDrift,
     _diffusion_rows,
     _drift_rows,
@@ -118,16 +133,39 @@ def exponential_euler_step(
     if x.dimension != model.dimension or dW.dimension != model.dimension:
         raise ValueError("dimension mismatch in exponential Euler step")
     decay = np.exp(-model.operator.eigenvalues * h)
-    return SpectralCoeffs(_euler_rows(model, decay, h, x.values[None, :], dW.values[None, :])[0])
+    states = np.array(x.values[None, :])
+    _euler_rows(model, decay, h, states, dW.values[None, :], Workspace())
+    return SpectralCoeffs(states[0])
 
 
 def _euler_rows(
-    model: ModelSpec, decay: np.ndarray, h: float, states: np.ndarray, increments: np.ndarray
-) -> np.ndarray:
-    """The exponential Euler update, row-wise on matching (paths, modes) arrays."""
-    return decay * (
-        states - h * _drift_rows(model, states) + _diffusion_rows(model, states, increments)
-    )
+    model: ModelSpec,
+    decay: np.ndarray,
+    h: float,
+    states: np.ndarray,
+    increments: np.ndarray,
+    work: Workspace,
+) -> None:
+    """Advance (paths, modes) `states` in place to decay * ((x - h F(x)) + G(x) dW)."""
+    drift, diffusion = model.drift, model.diffusion
+    state_grid = None
+    if (
+        isinstance(drift, NemytskiiDrift)
+        and isinstance(diffusion, NemytskiiDiffusion)
+        and drift.grid_size == diffusion.grid_size
+    ):
+        state_grid = transforms.synthesize(
+            states, drift.grid_size,
+            out=work.get("state grid", (states.shape[0], drift.grid_size - 1)),
+        )
+    # a zero drift is skipped: x - h * 0 is x, bitwise
+    h_drift = None if isinstance(drift, ZeroDrift) else _drift_rows(model, states, work, state_grid)
+    g_dw = _diffusion_rows(model, states, increments, work, state_grid)
+    if h_drift is not None:
+        h_drift *= h
+        states -= h_drift
+    states += g_dw
+    states *= decay
 
 
 def _require_linear_additive(model: ModelSpec) -> np.ndarray:
@@ -162,6 +200,8 @@ def _simulate_block(
     h = config.h
     streams = [NoiseStream(config.master_seed, i) for i in path_indices]
     z = np.empty((block, n))
+    finite = np.empty((block, n), dtype=bool)
+    work = Workspace()  # this call's own: never shared between blocks or threads
     lam = model.operator.eigenvalues
     decay = np.exp(-lam * h)
 
@@ -171,23 +211,26 @@ def _simulate_block(
             g**2 * model.covariance.variances * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
         )
 
-        def advance(rows: np.ndarray, normals: np.ndarray) -> np.ndarray:
-            return decay * rows + transition_sd * normals
+        def advance(rows: np.ndarray, normals: np.ndarray) -> None:
+            rows *= decay
+            normals *= transition_sd
+            rows += normals
 
     else:
         noise_sd = np.sqrt(model.covariance.variances * h)
 
-        def advance(rows: np.ndarray, normals: np.ndarray) -> np.ndarray:
-            return _euler_rows(model, decay, h, rows, noise_sd * normals)
+        def advance(rows: np.ndarray, normals: np.ndarray) -> None:
+            normals *= noise_sd
+            _euler_rows(model, decay, h, rows, normals, work)
 
     # an overflow or invalid operation leaves a non-finite state, which the check reports
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(config.steps):
             for b, stream in enumerate(streams):
                 z[b] = stream.step_normals(j, n)
-            state = advance(state, z)
-            if not np.isfinite(state).all():
-                bad = path_indices[np.flatnonzero(~np.isfinite(state).all(axis=1))[0]]
+            advance(state, z)
+            if not np.isfinite(state, out=finite).all():
+                bad = path_indices[np.flatnonzero(~finite.all(axis=1))[0]]
                 raise ValueError(
                     f"non-finite state on path {bad} at step {j + 1} of {config.steps} "
                     f"(t = {(j + 1) * h:g})"

@@ -4,6 +4,12 @@ Synthesis evaluates u(y_j) = sum_k x_k sqrt(2) sin(k pi y_j) on the interior
 grid y_j = j/M, j = 1..M-1; analysis applies the matching trapezoid quadrature
 of the basis inner products.  With grid size M >= 2N the discrete orthogonality
 is exact, so analysis inverts synthesis on band-limited data.
+
+Both transforms take an optional ``out=``: a C-contiguous float array of the
+result's shape, (rows, M-1) for synthesis and (rows, n_modes) for analysis,
+that must not overlap the input.  The result is written there and returned,
+and is bitwise the same as without ``out``; the solver passes buffers it
+reuses across steps so that no grid-sized array is allocated per step.
 """
 
 from __future__ import annotations
@@ -11,8 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from .spectrum import SpectralCoeffs
 
 
 @lru_cache(maxsize=16)
@@ -32,29 +36,20 @@ def sine_basis_matrix(n_modes: int, grid_size: int) -> np.ndarray:
     return mat
 
 
-def synthesize(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
+def synthesize(
+    coeff_rows: np.ndarray, grid_size: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Grid values of the functions whose coefficient rows are given."""
     coeff_rows = np.atleast_2d(coeff_rows)
     basis = sine_basis_matrix(coeff_rows.shape[1], grid_size)
-    return coeff_rows @ basis
+    return np.matmul(coeff_rows, basis, out=out)
 
 
-def analyze(value_rows: np.ndarray, n_modes: int) -> np.ndarray:
+def analyze(value_rows: np.ndarray, n_modes: int, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficient rows recovered by trapezoid quadrature against the basis."""
     value_rows = np.atleast_2d(value_rows)
     grid_size = value_rows.shape[1] + 1
     basis = sine_basis_matrix(n_modes, grid_size)
-    return value_rows @ basis.T / grid_size
-
-
-def sine_transform_forward(x: SpectralCoeffs, grid_size: int) -> np.ndarray:
-    """Values of the expansion of x on the interior grid j/M, j = 1..M-1."""
-    return synthesize(x.values, grid_size)[0]
-
-
-def sine_transform_inverse(values: np.ndarray, n_modes: int) -> SpectralCoeffs:
-    """Coefficients of the grid function; inverts the forward transform for M >= 2N."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"expected a one-dimensional grid, got shape {values.shape}")
-    return SpectralCoeffs(analyze(values, n_modes)[0])
+    out = np.matmul(value_rows, basis.T, out=out)
+    out /= grid_size  # in place: the same bits as `value_rows @ basis.T / grid_size`
+    return out

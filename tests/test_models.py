@@ -183,3 +183,15 @@ class TestValidateAssumptions:
         check = validate_assumptions(model).check("diffusion_lipschitz")
         assert check.measured["constant"] == 0.5
         assert not check.passed
+
+    # G(x)w = w written as a Nemytskii diffusion is the additive identity, so its
+    # weighted Hilbert-Schmidt series diverges at r > 0 in either spelling
+    def test_constant_nemytskii_diffusion_fails_like_its_additive_spelling(self):
+        nemytskii = make_model(256, diffusion=NemytskiiDiffusion("one", 512), r=0.5)
+        assert not validate_assumptions(nemytskii).check("diffusion_growth").passed
+        assert not validate_assumptions(make_model(256, r=0.5)).check("diffusion_growth").passed
+
+    @pytest.mark.parametrize("name", [entry.name for entry in registered_functions()])
+    def test_shipped_diffusions_have_bounded_growth_at_zero_regularity(self, name):
+        report = validate_assumptions(make_model(64, diffusion=NemytskiiDiffusion(name, 256)))
+        assert report.check("diffusion_growth").passed

@@ -5,9 +5,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spdelab import models, transforms
 from spdelab.models import (
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
@@ -300,6 +301,27 @@ class TestExactOUPath:
             rel = np.abs(euler_var[mask] / exact_var[mask] - 1.0)
             assert np.all(rel <= 2.2 * lam[mask] * h)
 
+    # With zero drift and additive noise both steppers are linear recursions in the
+    # shared normals: x_{j+1} = e^{-lam h} x_j + a z_j (Euler) and
+    # y_{j+1} = e^{-lam h} y_j + b z_j (exact), with a = e^{-lam h} sqrt(q h) and
+    # b = sqrt(q (1 - e^{-2 lam h}) / (2 lam)).  Their gap is Gaussian with
+    # variance (a - b)^2 (1 - e^{-2 lam T}) / (1 - e^{-2 lam h}).
+    def test_pathwise_gap_matches_its_closed_form(self):
+        n = 8
+        model = linear_additive_model(n)
+        config = SolverConfig(T=0.2, steps=20, paths=4000, master_seed=17, snapshot_times=(0.2,))
+        euler = ensemble_snapshots(model, config, method=EXPONENTIAL_EULER)
+        exact = ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+        mc = np.mean((euler[:, 0, :] - exact[:, 0, :]) ** 2, axis=0)
+        lam, q, h = model.operator.eigenvalues, model.covariance.variances, config.h
+        a = np.exp(-lam * h) * np.sqrt(q * h)
+        b = np.sqrt(q * -np.expm1(-2.0 * lam * h) / (2.0 * lam))
+        closed = (a - b) ** 2 * -np.expm1(-2.0 * lam * config.T) / -np.expm1(-2.0 * lam * h)
+        assert mc[0] == closed[0] == 0.0  # q_1 = 0: both steppers leave mode 1 at rest
+        # mean square of a centred Gaussian: relative standard error sqrt(2 / paths)
+        se = closed[1:] * math.sqrt(2.0 / config.paths)
+        assert np.all(np.abs(mc[1:] - closed[1:]) <= 3.0 * se)
+
     def test_strong_gap_shrinks_with_the_step(self):
         n = 8
         model = linear_additive_model(n)
@@ -375,3 +397,100 @@ class TestEnsembleExecution:
         full = map_paths(model, config, identity, method=method)
         truncated = map_paths(truncate_model(model, n), config, identity, method=method)
         np.testing.assert_array_equal(truncated, full[..., :n])
+
+    # Blocks are fixed by block_size; a short last block must not change the rows.
+    # Additive models do elementwise arithmetic only, so their rows are bitwise
+    # independent of the partition; the matrix products of a Nemytskii model may
+    # round differently for different row counts.
+    @given(
+        block_size=st.integers(min_value=1, max_value=40),
+        paths=st.integers(min_value=1, max_value=45),
+        nemytskii=st.booleans(),
+    )
+    @example(block_size=16, paths=45, nemytskii=True)  # last block of 13 rows
+    @example(block_size=16, paths=45, nemytskii=False)
+    @settings(max_examples=25, deadline=None)
+    def test_map_paths_does_not_depend_on_block_size(self, block_size, paths, nemytskii):
+        model = nemytskii_model(8) if nemytskii else linear_additive_model(8)
+        config = SolverConfig(T=0.02, steps=4, paths=paths, master_seed=8,
+                              snapshot_times=(0.01, 0.02))
+
+        def identity(rows):
+            return rows
+
+        blocked = map_paths(model, config, identity, block_size=block_size)
+        whole = map_paths(model, config, identity, block_size=paths)
+        if nemytskii:
+            np.testing.assert_allclose(blocked, whole, rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(blocked, whole)
+
+    # each block has its own workspace; buffers shared across threads would mix rows
+    def test_nemytskii_workers_do_not_share_buffers(self):
+        model = nemytskii_model(8)
+        config = SolverConfig(T=0.05, steps=10, paths=300, master_seed=5, snapshot_times=(0.05,))
+        np.testing.assert_array_equal(
+            ensemble_snapshots(model, config, workers=1),
+            ensemble_snapshots(model, config, workers=2),
+        )
+
+
+class TestSharedSynthesis:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"synthesize": 0, "analyze": 0}
+        for name in counts:
+            original = getattr(transforms, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(transforms, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "drift_grid, diffusion_grid, synthesize_per_step",
+        [(64, 64, 2), (64, 128, 3)],
+        ids=["same-grid", "different-grids"],
+    )
+    def test_transform_calls_per_step(
+        self, calls, drift_grid, diffusion_grid, synthesize_per_step
+    ):
+        n = 16
+        model = ModelSpec(
+            operator=dirichlet_laplacian_1d(n),
+            covariance=example_covariance(n),
+            drift=NemytskiiDrift("tanh", drift_grid),
+            diffusion=NemytskiiDiffusion("cos", diffusion_grid),
+            initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+        )
+        config = SolverConfig(T=0.01, steps=7, paths=5)
+        _simulate_block(model, config, range(5))
+        assert calls == {"synthesize": synthesize_per_step * 7, "analyze": 2 * 7}
+
+    # sigmoid is not a ufunc, so it allocates its own grid values; the shared
+    # state grid must come out of the step untouched either way
+    @pytest.mark.parametrize("drift_function", ["identity", "tanh"])
+    def test_steps_match_the_allocating_formula(self, drift_function):
+        n, grid, paths = 8, 32, 4
+        model = ModelSpec(
+            operator=dirichlet_laplacian_1d(n),
+            covariance=example_covariance(n),
+            drift=NemytskiiDrift(drift_function, grid),
+            diffusion=NemytskiiDiffusion("sigmoid", grid),
+            initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+        )
+        config = SolverConfig(T=0.03, steps=3, paths=paths, master_seed=2)
+        f = models.get_scalar_function(drift_function).fn
+        basis = transforms.sine_basis_matrix(n, grid)
+        h = config.h
+        decay = np.exp(-model.operator.eigenvalues * h)
+        noise_sd = np.sqrt(model.covariance.variances * h)
+        x = np.tile(model.initial.values, (paths, 1))
+        for j in range(config.steps):
+            dW = noise_sd * np.array([NoiseStream(2, i).step_normals(j, n) for i in range(paths)])
+            drift = f(x @ basis) @ basis.T / grid
+            diffusion = (1.0 / (1.0 + np.exp(-(x @ basis))) * (dW @ basis)) @ basis.T / grid
+            x = decay * (x - h * drift + diffusion)
+        np.testing.assert_array_equal(_simulate_block(model, config, range(paths))[:, -1], x)

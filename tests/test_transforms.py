@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab.spectrum import SpectralCoeffs
-from spdelab.transforms import (
-    sine_basis_matrix,
-    sine_transform_forward,
-    sine_transform_inverse,
-)
+from spdelab.transforms import analyze, sine_basis_matrix, synthesize
 
 
 def direct_synthesis(x, grid_size):
@@ -26,37 +21,36 @@ def direct_synthesis(x, grid_size):
 
 class TestForward:
     def test_first_mode_at_midpoint(self):
-        x = SpectralCoeffs(np.array([1.0, 0.0, 0.0]))
-        values = sine_transform_forward(x, 8)
+        values = synthesize(np.array([1.0, 0.0, 0.0]), 8)[0]
         # y = 1/2 is grid node j = 4; sqrt(2) sin(pi/2) = sqrt(2)
         assert values[3] == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_zero_coefficients_give_zero_grid(self):
-        values = sine_transform_forward(SpectralCoeffs(np.zeros(4)), 8)
+        values = synthesize(np.zeros(4), 8)[0]
         np.testing.assert_array_equal(values, np.zeros(7))
 
     def test_matches_direct_double_sum(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(5)
-        values = sine_transform_forward(SpectralCoeffs(x), 12)
+        values = synthesize(x, 12)[0]
         np.testing.assert_allclose(values, direct_synthesis(x, 12), rtol=1e-12, atol=1e-12)
 
     def test_aliasing_guard(self):
         with pytest.raises(ValueError):
-            sine_transform_forward(SpectralCoeffs(np.ones(8)), 15)
+            synthesize(np.ones(8), 15)
         with pytest.raises(ValueError):
             sine_basis_matrix(8, 15)
 
 
 class TestInverse:
     def test_recovers_second_mode(self):
-        grid = sine_transform_forward(SpectralCoeffs(np.array([0.0, 1.0, 0.0, 0.0])), 16)
-        coeffs = sine_transform_inverse(grid, 4)
-        np.testing.assert_allclose(coeffs.values, [0.0, 1.0, 0.0, 0.0], atol=1e-10)
+        grid = synthesize(np.array([0.0, 1.0, 0.0, 0.0]), 16)[0]
+        coeffs = analyze(grid, 4)[0]
+        np.testing.assert_allclose(coeffs, [0.0, 1.0, 0.0, 0.0], atol=1e-10)
 
     def test_zero_grid(self):
-        coeffs = sine_transform_inverse(np.zeros(15), 4)
-        np.testing.assert_array_equal(coeffs.values, np.zeros(4))
+        coeffs = analyze(np.zeros(15), 4)[0]
+        np.testing.assert_array_equal(coeffs, np.zeros(4))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -65,13 +59,27 @@ class TestInverse:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_identity(self, seed, n_modes):
         x = np.random.default_rng(seed).standard_normal(n_modes)
-        grid = sine_transform_forward(SpectralCoeffs(x), 2 * n_modes + (n_modes % 3))
-        back = sine_transform_inverse(grid, n_modes)
-        np.testing.assert_allclose(back.values, x, rtol=1e-10, atol=1e-10)
+        grid = synthesize(x, 2 * n_modes + (n_modes % 3))[0]
+        back = analyze(grid, n_modes)[0]
+        np.testing.assert_allclose(back, x, rtol=1e-10, atol=1e-10)
 
     def test_parseval_on_band_limited_data(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6)
-        grid = sine_transform_forward(SpectralCoeffs(x), 16)
+        grid = synthesize(x, 16)[0]
         grid_norm_sq = float(np.sum(grid**2)) / 16.0
         assert grid_norm_sq == pytest.approx(float(np.sum(x**2)), rel=1e-10)
+
+
+class TestOutputBuffers:
+    # the solver reuses its buffers across steps, so `out=` must not change a bit
+    def test_out_gives_the_same_bits_and_is_returned(self):
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal((5, 16))
+        grid_out, coeff_out = np.empty((5, 63)), np.empty((5, 16))
+        grid = synthesize(coeffs, 64, out=grid_out)
+        assert grid is grid_out
+        np.testing.assert_array_equal(grid, coeffs @ sine_basis_matrix(16, 64))
+        back = analyze(grid, 16, out=coeff_out)
+        assert back is coeff_out
+        np.testing.assert_array_equal(back, grid @ sine_basis_matrix(16, 64).T / 64)
