@@ -29,7 +29,6 @@ from .noise import (
     NoiseStream,
     burkholder_constant,
     example_covariance,
-    hs_norm_L20,
     hs_norm_L2r,
     sample_increment,
 )

@@ -23,6 +23,7 @@ from .config import (
     build_solver,
     parse_config_file,
     solver_method,
+    warn_on_stiff_linear_drift,
 )
 from .models import (
     AdditiveDiagonalDiffusion,
@@ -228,9 +229,15 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.set("solver.workers", args.workers)
 
 
-def _run_simulate(cfg, out_dir: Path) -> list[str]:
+def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
     model = build_model(cfg)
     config = build_solver(cfg)
+    warn_on_stiff_linear_drift(cfg, model, config)
+    return model, config
+
+
+def _run_simulate(cfg, out_dir: Path) -> list[str]:
+    model, config = _model_and_solver(cfg)
     workers = cfg.get_int("solver.workers", 1)
     rows_all = solver.ensemble_snapshots(model, config, solver_method(cfg), workers)
     table = []
@@ -248,8 +255,7 @@ def _run_simulate(cfg, out_dir: Path) -> list[str]:
 
 
 def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
-    model = build_model(cfg)
-    config = build_solver(cfg)
+    model, config = _model_and_solver(cfg)
     workers = cfg.get_int("solver.workers", 1)
     method = solver_method(cfg)
     s_values = cfg.get_floats("probe.s")
@@ -278,8 +284,7 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
 
 
 def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
-    model = build_model(cfg)
-    config = build_solver(cfg)
+    model, config = _model_and_solver(cfg)
     workers = cfg.get_int("solver.workers", 1)
     s = cfg.get_float("probe.s", model.r + 1.0)
     n_values = cfg.get_ints("probe.sweep_N")

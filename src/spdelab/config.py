@@ -249,6 +249,27 @@ def build_solver(cfg: ExperimentConfig) -> SolverConfig:
         raise ConfigError(f"invalid solver section: {exc}") from exc
 
 
+def warn_on_stiff_linear_drift(
+    cfg: ExperimentConfig, model: ModelSpec, config: SolverConfig
+) -> None:
+    """Warn, without failing, when a linear drift has h * max|f_k| >= 1.
+
+    The Euler step scales mode k by 1 - h f_k before the semigroup acts.  From
+    h |f_k| = 1 on, that factor no longer resembles e^{-h f_k}: it vanishes or
+    changes sign for a damping f_k, and at least doubles the mode for a growing
+    one, so the scheme can oscillate or blow up.
+    """
+    if not isinstance(model.drift, DiagonalLinearDrift):
+        return
+    k = int(np.argmax(np.abs(model.drift.multipliers)))
+    worst = float(model.drift.multipliers[k])
+    if config.h * abs(worst) >= 1.0:
+        cfg.warnings.append(
+            f"step h = {config.h:g} with linear drift multiplier f_{k + 1} = {worst:g} gives "
+            f"h*max|f_k| = {config.h * abs(worst):g} >= 1; the Euler drift term may be unstable"
+        )
+
+
 def solver_method(cfg: ExperimentConfig) -> str:
     token = cfg.get_choice("solver.method", ("euler", "exact-gaussian"), "euler")
     return EXPONENTIAL_EULER if token == "euler" else EXACT_GAUSSIAN

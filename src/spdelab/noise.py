@@ -80,10 +80,17 @@ class NoiseStream:
     standard normals of segment j.  Two streams built from the same indices
     produce bitwise-identical output.
 
-    The stream keeps one state dict, built in ``__init__`` with a zero
-    counter, an empty output buffer and no cached 32-bit half.  Assigning the
-    dict to the bit generator only reads it, so those fields stay as set; each
-    draw writes just the step index into counter word 2 and assigns the dict.
+    The stream builds its Philox state dict once, from plain Python ints: a
+    zero counter, the two key words from ``SeedSequence.generate_state``, an
+    empty output buffer and no cached 32-bit half.  Each draw writes just the
+    step index into counter word 2 and assigns the dict, which the bit
+    generator only reads.  The setter converts ten counter, key and buffer
+    items; a plain int converts directly, while an item of a numpy array first
+    becomes a numpy scalar, so the assignment costs less than half of what it
+    costs with a copy of ``bitgen.state``, whose fields are numpy arrays.  The
+    layout follows numpy's private state format; the golden values in the
+    tests pin the stream, so a numpy release that changes that format fails
+    loudly.
     """
 
     def __init__(self, master_seed: int, path_index: int = 0):
@@ -94,22 +101,35 @@ class NoiseStream:
         key = SeedSequence(self.master_seed, spawn_key=(self.path_index,)).generate_state(
             2, dtype=np.uint64
         )
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": key.tolist()},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self._bitgen = Philox(key=key)
         self._gen = Generator(self._bitgen)
-        self._state = self._bitgen.state
-        self._counter = self._state["state"]["counter"]
-        self._counter[:] = 0
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
 
-    def step_normals(self, step_index: int, count: int) -> np.ndarray:
-        """First `count` standard normal draws of the segment for `step_index`."""
+    def step_normals(
+        self, step_index: int, count: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """First `count` standard normal draws of the segment for `step_index`.
+
+        The draws are written into `out` when given, which must be a
+        C-contiguous float64 array of shape (count,); it is returned.
+        """
         if step_index < 0:
             raise ValueError(f"step index must be >= 0, got {step_index}")
+        if out is None:
+            out = np.empty(count)
+        elif out.shape != (count,):
+            raise ValueError(f"out has shape {out.shape}, expected ({count},)")
         self._counter[2] = step_index
         self._bitgen.state = self._state
-        return self._gen.standard_normal(count)
+        return self._gen.standard_normal(out=out)
 
 
 def example_covariance(n_modes: int) -> CovarianceSpectrum:
@@ -137,24 +157,14 @@ def sample_increment(
     return NoiseIncrement(np.sqrt(cov.variances * h) * z, h)
 
 
-def hs_norm_L20(cov: CovarianceSpectrum, phi: DiagonalHSOperator) -> float:
-    """Hilbert-Schmidt norm of a diagonal operator against the noise space basis.
-
-    With psi_k = sqrt(q_k) e_k orthonormal in the Cameron-Martin space, the
-    squared norm is sum_k q_k phi_k^2; modes with q_k = 0 contribute nothing.
-    """
-    if cov.dimension != phi.dimension:
-        raise ValueError(
-            f"dimension mismatch: covariance has {cov.dimension} modes, "
-            f"operator has {phi.dimension}"
-        )
-    return float(np.sqrt(np.sum(cov.variances * phi.multipliers**2)))
-
-
 def hs_norm_L2r(
     op: SpectralOperator, cov: CovarianceSpectrum, phi: DiagonalHSOperator, r: float
 ) -> float:
-    """Smoothness-weighted Hilbert-Schmidt norm sqrt(sum_k lam_k^r q_k phi_k^2)."""
+    """Smoothness-weighted Hilbert-Schmidt norm sqrt(sum_k lam_k^r q_k phi_k^2).
+
+    At r = 0 (lam_k^0 is exactly 1.0) this is the norm against the noise space
+    basis psi_k = sqrt(q_k) e_k; modes with q_k = 0 contribute nothing.
+    """
     if not (op.dimension == cov.dimension == phi.dimension):
         raise ValueError(
             f"dimension mismatch: operator {op.dimension}, covariance "

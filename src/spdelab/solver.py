@@ -16,12 +16,14 @@ Each call of ``_simulate_block`` creates one workspace (``models.Workspace``)
 holding the block's scratch arrays: the grid values of states and noise, the
 pointwise images, and the drift and diffusion rows.  They are allocated on the
 first step and reused by every later one, and the state, noise and finiteness
-rows are updated in place, so a step allocates no block-sized array; only the
-per-path normal draws are fresh.  The workspace is local to the call: it is never
-shared between blocks or between threads.  When drift and diffusion are both
-Nemytskii on one grid, each step synthesizes the state once and both evaluate
-the same grid values.  In-place updates keep the operation order of the
-textbook formulas, so results are bitwise those of the allocating form.
+rows are updated in place.  Each path's stream writes its normals straight
+into that path's row of the block's noise buffer, through row views made once
+per block, so a step allocates no block-sized array and no per-path draw
+array.  The workspace is local to the call: it is never shared between blocks
+or between threads.  When drift and diffusion are both Nemytskii on one grid,
+each step synthesizes the state once and both evaluate the same grid values.
+In-place updates keep the operation order of the textbook formulas, so results
+are bitwise those of the allocating form.
 """
 
 from __future__ import annotations
@@ -200,6 +202,7 @@ def _simulate_block(
     h = config.h
     streams = [NoiseStream(config.master_seed, i) for i in path_indices]
     z = np.empty((block, n))
+    z_rows = list(z)  # row views, filled in place by each path's stream
     finite = np.empty((block, n), dtype=bool)
     work = Workspace()  # this call's own: never shared between blocks or threads
     lam = model.operator.eigenvalues
@@ -226,8 +229,8 @@ def _simulate_block(
     # an overflow or invalid operation leaves a non-finite state, which the check reports
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(config.steps):
-            for b, stream in enumerate(streams):
-                z[b] = stream.step_normals(j, n)
+            for stream, row in zip(streams, z_rows):
+                stream.step_normals(j, n, row)
             advance(state, z)
             if not np.isfinite(state, out=finite).all():
                 bad = path_indices[np.flatnonzero(~finite.all(axis=1))[0]]

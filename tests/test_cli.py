@@ -106,6 +106,10 @@ class TestRunSimulate:
         "solver.paths = 4\n"
     )
     NON_FINITE = r"error: non-finite state on path \d+ at step \d+ of 400 \(t = [\d.]+\)"
+    STIFF_WARNING = (
+        "warning: step h = 0.01 with linear drift multiplier f_1 = -2000 gives "
+        "h*max|f_k| = 20 >= 1; the Euler drift term may be unstable"
+    )
 
     # an overflow warning escaping the solver would raise here instead of reaching stderr
     @pytest.mark.filterwarnings("error")
@@ -113,8 +117,10 @@ class TestRunSimulate:
         config = write_config(tmp_path, self.STIFF + "solver.seed = 1\n")
         code = main(["run", str(config), "--output-dir", str(tmp_path / "out")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert re.fullmatch(self.NON_FINITE + "\n", err), err
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == self.STIFF_WARNING
+        assert re.fullmatch(self.NON_FINITE, err[1]), err
+        assert len(err) == 2
         assert not (tmp_path / "out" / "snapshots.csv").exists()
 
     def test_warnings_are_printed_when_the_run_fails(self, tmp_path, capsys):
@@ -122,8 +128,29 @@ class TestRunSimulate:
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "warning: solver.seed not set; defaulting to 0"
-        assert re.fullmatch(self.NON_FINITE, err[1])
-        assert len(err) == 2
+        assert err[1] == self.STIFF_WARNING
+        assert re.fullmatch(self.NON_FINITE, err[2])
+        assert len(err) == 3
+
+    LINEAR = (
+        "kind = simulate\nmodel.N = 4\nmodel.drift = linear\nsolver.T = 0.01\n"
+        "solver.steps = 2\nsolver.paths = 3\nsolver.seed = 1\n"
+    )
+
+    # h = 0.005: f_2 = -250 gives h |f_2| = 1.25, so the run warns and still completes
+    def test_stiff_linear_drift_warns_without_failing(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.LINEAR + "model.drift.multipliers = 1, -250, 30, 2\n")
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: step h = 0.005 with linear drift multiplier f_2 = -250 gives "
+            "h*max|f_k| = 1.25 >= 1; the Euler drift term may be unstable\n"
+        )
+        assert (tmp_path / "out" / "snapshots.csv").exists()
+
+    def test_moderate_linear_drift_is_silent(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.LINEAR + "model.drift.multipliers = 1, -150, 30, 2\n")
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestRunProbes:

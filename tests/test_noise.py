@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
 from spdelab.noise import (
     CovarianceSpectrum,
@@ -11,7 +14,6 @@ from spdelab.noise import (
     NoiseStream,
     burkholder_constant,
     example_covariance,
-    hs_norm_L20,
     hs_norm_L2r,
     sample_increment,
 )
@@ -62,8 +64,9 @@ class TestNoiseStream:
         assert not np.array_equal(NoiseStream(78, 0).step_normals(0, 8), base)
 
     # NEP 19 promises no stable Generator streams across numpy releases, and the
-    # stream resets private Philox state keys; these values (numpy 2.4.6) make a
-    # change of stream fail loudly instead of silently moving every Monte-Carlo number.
+    # stream writes numpy's private Philox state dict itself; these values (numpy
+    # 2.4.6) make a change of stream or of that format fail loudly instead of
+    # silently moving every Monte-Carlo number.
     @pytest.mark.parametrize(
         "seed, path, step, expected",
         [
@@ -75,6 +78,43 @@ class TestNoiseStream:
     )
     def test_golden_values(self, seed, path, step, expected):
         assert NoiseStream(seed, path).step_normals(step, 4).tolist() == expected
+
+    # The stream contract, against a generator that shares none of the stream's
+    # state-dict code: segment j of (seed, path) is Philox keyed by the spawned
+    # seed sequence with counter (0, 0, j, 0).  The counter goes in as a uint64
+    # array: Philox converts a list holding an int >= 2^63 through float64.
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        path=st.integers(min_value=0, max_value=2**32),
+        step=st.one_of(
+            st.integers(min_value=0, max_value=2**16),
+            st.integers(min_value=2**32, max_value=2**64 - 1),
+        ),
+        n=st.integers(min_value=0, max_value=512),
+    )
+    @example(seed=0, path=0, step=2**63 + 1, n=1)
+    @example(seed=12345, path=7, step=2**64 - 1, n=512)
+    @settings(max_examples=60, deadline=None)
+    def test_segments_match_a_fresh_philox(self, seed, path, step, n):
+        key = SeedSequence(seed, spawn_key=(path,)).generate_state(2, np.uint64)
+        counter = np.array([0, 0, step, 0], dtype=np.uint64)
+        expected = Generator(Philox(key=key, counter=counter)).standard_normal(n)
+        stream = NoiseStream(seed, path)
+        np.testing.assert_array_equal(stream.step_normals(step, n), expected)
+        rows = np.full((2, n), np.nan)
+        row = rows[1]
+        assert stream.step_normals(step, n, row) is row
+        np.testing.assert_array_equal(rows[1], expected)
+        assert np.isnan(rows[0]).all()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(8, dtype=np.float32), np.empty(16)[::2], np.empty(7), np.empty((8, 1))],
+        ids=["float32", "non-contiguous", "wrong-length", "two-dimensional"],
+    )
+    def test_bad_out_is_rejected(self, out):
+        with pytest.raises((TypeError, ValueError)):
+            NoiseStream(3, 1).step_normals(2, 8, out)
 
 
 class TestSampleIncrement:
@@ -137,27 +177,34 @@ class TestHSNorms:
         n = 100
         cov = example_covariance(n)
         ones = DiagonalHSOperator(np.ones(n))
-        assert hs_norm_L20(cov, ones) == pytest.approx(
+        op = dirichlet_laplacian_1d(n)
+        assert hs_norm_L2r(op, cov, ones, 0.0) == pytest.approx(
             math.sqrt(float(np.sum(cov.variances))), rel=1e-14
         )
         # finite and increasing with the truncation dimension
-        smaller = hs_norm_L20(example_covariance(50), DiagonalHSOperator(np.ones(50)))
-        assert smaller < hs_norm_L20(cov, ones) < math.inf
+        smaller = hs_norm_L2r(
+            dirichlet_laplacian_1d(50), example_covariance(50), DiagonalHSOperator(np.ones(50)), 0.0
+        )
+        assert smaller < hs_norm_L2r(op, cov, ones, 0.0) < math.inf
 
     def test_zero_operator(self):
         cov = example_covariance(5)
-        assert hs_norm_L20(cov, DiagonalHSOperator(np.zeros(5))) == 0.0
+        op = dirichlet_laplacian_1d(5)
+        assert hs_norm_L2r(op, cov, DiagonalHSOperator(np.zeros(5)), 0.0) == 0.0
 
     def test_single_mode(self):
         cov = CovarianceSpectrum(np.array([4.0]))
-        assert hs_norm_L20(cov, DiagonalHSOperator(np.array([3.0]))) == pytest.approx(6.0)
+        op = dirichlet_laplacian_1d(1)
+        phi = DiagonalHSOperator(np.array([3.0]))
+        assert hs_norm_L2r(op, cov, phi, 0.0) == pytest.approx(6.0)
 
     def test_weighted_norm_reduces_at_zero_smoothness(self):
         n = 16
         op = dirichlet_laplacian_1d(n)
         cov = example_covariance(n)
         phi = DiagonalHSOperator(np.linspace(0.5, 2.0, n))
-        assert hs_norm_L2r(op, cov, phi, 0.0) == pytest.approx(hs_norm_L20(cov, phi), rel=1e-14)
+        unweighted = math.sqrt(float(np.sum(cov.variances * phi.multipliers**2)))
+        assert hs_norm_L2r(op, cov, phi, 0.0) == pytest.approx(unweighted, rel=1e-14)
 
     def test_weighted_norm_single_mode(self):
         op = dirichlet_laplacian_1d(1)
@@ -179,7 +226,9 @@ class TestHSNorms:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            hs_norm_L20(example_covariance(3), DiagonalHSOperator(np.ones(2)))
+            hs_norm_L2r(
+                dirichlet_laplacian_1d(3), example_covariance(3), DiagonalHSOperator(np.ones(2)), 0.0
+            )
 
 
 class TestBurkholderConstant:

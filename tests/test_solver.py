@@ -327,12 +327,71 @@ class TestExactOUPath:
         model = linear_additive_model(n)
         T = 0.25
         gaps = []
-        for steps in (T and [64, 128, 256])[0:3]:
+        for steps in [64, 128, 256]:
             config = SolverConfig(T=T, steps=steps, paths=300, master_seed=21, snapshot_times=(T,))
             euler = ensemble_snapshots(model, config, method=EXPONENTIAL_EULER)
             exact = ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
             gaps.append(float(np.sqrt(np.mean(np.sum((euler - exact) ** 2, axis=2)))))
         assert gaps[0] > gaps[1] > gaps[2]
+
+    # Per mode the gap's mean square is (q/lam) F(lam h) (1 - e^{-2 lam T}) with
+    # F(x) = (e^{-x} sqrt(x) - sqrt((1 - e^{-2x}) / 2))^2 / (1 - e^{-2x}), which rises
+    # in x.  For lam_N h <= 1 halving h divides it by 3.4 or more, while 200 paths
+    # estimate it to about 10%, so the sampled gap must shrink at every doubling.
+    @given(
+        n=st.integers(min_value=2, max_value=8),
+        T=st.floats(min_value=0.01, max_value=0.1),
+        extra_steps=st.integers(min_value=0, max_value=32),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_strong_gap_shrinks_when_the_steps_double(self, n, T, extra_steps, seed):
+        model = linear_additive_model(n)
+        lam, q = model.operator.eigenvalues, model.covariance.variances
+        steps = math.ceil(lam[-1] * T) + extra_steps  # lam_N h <= 1
+        closed, sampled = [], []
+        for count in (steps, 2 * steps):
+            config = SolverConfig(T=T, steps=count, paths=200, master_seed=seed,
+                                  snapshot_times=(T,))
+            h = config.h
+            a = np.exp(-lam * h) * np.sqrt(q * h)
+            b = np.sqrt(q * -np.expm1(-2.0 * lam * h) / (2.0 * lam))
+            closed.append(float(np.sum(
+                (a - b) ** 2 * -np.expm1(-2.0 * lam * T) / -np.expm1(-2.0 * lam * h)
+            )))
+            euler = ensemble_snapshots(model, config, method=EXPONENTIAL_EULER)
+            exact = ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+            sampled.append(float(np.mean(np.sum((euler - exact) ** 2, axis=2))))
+        assert closed[1] * 3.4 < closed[0]
+        assert sampled[1] < sampled[0]
+
+
+class TestNoiseDraws:
+    # the block draws each path's normals straight into its row of one buffer;
+    # a copy from a fresh array per draw would bring back an allocation per path-step
+    def test_block_draws_into_rows_of_one_buffer(self, monkeypatch):
+        calls = []
+        original = NoiseStream.step_normals
+
+        def spy(self, step_index, count, out=None):
+            calls.append((step_index, count, out))
+            return original(self, step_index, count, out)
+
+        monkeypatch.setattr(NoiseStream, "step_normals", spy)
+        n, paths, steps = 6, 5, 4
+        config = SolverConfig(T=0.04, steps=steps, paths=paths, master_seed=3)
+        _simulate_block(linear_additive_model(n), config, range(paths))
+        assert [(j, count) for j, count, _ in calls] == [
+            (j, n) for j in range(steps) for _ in range(paths)
+        ]
+        rows = [out for _, _, out in calls]
+        assert all(row is not None and row.shape == (n,) for row in rows)
+        buffer = rows[0].base
+        assert buffer is not None and buffer.shape == (paths, n)
+        assert all(row.base is buffer for row in rows)
+        # path b fills row b at every step
+        offsets = [row.ctypes.data - buffer.ctypes.data for row in rows]
+        assert offsets == [b * n * 8 for _ in range(steps) for b in range(paths)]
 
 
 class TestEnsembleExecution:
