@@ -80,9 +80,12 @@ class NoiseStream:
     standard normals of segment j.  Two streams built from the same indices
     produce bitwise-identical output.
 
-    The stream builds its Philox state dict once, from plain Python ints: a
-    zero counter, the two key words from ``SeedSequence.generate_state``, an
-    empty output buffer and no cached 32-bit half.  Each draw writes just the
+    The generator is seeded with ``SeedSequence(master_seed, spawn_key=(path,))``,
+    from which Philox derives its two key words; passing the sequence rather
+    than a key spares Philox an unused entropy-seeded sequence of its own.  The
+    stream then builds its Philox state dict once, from plain Python ints: a
+    zero counter, the key words read back from the generator, an empty output
+    buffer and no cached 32-bit half.  Each draw writes just the
     step index into counter word 2 and assigns the dict, which the bit
     generator only reads.  The setter converts ten counter, key and buffer
     items; a plain int converts directly, while an item of a numpy array first
@@ -98,20 +101,18 @@ class NoiseStream:
         self.path_index = int(path_index)
         if self.path_index < 0:
             raise ValueError(f"path index must be >= 0, got {path_index}")
-        key = SeedSequence(self.master_seed, spawn_key=(self.path_index,)).generate_state(
-            2, dtype=np.uint64
-        )
+        self._bitgen = Philox(SeedSequence(self.master_seed, spawn_key=(self.path_index,)))
+        self._gen = Generator(self._bitgen)
+        key = self._bitgen.state["state"]["key"].tolist()
         self._counter = [0, 0, 0, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": key.tolist()},
+            "state": {"counter": self._counter, "key": key},
             "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._bitgen = Philox(key=key)
-        self._gen = Generator(self._bitgen)
 
     def step_normals(
         self, step_index: int, count: int, out: np.ndarray | None = None

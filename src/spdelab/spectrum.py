@@ -5,9 +5,8 @@ the heat semigroup e^{-tA}, fractional powers A^{r/2}, the fractional-space norm
 ||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the closed-form time integrals of the
 semigroup that control smoothing (their sharp one-dimensional constants included).
 
-scipy is imported lazily, inside `_sup_over_positive_axis`, so that importing this
-module loads numpy only; of the CLI commands, only `verify-lemmas` reaches a
-sharp interior constant and pays the scipy import.
+The sharp constants come from a scalar root of u / expm1(u) = nu, so the module
+needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -118,39 +117,43 @@ def hdot_norm(op: SpectralOperator, s: float, x: SpectralCoeffs) -> float:
 _SMOOTHING_KINDS = ("power", "difference", "integral", "convolution")
 
 
-def _sup_over_positive_axis(f) -> float:
-    """Sharp supremum of a unimodal f on (0, oo): log-grid bracket, then golden search.
+def _difference_sup(nu: float) -> float:
+    """C(nu) = sup_{u>0} (1 - e^{-u}) / u^nu for 0 < nu < 1, and the limit 1 at nu = 1.
 
-    When the grid argmax sits on a boundary (maximizer pushed out by an exponent
-    within rounding of an edge case) the refinement switches to a bounded search
-    over a widened log range.
+    The maximiser u* is the unique root of u / expm1(u) = nu.  Since
+    e^{-u} <= u / expm1(u) <= e^{-u/2}, it lies in [-log nu, -2 log nu].  The root
+    is found by Newton steps on F(w) = log(u / expm1(u)) - log(nu) in w = log u,
+    whose slope 1 - u - u/expm1(u) is negative; a step that leaves the current
+    bracket is replaced by bisection.  For u > 1 the log ratio is evaluated as
+    log u - u - log1p(-e^{-u}), which stays finite up to subnormal nu.
     """
-    from scipy.optimize import minimize_scalar  # lazy: keeps scipy off the CLI's start-up path
-
-    grid = np.logspace(-8.0, 4.0, 481)
-    vals = f(grid)
-    i = int(np.argmax(vals))
-    res = None
-    if 0 < i < grid.size - 1:
-        try:
-            res = minimize_scalar(
-                lambda w: -f(math.exp(w)),
-                bracket=(math.log(grid[i - 1]), math.log(grid[i]), math.log(grid[i + 1])),
-                method="golden",
-                options={"xtol": 1e-14},
-            )
-        except ValueError:  # flat bracket, fall through to the bounded search
-            res = None
-    if res is None:
-        lo = -120.0 if i == 0 else math.log(grid[max(i - 1, 0)])
-        hi = 40.0 if i == grid.size - 1 else math.log(grid[min(i + 1, grid.size - 1)])
-        res = minimize_scalar(
-            lambda w: -f(math.exp(w)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-    return float(max(f(math.exp(res.x)), vals[i]))
+    if nu >= 1.0:  # 1 - rho rounds to 1 for rho below 2^-53
+        return 1.0
+    log_nu = math.log(nu)
+    lo, hi = math.log(-log_nu), math.log(-2.0 * log_nu)  # F(lo) >= 0 >= F(hi)
+    w = 0.5 * (lo + hi)
+    for _ in range(200):
+        u = math.exp(w)
+        if u > 1.0:
+            log_ratio = math.log(u) - u - math.log1p(-math.exp(-u))
+        else:
+            log_ratio = math.log(u / math.expm1(u))
+        f = log_ratio - log_nu
+        if f == 0.0:
+            break
+        if f > 0.0:
+            lo = w
+        else:
+            hi = w
+        slope = 1.0 - u - math.exp(log_ratio)
+        step = f / slope if slope < 0.0 else math.inf
+        if not lo < w - step < hi:
+            step = w - 0.5 * (lo + hi)
+        w -= step
+        if abs(step) <= 1e-15 or hi - lo <= 1e-15:
+            break
+    u = math.exp(w)
+    return -math.expm1(-u) / u**nu
 
 
 def smoothing_constant(kind: str, exponent: float) -> float:
@@ -161,8 +164,11 @@ def smoothing_constant(kind: str, exponent: float) -> float:
     kind="integral":     sup_u (1 - e^{-2u}) / u^{1-rho}            (rho in [0, 1])
     kind="convolution":  sup_u (1 - e^{-u})  / u^{1-rho}            (rho in [0, 1])
 
-    Interior suprema are located by golden-section search after bracketing on a
-    log grid; the edge exponents have the closed-form limits hard-wired.
+    The three last kinds reduce to C(nu) = sup_u (1 - e^{-u}) / u^nu: "difference"
+    is C(nu), "convolution" is C(1 - rho), and "integral" is 2^{1-rho} C(1 - rho)
+    after the substitution v = 2u.  For 0 < nu < 1 the supremum is attained at the
+    root u* of u / expm1(u) = nu, found by a safeguarded Newton iteration in log u.
+    The edge exponents have the closed-form limits hard-wired.
     """
     if kind not in _SMOOTHING_KINDS:
         raise ValueError(f"unknown smoothing kind {kind!r}, expected one of {_SMOOTHING_KINDS}")
@@ -181,17 +187,17 @@ def smoothing_constant(kind: str, exponent: float) -> float:
     if kind == "difference":
         if e == 0.0 or e == 1.0:
             return 1.0
-        return _sup_over_positive_axis(lambda u: -np.expm1(-u) / u**e)
+        return _difference_sup(e)
     if kind == "integral":
         if e == 1.0:
             return 1.0
         if e == 0.0:
             return 2.0
-        return _sup_over_positive_axis(lambda u: -np.expm1(-2.0 * u) / u ** (1.0 - e))
+        return 2.0 ** (1.0 - e) * _difference_sup(1.0 - e)
     # convolution
     if e == 1.0 or e == 0.0:
         return 1.0
-    return _sup_over_positive_axis(lambda u: -np.expm1(-u) / u ** (1.0 - e))
+    return _difference_sup(1.0 - e)
 
 
 def _check_interval(tau1: float, tau2: float) -> float:

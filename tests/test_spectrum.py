@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
+from scipy.optimize import brentq, minimize_scalar
 
+from spdelab.cli import _convolution_quad_oracles
 from spdelab.spectrum import (
     SpectralCoeffs,
     SpectralOperator,
@@ -211,6 +213,58 @@ class TestSmoothingConstant:
         assert lhs <= smoothing_constant("difference", nu) * t**nu * (1.0 + 1e-12)
 
 
+def difference_ratio(u, nu):
+    """g(u) = (1 - e^{-u}) / u^nu, whose supremum over u > 0 is C(nu)."""
+    return -np.expm1(-u) / u**nu
+
+
+# The dense grid of the supremum property: 12 decades, 200 points per decade.
+SUP_GRID = np.logspace(-8.0, 4.0, 2401)
+
+
+class TestSharpConstantRoot:
+    """C(nu) against a grid, its root condition, and a scipy maximiser."""
+
+    @given(nu=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(nu=math.nextafter(0.0, 1.0))
+    @example(nu=1e-300)
+    @example(nu=1.0 - 2.0**-53)
+    @settings(max_examples=200, deadline=None)
+    def test_supremum_dominates_grid_and_is_attained_at_the_root(self, nu):
+        c = smoothing_constant("difference", nu)
+        # a few ulps of headroom: g is flat at its maximum, so a grid point next
+        # to the maximiser can round above the value computed at the root
+        assert np.all(difference_ratio(SUP_GRID, nu) <= c * (1.0 + 4e-16))
+
+        # root of u / expm1(u) = nu in w = log u by scipy's Brent; the bounds
+        # e^{-u} <= u / expm1(u) <= e^{-u/2} bracket it, widened here so that the
+        # bracket's signs hold under rounding when nu is within ulps of 1
+        def excess(w):
+            u = math.exp(w)
+            if u > 1.0:
+                return math.log(u) - u - math.log1p(-math.exp(-u)) - math.log(nu)
+            return math.log(u / math.expm1(u)) - math.log(nu)
+
+        log_nu = math.log(nu)
+        w_star = brentq(excess, math.log(-log_nu) - 1.0, math.log(-2.0 * log_nu) + 1.0,
+                        xtol=1e-15)
+        assert c == pytest.approx(float(difference_ratio(math.exp(w_star), nu)), rel=1e-15)
+
+    @pytest.mark.parametrize("kind, scale", [("difference", 1.0), ("convolution", 1.0),
+                                             ("integral", 2.0)])
+    def test_all_kinds_match_a_bounded_search(self, kind, scale):
+        # sup_u (1 - e^{-scale u}) / u^nu, searched in w = log u by scipy's bounded Brent
+        # 1e-20: 1 - exponent rounds to 1, the limit case of the two last kinds
+        for exponent in [1e-20, 1e-6, 1e-3, *np.linspace(0.02, 0.98, 25), 1.0 - 1e-3,
+                         1.0 - 1e-6]:
+            nu = exponent if kind == "difference" else 1.0 - exponent
+            res = minimize_scalar(
+                lambda w: -float(difference_ratio(scale * math.exp(w), nu)) * scale**nu,
+                bounds=(-40.0, 10.0), method="bounded", options={"xatol": 1e-12},
+            )
+            assert smoothing_constant(kind, exponent) == pytest.approx(-res.fun, rel=1e-12)
+
+
 def quad_energy(op, rho, tau1, tau2, x):
     """Adaptive quadrature of the defining integral of the convolution energy."""
     lam = op.eigenvalues
@@ -318,6 +372,30 @@ class TestExactnessAgainstQuadrature:
             assert energy == pytest.approx(quad_energy(op, rho, tau1, tau2, x), rel=1e-8)
             flow = deterministic_convolution_norm(op, rho, tau1, tau2, x)
             assert flow == pytest.approx(quad_flow_norm(op, rho, tau1, tau2, x), rel=1e-8)
+
+
+class TestGaussLegendreOracle:
+    """The lemma suite's composite Gauss-Legendre oracle against adaptive quadrature."""
+
+    @pytest.mark.parametrize("n_modes, delta", [(64, 1e-4), (64, 0.3), (256, 1e-4),
+                                                (256, 2e-2), (256, 0.5)])
+    def test_matches_adaptive_quadrature(self, n_modes, delta):
+        rng = np.random.default_rng(n_modes)
+        op = dirichlet_laplacian_1d(n_modes)
+        for rho in (0.0, 0.37, 1.0):
+            x = SpectralCoeffs(rng.standard_normal(n_modes))
+            tau1 = rng.uniform(0.0, 0.5)
+            energy, norm = _convolution_quad_oracles(op, rho, tau1, tau1 + delta, x)
+            assert energy == pytest.approx(quad_energy(op, rho, tau1, tau1 + delta, x), rel=1e-12)
+            assert norm == pytest.approx(quad_flow_norm(op, rho, tau1, tau1 + delta, x), rel=1e-12)
+
+    def test_single_mode_closed_form(self):
+        # int_0^d e^{-2 lam u} du = (1 - e^{-2 lam d}) / (2 lam) at lam = pi^2, x = 1
+        op = dirichlet_laplacian_1d(1)
+        lam, delta = math.pi**2, 0.25
+        energy, norm = _convolution_quad_oracles(op, 0.0, 0.0, delta, coeffs(1.0))
+        assert energy == pytest.approx(-math.expm1(-2.0 * lam * delta) / (2.0 * lam), rel=1e-14)
+        assert norm == pytest.approx(-math.expm1(-lam * delta) / lam, rel=1e-14)
 
 
 class TestVanishingWindowLimit:
