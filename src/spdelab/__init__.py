@@ -15,8 +15,6 @@ from .models import (
     NemytskiiDrift,
     ScalarFunction,
     ZeroDrift,
-    apply_diffusion_increment,
-    apply_drift,
     get_scalar_function,
     register_scalar_function,
     registered_functions,
@@ -34,7 +32,6 @@ from .noise import (
 )
 from .probes import (
     HolderEstimate,
-    NormSpec,
     SeriesReport,
     continuity_modulus,
     convolution_increment_scaling,
@@ -52,9 +49,7 @@ from .solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
     SolverConfig,
-    Trajectory,
     ensemble_snapshots,
-    exact_ou_path,
     exponential_euler_step,
     map_paths,
     simulate_path,

@@ -352,11 +352,11 @@ def _run_example_series(cfg, out_dir: Path) -> list[str]:
     write_csv(out_dir / "series.csv", cfg.resolved(), ["N", "partial_sum"], list(report.partial_sums))
     sums = [v for _, v in report.partial_sums]
     increments = [b - a for a, b in zip(sums, sums[1:])]
-    return [
-        f"series r={r:g} t={t:g}: partial sums {' '.join(f'{v:.6g}' for v in sums)}",
-        f"increments {' '.join(f'{v:.6g}' for v in increments)} "
-        f"({'non-decaying' if increments and increments[-1] >= increments[0] else 'decaying'})",
-    ]
+    summary = [f"series r={r:g} t={t:g}: partial sums {' '.join(f'{v:.6g}' for v in sums)}"]
+    if len(increments) >= 2:  # a verdict compares the first increment with the last
+        decay = "non-decaying" if increments[-1] >= increments[0] else "decaying"
+        summary.append(f"increments {' '.join(f'{v:.6g}' for v in increments)} ({decay})")
+    return summary
 
 
 def _run_verify_assumptions(cfg, out_dir: Path) -> list[str]:

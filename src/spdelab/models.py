@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import transforms
-from .noise import CovarianceSpectrum, DiagonalHSOperator, NoiseIncrement, hs_norm_L2r
+from .noise import CovarianceSpectrum, DiagonalHSOperator, hs_norm_L2r
 from .spectrum import SpectralCoeffs, SpectralOperator, _frozen_array, hdot_norm
 
 
@@ -285,27 +285,6 @@ def _diffusion_rows(
     np.multiply(values, noise_values, out=noise_values)
     return transforms.analyze(noise_values, model.dimension,
                               out=work.get("diffusion", increments.shape))
-
-
-def apply_drift(model: ModelSpec, x: SpectralCoeffs) -> SpectralCoeffs:
-    """Evaluate the drift F(x) in eigenmode coefficients."""
-    if x.dimension != model.dimension:
-        raise ValueError(f"dimension mismatch: {x.dimension} != {model.dimension}")
-    return SpectralCoeffs(_drift_rows(model, x.values[None, :], Workspace())[0])
-
-
-def apply_diffusion_increment(
-    model: ModelSpec, x: SpectralCoeffs, dW: NoiseIncrement
-) -> SpectralCoeffs:
-    """Evaluate G(x) applied to a noise increment, in eigenmode coefficients."""
-    if x.dimension != model.dimension or dW.dimension != model.dimension:
-        raise ValueError(
-            f"dimension mismatch: state {x.dimension}, increment {dW.dimension}, "
-            f"model {model.dimension}"
-        )
-    return SpectralCoeffs(
-        _diffusion_rows(model, x.values[None, :], dW.values[None, :], Workspace())[0]
-    )
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,6 @@ from .spectrum import SpectralCoeffs, SpectralOperator
 
 
 @dataclass(frozen=True)
-class NormSpec:
-    """Which moment norm to estimate: smoothness weight s, moment order p."""
-
-    s: float
-    p: float
-
-    def __post_init__(self):
-        if self.p < 2.0:
-            raise ValueError(f"moment order must be >= 2, got {self.p}")
-
-
-@dataclass(frozen=True)
 class HolderEstimate:
     """Fitted log-log slope of a modulus against the predicted Hölder exponent."""
 

@@ -4,7 +4,13 @@ Two steppers share the same per-(path, step) noise draws and so are pathwise
 coupled: the one-step frozen-integrand exponential scheme
 x_{j+1} = E(h)[x_j - h F(x_j) + G(x_j) dW_j], and, for linear models driven by
 state-independent diagonal noise, the exact Gaussian transition of each mode.
-Paths are independent given their streams and may be executed concurrently.
+Every run goes through one kernel, ``_simulate_block``, which advances a block
+of paths together and returns their snapshots as an array (block,
+n_snapshots, modes).  ``map_paths`` and ``ensemble_snapshots`` split the
+ensemble into such blocks, ``simulate_path`` runs one path as a one-row block,
+and ``exponential_euler_step`` advances one state through the kernel's row
+update.  Paths are independent given their streams and may be executed
+concurrently.
 For models without a Nemytskii term a path's result is a pure function of
 (model, config, path index).  A Nemytskii term goes through the dense sine
 transforms, whose matrix products BLAS rounds differently for different row
@@ -102,30 +108,6 @@ class SolverConfig:
         return [self.step_of(t) for t in self.snapshot_times]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded snapshots (time, state) of one path."""
-
-    times: tuple[float, ...]
-    states: tuple[SpectralCoeffs, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must align")
-        if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
-
-    @property
-    def snapshots(self) -> tuple[tuple[float, SpectralCoeffs], ...]:
-        return tuple(zip(self.times, self.states))
-
-    def state_at(self, t: float) -> SpectralCoeffs:
-        for time, state in zip(self.times, self.states):
-            if time == t:
-                return state
-        raise KeyError(f"no snapshot at time {t}")
-
-
 def exponential_euler_step(
     model: ModelSpec, x: SpectralCoeffs, dW: NoiseIncrement, h: float
 ) -> SpectralCoeffs:
@@ -187,6 +169,8 @@ def _simulate_block(
     """Snapshots for a block of paths; returns array (block, n_snapshots, modes)."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
+    # checked before the T = 0 return, so an unsupported model fails at any T
+    g = _require_linear_additive(model) if method == EXACT_GAUSSIAN else None
     n = model.dimension
     block = len(path_indices)
     snap_steps = config.snapshot_steps()
@@ -209,7 +193,6 @@ def _simulate_block(
     decay = np.exp(-lam * h)
 
     if method == EXACT_GAUSSIAN:
-        g = _require_linear_additive(model)
         transition_sd = np.sqrt(
             g**2 * model.covariance.variances * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
         )
@@ -243,30 +226,23 @@ def _simulate_block(
     return out
 
 
-def _trajectory_from_rows(config: SolverConfig, rows: np.ndarray) -> Trajectory:
-    return Trajectory(
-        times=tuple(config.snapshot_times),
-        states=tuple(SpectralCoeffs(rows[i]) for i in range(rows.shape[0])),
-    )
+def simulate_path(
+    model: ModelSpec,
+    config: SolverConfig,
+    path_index: int,
+    method: str = EXPONENTIAL_EULER,
+) -> np.ndarray:
+    """Snapshots (n_snapshots, modes) of one path, run as a one-row block.
 
-
-def simulate_path(model: ModelSpec, config: SolverConfig, path_index: int) -> Trajectory:
-    """Integrate one path with the exponential Euler scheme; pure in its arguments."""
-    rows = _simulate_block(model, config, [path_index], EXPONENTIAL_EULER)
-    return _trajectory_from_rows(config, rows[0])
-
-
-def exact_ou_path(model: ModelSpec, config: SolverConfig, path_index: int) -> Trajectory:
-    """Sample the linear additive model exactly through its Gaussian mode transitions.
-
-    Mode k evolves by x_k(t + h) = e^{-lam_k h} x_k(t) + xi with
-    xi ~ N(0, g_k^2 q_k (1 - e^{-2 lam_k h}) / (2 lam_k)); the standard normal
+    With ``EXACT_GAUSSIAN`` the linear additive model is sampled exactly
+    through its Gaussian mode transitions: mode k evolves by
+    x_k(t + h) = e^{-lam_k h} x_k(t) + xi with
+    xi ~ N(0, g_k^2 q_k (1 - e^{-2 lam_k h}) / (2 lam_k)).  The standard normal
     draws are shared with the exponential Euler scheme, which couples the two
-    pathwise and makes this the oracle for integrator error measurements.
+    pathwise and makes the exact method the oracle for integrator error
+    measurements.
     """
-    _require_linear_additive(model)
-    rows = _simulate_block(model, config, [path_index], EXACT_GAUSSIAN)
-    return _trajectory_from_rows(config, rows[0])
+    return _simulate_block(model, config, [path_index], method)[0]
 
 
 def map_paths(

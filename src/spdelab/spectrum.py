@@ -68,15 +68,6 @@ class SpectralCoeffs:
     def dimension(self) -> int:
         return int(self.values.size)
 
-    def __add__(self, other: "SpectralCoeffs") -> "SpectralCoeffs":
-        return SpectralCoeffs(self.values + other.values)
-
-    def __sub__(self, other: "SpectralCoeffs") -> "SpectralCoeffs":
-        return SpectralCoeffs(self.values - other.values)
-
-    def __rmul__(self, scalar: float) -> "SpectralCoeffs":
-        return SpectralCoeffs(float(scalar) * self.values)
-
 
 def _check_dimensions(op: SpectralOperator, x: SpectralCoeffs) -> None:
     if op.dimension != x.dimension:

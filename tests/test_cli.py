@@ -75,6 +75,22 @@ class TestRunSeries:
         assert sums[0] < sums[1] < sums[2]
         assert "non-decaying" in capsys.readouterr().out
 
+    # the verdict compares the first increment with the last: one increment always
+    # reads "non-decaying" against itself, and no increment has no verdict at all
+    @pytest.mark.parametrize("n_values", ["1000", "1000,10000"])
+    def test_verdict_needs_two_increments(self, tmp_path, capsys, n_values):
+        config = write_config(
+            tmp_path,
+            f"kind = example-section5\nseries.r = 0\nseries.N = {n_values}\nsolver.seed = 0\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[0].startswith("series r=0 t=0.1: partial sums ")
+        assert "increments" not in captured.out and "decaying" not in captured.out
+        rows = (tmp_path / "out" / "series.csv").read_text().splitlines()[2:]
+        assert [int(r.split(",")[0]) for r in rows] == [int(v) for v in n_values.split(",")]
+
     def test_seed_warning_when_missing(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -1,5 +1,6 @@
-"""Every module-level import of the library is used somewhere in its module, and
-no module imports scipy, which only the tests and the benchmark sweeps use."""
+"""Every module-level import of the library is used somewhere in its module, no
+module imports scipy, which only the tests and the benchmark sweeps use, and
+every public name has a caller."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,17 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdelab"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_FILES = sorted(PACKAGE.glob("*.py"))
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+# Public names that may have no caller in the library or the acceptance tests.
+PUBLIC_WITHOUT_CALLER = {
+    "simulate_path": "runs one path as a one-row block of the simulation kernel",
+    "exponential_euler_step": "advances one state through the kernel's row update",
+    "sample_increment": "draws one path-step of the kernel's noise as a NoiseIncrement",
+    "apply_semigroup": "spectral calculus of the operator, e^{-tA} x",
+    "apply_fractional_power": "spectral calculus of the operator, A^a x",
+    "convolution_increment_scaling": "closed-form increment scaling of the stochastic convolution",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,3 +73,60 @@ def test_scipy_detector_sees_lazy_imports():
         "def f():\n    from scipy.optimize import brentq\n    import scipy.fft as fft\n"
     )
     assert scipy_imports(source) == ["scipy.optimize", "scipy.fft"]
+
+
+def exported_names(source: str) -> list[str]:
+    """Names that a package `__init__` imports from its own modules."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read in `source`, bare or as an attribute, by any top-level
+    statement other than the one that defines them."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = {stmt.name}
+        elif isinstance(stmt, ast.Assign):
+            defined = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        else:
+            defined = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used = node.id
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            else:
+                continue
+            if used not in defined:
+                names.add(used)
+    return names
+
+
+PUBLIC = exported_names((PACKAGE / "__init__.py").read_text())
+CALLED = set().union(*(referenced_names(p.read_text()) for p in [*MODULES, ACCEPTANCE]))
+
+
+@pytest.mark.parametrize("name", [n for n in PUBLIC if n not in PUBLIC_WITHOUT_CALLER])
+def test_public_name_has_a_caller(name):
+    assert name in CALLED, f"{name} is exported but neither the library nor acceptance uses it"
+
+
+def test_allowlisted_names_are_exported():
+    assert set(PUBLIC_WITHOUT_CALLER) <= set(PUBLIC)
+
+
+def test_caller_detector_skips_the_definition():
+    source = (
+        "from .solver import simulate\n"
+        "def walk(n):\n    return walk(n - 1)\n"
+        "class Path:\n    def split(self):\n        return Path()\n"
+        "LIMIT = 3\n"
+        "def run(cfg):\n    return simulate(cfg.LIMIT, probes.sweep)\n"
+    )
+    assert referenced_names(source) == {"n", "simulate", "cfg", "LIMIT", "probes", "sweep"}

@@ -11,14 +11,12 @@ from spdelab.models import (
     NemytskiiDiffusion,
     NemytskiiDrift,
     ZeroDrift,
-    apply_diffusion_increment,
-    apply_drift,
     get_scalar_function,
     register_scalar_function,
     registered_functions,
     validate_assumptions,
 )
-from spdelab.noise import CovarianceSpectrum, NoiseIncrement, example_covariance
+from spdelab.noise import CovarianceSpectrum, example_covariance
 from spdelab.spectrum import SpectralCoeffs, dirichlet_laplacian_1d
 
 
@@ -95,50 +93,59 @@ class TestModelValidation:
             )
 
 
+def drift_row(model, x):
+    """F(x) for one state row, through the block kernel's drift evaluation."""
+    return models._drift_rows(model, x[None, :], models.Workspace())[0]
+
+
+def diffusion_row(model, x, dw):
+    """G(x) dW for one state row, through the block kernel's diffusion evaluation."""
+    return models._diffusion_rows(model, x[None, :], dw[None, :], models.Workspace())[0]
+
+
 class TestApplyDrift:
     def test_zero_drift(self):
         model = make_model()
-        x = SpectralCoeffs(np.arange(1.0, 9.0))
-        np.testing.assert_array_equal(apply_drift(model, x).values, np.zeros(8))
+        x = np.arange(1.0, 9.0)
+        np.testing.assert_array_equal(drift_row(model, x), np.zeros(8))
 
     def test_constant_diagonal_multiplier(self):
         n = 8
         model = make_model(n, drift=DiagonalLinearDrift(np.full(n, 2.5)))
-        x = SpectralCoeffs(np.arange(1.0, 9.0))
-        np.testing.assert_allclose(apply_drift(model, x).values, 2.5 * x.values, rtol=1e-15)
+        x = np.arange(1.0, 9.0)
+        np.testing.assert_allclose(drift_row(model, x), 2.5 * x, rtol=1e-15)
 
     def test_odd_pointwise_function_fixes_zero(self):
         model = make_model(8, drift=NemytskiiDrift("sin", 32))
-        out = apply_drift(model, SpectralCoeffs(np.zeros(8)))
-        np.testing.assert_allclose(out.values, np.zeros(8), atol=1e-14)
+        out = drift_row(model, np.zeros(8))
+        np.testing.assert_allclose(out, np.zeros(8), atol=1e-14)
 
     def test_identity_pointwise_function_is_modewise_identity(self):
         n = 8
         model = make_model(n, drift=NemytskiiDrift("identity", 4 * n))
-        x = SpectralCoeffs(np.random.default_rng(0).standard_normal(n))
-        np.testing.assert_allclose(apply_drift(model, x).values, x.values, atol=1e-10)
+        x = np.random.default_rng(0).standard_normal(n)
+        np.testing.assert_allclose(drift_row(model, x), x, atol=1e-10)
 
 
 class TestApplyDiffusion:
     def test_unit_additive_passes_increment_through(self):
         model = make_model()
-        dW = NoiseIncrement(np.random.default_rng(1).standard_normal(8), 0.1)
-        out = apply_diffusion_increment(model, SpectralCoeffs(np.ones(8)), dW)
-        np.testing.assert_array_equal(out.values, dW.values)
+        dw = np.random.default_rng(1).standard_normal(8)
+        out = diffusion_row(model, np.ones(8), dw)
+        np.testing.assert_array_equal(out, dw)
 
     def test_zero_increment_maps_to_zero(self):
         model = make_model(8, diffusion=NemytskiiDiffusion("tanh", 32))
-        dW = NoiseIncrement(np.zeros(8), 0.1)
-        out = apply_diffusion_increment(model, SpectralCoeffs(np.ones(8)), dW)
-        np.testing.assert_allclose(out.values, np.zeros(8), atol=1e-14)
+        out = diffusion_row(model, np.ones(8), np.zeros(8))
+        np.testing.assert_allclose(out, np.zeros(8), atol=1e-14)
 
     def test_constant_one_multiplier_matches_additive_identity(self):
         n = 8
         model = make_model(n, diffusion=NemytskiiDiffusion("one", 4 * n))
-        x = SpectralCoeffs(np.random.default_rng(2).standard_normal(n))
-        dW = NoiseIncrement(np.random.default_rng(3).standard_normal(n), 0.1)
-        out = apply_diffusion_increment(model, x, dW)
-        np.testing.assert_allclose(out.values, dW.values, atol=1e-10)
+        x = np.random.default_rng(2).standard_normal(n)
+        dw = np.random.default_rng(3).standard_normal(n)
+        out = diffusion_row(model, x, dw)
+        np.testing.assert_allclose(out, dw, atol=1e-10)
 
 
 class TestValidateAssumptions:

@@ -31,7 +31,6 @@ from spdelab.solver import (
     SolverConfig,
     _simulate_block,
     ensemble_snapshots,
-    exact_ou_path,
     exponential_euler_step,
     map_paths,
     simulate_path,
@@ -143,7 +142,7 @@ class TestExponentialEulerStep:
             dW = sample_increment(model.covariance, config.h, stream, step_index=j)
             state = exponential_euler_step(model, state, dW, config.h)
         np.testing.assert_array_equal(
-            state.values, simulate_path(model, config, 3).state_at(0.05).values
+            state.values, simulate_path(model, config, 3)[-1]  # the snapshot at T = 0.05
         )
 
     def test_nonpositive_step_rejected(self):
@@ -159,24 +158,23 @@ class TestSimulatePath:
         x0 = np.array([1.0, 2.0, 3.0, 4.0])
         model = linear_additive_model(4, x0=x0)
         config = SolverConfig(T=0.0, steps=1, paths=1)
-        traj = simulate_path(model, config, 0)
-        assert traj.times == (0.0,)
-        np.testing.assert_array_equal(traj.states[0].values, x0)
+        rows = simulate_path(model, config, 0)
+        assert config.snapshot_times == (0.0,) and rows.shape == (1, 4)
+        np.testing.assert_array_equal(rows[0], x0)
 
     def test_bitwise_deterministic(self):
         model = linear_additive_model()
         config = SolverConfig(T=0.1, steps=20, paths=4, master_seed=9)
         a = simulate_path(model, config, 2)
         b = simulate_path(model, config, 2)
-        for sa, sb in zip(a.states, b.states):
-            np.testing.assert_array_equal(sa.values, sb.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_distinct_paths_differ(self):
         model = linear_additive_model()
         config = SolverConfig(T=0.1, steps=20, paths=4, master_seed=9)
         a = simulate_path(model, config, 0)
         b = simulate_path(model, config, 1)
-        assert not np.array_equal(a.states[-1].values, b.states[-1].values)
+        assert not np.array_equal(a[-1], b[-1])
 
     def test_modewise_variance_matches_exact_dynamics(self):
         n = 8
@@ -204,10 +202,7 @@ class TestSimulatePath:
         base = simulate_path(linear_additive_model(n, x0=np.zeros(n)), config, 1)
         one = simulate_path(linear_additive_model(n, x0=x0), config, 1)
         two = simulate_path(linear_additive_model(n, x0=2.0 * x0), config, 1)
-        for s0, s1, s2 in zip(base.states, one.states, two.states):
-            np.testing.assert_allclose(
-                s2.values - s0.values, 2.0 * (s1.values - s0.values), rtol=1e-12, atol=1e-14
-            )
+        np.testing.assert_allclose(two - base, 2.0 * (one - base), rtol=1e-12, atol=1e-14)
 
     def test_mean_dynamics_follow_the_heat_flow(self):
         n = 6
@@ -250,9 +245,9 @@ class TestExactOUPath:
         x0 = np.array([1.0, -1.0, 2.0, 0.5])
         model = linear_additive_model(n, x0=x0, covariance=CovarianceSpectrum(np.zeros(n)))
         config = SolverConfig(T=0.5, steps=10, paths=1, snapshot_times=(0.5,))
-        traj = exact_ou_path(model, config, 0)
+        rows = simulate_path(model, config, 0, EXACT_GAUSSIAN)
         np.testing.assert_allclose(
-            traj.states[0].values,
+            rows[0],
             np.exp(-model.operator.eigenvalues * 0.5) * x0,
             rtol=1e-12,
         )
@@ -280,7 +275,7 @@ class TestExactOUPath:
         )
         config = SolverConfig(T=0.1, steps=10, paths=1)
         with pytest.raises(ValueError):
-            exact_ou_path(model, config, 0)
+            simulate_path(model, config, 0, EXACT_GAUSSIAN)
         model_mult = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
@@ -289,7 +284,27 @@ class TestExactOUPath:
             initial=SpectralCoeffs(np.zeros(n)),
         )
         with pytest.raises(ValueError):
-            exact_ou_path(model_mult, config, 0)
+            simulate_path(model_mult, config, 0, EXACT_GAUSSIAN)
+
+    # the model is checked before the T = 0 early return, so the exact method
+    # rejects an unsupported model at every final time
+    @pytest.mark.parametrize("T", [0.0, 0.1])
+    def test_rejects_multiplicative_noise_at_any_final_time(self, T):
+        n = 4
+        model = ModelSpec(
+            operator=dirichlet_laplacian_1d(n),
+            covariance=example_covariance(n),
+            drift=ZeroDrift(),
+            diffusion=NemytskiiDiffusion("tanh", 4 * n),
+            initial=SpectralCoeffs(np.zeros(n)),
+        )
+        config = SolverConfig(T=T, steps=1, paths=3)
+        with pytest.raises(ValueError, match="additive diagonal diffusion"):
+            ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+        with pytest.raises(ValueError, match="additive diagonal diffusion"):
+            simulate_path(model, config, 0, EXACT_GAUSSIAN)
+        # the Euler scheme handles the model, and at T = 0 returns the initial state
+        assert ensemble_snapshots(model, config).shape == (3, 1 if T == 0.0 else 2, n)
 
     def test_one_step_euler_matches_exact_transition_to_first_order(self):
         lam = np.pi**2 * np.arange(1, 5.0) ** 2
@@ -418,8 +433,7 @@ class TestEnsembleExecution:
         model = make_model(8)
         config = SolverConfig(T=0.05, steps=10, paths=160, master_seed=5, snapshot_times=(0.05,))
         rows = ensemble_snapshots(model, config)
-        traj = simulate_path(model, config, 133)
-        compare(traj.states[0].values, rows[133, 0, :])
+        compare(simulate_path(model, config, 133)[0], rows[133, 0, :])
 
     def test_map_paths_preserves_path_order(self):
         model = linear_additive_model(4)
