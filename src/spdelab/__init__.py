@@ -22,19 +22,15 @@ from .models import (
 )
 from .noise import (
     CovarianceSpectrum,
-    DiagonalHSOperator,
-    NoiseIncrement,
     NoiseStream,
     burkholder_constant,
     example_covariance,
     hs_norm_L2r,
-    sample_increment,
 )
 from .probes import (
     HolderEstimate,
     SeriesReport,
     continuity_modulus,
-    convolution_increment_scaling,
     estimate_lp_norm,
     example_series_partial_sum,
     example_series_report,
@@ -50,15 +46,12 @@ from .solver import (
     EXPONENTIAL_EULER,
     SolverConfig,
     ensemble_snapshots,
-    exponential_euler_step,
     map_paths,
     simulate_path,
 )
 from .spectrum import (
     SpectralCoeffs,
     SpectralOperator,
-    apply_fractional_power,
-    apply_semigroup,
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,
     hdot_norm,

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import transforms
-from .noise import CovarianceSpectrum, DiagonalHSOperator, hs_norm_L2r
+from .noise import CovarianceSpectrum, hs_norm_L2r
 from .spectrum import SpectralCoeffs, SpectralOperator, _frozen_array, hdot_norm
 
 
@@ -171,12 +171,7 @@ class ModelSpec:
                 raise ValueError("diagonal diffusion multiplier count must match the operator")
             if not 0.0 <= self.r <= 1.0:
                 raise ValueError(f"additive models allow r in [0, 1], got {self.r}")
-            norm = hs_norm_L2r(
-                self.operator,
-                self.covariance,
-                DiagonalHSOperator(self.diffusion.multipliers),
-                self.r,
-            )
+            norm = hs_norm_L2r(self.operator, self.covariance, self.diffusion.multipliers, self.r)
             if not math.isfinite(norm):
                 raise ValueError("weighted Hilbert-Schmidt norm of the diffusion is not finite")
         else:

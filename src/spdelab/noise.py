@@ -1,11 +1,12 @@
-"""Q-Wiener increments from a diagonal covariance spectrum, and Hilbert-Schmidt norms.
+"""Q-Wiener noise from a diagonal covariance spectrum, and Hilbert-Schmidt norms.
 
 The driving noise is expanded in the operator eigenbasis: mode k carries an
 independent scalar Brownian motion with variance rate q_k.  Sampling is
-counter-addressed: the draw block for (master seed, path, step) is a pure
-function of those three indices, so results never depend on scheduling order
-and coincide across truncation dimensions (a run with more modes reads more of
-the same per-step block).
+counter-addressed: the standard normals for (master seed, path, step) are a
+pure function of those three indices, so results never depend on scheduling
+order and coincide across truncation dimensions (a run with more modes reads
+more of the same per-step block).  The simulation kernel scales mode k of
+those normals by sqrt(q_k h) to get the step's Wiener increment.
 """
 
 from __future__ import annotations
@@ -35,41 +36,6 @@ class CovarianceSpectrum:
     @property
     def dimension(self) -> int:
         return int(self.variances.size)
-
-
-@dataclass(frozen=True)
-class DiagonalHSOperator:
-    """Operator acting as multiplication by phi_k on eigenmode k."""
-
-    multipliers: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.multipliers)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("multipliers must be finite")
-        object.__setattr__(self, "multipliers", arr)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.multipliers.size)
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Eigenmode increments of the Wiener process over one step of length h."""
-
-    values: np.ndarray
-    step: float
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values)
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.size)
 
 
 class NoiseStream:
@@ -148,30 +114,22 @@ def example_covariance(n_modes: int) -> CovarianceSpectrum:
     return CovarianceSpectrum(q)
 
 
-def sample_increment(
-    cov: CovarianceSpectrum, h: float, stream: NoiseStream, step_index: int = 0
-) -> NoiseIncrement:
-    """Draw the step increment: mode k is N(0, q_k h), independent across modes."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    z = stream.step_normals(step_index, cov.dimension)
-    return NoiseIncrement(np.sqrt(cov.variances * h) * z, h)
-
-
 def hs_norm_L2r(
-    op: SpectralOperator, cov: CovarianceSpectrum, phi: DiagonalHSOperator, r: float
+    op: SpectralOperator, cov: CovarianceSpectrum, phi: np.ndarray, r: float
 ) -> float:
     """Smoothness-weighted Hilbert-Schmidt norm sqrt(sum_k lam_k^r q_k phi_k^2).
 
-    At r = 0 (lam_k^0 is exactly 1.0) this is the norm against the noise space
-    basis psi_k = sqrt(q_k) e_k; modes with q_k = 0 contribute nothing.
+    `phi` holds the multipliers of the diagonal operator acting as phi_k on
+    eigenmode k.  At r = 0 (lam_k^0 is exactly 1.0) this is the norm against
+    the noise space basis psi_k = sqrt(q_k) e_k; modes with q_k = 0 contribute
+    nothing.
     """
-    if not (op.dimension == cov.dimension == phi.dimension):
+    if not (op.dimension == cov.dimension == phi.size):
         raise ValueError(
             f"dimension mismatch: operator {op.dimension}, covariance "
-            f"{cov.dimension}, multiplier {phi.dimension}"
+            f"{cov.dimension}, multiplier {phi.size}"
         )
-    return float(np.sqrt(np.sum(op.eigenvalues**r * cov.variances * phi.multipliers**2)))
+    return float(np.sqrt(np.sum(op.eigenvalues**r * cov.variances * phi**2)))
 
 
 def burkholder_constant(p: float) -> float:

@@ -272,39 +272,6 @@ def example_series_report(r: float, t: float, n_values: Sequence[int]) -> Series
     return SeriesReport(float(r), float(t), sums)
 
 
-def convolution_increment_scaling(
-    op: SpectralOperator,
-    cov: CovarianceSpectrum,
-    g_multipliers: np.ndarray,
-    s: float,
-    r: float,
-    deltas: Sequence[float],
-) -> HolderEstimate:
-    """Fit the lag scaling of the exact noise-response energy at smoothness s.
-
-    For a state-independent diagonal diffusion the energy over a window of
-    width delta is (1/2) sum_k g_k^2 q_k lam_k^{s-1} (1 - e^{-2 lam_k delta});
-    the fitted log-log slope of its square root is compared against
-    min(1/2, (1 + r - s)/2).
-    """
-    g = np.asarray(g_multipliers, dtype=float)
-    if not (op.dimension == cov.dimension == g.size):
-        raise ValueError("dimension mismatch between operator, covariance, and multipliers")
-    deltas = np.asarray(sorted(float(d) for d in deltas))
-    if deltas[0] <= 0.0:
-        raise ValueError("lags must be positive")
-    lam = op.eigenvalues
-    values = []
-    for delta in deltas:
-        energy = 0.5 * float(
-            np.sum(g**2 * cov.variances * lam ** (s - 1.0) * (-np.expm1(-2.0 * lam * delta)))
-        )
-        values.append(math.sqrt(energy))
-    return fit_holder_exponent(
-        list(zip(deltas.tolist(), values)), predicted_temporal_exponent(r, s)
-    )
-
-
 def continuity_modulus(
     model: ModelSpec,
     config: SolverConfig,

@@ -7,9 +7,9 @@ state-independent diagonal noise, the exact Gaussian transition of each mode.
 Every run goes through one kernel, ``_simulate_block``, which advances a block
 of paths together and returns their snapshots as an array (block,
 n_snapshots, modes).  ``map_paths`` and ``ensemble_snapshots`` split the
-ensemble into such blocks, ``simulate_path`` runs one path as a one-row block,
-and ``exponential_euler_step`` advances one state through the kernel's row
-update.  Paths are independent given their streams and may be executed
+ensemble into such blocks, and ``simulate_path`` runs one path as a one-row
+block.  ``_euler_rows`` is the scheme's update of a (paths, modes) array of
+states.  Paths are independent given their streams and may be executed
 concurrently.
 For models without a Nemytskii term a path's result is a pure function of
 (model, config, path index).  A Nemytskii term goes through the dense sine
@@ -51,8 +51,7 @@ from .models import (
     _diffusion_rows,
     _drift_rows,
 )
-from .noise import NoiseIncrement, NoiseStream
-from .spectrum import SpectralCoeffs
+from .noise import NoiseStream
 
 EXPONENTIAL_EULER = "exponential-euler"
 EXACT_GAUSSIAN = "exact-gaussian"
@@ -94,32 +93,21 @@ class SolverConfig:
         return self.T / self.steps
 
     def step_of(self, t: float) -> int:
-        """Grid index of time t; rejects off-grid times."""
+        """Grid index of time t; rejects times outside [0, T] and off-grid times."""
         if self.T == 0.0:
             if t != 0.0:
                 raise ValueError(f"time {t} outside the degenerate grid {{0}}")
             return 0
+        tol = 1e-9 * max(self.T, 1.0)
+        if not -tol <= t <= self.T + tol:
+            raise ValueError(f"time {t} lies outside [0, T] = [0, {self.T}]")
         j = int(round(t / self.h))
-        if j < 0 or j > self.steps or abs(j * self.h - t) > 1e-9 * max(self.T, 1.0):
+        if j < 0 or j > self.steps or abs(j * self.h - t) > tol:
             raise ValueError(f"time {t} is not a grid point (h = {self.h})")
         return j
 
     def snapshot_steps(self) -> list[int]:
         return [self.step_of(t) for t in self.snapshot_times]
-
-
-def exponential_euler_step(
-    model: ModelSpec, x: SpectralCoeffs, dW: NoiseIncrement, h: float
-) -> SpectralCoeffs:
-    """One step of the frozen-integrand exponential scheme, E(h)[x - h F(x) + G(x) dW]."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    if x.dimension != model.dimension or dW.dimension != model.dimension:
-        raise ValueError("dimension mismatch in exponential Euler step")
-    decay = np.exp(-model.operator.eigenvalues * h)
-    states = np.array(x.values[None, :])
-    _euler_rows(model, decay, h, states, dW.values[None, :], Workspace())
-    return SpectralCoeffs(states[0])
 
 
 def _euler_rows(

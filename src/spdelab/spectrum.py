@@ -1,9 +1,9 @@
 """Diagonal operator calculus on the eigenbasis of a positive self-adjoint operator.
 
 Everything here acts mode-wise on a truncated spectrum 0 < lam_1 <= ... <= lam_N:
-the heat semigroup e^{-tA}, fractional powers A^{r/2}, the fractional-space norms
-||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the closed-form time integrals of the
-semigroup that control smoothing (their sharp one-dimensional constants included).
+the fractional-space norms ||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the
+closed-form time integrals of the heat semigroup e^{-tA} that control smoothing
+(their sharp one-dimensional constants included).
 
 The sharp constants come from a scalar root of u / expm1(u) = nu, so the module
 needs numpy and the standard library only.
@@ -83,20 +83,6 @@ def dirichlet_laplacian_1d(n_modes: int) -> SpectralOperator:
         raise ValueError(f"truncation dimension must be >= 1, got {n_modes}")
     k = np.arange(1, n_modes + 1, dtype=float)
     return SpectralOperator((k * np.pi) ** 2)
-
-
-def apply_semigroup(op: SpectralOperator, t: float, x: SpectralCoeffs) -> SpectralCoeffs:
-    """Heat flow e^{-tA} x, acting as e^{-lam_n t} on mode n.  Requires t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    _check_dimensions(op, x)
-    return SpectralCoeffs(np.exp(-op.eigenvalues * t) * x.values)
-
-
-def apply_fractional_power(op: SpectralOperator, r: float, x: SpectralCoeffs) -> SpectralCoeffs:
-    """A^{r/2} x = sum_n lam_n^{r/2} x_n e_n; any real r (lam_1 > 0)."""
-    _check_dimensions(op, x)
-    return SpectralCoeffs(op.eigenvalues ** (r / 2.0) * x.values)
 
 
 def hdot_norm(op: SpectralOperator, s: float, x: SpectralCoeffs) -> float:

@@ -8,15 +8,19 @@ is the stated one, not a calibrated afterthought.
 import math
 
 import numpy as np
-import pytest
 from scipy.integrate import quad, quad_vec
 
 from spdelab.cli import main
-from spdelab.models import AdditiveDiagonalDiffusion, ModelSpec, ZeroDrift
-from spdelab.noise import burkholder_constant, example_covariance
+from spdelab.models import (
+    AdditiveDiagonalDiffusion,
+    ModelSpec,
+    NemytskiiDiffusion,
+    NemytskiiDrift,
+    ZeroDrift,
+)
+from spdelab.noise import CovarianceSpectrum, burkholder_constant, example_covariance
 from spdelab.probes import (
     continuity_modulus,
-    estimate_lp_norm,
     example_series_partial_sum,
     spatial_sweep,
     temporal_probe,
@@ -355,4 +359,51 @@ def test_criterion_10_reproducibility(tmp_path):
         identical_runs and identical_workers,
         f"byte-identical across repeated runs: {identical_runs}; "
         f"across worker counts {{1, 4}}: {identical_workers}",
+    )
+
+
+def test_criterion_11_multiplicative_temporal_exponents():
+    """With multiplicative noise G(X) = cos(X) the temporal exponents stay the additive ones.
+
+    Drift tanh and diffusion cos on N = 64 modes and a 256-point grid, driven by
+    400 times the example covariance from x0 = 0, so that cos(X) moves well off 1.
+    Each window of acceptance 5 is fitted and compared with the prediction
+    min(1/2, (1+r-s)/2) within 0.1, and with the pathwise-coupled additive model
+    (zero drift, identity diffusion, the same normals) within 0.05, which cancels
+    most of the finite-window bias that both fits share.
+    """
+    mults = [1, 2, 3, 5, 8, 13, 22, 36, 60, 100]
+    n, grid = 64, 256
+    covariance = CovarianceSpectrum(400.0 * example_covariance(n).variances)
+
+    def model(drift, diffusion):
+        return ModelSpec(
+            operator=dirichlet_laplacian_1d(n),
+            covariance=covariance,
+            drift=drift,
+            diffusion=diffusion,
+            initial=SpectralCoeffs(np.zeros(n)),
+        )
+
+    multiplicative = model(NemytskiiDrift("tanh", grid), NemytskiiDiffusion("cos", grid))
+    additive = model(ZeroDrift(), AdditiveDiagonalDiffusion(np.ones(n)))
+    passed = True
+    details = []
+    # (s, h, steps, anchor in steps, seed): acceptance 5's two windows
+    for s, h, steps, anchor, seed in ((0.0, 2e-5, 200, 100, 505), (0.5, 1.2e-3, 164, 64, 506)):
+        config = SolverConfig(T=steps * h, steps=steps, paths=2000, master_seed=seed)
+        lags = [m * h for m in mults]
+        [(fit, _)] = temporal_probe(multiplicative, config, (s,), anchor * h, lags)
+        [(coupled, _)] = temporal_probe(additive, config, (s,), anchor * h, lags)
+        passed = passed and abs(fit.slope - fit.predicted) <= 0.1
+        passed = passed and abs(fit.slope - coupled.slope) <= 0.05
+        details.append(
+            f"s={s:g}: slope {fit.slope:.3f} (predicted {fit.predicted}, "
+            f"coupled additive {coupled.slope:.3f})"
+        )
+    report(
+        "11 (multiplicative temporal exponents)",
+        passed,
+        "; ".join(details) + "; tolerances 0.1 to the prediction and 0.05 to the coupled "
+        "additive slope, 2000 paths",
     )

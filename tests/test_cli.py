@@ -340,6 +340,18 @@ class TestCommandLine:
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
 
+    # the default lags reach 100 steps past the T/2 anchor, beyond T = 10 steps
+    def test_lag_past_the_final_time_is_named_as_such(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.01\nsolver.steps = 10\n"
+            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "lies outside [0, T] = [0, 0.01]" in err
+        assert "not a grid point" not in err
+
 
 # Runs every config through `cli.main` in a fresh interpreter and lists the scipy
 # modules loaded by then; it then imports scipy itself, as a positive control

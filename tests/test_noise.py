@@ -10,14 +10,17 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from spdelab.noise import (
     CovarianceSpectrum,
-    DiagonalHSOperator,
     NoiseStream,
     burkholder_constant,
     example_covariance,
     hs_norm_L2r,
-    sample_increment,
 )
 from spdelab.spectrum import dirichlet_laplacian_1d
+
+
+def increment(cov, h, stream, step_index):
+    """The kernel's Wiener increment of one path-step: mode k's normal times sqrt(q_k h)."""
+    return np.sqrt(cov.variances * h) * stream.step_normals(step_index, cov.dimension)
 
 
 class TestExampleCovariance:
@@ -120,53 +123,39 @@ class TestNoiseStream:
 class TestSampleIncrement:
     def test_degenerate_mode_is_zero(self):
         cov = CovarianceSpectrum(np.array([0.0, 1.0]))
-        inc = sample_increment(cov, 0.5, NoiseStream(0, 0))
-        assert inc.values[0] == 0.0
-        assert inc.values[1] != 0.0
+        inc = increment(cov, 0.5, NoiseStream(0, 0), 0)
+        assert inc[0] == 0.0
+        assert inc[1] != 0.0
 
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            sample_increment(CovarianceSpectrum(np.array([1.0])), 0.0, NoiseStream(0, 0))
-
+    # each step owns its counter segment, so one stream yields the draws that a
+    # fresh stream per step would
     def test_sample_variance_matches_rate(self):
         cov = CovarianceSpectrum(np.array([1.0]))
         h = 0.01
-        draws = np.array(
-            [
-                sample_increment(cov, h, NoiseStream(42, 0), step_index=j).values[0]
-                for j in range(0, 100_000, 1)
-            ]
-        )
+        stream = NoiseStream(42, 0)
+        draws = np.array([increment(cov, h, stream, j)[0] for j in range(100_000)])
         se = h * math.sqrt(2.0 / draws.size)
         assert abs(draws.var() - h) < 3.0 * se
 
     def test_bitwise_identical_on_fresh_streams(self):
         cov = example_covariance(8)
-        a = sample_increment(cov, 0.1, NoiseStream(5, 3), step_index=2)
-        b = sample_increment(cov, 0.1, NoiseStream(5, 3), step_index=2)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = increment(cov, 0.1, NoiseStream(5, 3), 2)
+        b = increment(cov, 0.1, NoiseStream(5, 3), 2)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestGaussianity:
     def test_standardized_moments(self):
-        cov = CovarianceSpectrum(np.array([0.7]))
-        h = 0.02
         stream = NoiseStream(11, 0)
-        draws = np.array(
-            [sample_increment(cov, h, stream, step_index=j).values[0] for j in range(100_000)]
-        )
-        z = draws / math.sqrt(0.7 * h)
+        z = np.array([stream.step_normals(j, 1)[0] for j in range(100_000)])
         n = z.size
         assert abs(z.mean()) < 3.0 / math.sqrt(n)
         kurtosis = np.mean(z**4) / np.mean(z**2) ** 2 - 3.0
         assert abs(kurtosis) < 0.1
 
     def test_independence_across_modes(self):
-        cov = CovarianceSpectrum(np.ones(4))
         stream = NoiseStream(17, 0)
-        draws = np.array(
-            [sample_increment(cov, 1.0, stream, step_index=j).values for j in range(100_000)]
-        )
+        draws = np.array([stream.step_normals(j, 4) for j in range(100_000)])
         corr = np.corrcoef(draws.T)
         off_diagonal = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diagonal)) < 3.0 / math.sqrt(draws.shape[0])
@@ -176,40 +165,38 @@ class TestHSNorms:
     def test_identity_norm_is_truncated_trace(self):
         n = 100
         cov = example_covariance(n)
-        ones = DiagonalHSOperator(np.ones(n))
+        ones = np.ones(n)
         op = dirichlet_laplacian_1d(n)
         assert hs_norm_L2r(op, cov, ones, 0.0) == pytest.approx(
             math.sqrt(float(np.sum(cov.variances))), rel=1e-14
         )
         # finite and increasing with the truncation dimension
-        smaller = hs_norm_L2r(
-            dirichlet_laplacian_1d(50), example_covariance(50), DiagonalHSOperator(np.ones(50)), 0.0
-        )
+        smaller = hs_norm_L2r(dirichlet_laplacian_1d(50), example_covariance(50), np.ones(50), 0.0)
         assert smaller < hs_norm_L2r(op, cov, ones, 0.0) < math.inf
 
     def test_zero_operator(self):
         cov = example_covariance(5)
         op = dirichlet_laplacian_1d(5)
-        assert hs_norm_L2r(op, cov, DiagonalHSOperator(np.zeros(5)), 0.0) == 0.0
+        assert hs_norm_L2r(op, cov, np.zeros(5), 0.0) == 0.0
 
     def test_single_mode(self):
         cov = CovarianceSpectrum(np.array([4.0]))
         op = dirichlet_laplacian_1d(1)
-        phi = DiagonalHSOperator(np.array([3.0]))
+        phi = np.array([3.0])
         assert hs_norm_L2r(op, cov, phi, 0.0) == pytest.approx(6.0)
 
     def test_weighted_norm_reduces_at_zero_smoothness(self):
         n = 16
         op = dirichlet_laplacian_1d(n)
         cov = example_covariance(n)
-        phi = DiagonalHSOperator(np.linspace(0.5, 2.0, n))
-        unweighted = math.sqrt(float(np.sum(cov.variances * phi.multipliers**2)))
+        phi = np.linspace(0.5, 2.0, n)
+        unweighted = math.sqrt(float(np.sum(cov.variances * phi**2)))
         assert hs_norm_L2r(op, cov, phi, 0.0) == pytest.approx(unweighted, rel=1e-14)
 
     def test_weighted_norm_single_mode(self):
         op = dirichlet_laplacian_1d(1)
         cov = CovarianceSpectrum(np.array([1.0]))
-        phi = DiagonalHSOperator(np.array([1.0]))
+        phi = np.array([1.0])
         assert hs_norm_L2r(op, cov, phi, 2.0) == pytest.approx(np.pi**2, rel=1e-14)
 
     def test_borderline_weighting_grows_without_bound(self):
@@ -218,7 +205,7 @@ class TestHSNorms:
         for n in (100, 1000, 10000):
             op = dirichlet_laplacian_1d(n)
             cov = example_covariance(n)
-            values.append(hs_norm_L2r(op, cov, DiagonalHSOperator(np.ones(n)), 0.5))
+            values.append(hs_norm_L2r(op, cov, np.ones(n), 0.5))
         assert values[0] < values[1] < values[2]
         # squared-norm increments do not shrink: the series diverges
         squared = [v**2 for v in values]
@@ -226,9 +213,7 @@ class TestHSNorms:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            hs_norm_L2r(
-                dirichlet_laplacian_1d(3), example_covariance(3), DiagonalHSOperator(np.ones(2)), 0.0
-            )
+            hs_norm_L2r(dirichlet_laplacian_1d(3), example_covariance(3), np.ones(2), 0.0)
 
 
 class TestBurkholderConstant:

@@ -16,10 +16,9 @@ from spdelab.models import (
     NemytskiiDrift,
     ZeroDrift,
 )
-from spdelab.noise import CovarianceSpectrum, example_covariance
+from spdelab.noise import example_covariance
 from spdelab.probes import (
     continuity_modulus,
-    convolution_increment_scaling,
     estimate_lp_norm,
     example_series_partial_sum,
     example_series_report,
@@ -40,7 +39,6 @@ from spdelab.solver import (
 )
 from spdelab.spectrum import (
     SpectralCoeffs,
-    SpectralOperator,
     dirichlet_laplacian_1d,
     stochastic_convolution_energy,
 )
@@ -130,6 +128,32 @@ class TestFitHolderExponent:
             pairs.append((lag, estimate_lp_norm(np.abs(draws), 2.0)[0]))
         fit = fit_holder_exponent(pairs, predicted=0.5)
         assert abs(fit.slope - 0.5) <= 0.1
+
+    # the exact noise-response window energy (1/2) sum_k q_k lam_k^{s-1} (1 - e^{-2 lam_k d})
+    # of the log-weighted covariance at s = 0.9, fitted against an independent regression
+    def test_matches_independent_regression_script(self):
+        op = dirichlet_laplacian_1d(4096)
+        cov = example_covariance(4096)
+        deltas = np.logspace(-6.0, -2.0, 9)
+        lam = op.eigenvalues
+        values = [
+            math.sqrt(
+                0.5
+                * float(np.sum(cov.variances * lam ** (0.9 - 1.0) * (-np.expm1(-2.0 * lam * d))))
+            )
+            for d in deltas
+        ]
+        fit = fit_holder_exponent(
+            list(zip(deltas.tolist(), values)), predicted_temporal_exponent(0.0, 0.9)
+        )
+        oracle = linregress(np.log(deltas), np.log(values))
+        assert fit.slope == pytest.approx(oracle.slope, abs=1e-10)
+        assert fit.slope_stderr == pytest.approx(oracle.stderr, rel=1e-8)
+        assert fit.predicted == pytest.approx(0.05)
+        # frozen oracle output for this window (the log-weighted covariance
+        # carries slowly varying corrections, so the measured slope sits well
+        # above the asymptotic exponent at these lags)
+        assert fit.slope == pytest.approx(0.2100089891, abs=1e-6)
 
     def test_prediction_formula(self):
         assert predicted_temporal_exponent(0.0, 0.5) == pytest.approx(0.25)
@@ -348,58 +372,6 @@ class TestExampleSeries:
             example_series_partial_sum(0.0, 0.0, 10)
         with pytest.raises(ValueError):
             example_series_partial_sum(0.0, 0.1, 1)
-
-
-class TestConvolutionIncrementScaling:
-    def test_single_mode_small_lag_slope(self):
-        op = SpectralOperator(np.array([2.0]))
-        cov = CovarianceSpectrum(np.array([1.0]))
-        fit = convolution_increment_scaling(
-            op, cov, np.ones(1), 0.0, 0.0, np.logspace(-4.0, -2.0, 10)
-        )
-        assert fit.slope == pytest.approx(0.4982037715, abs=1e-6)
-        assert abs(fit.slope - 0.5) < 0.01
-
-    def test_trace_class_window_saturates_the_exponent(self):
-        op = dirichlet_laplacian_1d(4096)
-        cov = example_covariance(4096)
-        fit = convolution_increment_scaling(
-            op, cov, np.ones(4096), 0.0, 0.0, np.logspace(-6.0, -4.0, 10)
-        )
-        assert fit.predicted == pytest.approx(0.5)
-        assert abs(fit.slope - 0.5) <= 0.02
-
-    def test_matches_independent_regression_script(self):
-        op = dirichlet_laplacian_1d(4096)
-        cov = example_covariance(4096)
-        deltas = np.logspace(-6.0, -2.0, 9)
-        fit = convolution_increment_scaling(op, cov, np.ones(4096), 0.9, 0.0, deltas)
-        lam = op.eigenvalues
-        values = [
-            math.sqrt(
-                0.5
-                * float(np.sum(cov.variances * lam ** (0.9 - 1.0) * (-np.expm1(-2.0 * lam * d))))
-            )
-            for d in deltas
-        ]
-        oracle = linregress(np.log(deltas), np.log(values))
-        assert fit.slope == pytest.approx(oracle.slope, abs=1e-10)
-        assert fit.predicted == pytest.approx(0.05)
-        # frozen oracle output for this window (the log-weighted covariance
-        # carries slowly varying corrections, so the measured slope sits well
-        # above the asymptotic exponent at these lags)
-        assert fit.slope == pytest.approx(0.2100089891, abs=1e-6)
-
-    def test_rejects_mismatched_dimensions(self):
-        with pytest.raises(ValueError):
-            convolution_increment_scaling(
-                dirichlet_laplacian_1d(4),
-                example_covariance(5),
-                np.ones(4),
-                0.0,
-                0.0,
-                np.logspace(-3, -1, 8),
-            )
 
 
 class TestContinuityModulus:

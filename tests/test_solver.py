@@ -8,30 +8,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdelab import models, transforms
+from spdelab import models, solver, transforms
 from spdelab.models import (
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
     ModelSpec,
     NemytskiiDiffusion,
     NemytskiiDrift,
+    Workspace,
     ZeroDrift,
 )
-from spdelab.noise import (
-    CovarianceSpectrum,
-    NoiseIncrement,
-    NoiseStream,
-    example_covariance,
-    sample_increment,
-)
+from spdelab.noise import CovarianceSpectrum, NoiseStream, example_covariance
 from spdelab.probes import truncate_model
 from spdelab.solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
     SolverConfig,
+    _euler_rows,
     _simulate_block,
     ensemble_snapshots,
-    exponential_euler_step,
     map_paths,
     simulate_path,
 )
@@ -82,16 +77,32 @@ class TestSolverConfig:
         assert config.snapshot_times == (0.0, 1.0)
         assert config.h == 0.25
 
+    # a time past T is not reported as merely off the grid
+    def test_times_outside_the_horizon_are_named_as_such(self):
+        config = SolverConfig(T=0.01, steps=10, paths=1)
+        for t in (0.013, 0.011, -0.001):
+            with pytest.raises(ValueError, match=r"outside \[0, T\] = \[0, 0\.01\]"):
+                config.step_of(t)
+        with pytest.raises(ValueError, match="not a grid point"):
+            config.step_of(0.0055)
+        assert config.step_of(0.01) == 10 and config.step_of(0.0) == 0
+
+
+def euler_step(model, x, dW, h):
+    """One step of the kernel's row update on a single (1, modes) row."""
+    state = np.array(x, dtype=float)[None, :]
+    decay = np.exp(-model.operator.eigenvalues * h)
+    _euler_rows(model, decay, h, state, np.array(dW, dtype=float)[None, :], Workspace())
+    return state[0]
+
 
 class TestExponentialEulerStep:
     def test_pure_heat_flow_is_exact(self):
         n = 6
         model = linear_additive_model(n, g=0.0)
-        x = SpectralCoeffs(np.arange(1.0, 7.0))
-        out = exponential_euler_step(model, x, NoiseIncrement(np.zeros(n), 0.1), 0.1)
-        np.testing.assert_array_equal(
-            out.values, np.exp(-model.operator.eigenvalues * 0.1) * x.values
-        )
+        x = np.arange(1.0, 7.0)
+        out = euler_step(model, x, np.zeros(n), 0.1)
+        np.testing.assert_array_equal(out, np.exp(-model.operator.eigenvalues * 0.1) * x)
 
     def test_noiseless_linear_drift_recurrence(self):
         n = 4
@@ -105,14 +116,14 @@ class TestExponentialEulerStep:
         )
         h = 0.01
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        state = SpectralCoeffs(x)
+        state = x
         for _ in range(3):
-            state = exponential_euler_step(model, state, NoiseIncrement(np.zeros(n), h), h)
+            state = euler_step(model, state, np.zeros(n), h)
         # independent scalar recurrence oracle
         expected = x.copy()
         for _ in range(3):
             expected = np.exp(-model.operator.eigenvalues * h) * (1.0 - h * f) * expected
-        np.testing.assert_allclose(state.values, expected, rtol=1e-13)
+        np.testing.assert_allclose(state, expected, rtol=1e-13)
 
     def test_conditional_mean_drops_the_noise_term(self):
         n = 4
@@ -124,11 +135,11 @@ class TestExponentialEulerStep:
             initial=SpectralCoeffs(np.zeros(n)),
         )
         h = 0.05
-        x = SpectralCoeffs(np.array([1.0, 2.0, -1.0, 0.5]))
+        x = np.array([1.0, 2.0, -1.0, 0.5])
         # the step is affine in dW, so the conditional mean is the zero-noise step
-        mean_step = exponential_euler_step(model, x, NoiseIncrement(np.zeros(n), h), h)
-        expected = np.exp(-model.operator.eigenvalues * h) * (1.0 - h * 0.3) * x.values
-        np.testing.assert_allclose(mean_step.values, expected, rtol=1e-14)
+        mean_step = euler_step(model, x, np.zeros(n), h)
+        expected = np.exp(-model.operator.eigenvalues * h) * (1.0 - h * 0.3) * x
+        np.testing.assert_allclose(mean_step, expected, rtol=1e-14)
 
     @pytest.mark.parametrize(
         "make_model", [linear_additive_model, diagonal_linear_model, nemytskii_model]
@@ -137,20 +148,30 @@ class TestExponentialEulerStep:
         model = make_model(8)
         config = SolverConfig(T=0.05, steps=25, paths=4, master_seed=6)
         stream = NoiseStream(config.master_seed, 3)
-        state = model.initial
+        noise_sd = np.sqrt(model.covariance.variances * config.h)
+        state = model.initial.values
         for j in range(config.steps):
-            dW = sample_increment(model.covariance, config.h, stream, step_index=j)
-            state = exponential_euler_step(model, state, dW, config.h)
+            dW = stream.step_normals(j, model.dimension) * noise_sd
+            state = euler_step(model, state, dW, config.h)
         np.testing.assert_array_equal(
-            state.values, simulate_path(model, config, 3)[-1]  # the snapshot at T = 0.05
+            state, simulate_path(model, config, 3)[-1]  # the snapshot at T = 0.05
         )
 
-    def test_nonpositive_step_rejected(self):
-        model = linear_additive_model(2)
-        with pytest.raises(ValueError):
-            exponential_euler_step(
-                model, SpectralCoeffs(np.zeros(2)), NoiseIncrement(np.zeros(2), 0.1), 0.0
-            )
+    # the scheme never sees h <= 0: SolverConfig rejects a negative horizon and
+    # zero steps, and at T = 0 the kernel returns the initial state unstepped
+    def test_nonpositive_step_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="final time must be >= 0"):
+            SolverConfig(T=-0.1, steps=10, paths=1)
+        with pytest.raises(ValueError, match="at least one step"):
+            SolverConfig(T=0.1, steps=0, paths=1)
+
+        def no_step(*args):
+            raise AssertionError("the kernel stepped with h = 0")
+
+        monkeypatch.setattr(solver, "_euler_rows", no_step)
+        model = linear_additive_model(2, x0=np.array([1.0, 2.0]))
+        rows = simulate_path(model, SolverConfig(T=0.0, steps=5, paths=1), 0)
+        np.testing.assert_array_equal(rows, [[1.0, 2.0]])
 
 
 class TestSimulatePath:

@@ -13,8 +13,6 @@ from spdelab.cli import _convolution_quad_oracles
 from spdelab.spectrum import (
     SpectralCoeffs,
     SpectralOperator,
-    apply_fractional_power,
-    apply_semigroup,
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,
     hdot_norm,
@@ -64,73 +62,6 @@ class TestDirichletLaplacian:
             dirichlet_laplacian_1d(0)
 
 
-class TestSemigroup:
-    def test_time_zero_is_identity(self):
-        op = dirichlet_laplacian_1d(5)
-        x = coeffs(1.0, -2.0, 0.5, 3.0, -1.0)
-        np.testing.assert_array_equal(apply_semigroup(op, 0.0, x).values, x.values)
-
-    def test_log_two_halves(self):
-        op = SpectralOperator(np.array([1.0]))
-        out = apply_semigroup(op, math.log(2.0), coeffs(1.0))
-        np.testing.assert_allclose(out.values, [0.5], rtol=1e-15)
-
-    def test_scalar_exponential_oracle(self):
-        # exp(-pi^2/100) evaluated to 30 digits with mpmath
-        op = dirichlet_laplacian_1d(1)
-        out = apply_semigroup(op, 0.01, coeffs(1.0))
-        np.testing.assert_allclose(out.values, [0.906018055788922970958192686095], rtol=1e-14)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            apply_semigroup(dirichlet_laplacian_1d(1), -0.1, coeffs(1.0))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_semigroup(dirichlet_laplacian_1d(2), 0.1, coeffs(1.0))
-
-    @given(
-        t=st.floats(min_value=0.0, max_value=1.0),
-        s=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_composition_property(self, t, s, seed):
-        op = dirichlet_laplacian_1d(8)
-        x = SpectralCoeffs(np.random.default_rng(seed).standard_normal(8))
-        two_step = apply_semigroup(op, t, apply_semigroup(op, s, x))
-        one_step = apply_semigroup(op, t + s, x)
-        np.testing.assert_allclose(two_step.values, one_step.values, rtol=1e-12, atol=1e-300)
-
-    @given(
-        t=st.floats(min_value=0.0, max_value=10.0),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_contraction(self, t, seed):
-        op = dirichlet_laplacian_1d(8)
-        x = SpectralCoeffs(np.random.default_rng(seed).standard_normal(8))
-        flowed = apply_semigroup(op, t, x)
-        assert hdot_norm(op, 0.0, flowed) <= hdot_norm(op, 0.0, x) * (1.0 + 1e-15)
-
-
-class TestFractionalPower:
-    def test_power_zero_is_identity(self):
-        op = dirichlet_laplacian_1d(3)
-        x = coeffs(1.0, 2.0, 3.0)
-        np.testing.assert_array_equal(apply_fractional_power(op, 0.0, x).values, x.values)
-
-    def test_full_power_multiplies_by_eigenvalue(self):
-        op = SpectralOperator(np.array([4.0]))
-        out = apply_fractional_power(op, 2.0, coeffs(3.0))
-        np.testing.assert_allclose(out.values, [12.0], rtol=1e-15)
-
-    def test_negative_power_smooths(self):
-        op = dirichlet_laplacian_1d(1)
-        out = apply_fractional_power(op, -1.0, coeffs(1.0))
-        np.testing.assert_allclose(out.values, [0.318309886183790671537767526745], rtol=1e-14)
-
-
 class TestHdotNorm:
     def test_zero_weight_is_euclidean(self):
         op = dirichlet_laplacian_1d(3)
@@ -146,6 +77,10 @@ class TestHdotNorm:
         op = dirichlet_laplacian_1d(2)
         value = hdot_norm(op, 2.0, coeffs(1.0, 1.0))
         assert value == pytest.approx(40.6934214287523559298553805578, rel=1e-14)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            hdot_norm(dirichlet_laplacian_1d(2), 0.0, coeffs(1.0))
 
     @given(
         s1=st.floats(min_value=-1.0, max_value=2.0),
