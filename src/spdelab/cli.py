@@ -60,18 +60,19 @@ def write_csv(path: Path, resolved_config: str, header: list[str], rows: list[tu
     path.write_text("\n".join(lines) + "\n")
 
 
+# Largest relative gap allowed between a closed-form convolution value and its quadrature.
+EXACTNESS_RTOL = 1e-8
+# Floating-point headroom applied to analytic inequalities whose two sides can
+# coincide to rounding at the extremizer.
+RELATIVE_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class LemmaTolerances:
-    """Tolerances for the lemma verification suite.
-
-    `relative_slack` is the floating-point headroom applied to analytic
-    inequalities whose two sides can coincide to rounding at the extremizer.
-    """
+    """Draw counts and seed of the lemma verification suite."""
 
     bound_draws: int = 1000
     exactness_draws: int = 100
-    exactness_rtol: float = 1e-8
-    relative_slack: float = 1e-12
     mc_paths: int = 10000
     seed: int = 0
 
@@ -138,7 +139,7 @@ def verify_lemmas(tolerances: LemmaTolerances | None = None) -> LemmaReport:
     plus the Monte-Carlo moment inequality at p in {2, 4}."""
     tol = tolerances or LemmaTolerances()
     rng = np.random.default_rng(tol.seed)
-    slack = 1.0 + tol.relative_slack
+    slack = 1.0 + RELATIVE_SLACK
     checks: list[LemmaCheck] = []
 
     def log_uniform(lo, hi, size=None):
@@ -198,7 +199,7 @@ def verify_lemmas(tolerances: LemmaTolerances | None = None) -> LemmaReport:
     record(("difference_smoothing",), tol.bound_draws, slack, difference_smoothing)
     record(("convolution_energy_bound", "convolution_flow_bound"), tol.bound_draws, slack,
            convolution_bounds)
-    record(("convolution_exactness",), tol.exactness_draws, tol.exactness_rtol,
+    record(("convolution_exactness",), tol.exactness_draws, EXACTNESS_RTOL,
            convolution_exactness)
 
     # moment inequality at p in {2, 4} for an exactly sampled noise response
@@ -279,11 +280,15 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
     workers = cfg.get_int("solver.workers", 1)
     method = solver_method(cfg)
     s_values = cfg.get_floats("probe.s")
-    anchor = cfg.get_float("probe.anchor", config.T / 2.0)
+    anchor = cfg.get_float("probe.anchor", config.steps // 2 * config.h)
     if "probe.lags" in cfg:
         lags = cfg.get_floats("probe.lags")
     else:
-        mults = probes.geometric_lag_multiples(10, max(config.steps // 4, 100))
+        steps_left = config.steps - config.step_of(anchor)
+        if steps_left < 100:
+            raise ConfigError(f"only {steps_left} steps follow the anchor; the fit needs lags "
+                              "spanning two decades, so set probe.lags", key="probe.lags")
+        mults = probes.geometric_lag_multiples(10, min(max(config.steps // 4, 100), steps_left))
         lags = [m * config.h for m in mults]
     results = probes.temporal_probe(
         model, config, s_values, anchor, lags, method=method, workers=workers
@@ -322,13 +327,12 @@ def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
 
 
 def _run_verify_lemmas(cfg, out_dir: Path) -> list[str]:
+    default = LemmaTolerances()
     tol = LemmaTolerances(
-        bound_draws=cfg.get_int("lemmas.bound_draws", 1000),
-        exactness_draws=cfg.get_int("lemmas.exactness_draws", 100),
-        exactness_rtol=cfg.get_float("lemmas.exactness_rtol", 1e-8),
-        relative_slack=cfg.get_float("lemmas.slack", 1e-12),
-        mc_paths=cfg.get_int("lemmas.paths", 10000),
-        seed=cfg.get_int("solver.seed", 0),
+        bound_draws=cfg.get_int("lemmas.bound_draws", default.bound_draws),
+        exactness_draws=cfg.get_int("lemmas.exactness_draws", default.exactness_draws),
+        mc_paths=cfg.get_int("lemmas.paths", default.mc_paths),
+        seed=cfg.get_int("solver.seed", default.seed),
     )
     report = verify_lemmas(tol)
     write_csv(

@@ -1,9 +1,9 @@
 """Flat key=value experiment configuration files.
 
 The format is one `key = value` pair per line, dotted section prefixes
-(`model.N = 256`), `#` comments, and no nesting.  Values stay strings until a
-typed accessor pulls them out; every parse or validation error reports the
-offending key and line.
+(`model.N = 256`), `#` comments, and no nesting.  Only the keys in
+`KNOWN_KEYS` are accepted.  Values stay strings until a typed accessor pulls
+them out; every parse or validation error reports the offending key and line.
 """
 
 from __future__ import annotations
@@ -37,6 +37,21 @@ KINDS = (
 # Keys that steer execution without changing any computed number; they are
 # excluded from the resolved-config line embedded in output files.
 EXECUTION_KEYS = ("output.dir", "solver.workers")
+
+# Every key a config file may set; any other key is rejected as a likely typo.
+KNOWN_KEYS = frozenset({
+    "kind", *EXECUTION_KEYS,
+    "model.N", "model.initial", "model.r", "model.p",
+    "model.covariance", "model.covariance.value", "model.covariance.values",
+    "model.drift", "model.drift.multipliers", "model.drift.function", "model.drift.grid",
+    "model.diffusion", "model.diffusion.multipliers", "model.diffusion.function",
+    "model.diffusion.grid",
+    "solver.method", "solver.T", "solver.steps", "solver.paths", "solver.seed",
+    "solver.snapshots",
+    "probe.s", "probe.anchor", "probe.lags", "probe.sweep_N",
+    "lemmas.bound_draws", "lemmas.exactness_draws", "lemmas.paths",
+    "series.r", "series.t", "series.N",
+})
 
 
 class ConfigError(ValueError):
@@ -144,6 +159,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if not key:
             raise ConfigError("empty key", line=lineno)
+        if key not in KNOWN_KEYS:
+            raise ConfigError("unknown key", key=key, line=lineno)
         if key in entries:
             raise ConfigError("duplicate key", key=key, line=lineno)
         entries[key] = value

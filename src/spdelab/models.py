@@ -1,10 +1,10 @@
-"""Problem description: drift and diffusion specifications, and assumption checks.
+"""Problem description: model specs, the scalar-function registry, assumption checks.
 
 A model couples the operator spectrum, the noise covariance, a drift F, a
 diffusion G, a deterministic initial state, and the regularity parameters
 (r, p) the user claims for it.  Nonlinearities are pointwise (Nemytskii)
-compositions with scalar functions from a registry of verified Lipschitz maps,
-evaluated through the sine transforms.
+compositions with scalar functions from a registry of verified Lipschitz maps;
+the solver evaluates F and G on the rows of a time step.
 """
 
 from __future__ import annotations
@@ -192,94 +192,6 @@ class ModelSpec:
     @property
     def dimension(self) -> int:
         return self.operator.dimension
-
-
-class Workspace:
-    """Scratch arrays reused across the steps of one block of rows.
-
-    ``get(name, shape)`` returns the same float array for a name as long as the
-    shape stays the same, so a loop that asks for its buffers on every step
-    allocates them once.  What `_drift_rows` and `_diffusion_rows` write here
-    stays valid until their next call with the same workspace.  A workspace
-    belongs to one caller at a time: two blocks sharing one would overwrite
-    each other's rows.
-    """
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.empty(shape)
-        return arr
-
-
-def _pointwise(fn: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """fn(values), written into `out` when fn is a numpy ufunc; other functions allocate."""
-    if isinstance(fn, np.ufunc):
-        return fn(values, out=out)
-    return fn(values)
-
-
-def _drift_rows(
-    model: ModelSpec,
-    states: np.ndarray,
-    work: Workspace,
-    state_grid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Drift evaluated row-wise on a (paths, modes) state array.
-
-    A Nemytskii drift uses `state_grid`, the states synthesized on its grid,
-    when given.  The result may be an array of `work`.
-    """
-    drift = model.drift
-    if isinstance(drift, ZeroDrift):
-        return np.zeros_like(states)
-    if isinstance(drift, DiagonalLinearDrift):
-        return np.multiply(states, drift.multipliers, out=work.get("drift", states.shape))
-    fn = get_scalar_function(drift.function).fn
-    grid_shape = (states.shape[0], drift.grid_size - 1)
-    if state_grid is None:
-        state_grid = transforms.synthesize(
-            states, drift.grid_size, out=work.get("drift grid", grid_shape)
-        )
-    values = _pointwise(fn, state_grid, work.get("drift values", grid_shape))
-    return transforms.analyze(values, model.dimension, out=work.get("drift", states.shape))
-
-
-def _diffusion_rows(
-    model: ModelSpec,
-    states: np.ndarray,
-    increments: np.ndarray,
-    work: Workspace,
-    state_grid: np.ndarray | None = None,
-) -> np.ndarray:
-    """G(state) dW evaluated row-wise on matching (paths, modes) arrays.
-
-    A Nemytskii diffusion uses `state_grid`, the states synthesized on its
-    grid, when given.  The result may be an array of `work`.
-    """
-    diffusion = model.diffusion
-    if isinstance(diffusion, AdditiveDiagonalDiffusion):
-        return np.multiply(
-            increments, diffusion.multipliers, out=work.get("diffusion", increments.shape)
-        )
-    fn = get_scalar_function(diffusion.function).fn
-    grid_shape = (states.shape[0], diffusion.grid_size - 1)
-    if state_grid is None:
-        state_grid = transforms.synthesize(
-            states, diffusion.grid_size, out=work.get("diffusion grid", grid_shape)
-        )
-    noise_values = transforms.synthesize(
-        increments, diffusion.grid_size, out=work.get("noise grid", grid_shape)
-    )
-    values = _pointwise(fn, state_grid, work.get("diffusion values", grid_shape))
-    # into the noise buffer: a non-ufunc fn may return the shared state grid itself
-    np.multiply(values, noise_values, out=noise_values)
-    return transforms.analyze(noise_values, model.dimension,
-                              out=work.get("diffusion", increments.shape))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ of paths together and returns their snapshots as an array (block,
 n_snapshots, modes).  ``map_paths`` and ``ensemble_snapshots`` split the
 ensemble into such blocks, and ``simulate_path`` runs one path as a one-row
 block.  ``_euler_rows`` is the scheme's update of a (paths, modes) array of
-states.  Paths are independent given their streams and may be executed
-concurrently.
+states, and ``_drift_rows`` and ``_diffusion_rows`` are its only evaluation of
+F and G dW.  Paths are independent given their streams and may run concurrently.
 For models without a Nemytskii term a path's result is a pure function of
 (model, config, path index).  A Nemytskii term goes through the dense sine
 transforms, whose matrix products BLAS rounds differently for different row
@@ -18,22 +18,23 @@ counts, so a row's last bits (about 1e-15 relative) depend on the block it is
 computed in.  ``map_paths`` fixes the blocks from the path count and
 ``block_size`` alone, so results never depend on the worker count.
 
-Each call of ``_simulate_block`` creates one workspace (``models.Workspace``)
-holding the block's scratch arrays: the grid values of states and noise, the
-pointwise images, and the drift and diffusion rows.  They are allocated on the
-first step and reused by every later one, and the state, noise and finiteness
-rows are updated in place.  Each path's stream writes its normals straight
-into that path's row of the block's noise buffer, through row views made once
-per block, so a step allocates no block-sized array and no per-path draw
-array.  The workspace is local to the call: it is never shared between blocks
-or between threads.  When drift and diffusion are both Nemytskii on one grid,
-each step synthesizes the state once and both evaluate the same grid values.
-In-place updates keep the operation order of the textbook formulas, so results
-are bitwise those of the allocating form.
+Each call of ``_simulate_block`` creates one ``Workspace`` holding the
+block's scratch arrays: the grid values of states and noise, the pointwise
+images, and the drift and diffusion rows.  They are allocated on the first
+step and reused by every later one, and the state, noise and finiteness rows
+are updated in place.  Each path's stream writes its normals straight into
+that path's row of the block's noise buffer, through row views made once per
+block, so a step allocates no block-sized array and no per-path draw array.
+The workspace is local to the call: it is never shared between blocks or
+between threads.  Each step synthesizes the states at most once per grid
+size, so a Nemytskii drift and diffusion on one grid evaluate the same grid
+values.  In-place updates keep the operation order of the textbook formulas,
+so results are bitwise those of the allocating form.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -43,13 +44,12 @@ import numpy as np
 from . import transforms
 from .models import (
     AdditiveDiagonalDiffusion,
+    DiagonalLinearDrift,
     ModelSpec,
     NemytskiiDiffusion,
     NemytskiiDrift,
-    Workspace,
     ZeroDrift,
-    _diffusion_rows,
-    _drift_rows,
+    get_scalar_function,
 )
 from .noise import NoiseStream
 
@@ -110,6 +110,71 @@ class SolverConfig:
         return [self.step_of(t) for t in self.snapshot_times]
 
 
+class Workspace:
+    """Scratch arrays reused across the steps of one block of rows.
+
+    ``get(name, shape)`` returns the same float array for a name as long as the
+    shape stays the same, so a loop that asks for its buffers on every step
+    allocates them once.  What `_drift_rows` and `_diffusion_rows` write here
+    stays valid until their next call with the same workspace.  A workspace
+    belongs to one caller at a time: two blocks sharing one would overwrite
+    each other's rows.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[name] = np.empty(shape)
+        return arr
+
+
+def _pointwise(spec: NemytskiiDrift | NemytskiiDiffusion,
+               state_grid: Callable[[int], np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The spec's function of the states' grid values, written into `out` when
+    it is a numpy ufunc; other functions allocate."""
+    fn, values = get_scalar_function(spec.function).fn, state_grid(spec.grid_size)
+    return fn(values, out=out) if isinstance(fn, np.ufunc) else fn(values)
+
+
+def _drift_rows(model: ModelSpec, states: np.ndarray, work: Workspace,
+                state_grid: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Linear or Nemytskii drift F evaluated row-wise on a (paths, modes) state array.
+
+    A Nemytskii drift on an M-point grid reads the states' grid values from
+    `state_grid(M)`.  The result is an array of `work`.
+    """
+    drift = model.drift
+    if isinstance(drift, DiagonalLinearDrift):
+        return np.multiply(states, drift.multipliers, out=work.get("drift", states.shape))
+    grid_shape = (len(states), drift.grid_size - 1)
+    values = _pointwise(drift, state_grid, work.get("drift values", grid_shape))
+    return transforms.analyze(values, model.dimension, out=work.get("drift", states.shape))
+
+
+def _diffusion_rows(model: ModelSpec, states: np.ndarray, increments: np.ndarray,
+                    work: Workspace, state_grid: Callable[[int], np.ndarray]) -> np.ndarray:
+    """G(state) dW evaluated row-wise on matching (paths, modes) arrays.
+
+    A Nemytskii diffusion on an M-point grid reads the states' grid values
+    from `state_grid(M)`.  The result is an array of `work`.
+    """
+    diffusion = model.diffusion
+    if isinstance(diffusion, AdditiveDiagonalDiffusion):
+        out = work.get("diffusion", increments.shape)
+        return np.multiply(increments, diffusion.multipliers, out=out)
+    grid_shape = (len(states), diffusion.grid_size - 1)
+    values = _pointwise(diffusion, state_grid, work.get("diffusion values", grid_shape))
+    noise_values = transforms.synthesize(increments, diffusion.grid_size,
+                                         out=work.get("noise grid", grid_shape))
+    # into the noise buffer: a non-ufunc fn may return the shared state grid itself
+    np.multiply(values, noise_values, out=noise_values)
+    return transforms.analyze(noise_values, model.dimension,
+                              out=work.get("diffusion", increments.shape))
+
+
 def _euler_rows(
     model: ModelSpec,
     decay: np.ndarray,
@@ -119,21 +184,16 @@ def _euler_rows(
     work: Workspace,
 ) -> None:
     """Advance (paths, modes) `states` in place to decay * ((x - h F(x)) + G(x) dW)."""
-    drift, diffusion = model.drift, model.diffusion
-    state_grid = None
-    if (
-        isinstance(drift, NemytskiiDrift)
-        and isinstance(diffusion, NemytskiiDiffusion)
-        and drift.grid_size == diffusion.grid_size
-    ):
-        state_grid = transforms.synthesize(
-            states, drift.grid_size,
-            out=work.get("state grid", (states.shape[0], drift.grid_size - 1)),
-        )
-    # a zero drift is skipped: x - h * 0 is x, bitwise
-    h_drift = None if isinstance(drift, ZeroDrift) else _drift_rows(model, states, work, state_grid)
+
+    @functools.cache  # the states are synthesized at most once per grid size
+    def state_grid(m: int) -> np.ndarray:
+        out = work.get(f"state grid {m}", (len(states), m - 1))
+        return transforms.synthesize(states, m, out=out)
+
+    # both terms are evaluated before `states` changes
     g_dw = _diffusion_rows(model, states, increments, work, state_grid)
-    if h_drift is not None:
+    if not isinstance(model.drift, ZeroDrift):  # a zero drift is skipped: x - h * 0 is x, bitwise
+        h_drift = _drift_rows(model, states, work, state_grid)
         h_drift *= h
         states -= h_drift
     states += g_dw

@@ -1,5 +1,6 @@
 """CLI and config-file tests: parsing, experiment kinds, and reproducibility."""
 
+import ast
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 import spdelab
 from spdelab import cli
 from spdelab.cli import LemmaTolerances, main
-from spdelab.config import ConfigError, parse_config_text
+from spdelab.config import KNOWN_KEYS, ConfigError, parse_config_text
 
 BASE_MODEL = """
 model.N = 16
@@ -57,6 +58,60 @@ class TestParsing:
         cfg = parse_config_text("kind = simulate\nsolver.T = soon\n")
         with pytest.raises(ConfigError, match=r"solver.T.*line 2"):
             cfg.get_float("solver.T")
+
+    @pytest.mark.parametrize("line", ["solver.step = 100", "solver.methd = exact-gaussian"])
+    def test_misspelled_key_is_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"unknown key \(key '{key}', line 2\)"):
+            parse_config_text(f"kind = simulate\n{line}\n")
+
+    def test_every_key_the_library_reads_is_known(self):
+        read = set()
+        for path in Path(spdelab.__file__).parent.glob("*.py"):
+            read |= keys_read(path.read_text())
+        assert read and read <= KNOWN_KEYS, sorted(read - KNOWN_KEYS)
+
+    # a key that nothing reads, like the removed lemmas.slack, must not stay known
+    def test_every_known_key_is_a_literal_of_the_library(self):
+        literals = set()
+        for path in Path(spdelab.__file__).parent.glob("*.py"):
+            for stmt in ast.parse(path.read_text()).body:
+                if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "KNOWN_KEYS":
+                    continue
+                literals |= {node.value for node in ast.walk(stmt)
+                             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert KNOWN_KEYS <= literals, sorted(KNOWN_KEYS - literals)
+
+    def test_key_reader_sees_accessors_membership_and_set(self):
+        source = (
+            'def f(cfg, self, key):\n'
+            '    cfg.get_int("a.b", 1); self.get_choice("kind", KINDS); cfg.get_str(key)\n'
+            '    if "c.d" not in cfg and "e" in cfg.entries and "=" in key:\n'
+            '        cfg.set("f.g", 2)\n'
+        )
+        assert keys_read(source) == {"a.b", "kind", "c.d", "e", "f.g"}
+
+
+def keys_read(source: str) -> set[str]:
+    """Key literals read through a typed accessor, `in cfg` or `cfg.set`."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and (node.func.attr.startswith("get_") or node.func.attr == "set")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            keys.add(node.args[0].value)
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Constant)
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            and ast.unparse(node.comparators[0]) in ("cfg", "cfg.entries")
+        ):
+            keys.add(node.left.value)
+    return keys
 
 
 class TestRunSeries:
@@ -340,17 +395,50 @@ class TestCommandLine:
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
 
-    # the default lags reach 100 steps past the T/2 anchor, beyond T = 10 steps
+    # the last lag reaches 7 steps past the anchor at step 5, beyond T = 10 steps
     def test_lag_past_the_final_time_is_named_as_such(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.01\nsolver.steps = 10\n"
-            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\n",
+            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\n"
+            "probe.lags = 0.001,0.002,0.003,0.004,0.005,0.007\n",
         )
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "lies outside [0, T] = [0, 0.01]" in err
         assert "not a grid point" not in err
+
+    # the default anchor is grid step steps // 2 = 100, and the lags reach 100 steps past it
+    def test_default_lags_fit_an_odd_step_count(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.01\nsolver.steps = 201\n"
+            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "temporal_s0.csv").read_text().splitlines()[2:]
+        lags = [float(row.split(",")[0]) for row in rows]
+        assert len(lags) == 10
+        assert lags[-1] / lags[0] == pytest.approx(100.0)
+
+    def test_too_few_steps_for_default_lags_name_the_key(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.01\nsolver.steps = 150\n"
+            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: only 75 steps follow the anchor")
+        assert "two decades" in err and "probe.lags" in err
+
+    def test_misspelled_key_exits_with_a_config_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, "kind = simulate\nsolver.T = 0.01\nsolver.methd = exact-gaussian\n"
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "unknown key (key 'solver.methd', line 3)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # Runs every config through `cli.main` in a fresh interpreter and lists the scipy

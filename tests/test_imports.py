@@ -1,6 +1,7 @@
 """Every module-level import of the library is used somewhere in its module, no
-module imports scipy, which only the tests and the benchmark sweeps use, and
-every public name has a caller."""
+module imports scipy, which only the tests and the benchmark sweeps use, no
+module imports another module's underscore name, and every public name has a
+caller."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,43 @@ def test_scipy_detector_sees_lazy_imports():
         "def f():\n    from scipy.optimize import brentq\n    import scipy.fft as fft\n"
     )
     assert scipy_imports(source) == ["scipy.optimize", "scipy.fft"]
+
+
+# Underscore names that another library module may import, each with its reason.
+PRIVATE_IMPORTS_ALLOWED = {
+    "spectrum._frozen_array": "models freezes its multiplier arrays the way spectrum does",
+}
+
+
+def private_imports(source: str) -> list[str]:
+    """`module.name` for each underscore name that `source` imports from the package."""
+    return [
+        f"{node.module or 'spdelab'}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_FILES, ids=[p.stem for p in ALL_FILES])
+def test_module_imports_no_private_name(path):
+    names = private_imports(path.read_text())
+    assert [name for name in names if name not in PRIVATE_IMPORTS_ALLOWED] == []
+
+
+def test_private_allowlist_is_used():
+    used = {name for p in ALL_FILES for name in private_imports(p.read_text())}
+    assert set(PRIVATE_IMPORTS_ALLOWED) <= used
+
+
+def test_private_import_detector():
+    source = (
+        "from .models import ModelSpec, _drift_rows\nfrom . import _hidden\n"
+        "from numpy import _core\n"
+        "def f():\n    from .noise import _draw as draw\n"
+    )
+    assert private_imports(source) == ["models._drift_rows", "spdelab._hidden", "noise._draw"]
 
 
 def exported_names(source: str) -> list[str]:

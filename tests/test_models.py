@@ -1,9 +1,11 @@
 """Model specification tests: registry, drift/diffusion evaluation, assumptions."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from spdelab import models
+from spdelab import models, solver, transforms
 from spdelab.models import (
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
@@ -95,20 +97,21 @@ class TestModelValidation:
 
 def drift_row(model, x):
     """F(x) for one state row, through the block kernel's drift evaluation."""
-    return models._drift_rows(model, x[None, :], models.Workspace())[0]
+    rows = x[None, :]
+    return solver._drift_rows(
+        model, rows, solver.Workspace(), functools.partial(transforms.synthesize, rows)
+    )[0]
 
 
 def diffusion_row(model, x, dw):
     """G(x) dW for one state row, through the block kernel's diffusion evaluation."""
-    return models._diffusion_rows(model, x[None, :], dw[None, :], models.Workspace())[0]
+    rows = x[None, :]
+    return solver._diffusion_rows(
+        model, rows, dw[None, :], solver.Workspace(), functools.partial(transforms.synthesize, rows)
+    )[0]
 
 
 class TestApplyDrift:
-    def test_zero_drift(self):
-        model = make_model()
-        x = np.arange(1.0, 9.0)
-        np.testing.assert_array_equal(drift_row(model, x), np.zeros(8))
-
     def test_constant_diagonal_multiplier(self):
         n = 8
         model = make_model(n, drift=DiagonalLinearDrift(np.full(n, 2.5)))

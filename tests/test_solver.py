@@ -15,7 +15,6 @@ from spdelab.models import (
     ModelSpec,
     NemytskiiDiffusion,
     NemytskiiDrift,
-    Workspace,
     ZeroDrift,
 )
 from spdelab.noise import CovarianceSpectrum, NoiseStream, example_covariance
@@ -24,6 +23,7 @@ from spdelab.solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
     SolverConfig,
+    Workspace,
     _euler_rows,
     _simulate_block,
     ensemble_snapshots,
@@ -140,6 +140,19 @@ class TestExponentialEulerStep:
         mean_step = euler_step(model, x, np.zeros(n), h)
         expected = np.exp(-model.operator.eigenvalues * h) * (1.0 - h * 0.3) * x
         np.testing.assert_allclose(mean_step, expected, rtol=1e-14)
+
+    # a zero drift is never evaluated: x - h * 0 is x, bitwise
+    def test_zero_drift_is_skipped(self, monkeypatch):
+        def no_drift(*args):
+            raise AssertionError("the step evaluated a zero drift")
+
+        monkeypatch.setattr(solver, "_drift_rows", no_drift)
+        n, h = 8, 0.01
+        model = linear_additive_model(n, g=0.5)
+        x, dw = np.arange(1.0, 9.0), np.linspace(-1.0, 1.0, n)
+        np.testing.assert_array_equal(
+            euler_step(model, x, dw, h), np.exp(-model.operator.eigenvalues * h) * (x + dw * 0.5)
+        )
 
     @pytest.mark.parametrize(
         "make_model", [linear_additive_model, diagonal_linear_model, nemytskii_model]
@@ -563,28 +576,56 @@ class TestSharedSynthesis:
         _simulate_block(model, config, range(5))
         assert calls == {"synthesize": synthesize_per_step * 7, "analyze": 2 * 7}
 
-    # sigmoid is not a ufunc, so it allocates its own grid values; the shared
-    # state grid must come out of the step untouched either way
-    @pytest.mark.parametrize("drift_function", ["identity", "tanh"])
-    def test_steps_match_the_allocating_formula(self, drift_function):
-        n, grid, paths = 8, 32, 4
+    # sigmoid and identity are not ufuncs: sigmoid allocates its grid values and
+    # identity returns the shared state grid itself, which must come out of
+    # each evaluation untouched
+    CASES = {
+        "identity": (NemytskiiDrift("identity", 32), NemytskiiDiffusion("sigmoid", 32)),
+        "tanh": (NemytskiiDrift("tanh", 32), NemytskiiDiffusion("sigmoid", 32)),
+        "sigmoid-drift": (NemytskiiDrift("sigmoid", 32), NemytskiiDiffusion("identity", 32)),
+        "same-grid": (NemytskiiDrift("tanh", 32), NemytskiiDiffusion("cos", 32)),
+        "different-grids": (NemytskiiDrift("tanh", 20), NemytskiiDiffusion("cos", 32)),
+        "linear-drift": (
+            DiagonalLinearDrift(np.linspace(-3.0, 3.0, 8)), NemytskiiDiffusion("cos", 32)
+        ),
+        "additive-diffusion": (
+            NemytskiiDrift("tanh", 32), AdditiveDiagonalDiffusion(np.full(8, 0.5))
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_steps_match_the_allocating_formula(self, case):
+        n, paths = 8, 4
+        drift, diffusion = self.CASES[case]
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
-            drift=NemytskiiDrift(drift_function, grid),
-            diffusion=NemytskiiDiffusion("sigmoid", grid),
+            drift=drift,
+            diffusion=diffusion,
             initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
         )
         config = SolverConfig(T=0.03, steps=3, paths=paths, master_seed=2)
-        f = models.get_scalar_function(drift_function).fn
-        basis = transforms.sine_basis_matrix(n, grid)
+
+        def on_grid(spec, x):
+            """spec's function of the grid values of x, and the grid's basis."""
+            basis = transforms.sine_basis_matrix(n, spec.grid_size)
+            return models.get_scalar_function(spec.function).fn(x @ basis), basis
+
         h = config.h
         decay = np.exp(-model.operator.eigenvalues * h)
         noise_sd = np.sqrt(model.covariance.variances * h)
         x = np.tile(model.initial.values, (paths, 1))
         for j in range(config.steps):
             dW = noise_sd * np.array([NoiseStream(2, i).step_normals(j, n) for i in range(paths)])
-            drift = f(x @ basis) @ basis.T / grid
-            diffusion = (1.0 / (1.0 + np.exp(-(x @ basis))) * (dW @ basis)) @ basis.T / grid
-            x = decay * (x - h * drift + diffusion)
+            if isinstance(drift, DiagonalLinearDrift):
+                f_x = x * drift.multipliers
+            else:
+                values, basis = on_grid(drift, x)
+                f_x = values @ basis.T / drift.grid_size
+            if isinstance(diffusion, AdditiveDiagonalDiffusion):
+                g_dw = dW * diffusion.multipliers
+            else:
+                values, basis = on_grid(diffusion, x)
+                g_dw = (values * (dW @ basis)) @ basis.T / diffusion.grid_size
+            x = decay * (x - h * f_x + g_dw)
         np.testing.assert_array_equal(_simulate_block(model, config, range(paths))[:, -1], x)
