@@ -23,7 +23,6 @@ from .config import (
     build_model,
     build_solver,
     parse_config_file,
-    solver_method,
     warn_on_stiff_linear_drift,
 )
 from .models import (
@@ -68,31 +67,12 @@ RELATIVE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class LemmaTolerances:
-    """Draw counts and seed of the lemma verification suite."""
-
-    bound_draws: int = 1000
-    exactness_draws: int = 100
-    mc_paths: int = 10000
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class LemmaCheck:
     name: str
     draws: int
     violations: int
     worst: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    checks: tuple[LemmaCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 @functools.cache
@@ -134,11 +114,17 @@ def _convolution_quad_oracles(op, rho, tau1, tau2, x) -> tuple[float, float]:
     return energy, norm
 
 
-def verify_lemmas(tolerances: LemmaTolerances | None = None) -> LemmaReport:
+def verify_lemmas(
+    bound_draws: int, exactness_draws: int, mc_paths: int, seed: int
+) -> tuple[LemmaCheck, ...]:
     """Exactness and sharp-constant bound suites for the semigroup estimates,
-    plus the Monte-Carlo moment inequality at p in {2, 4}."""
-    tol = tolerances or LemmaTolerances()
-    rng = np.random.default_rng(tol.seed)
+    plus the Monte-Carlo moment inequality at p in {2, 4}.
+
+    Each bound check takes `bound_draws` random draws, the exactness check
+    `exactness_draws`, and the moment check samples `mc_paths` exact paths;
+    `seed` drives all of them.
+    """
+    rng = np.random.default_rng(seed)
     slack = 1.0 + RELATIVE_SLACK
     checks: list[LemmaCheck] = []
 
@@ -195,12 +181,11 @@ def verify_lemmas(tolerances: LemmaTolerances | None = None) -> LemmaReport:
         flow = deterministic_convolution_norm(op, rho, tau1, tau2, x)
         return (max(abs(energy - energy_q) / energy_q, abs(flow - norm_q) / norm_q),)
 
-    record(("power_smoothing",), tol.bound_draws, slack, power_smoothing)
-    record(("difference_smoothing",), tol.bound_draws, slack, difference_smoothing)
-    record(("convolution_energy_bound", "convolution_flow_bound"), tol.bound_draws, slack,
+    record(("power_smoothing",), bound_draws, slack, power_smoothing)
+    record(("difference_smoothing",), bound_draws, slack, difference_smoothing)
+    record(("convolution_energy_bound", "convolution_flow_bound"), bound_draws, slack,
            convolution_bounds)
-    record(("convolution_exactness",), tol.exactness_draws, EXACTNESS_RTOL,
-           convolution_exactness)
+    record(("convolution_exactness",), exactness_draws, EXACTNESS_RTOL, convolution_exactness)
 
     # moment inequality at p in {2, 4} for an exactly sampled noise response
     n = 32
@@ -217,12 +202,11 @@ def verify_lemmas(tolerances: LemmaTolerances | None = None) -> LemmaReport:
     )
     t_final = 0.1
     config = SolverConfig(
-        T=t_final, steps=100, paths=tol.mc_paths, master_seed=tol.seed,
-        snapshot_times=(t_final,),
+        T=t_final, steps=100, paths=mc_paths, master_seed=seed,
+        snapshot_times=(t_final,), method=EXACT_GAUSSIAN,
     )
     norms = solver.map_paths(
-        model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1)),
-        method=EXACT_GAUSSIAN,
+        model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1))
     )
     energy = stochastic_convolution_energy(
         op_mc, 0.0, 0.0, t_final, SpectralCoeffs(np.sqrt(cov.variances))
@@ -234,14 +218,12 @@ def verify_lemmas(tolerances: LemmaTolerances | None = None) -> LemmaReport:
         bound = burkholder_constant(p) * energy ** (p / 2.0)
         passed = moment <= bound + 3.0 * se
         checks.append(
-            LemmaCheck(f"moment_bound_p{int(p)}", tol.mc_paths, int(not passed), moment / bound, passed)
+            LemmaCheck(f"moment_bound_p{int(p)}", mc_paths, int(not passed), moment / bound, passed)
         )
-    return LemmaReport(tuple(checks))
+    return tuple(checks)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    if args.paths is not None:
-        cfg.set("solver.paths", args.paths)
     if args.seed is not None:
         cfg.set("solver.seed", args.seed)
     if args.output_dir is not None:
@@ -260,7 +242,7 @@ def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
 def _run_simulate(cfg, out_dir: Path) -> list[str]:
     model, config = _model_and_solver(cfg)
     workers = cfg.get_int("solver.workers", 1)
-    rows_all = solver.ensemble_snapshots(model, config, solver_method(cfg), workers)
+    rows_all = solver.ensemble_snapshots(model, config, workers)
     table = []
     summary = []
     for i, t in enumerate(config.snapshot_times):
@@ -278,7 +260,6 @@ def _run_simulate(cfg, out_dir: Path) -> list[str]:
 def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
     model, config = _model_and_solver(cfg)
     workers = cfg.get_int("solver.workers", 1)
-    method = solver_method(cfg)
     s_values = cfg.get_floats("probe.s")
     anchor = cfg.get_float("probe.anchor", config.steps // 2 * config.h)
     if "probe.lags" in cfg:
@@ -290,9 +271,7 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
                               "spanning two decades, so set probe.lags", key="probe.lags")
         mults = probes.geometric_lag_multiples(10, min(max(config.steps // 4, 100), steps_left))
         lags = [m * config.h for m in mults]
-    results = probes.temporal_probe(
-        model, config, s_values, anchor, lags, method=method, workers=workers
-    )
+    results = probes.temporal_probe(model, config, s_values, anchor, lags, workers=workers)
     summary = []
     fit_rows = []
     for idx, (s, (fit, table)) in enumerate(zip(s_values, results)):
@@ -313,9 +292,7 @@ def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
     workers = cfg.get_int("solver.workers", 1)
     s = cfg.get_float("probe.s", model.r + 1.0)
     n_values = cfg.get_ints("probe.sweep_N")
-    sweep = probes.spatial_sweep(
-        model, config, s, n_values, method=solver_method(cfg), workers=workers
-    )
+    sweep = probes.spatial_sweep(model, config, s, n_values, workers=workers)
     write_csv(out_dir / "spatial_sweep.csv", cfg.resolved(), ["N", "value"], sweep)
     summary = [f"sweep s={s:g}: values {' '.join(f'{v:.5g}' for _, v in sweep)}"]
     gaps = [abs(b[1] - a[1]) for a, b in zip(sweep, sweep[1:])]
@@ -327,24 +304,22 @@ def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
 
 
 def _run_verify_lemmas(cfg, out_dir: Path) -> list[str]:
-    default = LemmaTolerances()
-    tol = LemmaTolerances(
-        bound_draws=cfg.get_int("lemmas.bound_draws", default.bound_draws),
-        exactness_draws=cfg.get_int("lemmas.exactness_draws", default.exactness_draws),
-        mc_paths=cfg.get_int("lemmas.paths", default.mc_paths),
-        seed=cfg.get_int("solver.seed", default.seed),
+    checks = verify_lemmas(
+        bound_draws=cfg.get_int("lemmas.bound_draws", 1000),
+        exactness_draws=cfg.get_int("lemmas.exactness_draws", 100),
+        mc_paths=cfg.get_int("lemmas.paths", 10000),
+        seed=cfg.get_int("solver.seed", 0),
     )
-    report = verify_lemmas(tol)
     write_csv(
         out_dir / "lemmas.csv",
         cfg.resolved(),
         ["check", "draws", "violations", "worst", "passed"],
-        [(c.name, c.draws, c.violations, c.worst, c.passed) for c in report.checks],
+        [(c.name, c.draws, c.violations, c.worst, c.passed) for c in checks],
     )
     return [
         f"{c.name}: {'PASS' if c.passed else 'FAIL'} "
         f"(violations {c.violations}/{c.draws}, worst {c.worst:.6g})"
-        for c in report.checks
+        for c in checks
     ]
 
 
@@ -352,9 +327,9 @@ def _run_example_series(cfg, out_dir: Path) -> list[str]:
     r = cfg.get_float("series.r", 0.25)
     t = cfg.get_float("series.t", 0.1)
     n_values = cfg.get_ints("series.N", [1000, 10000, 100000])
-    report = probes.example_series_report(r, t, n_values)
-    write_csv(out_dir / "series.csv", cfg.resolved(), ["N", "partial_sum"], list(report.partial_sums))
-    sums = [v for _, v in report.partial_sums]
+    partial_sums = probes.example_series_report(r, t, n_values)
+    write_csv(out_dir / "series.csv", cfg.resolved(), ["N", "partial_sum"], list(partial_sums))
+    sums = [v for _, v in partial_sums]
     increments = [b - a for a, b in zip(sums, sums[1:])]
     summary = [f"series r={r:g} t={t:g}: partial sums {' '.join(f'{v:.6g}' for v in sums)}"]
     if len(increments) >= 2:  # a verdict compares the first increment with the last
@@ -421,7 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="run the experiment described by a config file")
     run_parser.add_argument("config", help="path to a key=value config file")
     run_parser.add_argument("--output-dir", default=None, help="directory for CSV output")
-    run_parser.add_argument("--paths", type=int, default=None, help="override solver.paths")
     run_parser.add_argument("--seed", type=int, default=None, help="override solver.seed")
     run_parser.add_argument("--workers", type=int, default=None, help="parallel path workers")
     args = parser.parse_args(argv)

@@ -254,6 +254,7 @@ def build_solver(cfg: ExperimentConfig) -> SolverConfig:
     snapshots = None
     if "solver.snapshots" in cfg:
         snapshots = tuple(cfg.get_floats("solver.snapshots"))
+    token = cfg.get_choice("solver.method", ("euler", "exact-gaussian"), "euler")
     try:
         return SolverConfig(
             T=cfg.get_float("solver.T"),
@@ -261,6 +262,7 @@ def build_solver(cfg: ExperimentConfig) -> SolverConfig:
             paths=cfg.get_int("solver.paths", 1000),
             master_seed=cfg.get_int("solver.seed", 0),
             snapshot_times=snapshots,
+            method=EXPONENTIAL_EULER if token == "euler" else EXACT_GAUSSIAN,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid solver section: {exc}") from exc
@@ -285,8 +287,3 @@ def warn_on_stiff_linear_drift(
             f"step h = {config.h:g} with linear drift multiplier f_{k + 1} = {worst:g} gives "
             f"h*max|f_k| = {config.h * abs(worst):g} >= 1; the Euler drift term may be unstable"
         )
-
-
-def solver_method(cfg: ExperimentConfig) -> str:
-    token = cfg.get_choice("solver.method", ("euler", "exact-gaussian"), "euler")
-    return EXPONENTIAL_EULER if token == "euler" else EXACT_GAUSSIAN

@@ -17,7 +17,7 @@ import numpy as np
 
 from .models import AdditiveDiagonalDiffusion, DiagonalLinearDrift, ModelSpec, ZeroDrift
 from .noise import CovarianceSpectrum
-from .solver import EXPONENTIAL_EULER, SolverConfig, map_paths
+from .solver import SolverConfig, map_paths
 from .spectrum import SpectralCoeffs, SpectralOperator
 
 
@@ -30,15 +30,6 @@ class HolderEstimate:
     slope_stderr: float
     lags: tuple[float, ...]
     predicted: float
-
-
-@dataclass(frozen=True)
-class SeriesReport:
-    """Partial sums of the explicit second-moment series at growing truncations."""
-
-    r: float
-    t: float
-    partial_sums: tuple[tuple[int, float], ...]
 
 
 def predicted_temporal_exponent(r: float, s: float) -> float:
@@ -71,7 +62,6 @@ def increment_samples(
     config: SolverConfig,
     s_values: Sequence[float],
     lag_pairs: Sequence[tuple[float, float]],
-    method: str = EXPONENTIAL_EULER,
     workers: int = 1,
 ) -> np.ndarray:
     """Samples of ||X(t2) - X(t1)||_s for every s in `s_values` and every lag pair.
@@ -92,7 +82,7 @@ def increment_samples(
         diffs = rows[:, second, :] - rows[:, first, :]
         return np.stack([_norm_rows(lam, s, diffs) for s in s_values], axis=1)
 
-    table = map_paths(model, run_config, reduce_block, method=method, workers=workers)
+    table = map_paths(model, run_config, reduce_block, workers=workers)
     return np.moveaxis(table, 0, -1)
 
 
@@ -126,19 +116,18 @@ def fit_holder_exponent(
 
 
 def geometric_lag_multiples(count: int, max_multiple: int) -> list[int]:
-    """Distinct integer step multiples, approximately geometric from 1 to max_multiple."""
+    """Distinct integer step multiples, approximately geometric from 1 to max_multiple.
+
+    Rejects a (count, max_multiple) pair whose rounded geometric multiples collide.
+    """
     if count < 2 or max_multiple < count:
         raise ValueError("need count >= 2 and max_multiple >= count")
-    raw = np.unique(
-        np.round(max_multiple ** (np.arange(count) / (count - 1))).astype(int)
-    )
-    mults = list(raw)
-    k = 0
-    while len(mults) < count:  # fill collisions with the smallest free integers
-        k += 1
-        if k not in mults:
-            mults.append(k)
-    return sorted(mults)[:count]
+    mults = np.unique(np.round(max_multiple ** (np.arange(count) / (count - 1))).astype(int))
+    if mults.size < count:
+        raise ValueError(
+            f"{count} geometric multiples up to {max_multiple} collide after rounding"
+        )
+    return mults.tolist()
 
 
 def temporal_probe(
@@ -148,7 +137,6 @@ def temporal_probe(
     anchor: float,
     lags: Sequence[float],
     p: float | None = None,
-    method: str = EXPONENTIAL_EULER,
     workers: int = 1,
 ) -> list[tuple[HolderEstimate, list[tuple[float, float, float]]]]:
     """Fit the temporal Hölder exponent at each smoothness s from increments off an anchor.
@@ -159,9 +147,7 @@ def temporal_probe(
     """
     p = model.p if p is None else p
     pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(
-        model, config, s_values, pairs, method=method, workers=workers
-    )
+    samples = increment_samples(model, config, s_values, pairs, workers=workers)
     results = []
     for s, per_lag in zip(s_values, samples):
         table = [(float(lag), *estimate_lp_norm(arr, p)) for lag, arr in zip(lags, per_lag)]
@@ -201,7 +187,6 @@ def spatial_sweep(
     config: SolverConfig,
     s: float,
     n_values: Sequence[int],
-    method: str = EXPONENTIAL_EULER,
     workers: int = 1,
 ) -> list[tuple[int, float]]:
     """Estimated sup over snapshots of the (s, p) moment norm at growing truncations.
@@ -232,8 +217,7 @@ def spatial_sweep(
         def reduce_block(rows: np.ndarray) -> np.ndarray:
             return np.stack([_norm_rows(lam[:n], s, rows[..., :n]) for n in run], axis=1)
 
-        norms = map_paths(model=sub, config=config, reduce_block=reduce_block,
-                          method=method, workers=workers)
+        norms = map_paths(model=sub, config=config, reduce_block=reduce_block, workers=workers)
         for k, n in enumerate(run):
             value = max(
                 estimate_lp_norm(norms[:, k, i], model.p)[0] for i in range(norms.shape[2])
@@ -264,12 +248,14 @@ def example_series_partial_sum(r: float, t: float, n_modes: int) -> float:
     return 0.5 * float(np.sum(terms))
 
 
-def example_series_report(r: float, t: float, n_values: Sequence[int]) -> SeriesReport:
+def example_series_report(
+    r: float, t: float, n_values: Sequence[int]
+) -> tuple[tuple[int, float], ...]:
+    """(N, partial sum) pairs of the explicit second-moment series at growing truncations."""
     n_values = list(n_values)
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ValueError("truncation dimensions must be strictly increasing")
-    sums = tuple((int(n), example_series_partial_sum(r, t, n)) for n in n_values)
-    return SeriesReport(float(r), float(t), sums)
+    return tuple((int(n), example_series_partial_sum(r, t, n)) for n in n_values)
 
 
 def continuity_modulus(
@@ -277,7 +263,6 @@ def continuity_modulus(
     config: SolverConfig,
     anchor: float,
     lags: Sequence[float],
-    method: str = EXPONENTIAL_EULER,
     workers: int = 1,
 ) -> list[tuple[float, float]]:
     """Modulus (lag, estimated ||X(anchor + lag) - X(anchor)|| in the (1, p) norm).
@@ -289,9 +274,7 @@ def continuity_modulus(
         raise ValueError(f"the top-norm modulus probe requires r = 0, got r = {model.r}")
     lags = sorted(float(lag) for lag in lags)
     pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(
-        model, config, (1.0,), pairs, method=method, workers=workers
-    )[0]
+    samples = increment_samples(model, config, (1.0,), pairs, workers=workers)[0]
     return [
         (lag, estimate_lp_norm(arr, model.p)[0]) for lag, arr in zip(lags, samples)
     ]

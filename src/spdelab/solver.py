@@ -4,6 +4,9 @@ Two steppers share the same per-(path, step) noise draws and so are pathwise
 coupled: the one-step frozen-integrand exponential scheme
 x_{j+1} = E(h)[x_j - h F(x_j) + G(x_j) dW_j], and, for linear models driven by
 state-independent diagonal noise, the exact Gaussian transition of each mode.
+``SolverConfig.method`` names the stepper, so a configuration fixes it for
+every run and no entry point takes it as an argument; the kernel rejects a
+model the exact stepper cannot sample before it takes a step, at any T.
 Every run goes through one kernel, ``_simulate_block``, which advances a block
 of paths together and returns their snapshots as an array (block,
 n_snapshots, modes).  ``map_paths`` and ``ensemble_snapshots`` split the
@@ -60,10 +63,11 @@ _METHODS = (EXPONENTIAL_EULER, EXACT_GAUSSIAN)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Uniform time grid, ensemble size, seed, and snapshot times.
+    """Uniform time grid, ensemble size, seed, snapshot times and stepper.
 
     Snapshot times must be grid points j * (T / steps); no interpolation is
-    ever performed between steps.
+    ever performed between steps.  ``method`` names the stepper every run of
+    this configuration uses: ``EXPONENTIAL_EULER`` or ``EXACT_GAUSSIAN``.
     """
 
     T: float
@@ -71,8 +75,11 @@ class SolverConfig:
     paths: int
     master_seed: int = 0
     snapshot_times: tuple[float, ...] = field(default=None)  # defaults to (0, T)
+    method: str = EXPONENTIAL_EULER
 
     def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {_METHODS}")
         if self.T < 0.0:
             raise ValueError(f"final time must be >= 0, got {self.T}")
         if self.steps < 1:
@@ -212,13 +219,11 @@ def _simulate_block(
     model: ModelSpec,
     config: SolverConfig,
     path_indices: Sequence[int],
-    method: str = EXPONENTIAL_EULER,
 ) -> np.ndarray:
     """Snapshots for a block of paths; returns array (block, n_snapshots, modes)."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
+    exact = config.method == EXACT_GAUSSIAN
     # checked before the T = 0 return, so an unsupported model fails at any T
-    g = _require_linear_additive(model) if method == EXACT_GAUSSIAN else None
+    g = _require_linear_additive(model) if exact else None
     n = model.dimension
     block = len(path_indices)
     snap_steps = config.snapshot_steps()
@@ -240,7 +245,7 @@ def _simulate_block(
     lam = model.operator.eigenvalues
     decay = np.exp(-lam * h)
 
-    if method == EXACT_GAUSSIAN:
+    if exact:
         transition_sd = np.sqrt(
             g**2 * model.covariance.variances * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
         )
@@ -278,26 +283,24 @@ def simulate_path(
     model: ModelSpec,
     config: SolverConfig,
     path_index: int,
-    method: str = EXPONENTIAL_EULER,
 ) -> np.ndarray:
     """Snapshots (n_snapshots, modes) of one path, run as a one-row block.
 
-    With ``EXACT_GAUSSIAN`` the linear additive model is sampled exactly
-    through its Gaussian mode transitions: mode k evolves by
+    With ``config.method == EXACT_GAUSSIAN`` the linear additive model is
+    sampled exactly through its Gaussian mode transitions: mode k evolves by
     x_k(t + h) = e^{-lam_k h} x_k(t) + xi with
     xi ~ N(0, g_k^2 q_k (1 - e^{-2 lam_k h}) / (2 lam_k)).  The standard normal
     draws are shared with the exponential Euler scheme, which couples the two
     pathwise and makes the exact method the oracle for integrator error
     measurements.
     """
-    return _simulate_block(model, config, [path_index], method)[0]
+    return _simulate_block(model, config, [path_index])[0]
 
 
 def map_paths(
     model: ModelSpec,
     config: SolverConfig,
     reduce_block: Callable[[np.ndarray], np.ndarray],
-    method: str = EXPONENTIAL_EULER,
     workers: int = 1,
     block_size: int = 128,
 ) -> np.ndarray:
@@ -314,7 +317,7 @@ def map_paths(
     ]
 
     def run_one(indices: list[int]) -> np.ndarray:
-        return np.asarray(reduce_block(_simulate_block(model, config, indices, method)))
+        return np.asarray(reduce_block(_simulate_block(model, config, indices)))
 
     if workers <= 1:
         parts = [run_one(b) for b in blocks]
@@ -327,8 +330,7 @@ def map_paths(
 def ensemble_snapshots(
     model: ModelSpec,
     config: SolverConfig,
-    method: str = EXPONENTIAL_EULER,
     workers: int = 1,
 ) -> np.ndarray:
     """Snapshot array (paths, n_snapshots, modes) for the full ensemble."""
-    return map_paths(model, config, lambda rows: rows, method=method, workers=workers)
+    return map_paths(model, config, lambda rows: rows, workers=workers)

@@ -95,7 +95,7 @@ _SMOOTHING_KINDS = ("power", "difference", "integral", "convolution")
 
 
 def _difference_sup(nu: float) -> float:
-    """C(nu) = sup_{u>0} (1 - e^{-u}) / u^nu for 0 < nu < 1, and the limit 1 at nu = 1.
+    """C(nu) = sup_{u>0} (1 - e^{-u}) / u^nu for 0 < nu < 1, and its value 1 at nu = 0 and nu = 1.
 
     The maximiser u* is the unique root of u / expm1(u) = nu.  Since
     e^{-u} <= u / expm1(u) <= e^{-u/2}, it lies in [-log nu, -2 log nu].  The root
@@ -104,7 +104,7 @@ def _difference_sup(nu: float) -> float:
     bracket is replaced by bisection.  For u > 1 the log ratio is evaluated as
     log u - u - log1p(-e^{-u}), which stays finite up to subnormal nu.
     """
-    if nu >= 1.0:  # 1 - rho rounds to 1 for rho below 2^-53
+    if not 0.0 < nu < 1.0:  # the edges; 1 - rho also rounds to 1 for rho below 2^-53
         return 1.0
     log_nu = math.log(nu)
     lo, hi = math.log(-log_nu), math.log(-2.0 * log_nu)  # F(lo) >= 0 >= F(hi)
@@ -144,8 +144,8 @@ def smoothing_constant(kind: str, exponent: float) -> float:
     The three last kinds reduce to C(nu) = sup_u (1 - e^{-u}) / u^nu: "difference"
     is C(nu), "convolution" is C(1 - rho), and "integral" is 2^{1-rho} C(1 - rho)
     after the substitution v = 2u.  For 0 < nu < 1 the supremum is attained at the
-    root u* of u / expm1(u) = nu, found by a safeguarded Newton iteration in log u.
-    The edge exponents have the closed-form limits hard-wired.
+    root u* of u / expm1(u) = nu, found by a safeguarded Newton iteration in log u;
+    at the edges nu = 0 and nu = 1 it is 1.
     """
     if kind not in _SMOOTHING_KINDS:
         raise ValueError(f"unknown smoothing kind {kind!r}, expected one of {_SMOOTHING_KINDS}")
@@ -162,19 +162,10 @@ def smoothing_constant(kind: str, exponent: float) -> float:
         raise ValueError(f"exponent for kind {kind!r} must lie in [0, 1], got {e}")
 
     if kind == "difference":
-        if e == 0.0 or e == 1.0:
-            return 1.0
         return _difference_sup(e)
     if kind == "integral":
-        if e == 1.0:
-            return 1.0
-        if e == 0.0:
-            return 2.0
         return 2.0 ** (1.0 - e) * _difference_sup(1.0 - e)
-    # convolution
-    if e == 1.0 or e == 0.0:
-        return 1.0
-    return _difference_sup(1.0 - e)
+    return _difference_sup(1.0 - e)  # convolution
 
 
 def _check_interval(tau1: float, tau2: float) -> float:

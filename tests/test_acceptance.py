@@ -27,7 +27,6 @@ from spdelab.probes import (
 )
 from spdelab.solver import (
     EXACT_GAUSSIAN,
-    EXPONENTIAL_EULER,
     SolverConfig,
     ensemble_snapshots,
     map_paths,
@@ -134,10 +133,9 @@ def test_criterion_03_ito_isometry():
     """Second moment of the exactly sampled noise response matches its series."""
     n, t = 256, 0.1
     model = borderline_model(n)
-    config = SolverConfig(T=t, steps=100, paths=10_000, master_seed=303, snapshot_times=(t,))
-    squared = map_paths(
-        model, config, lambda rows: np.sum(rows[:, 0, :] ** 2, axis=1), method=EXACT_GAUSSIAN
-    )
+    config = SolverConfig(T=t, steps=100, paths=10_000, master_seed=303, snapshot_times=(t,),
+                          method=EXACT_GAUSSIAN)
+    squared = map_paths(model, config, lambda rows: np.sum(rows[:, 0, :] ** 2, axis=1))
     mc = float(np.mean(squared))
     se = float(np.std(squared, ddof=1) / math.sqrt(squared.size))
     exact = stochastic_convolution_energy(
@@ -164,7 +162,7 @@ def test_criterion_04_integrator_oracle():
         config = SolverConfig(
             T=T, steps=int(round(T / h)), paths=paths, master_seed=404, snapshot_times=(T,)
         )
-        rows = ensemble_snapshots(model, config, method=EXPONENTIAL_EULER)
+        rows = ensemble_snapshots(model, config)
         mc_var = rows[:, 0, :].var(axis=0)
         y = 2.0 * lam * h
         bias = 1.0 - y / np.expm1(y)  # exact relative variance deficit of the scheme
@@ -194,16 +192,14 @@ def test_criterion_05_temporal_exponents():
     h0 = 2e-5
     config0 = SolverConfig(T=200 * h0, steps=200, paths=10_000, master_seed=505)
     [(fit0, _)] = temporal_probe(
-        model0, config0, s_values=(0.0,), anchor=100 * h0, lags=[m * h0 for m in mults],
-        method=EXPONENTIAL_EULER,
+        model0, config0, s_values=(0.0,), anchor=100 * h0, lags=[m * h0 for m in mults]
     )
     # s = 0.5: window spanning the scaling range of the smoothness-weighted norm
     model5 = borderline_model(256)
     h5 = 1.2e-3
     config5 = SolverConfig(T=164 * h5, steps=164, paths=10_000, master_seed=506)
     [(fit5, _)] = temporal_probe(
-        model5, config5, s_values=(0.5,), anchor=64 * h5, lags=[m * h5 for m in mults],
-        method=EXPONENTIAL_EULER,
+        model5, config5, s_values=(0.5,), anchor=64 * h5, lags=[m * h5 for m in mults]
     )
     ok0 = abs(fit0.slope - 0.5) <= 0.1
     ok5 = abs(fit5.slope - 0.25) <= 0.1
@@ -219,9 +215,9 @@ def test_criterion_05_temporal_exponents():
 def test_criterion_06_spatial_regularity_sweep():
     """Truncation sweep of the top-norm estimate is Cauchy for the admissible model."""
     model = borderline_model(512, r=0.0)
-    config = SolverConfig(T=0.1, steps=100, paths=2000, master_seed=606, snapshot_times=(0.1,))
-    sweep = spatial_sweep(model, config, s=1.0, n_values=[64, 128, 256, 512],
+    config = SolverConfig(T=0.1, steps=100, paths=2000, master_seed=606, snapshot_times=(0.1,),
                           method=EXACT_GAUSSIAN)
+    sweep = spatial_sweep(model, config, s=1.0, n_values=[64, 128, 256, 512])
     values = [v for _, v in sweep]
     gaps = [b - a for a, b in zip(values, values[1:])]
     decreasing = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -293,8 +289,7 @@ def test_criterion_08_top_norm_continuity():
     config = SolverConfig(T=0.2, steps=800, paths=4000, master_seed=808)
     h = config.h
     lags = [2 * h, 4 * h, 8 * h, 16 * h, 32 * h]
-    modulus = continuity_modulus(model, config, anchor=0.1, lags=lags,
-                                 method=EXPONENTIAL_EULER)
+    modulus = continuity_modulus(model, config, anchor=0.1, lags=lags)
     values = [v for _, v in modulus]  # ascending lags
     decreasing = all(a < b for a, b in zip(values, values[1:]))
     below_half = values[0] < 0.5 * values[-1]
@@ -310,11 +305,9 @@ def test_criterion_09_moment_inequality():
     """Monte-Carlo p-th moments respect the moment-inequality constant at p in {2, 4}."""
     n, t = 64, 0.1
     model = borderline_model(n)
-    config = SolverConfig(T=t, steps=100, paths=10_000, master_seed=909, snapshot_times=(t,))
-    norms = map_paths(
-        model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1)),
-        method=EXACT_GAUSSIAN,
-    )
+    config = SolverConfig(T=t, steps=100, paths=10_000, master_seed=909, snapshot_times=(t,),
+                          method=EXACT_GAUSSIAN)
+    norms = map_paths(model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1)))
     energy = stochastic_convolution_energy(
         model.operator, 0.0, 0.0, t, SpectralCoeffs(np.sqrt(model.covariance.variances))
     )

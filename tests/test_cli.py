@@ -8,12 +8,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdelab
 from spdelab import cli
-from spdelab.cli import LemmaTolerances, main
-from spdelab.config import KNOWN_KEYS, ConfigError, parse_config_text
+from spdelab.cli import main
+from spdelab.config import (
+    KINDS,
+    KNOWN_KEYS,
+    ConfigError,
+    build_model,
+    build_solver,
+    parse_config_text,
+)
+from spdelab.solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER
 
 BASE_MODEL = """
 model.N = 16
@@ -48,6 +57,10 @@ class TestParsing:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
             parse_config_text("kind = frobnicate\n")
+
+    def test_empty_key_reports_line_number(self):
+        with pytest.raises(ConfigError, match=r"empty key \(line 2\)"):
+            parse_config_text("kind = simulate\n= 3\n")
 
     def test_missing_key_names_the_key(self):
         cfg = parse_config_text("kind = simulate\n")
@@ -90,6 +103,65 @@ class TestParsing:
             '        cfg.set("f.g", 2)\n'
         )
         assert keys_read(source) == {"a.b", "kind", "c.d", "e", "f.g"}
+
+
+class TestBuildModel:
+    @staticmethod
+    def build(text):
+        return build_model(parse_config_text(text))
+
+    def test_constant_covariance(self):
+        model = self.build(
+            "model.N = 4\nmodel.covariance = constant\nmodel.covariance.value = 2.5\n"
+        )
+        np.testing.assert_array_equal(model.covariance.variances, np.full(4, 2.5))
+        default = self.build("model.N = 3\nmodel.covariance = constant\n")
+        np.testing.assert_array_equal(default.covariance.variances, np.ones(3))
+
+    def test_custom_covariance(self):
+        model = self.build(
+            "model.N = 3\nmodel.covariance = custom\nmodel.covariance.values = 0,2,0.5\n"
+        )
+        np.testing.assert_array_equal(model.covariance.variances, [0.0, 2.0, 0.5])
+
+    def test_custom_covariance_of_the_wrong_length_names_the_key(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"custom covariance needs 4 values, got 3 \(key 'model.covariance.values'\)",
+        ):
+            self.build("model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n")
+
+    def test_diffusion_multipliers_broadcast_one_value_or_take_n(self):
+        one = self.build("model.N = 3\nmodel.diffusion.multipliers = 0.5\n")
+        np.testing.assert_array_equal(one.diffusion.multipliers, np.full(3, 0.5))
+        each = self.build("model.N = 3\nmodel.diffusion.multipliers = 1,2,3\n")
+        np.testing.assert_array_equal(each.diffusion.multipliers, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("key", ["model.diffusion.multipliers", "model.drift.multipliers"])
+    def test_multipliers_need_one_or_n_values(self, key):
+        with pytest.raises(ConfigError, match=rf"need 1 or 4 values, got 2 \(key '{key}'\)"):
+            self.build(f"model.N = 4\nmodel.drift = linear\n{key} = 1,2\n")
+
+    def test_zero_modes_rejected(self):
+        with pytest.raises(ConfigError, match=r"model.N must be >= 1, got 0 \(key 'model.N'\)"):
+            self.build("model.N = 0\n")
+
+    @pytest.mark.parametrize(
+        "line, method",
+        [
+            ("", EXPONENTIAL_EULER),
+            ("solver.method = euler\n", EXPONENTIAL_EULER),
+            ("solver.method = exact-gaussian\n", EXACT_GAUSSIAN),
+        ],
+    )
+    def test_solver_method_is_read_into_the_solver_config(self, line, method):
+        cfg = parse_config_text(f"solver.T = 0.1\nsolver.seed = 0\n{line}")
+        assert build_solver(cfg).method == method
+
+    def test_unknown_solver_method_names_key_and_line(self):
+        cfg = parse_config_text("solver.T = 0.1\nsolver.method = rk4\n")
+        with pytest.raises(ConfigError, match=r"'rk4' not in .*\(key 'solver.method', line 2\)"):
+            build_solver(cfg)
 
 
 def keys_read(source: str) -> set[str]:
@@ -302,20 +374,20 @@ class TestRunVerifiers:
 
     # small enough to be fast; at seed 3 the 200 bound draws include ratios
     # within 10% of the sharp difference bound, and every exactness draw counts
-    SMALL_SUITE = LemmaTolerances(bound_draws=200, exactness_draws=5, mc_paths=200, seed=3)
+    SMALL_SUITE = {"bound_draws": 200, "exactness_draws": 5, "mc_paths": 200, "seed": 3}
 
     @staticmethod
-    def outcomes(report):
-        return {c.name: c.passed for c in report.checks}
+    def outcomes(checks):
+        return {c.name: c.passed for c in checks}
 
     def test_small_suite_passes_unpatched(self):
-        assert all(self.outcomes(cli.verify_lemmas(self.SMALL_SUITE)).values())
+        assert all(self.outcomes(cli.verify_lemmas(**self.SMALL_SUITE)).values())
 
     def test_inexact_energy_fails_exactness(self, monkeypatch):
         exact = cli.stochastic_convolution_energy
         monkeypatch.setattr(cli, "stochastic_convolution_energy",
                             lambda *args: exact(*args) * (1.0 + 1e-7))
-        assert not self.outcomes(cli.verify_lemmas(self.SMALL_SUITE))["convolution_exactness"]
+        assert not self.outcomes(cli.verify_lemmas(**self.SMALL_SUITE))["convolution_exactness"]
 
     def test_undersized_difference_constant_fails_its_bound(self, monkeypatch):
         sharp = cli.smoothing_constant
@@ -324,7 +396,7 @@ class TestRunVerifiers:
             return sharp(kind, exponent) * (0.9 if kind == "difference" else 1.0)
 
         monkeypatch.setattr(cli, "smoothing_constant", shrunk)
-        outcomes = self.outcomes(cli.verify_lemmas(self.SMALL_SUITE))
+        outcomes = self.outcomes(cli.verify_lemmas(**self.SMALL_SUITE))
         assert not outcomes["difference_smoothing"]
         assert outcomes["power_smoothing"] and outcomes["convolution_flow_bound"]
 
@@ -337,6 +409,16 @@ class TestRunVerifiers:
         out = capsys.readouterr().out
         assert "drift_lipschitz: PASS" in out
         assert "diffusion_growth: PASS" in out
+
+    def test_assumption_report_on_a_linear_drift(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "kind = verify-assumptions\nmodel.N = 4\nmodel.drift = linear\n"
+            "model.drift.multipliers = 1,-3,2,0.5\nsolver.seed = 0\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        # the Lipschitz constant of a diagonal drift is sup |f_k|
+        assert "drift_lipschitz: PASS constant=3.0" in capsys.readouterr().out.splitlines()
 
     def test_assumption_report_flags_divergent_weighting(self, tmp_path, capsys):
         config = write_config(
@@ -390,6 +472,10 @@ class TestCommandLine:
         config = write_config(tmp_path, "kind = simulate\nsolver.T = never\n")
         assert main(["run", str(config)]) == 2
         assert "solver.T" in capsys.readouterr().err
+
+    # a kind without a runner would pass the parser and fail only at run time
+    def test_every_kind_has_a_runner(self):
+        assert tuple(cli._RUNNERS) == KINDS
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

@@ -175,7 +175,14 @@ class TestFitHolderExponent:
         mults = geometric_lag_multiples(10, 100)
         assert len(mults) == 10
         assert mults[0] == 1 and mults[-1] == 100
-        assert len(set(mults)) == 10
+        # the probe-temporal default asks for 10 multiples up to at least 100
+        for max_multiple in range(100, 5001):
+            assert len(set(geometric_lag_multiples(10, max_multiple))) == 10
+
+    def test_colliding_lag_multiples_are_rejected(self):
+        # 10^(1/9) = 1.29 rounds to 1, the same multiple as 10^0
+        with pytest.raises(ValueError, match="collide after rounding"):
+            geometric_lag_multiples(10, 10)
 
 
 class TestIncrementSamples:
@@ -195,10 +202,8 @@ class TestIncrementSamples:
         n = 8
         model = borderline_model(n)
         t1, t2 = 0.02, 0.03
-        config = SolverConfig(T=0.05, steps=100, paths=4000, master_seed=6)
-        samples = increment_samples(
-            model, config, (0.0,), [(t1, t2)], method=EXACT_GAUSSIAN
-        )[0, 0]
+        config = SolverConfig(T=0.05, steps=100, paths=4000, master_seed=6, method=EXACT_GAUSSIAN)
+        samples = increment_samples(model, config, (0.0,), [(t1, t2)])[0, 0]
         lam = model.operator.eigenvalues
         q = model.covariance.variances
         v1 = q * -np.expm1(-2.0 * lam * t1) / (2.0 * lam)
@@ -254,8 +259,9 @@ def dataclasses_replace_snapshots(config, times):
 class TestSpatialSweep:
     def test_admissible_model_is_cauchy(self):
         model = borderline_model(64, r=0.0)
-        config = SolverConfig(T=0.1, steps=50, paths=500, master_seed=20, snapshot_times=(0.1,))
-        sweep = spatial_sweep(model, config, 1.0, [8, 16, 32, 64], method=EXACT_GAUSSIAN)
+        config = SolverConfig(T=0.1, steps=50, paths=500, master_seed=20, snapshot_times=(0.1,),
+                              method=EXACT_GAUSSIAN)
+        sweep = spatial_sweep(model, config, 1.0, [8, 16, 32, 64])
         values = [v for _, v in sweep]
         assert all(b > a for a, b in zip(values, values[1:]))  # shared draws: monotone
         gaps = [b - a for a, b in zip(values, values[1:])]
@@ -263,15 +269,17 @@ class TestSpatialSweep:
 
     def test_base_norm_sweep_stays_bounded(self):
         model = borderline_model(64, r=0.0)
-        config = SolverConfig(T=0.1, steps=50, paths=500, master_seed=21, snapshot_times=(0.1,))
-        sweep = spatial_sweep(model, config, 0.0, [8, 16, 32, 64], method=EXACT_GAUSSIAN)
+        config = SolverConfig(T=0.1, steps=50, paths=500, master_seed=21, snapshot_times=(0.1,),
+                              method=EXACT_GAUSSIAN)
+        sweep = spatial_sweep(model, config, 0.0, [8, 16, 32, 64])
         gaps = [b[1] - a[1] for a, b in zip(sweep, sweep[1:])]
         assert gaps[-1] < 0.02 * sweep[-1][1]
 
     def test_borderline_model_blows_up_above_its_regularity(self):
         model = borderline_model(512, r=0.25)
-        config = SolverConfig(T=0.1, steps=50, paths=400, master_seed=22, snapshot_times=(0.1,))
-        sweep = spatial_sweep(model, config, 1.25, [64, 128, 256, 512], method=EXACT_GAUSSIAN)
+        config = SolverConfig(T=0.1, steps=50, paths=400, master_seed=22, snapshot_times=(0.1,),
+                              method=EXACT_GAUSSIAN)
+        sweep = spatial_sweep(model, config, 1.25, [64, 128, 256, 512])
         values = [v for _, v in sweep]
         assert all(b > a for a, b in zip(values, values[1:]))
         gaps = [b - a for a, b in zip(values, values[1:])]
@@ -302,18 +310,17 @@ class TestSpatialSweep:
         n_values = [2, 5, model.dimension // 2, model.dimension]
         s = 1.0
         config = SolverConfig(T=0.04, steps=8, paths=150, master_seed=31,
-                              snapshot_times=(0.01, 0.02, 0.04))
+                              snapshot_times=(0.01, 0.02, 0.04), method=method)
         reference = []
         for n in n_values:
             sub = truncate_model(model, n)
             lam = sub.operator.eigenvalues
             norms = map_paths(
-                sub, config, lambda rows: np.sqrt(np.sum(lam**s * rows**2, axis=-1)),
-                method=method,
+                sub, config, lambda rows: np.sqrt(np.sum(lam**s * rows**2, axis=-1))
             )
             value = max(estimate_lp_norm(norms[:, i], model.p)[0] for i in range(3))
             reference.append((n, value))
-        assert spatial_sweep(model, config, s, n_values, method=method) == reference
+        assert spatial_sweep(model, config, s, n_values) == reference
 
     @pytest.mark.parametrize(
         "model, expected_runs",
@@ -353,8 +360,9 @@ class TestExampleSeries:
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
     def test_divergent_case_has_growing_increments(self):
-        report = example_series_report(0.25, 0.1, [1000, 10000, 100000])
-        sums = [v for _, v in report.partial_sums]
+        partial_sums = example_series_report(0.25, 0.1, [1000, 10000, 100000])
+        assert [n for n, _ in partial_sums] == [1000, 10000, 100000]
+        sums = [v for _, v in partial_sums]
         assert sums[0] < sums[1] < sums[2]
         assert sums[2] - sums[1] > sums[1] - sums[0]
 

@@ -1,5 +1,6 @@
 """Integrator tests: stepping identities, determinism, and the exact oracle."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -76,6 +77,11 @@ class TestSolverConfig:
         config = SolverConfig(T=1.0, steps=4, paths=1)
         assert config.snapshot_times == (0.0, 1.0)
         assert config.h == 0.25
+        assert config.method == EXPONENTIAL_EULER
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown method 'bogus', expected one of \("):
+            SolverConfig(T=1.0, steps=4, paths=1, method="bogus")
 
     # a time past T is not reported as merely off the grid
     def test_times_outside_the_horizon_are_named_as_such(self):
@@ -278,8 +284,9 @@ class TestExactOUPath:
         n = 4
         x0 = np.array([1.0, -1.0, 2.0, 0.5])
         model = linear_additive_model(n, x0=x0, covariance=CovarianceSpectrum(np.zeros(n)))
-        config = SolverConfig(T=0.5, steps=10, paths=1, snapshot_times=(0.5,))
-        rows = simulate_path(model, config, 0, EXACT_GAUSSIAN)
+        config = SolverConfig(T=0.5, steps=10, paths=1, snapshot_times=(0.5,),
+                              method=EXACT_GAUSSIAN)
+        rows = simulate_path(model, config, 0)
         np.testing.assert_allclose(
             rows[0],
             np.exp(-model.operator.eigenvalues * 0.5) * x0,
@@ -289,8 +296,9 @@ class TestExactOUPath:
     def test_long_time_variance_is_stationary(self):
         n = 4
         model = linear_additive_model(n, g=2.0)
-        config = SolverConfig(T=5.0, steps=50, paths=8000, master_seed=3, snapshot_times=(5.0,))
-        rows = ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+        config = SolverConfig(T=5.0, steps=50, paths=8000, master_seed=3, snapshot_times=(5.0,),
+                              method=EXACT_GAUSSIAN)
+        rows = ensemble_snapshots(model, config)
         lam = model.operator.eigenvalues
         q = model.covariance.variances
         stationary = 4.0 * q / (2.0 * lam)
@@ -307,9 +315,9 @@ class TestExactOUPath:
             diffusion=AdditiveDiagonalDiffusion(np.ones(n)),
             initial=SpectralCoeffs(np.zeros(n)),
         )
-        config = SolverConfig(T=0.1, steps=10, paths=1)
+        config = SolverConfig(T=0.1, steps=10, paths=1, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError):
-            simulate_path(model, config, 0, EXACT_GAUSSIAN)
+            simulate_path(model, config, 0)
         model_mult = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
@@ -318,7 +326,7 @@ class TestExactOUPath:
             initial=SpectralCoeffs(np.zeros(n)),
         )
         with pytest.raises(ValueError):
-            simulate_path(model_mult, config, 0, EXACT_GAUSSIAN)
+            simulate_path(model_mult, config, 0)
 
     # the model is checked before the T = 0 early return, so the exact method
     # rejects an unsupported model at every final time
@@ -333,10 +341,11 @@ class TestExactOUPath:
             initial=SpectralCoeffs(np.zeros(n)),
         )
         config = SolverConfig(T=T, steps=1, paths=3)
+        exact = dataclasses.replace(config, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError, match="additive diagonal diffusion"):
-            ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+            ensemble_snapshots(model, exact)
         with pytest.raises(ValueError, match="additive diagonal diffusion"):
-            simulate_path(model, config, 0, EXACT_GAUSSIAN)
+            simulate_path(model, exact, 0)
         # the Euler scheme handles the model, and at T = 0 returns the initial state
         assert ensemble_snapshots(model, config).shape == (3, 1 if T == 0.0 else 2, n)
 
@@ -359,8 +368,8 @@ class TestExactOUPath:
         n = 8
         model = linear_additive_model(n)
         config = SolverConfig(T=0.2, steps=20, paths=4000, master_seed=17, snapshot_times=(0.2,))
-        euler = ensemble_snapshots(model, config, method=EXPONENTIAL_EULER)
-        exact = ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+        euler = ensemble_snapshots(model, config)
+        exact = ensemble_snapshots(model, dataclasses.replace(config, method=EXACT_GAUSSIAN))
         mc = np.mean((euler[:, 0, :] - exact[:, 0, :]) ** 2, axis=0)
         lam, q, h = model.operator.eigenvalues, model.covariance.variances, config.h
         a = np.exp(-lam * h) * np.sqrt(q * h)
@@ -378,8 +387,8 @@ class TestExactOUPath:
         gaps = []
         for steps in [64, 128, 256]:
             config = SolverConfig(T=T, steps=steps, paths=300, master_seed=21, snapshot_times=(T,))
-            euler = ensemble_snapshots(model, config, method=EXPONENTIAL_EULER)
-            exact = ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+            euler = ensemble_snapshots(model, config)
+            exact = ensemble_snapshots(model, dataclasses.replace(config, method=EXACT_GAUSSIAN))
             gaps.append(float(np.sqrt(np.mean(np.sum((euler - exact) ** 2, axis=2)))))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -408,8 +417,8 @@ class TestExactOUPath:
             closed.append(float(np.sum(
                 (a - b) ** 2 * -np.expm1(-2.0 * lam * T) / -np.expm1(-2.0 * lam * h)
             )))
-            euler = ensemble_snapshots(model, config, method=EXPONENTIAL_EULER)
-            exact = ensemble_snapshots(model, config, method=EXACT_GAUSSIAN)
+            euler = ensemble_snapshots(model, config)
+            exact = ensemble_snapshots(model, dataclasses.replace(config, method=EXACT_GAUSSIAN))
             sampled.append(float(np.mean(np.sum((euler - exact) ** 2, axis=2))))
         assert closed[1] * 3.4 < closed[0]
         assert sampled[1] < sampled[0]
@@ -496,13 +505,13 @@ class TestEnsembleExecution:
                 st.sampled_from([linear_additive_model, diagonal_linear_model]), label="model"
             )(n_full)
         config = SolverConfig(T=0.02, steps=4, paths=3, master_seed=seed,
-                              snapshot_times=(0.0, 0.01, 0.02))
+                              snapshot_times=(0.0, 0.01, 0.02), method=method)
 
         def identity(rows):
             return rows
 
-        full = map_paths(model, config, identity, method=method)
-        truncated = map_paths(truncate_model(model, n), config, identity, method=method)
+        full = map_paths(model, config, identity)
+        truncated = map_paths(truncate_model(model, n), config, identity)
         np.testing.assert_array_equal(truncated, full[..., :n])
 
     # Blocks are fixed by block_size; a short last block must not change the rows.
