@@ -3,21 +3,20 @@
 Simulates the mild solution of dX + [AX + F(X)]dt = G(X)dW on the truncated
 eigenbasis of A and probes the smoothness predictions that come with it:
 fractional-norm finiteness, temporal Hölder exponents, and the borderline
-covariance example whose higher norms blow up.
+covariance example whose higher norms blow up.  F is zero, diagonal or a
+`Nemytskii` map, and G is additive diagonal noise or a `Nemytskii` map; a
+`Nemytskii` map composes pointwise with a globally Lipschitz scalar function
+from the `SCALAR_FUNCTIONS` table.
 """
 
 from .models import (
+    SCALAR_FUNCTIONS,
     AdditiveDiagonalDiffusion,
-    AssumptionReport,
     DiagonalLinearDrift,
     ModelSpec,
-    NemytskiiDiffusion,
-    NemytskiiDrift,
+    Nemytskii,
     ScalarFunction,
     ZeroDrift,
-    get_scalar_function,
-    register_scalar_function,
-    registered_functions,
     validate_assumptions,
 )
 from .noise import (

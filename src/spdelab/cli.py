@@ -26,10 +26,10 @@ from .config import (
     warn_on_stiff_linear_drift,
 )
 from .models import (
+    SCALAR_FUNCTIONS,
     AdditiveDiagonalDiffusion,
     ModelSpec,
     ZeroDrift,
-    registered_functions,
     validate_assumptions,
 )
 from .noise import burkholder_constant, example_covariance
@@ -340,10 +340,10 @@ def _run_example_series(cfg, out_dir: Path) -> list[str]:
 
 def _run_verify_assumptions(cfg, out_dir: Path) -> list[str]:
     model = build_model(cfg)
-    report = validate_assumptions(model, probe_seed=cfg.get_int("solver.seed", 0))
+    checks = validate_assumptions(model, probe_seed=cfg.get_int("solver.seed", 0))
     rows = [
         (c.name, c.passed, " ".join(f"{k}={_format_cell(v)}" for k, v in sorted(c.measured.items())))
-        for c in report.checks
+        for c in checks
     ]
     write_csv(out_dir / "assumptions.csv", cfg.resolved(), ["check", "passed", "measured"], rows)
     return [f"{name}: {'PASS' if passed else 'FAIL'} {measured}" for name, passed, measured in rows]
@@ -401,8 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_registry:
-        for entry in registered_functions():
-            print(f"{entry.name}: Lipschitz constant {entry.lipschitz:g}")
+        for name, entry in SCALAR_FUNCTIONS.items():
+            print(f"{name}: Lipschitz constant {entry.lipschitz:g}")
         return 0
     if args.command != "run":
         parser.print_help()

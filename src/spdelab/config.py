@@ -8,17 +8,18 @@ them out; every parse or validation error reports the offending key and line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .models import (
+    SCALAR_FUNCTIONS,
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
     ModelSpec,
-    NemytskiiDiffusion,
-    NemytskiiDrift,
+    Nemytskii,
     ZeroDrift,
 )
 from .noise import CovarianceSpectrum, example_covariance
@@ -123,7 +124,7 @@ class ExperimentConfig:
         values = self.get_floats(key, default)
         out = []
         for v in values:
-            if v != int(v):
+            if not math.isfinite(v) or v != int(v):
                 raise ConfigError(
                     f"expected integers, got {v}", key=key, line=self._line(key)
                 )
@@ -181,13 +182,19 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         raise ConfigError(f"model.N must be >= 1, got {n}", key="model.N")
     operator = dirichlet_laplacian_1d(n)
 
+    def checked(key: str, spec, values: np.ndarray):
+        """`spec(values)`, with its rejection of the values reported against `key`."""
+        try:
+            return spec(values)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=cfg._line(key)) from None
+
     cov_kind = cfg.get_choice("model.covariance", ("example5", "constant", "custom"), "example5")
     if cov_kind == "example5":
         covariance = example_covariance(n)
     elif cov_kind == "constant":
-        covariance = CovarianceSpectrum(
-            np.full(n, cfg.get_float("model.covariance.value", 1.0))
-        )
+        key = "model.covariance.value"
+        covariance = checked(key, CovarianceSpectrum, np.full(n, cfg.get_float(key, 1.0)))
     else:
         values = cfg.get_floats("model.covariance.values")
         if len(values) != n:
@@ -195,7 +202,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
                 f"custom covariance needs {n} values, got {len(values)}",
                 key="model.covariance.values",
             )
-        covariance = CovarianceSpectrum(np.array(values))
+        covariance = checked("model.covariance.values", CovarianceSpectrum, np.array(values))
 
     def broadcast(key: str, default: float) -> np.ndarray:
         values = cfg.get_floats(key, [default])
@@ -209,19 +216,21 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
     if drift_kind == "zero":
         drift = ZeroDrift()
     elif drift_kind == "linear":
-        drift = DiagonalLinearDrift(broadcast("model.drift.multipliers", 0.0))
+        key = "model.drift.multipliers"
+        drift = checked(key, DiagonalLinearDrift, broadcast(key, 0.0))
     else:
-        drift = NemytskiiDrift(
-            cfg.get_str("model.drift.function"),
+        drift = Nemytskii(
+            cfg.get_choice("model.drift.function", tuple(SCALAR_FUNCTIONS)),
             cfg.get_int("model.drift.grid", 4 * n),
         )
 
     diff_kind = cfg.get_choice("model.diffusion", ("additive", "nemytskii"), "additive")
     if diff_kind == "additive":
-        diffusion = AdditiveDiagonalDiffusion(broadcast("model.diffusion.multipliers", 1.0))
+        key = "model.diffusion.multipliers"
+        diffusion = checked(key, AdditiveDiagonalDiffusion, broadcast(key, 1.0))
     else:
-        diffusion = NemytskiiDiffusion(
-            cfg.get_str("model.diffusion.function"),
+        diffusion = Nemytskii(
+            cfg.get_choice("model.diffusion.function", tuple(SCALAR_FUNCTIONS)),
             cfg.get_int("model.diffusion.grid", 4 * n),
         )
 
@@ -244,7 +253,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
             r=cfg.get_float("model.r", 0.0),
             p=cfg.get_float("model.p", 2.0),
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
 

@@ -1,10 +1,12 @@
-"""Problem description: model specs, the scalar-function registry, assumption checks.
+"""Problem description: model specs, the scalar-function table, assumption checks.
 
 A model couples the operator spectrum, the noise covariance, a drift F, a
 diffusion G, a deterministic initial state, and the regularity parameters
-(r, p) the user claims for it.  Nonlinearities are pointwise (Nemytskii)
-compositions with scalar functions from a registry of verified Lipschitz maps;
-the solver evaluates F and G on the rows of a time step.
+(r, p) the user claims for it.  A nonlinear F or G is a `Nemytskii` spec: the
+pointwise composition with a globally Lipschitz scalar function named in
+`SCALAR_FUNCTIONS`; the field of `ModelSpec` it sits in makes it the drift or
+the diffusion.  The solver evaluates F and G on the rows of a time step, and
+`validate_assumptions` returns one `AssumptionCheck` per standing assumption.
 """
 
 from __future__ import annotations
@@ -24,55 +26,20 @@ from .spectrum import SpectralCoeffs, SpectralOperator, _frozen_array, hdot_norm
 class ScalarFunction:
     """Scalar Lipschitz function usable as a pointwise nonlinearity."""
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
 
 
-_REGISTRY: dict[str, ScalarFunction] = {}
-
-
-def register_scalar_function(
-    name: str, fn: Callable[[np.ndarray], np.ndarray], lipschitz: float
-) -> ScalarFunction:
-    """Register a scalar function after checking its Lipschitz constant on a dense grid."""
-    if lipschitz < 0.0 or not math.isfinite(lipschitz):
-        raise ValueError(f"Lipschitz constant must be nonnegative and finite, got {lipschitz}")
-    grid = np.linspace(-20.0, 20.0, 8001)
-    vals = np.asarray(fn(grid), dtype=float)
-    if vals.shape != grid.shape or not np.all(np.isfinite(vals)):
-        raise ValueError(f"function {name!r} must map finite reals to finite reals")
-    slopes = np.abs(np.diff(vals) / np.diff(grid))
-    measured = float(np.max(slopes))
-    if measured > lipschitz * (1.0 + 1e-6):
-        raise ValueError(
-            f"function {name!r}: measured slope {measured:.6g} exceeds "
-            f"declared Lipschitz constant {lipschitz:.6g}"
-        )
-    entry = ScalarFunction(name, fn, float(lipschitz))
-    _REGISTRY[name] = entry
-    return entry
-
-
-def get_scalar_function(name: str) -> ScalarFunction:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scalar function {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def registered_functions() -> list[ScalarFunction]:
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-register_scalar_function("identity", lambda u: u, 1.0)
-register_scalar_function("one", lambda u: np.ones_like(u), 0.0)
-register_scalar_function("sin", np.sin, 1.0)
-register_scalar_function("cos", np.cos, 1.0)
-register_scalar_function("tanh", np.tanh, 1.0)
-register_scalar_function("sigmoid", lambda u: 1.0 / (1.0 + np.exp(-u)), 0.25)
+# The pointwise functions a Nemytskii term may name, in name order.  Each
+# declared constant is checked on a dense grid by tests/test_models.py.
+SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
+    "cos": ScalarFunction(np.cos, 1.0),
+    "identity": ScalarFunction(lambda u: u, 1.0),
+    "one": ScalarFunction(lambda u: np.ones_like(u), 0.0),
+    "sigmoid": ScalarFunction(lambda u: 1.0 / (1.0 + np.exp(-u)), 0.25),
+    "sin": ScalarFunction(np.sin, 1.0),
+    "tanh": ScalarFunction(np.tanh, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -97,18 +64,22 @@ class DiagonalLinearDrift:
 
 
 @dataclass(frozen=True)
-class NemytskiiDrift:
-    """Pointwise drift u(y) -> f(u(y)) through the sine transforms on an M-point grid."""
+class Nemytskii:
+    """Pointwise map of a function g of `SCALAR_FUNCTIONS` on an M-point grid.
+
+    As the drift it is F(x)(y) = g(x(y)); as the diffusion it is
+    (G(x) w)(y) = g(x(y)) w(y).  Both go through the sine transforms.
+    """
 
     function: str
     grid_size: int
 
     @property
     def lipschitz(self) -> float:
-        return get_scalar_function(self.function).lipschitz
+        return SCALAR_FUNCTIONS[self.function].lipschitz
 
 
-DriftSpec = Union[ZeroDrift, DiagonalLinearDrift, NemytskiiDrift]
+DriftSpec = Union[ZeroDrift, DiagonalLinearDrift, Nemytskii]
 
 
 @dataclass(frozen=True)
@@ -127,19 +98,7 @@ class AdditiveDiagonalDiffusion:
         return 0.0
 
 
-@dataclass(frozen=True)
-class NemytskiiDiffusion:
-    """Multiplicative diffusion (G(x) w)(y) = g(x(y)) w(y) on an M-point grid."""
-
-    function: str
-    grid_size: int
-
-    @property
-    def lipschitz(self) -> float:
-        return get_scalar_function(self.function).lipschitz
-
-
-DiffusionSpec = Union[AdditiveDiagonalDiffusion, NemytskiiDiffusion]
+DiffusionSpec = Union[AdditiveDiagonalDiffusion, Nemytskii]
 
 
 @dataclass(frozen=True)
@@ -177,11 +136,15 @@ class ModelSpec:
         else:
             if not 0.0 <= self.r < 1.0:
                 raise ValueError(f"multiplicative models require r in [0, 1), got {self.r}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"moment order p must be finite, got {self.p}")
         if self.p < 2.0:
             raise ValueError(f"moment order must be >= 2, got {self.p}")
         for spec in (self.drift, self.diffusion):
-            if isinstance(spec, (NemytskiiDrift, NemytskiiDiffusion)):
-                get_scalar_function(spec.function)  # must exist
+            if isinstance(spec, Nemytskii):
+                if spec.function not in SCALAR_FUNCTIONS:
+                    raise ValueError(f"unknown scalar function {spec.function!r}, "
+                                     f"expected one of {tuple(SCALAR_FUNCTIONS)}")
                 if spec.grid_size < 2 * n:
                     raise ValueError(
                         f"Nemytskii grid size {spec.grid_size} must be >= 2 * {n}"
@@ -199,21 +162,6 @@ class AssumptionCheck:
     name: str
     passed: bool
     measured: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _dyadic_partial_sums(weights: np.ndarray) -> list[float]:
@@ -234,8 +182,11 @@ def _increments_shrink(sums: list[float], n: int) -> bool:
     return True
 
 
-def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionReport:
+def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[AssumptionCheck, ...]:
     """Check the standing assumptions at the truncated level and record constants.
+
+    The checks come in a fixed order: drift_lipschitz, diffusion_lipschitz,
+    diffusion_growth, initial_regularity.
 
     The growth/finiteness check for the diffusion inspects partial sums of the
     weighted Hilbert-Schmidt series across dimension doublings: increments that
@@ -295,7 +246,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
             )
         )
     else:
-        fn = get_scalar_function(diffusion.function).fn
+        fn = SCALAR_FUNCTIONS[diffusion.function].fn
         m = diffusion.grid_size
         basis = transforms.sine_basis_matrix(n, m)
         modes = np.arange(1, n + 1)
@@ -353,4 +304,4 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> AssumptionRep
             "initial_regularity", math.isfinite(initial_norm), {"norm": initial_norm}
         )
     )
-    return AssumptionReport(tuple(checks))
+    return tuple(checks)

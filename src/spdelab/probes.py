@@ -42,6 +42,8 @@ def estimate_lp_norm(samples: Sequence[float], p: float) -> tuple[float, float]:
     arr = np.asarray(samples, dtype=float)
     if arr.size < 2:
         raise ValueError(f"need at least two samples, got {arr.size}")
+    if not math.isfinite(p):
+        raise ValueError(f"moment order p must be finite, got {p}")
     if p < 2.0:
         raise ValueError(f"moment order must be >= 2, got {p}")
     powered = np.abs(arr) ** p

@@ -38,6 +38,7 @@ so results are bitwise those of the allocating form.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -46,13 +47,12 @@ import numpy as np
 
 from . import transforms
 from .models import (
+    SCALAR_FUNCTIONS,
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
     ModelSpec,
-    NemytskiiDiffusion,
-    NemytskiiDrift,
+    Nemytskii,
     ZeroDrift,
-    get_scalar_function,
 )
 from .noise import NoiseStream
 
@@ -80,6 +80,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {_METHODS}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"final time T must be finite, got {self.T}")
         if self.T < 0.0:
             raise ValueError(f"final time must be >= 0, got {self.T}")
         if self.steps < 1:
@@ -138,11 +140,11 @@ class Workspace:
         return arr
 
 
-def _pointwise(spec: NemytskiiDrift | NemytskiiDiffusion,
-               state_grid: Callable[[int], np.ndarray], out: np.ndarray) -> np.ndarray:
+def _pointwise(spec: Nemytskii, state_grid: Callable[[int], np.ndarray],
+               out: np.ndarray) -> np.ndarray:
     """The spec's function of the states' grid values, written into `out` when
     it is a numpy ufunc; other functions allocate."""
-    fn, values = get_scalar_function(spec.function).fn, state_grid(spec.grid_size)
+    fn, values = SCALAR_FUNCTIONS[spec.function].fn, state_grid(spec.grid_size)
     return fn(values, out=out) if isinstance(fn, np.ufunc) else fn(values)
 
 

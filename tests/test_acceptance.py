@@ -14,8 +14,7 @@ from spdelab.cli import main
 from spdelab.models import (
     AdditiveDiagonalDiffusion,
     ModelSpec,
-    NemytskiiDiffusion,
-    NemytskiiDrift,
+    Nemytskii,
     ZeroDrift,
 )
 from spdelab.noise import CovarianceSpectrum, burkholder_constant, example_covariance
@@ -378,7 +377,7 @@ def test_criterion_11_multiplicative_temporal_exponents():
             initial=SpectralCoeffs(np.zeros(n)),
         )
 
-    multiplicative = model(NemytskiiDrift("tanh", grid), NemytskiiDiffusion("cos", grid))
+    multiplicative = model(Nemytskii("tanh", grid), Nemytskii("cos", grid))
     additive = model(ZeroDrift(), AdditiveDiagonalDiffusion(np.ones(n)))
     passed = True
     details = []

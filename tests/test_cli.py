@@ -95,6 +95,15 @@ class TestParsing:
                              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         assert KNOWN_KEYS <= literals, sorted(KNOWN_KEYS - literals)
 
+    # int() raises OverflowError on an infinity and ValueError on a NaN, so the
+    # entries must be checked before they are converted
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_integer_list_entry_names_key_and_line(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, f"kind = example-section5\nseries.N = 10, {value}\n")
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: expected integers, got {value} (key 'series.N', line 2)\n"
+
     def test_key_reader_sees_accessors_membership_and_set(self):
         source = (
             'def f(cfg, self, key):\n'
@@ -141,6 +150,40 @@ class TestBuildModel:
     def test_multipliers_need_one_or_n_values(self, key):
         with pytest.raises(ConfigError, match=rf"need 1 or 4 values, got 2 \(key '{key}'\)"):
             self.build(f"model.N = 4\nmodel.drift = linear\n{key} = 1,2\n")
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("model.covariance = constant\nmodel.covariance.value = -1\n", "model.covariance.value"),
+            ("model.covariance = constant\nmodel.covariance.value = nan\n", "model.covariance.value"),
+            ("model.covariance = custom\nmodel.covariance.values = 1,nan\n",
+             "model.covariance.values"),
+            ("model.drift = linear\nmodel.drift.multipliers = nan\n", "model.drift.multipliers"),
+            ("model.diffusion.multipliers = inf\n", "model.diffusion.multipliers"),
+        ],
+    )
+    def test_non_finite_or_negative_values_name_key_and_line(self, lines, key):
+        line = lines.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf"must be finite.* \(key '{key}', line {line}\)"):
+            self.build(f"model.N = 2\n{lines}")
+
+    @pytest.mark.parametrize("role", ["drift", "diffusion"])
+    def test_unknown_scalar_function_names_key_and_line(self, role):
+        with pytest.raises(
+            ConfigError, match=rf"'nope' not in \('cos', .*\(key 'model.{role}.function', line 3\)"
+        ):
+            self.build(f"model.N = 4\nmodel.{role} = nemytskii\nmodel.{role}.function = nope\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_moment_order_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"moment order p must be finite, got {value}"):
+            self.build(f"model.N = 4\nmodel.p = {value}\n")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_final_time_rejected(self, value):
+        cfg = parse_config_text(f"solver.T = {value}\nsolver.seed = 0\n")
+        with pytest.raises(ConfigError, match=f"final time T must be finite, got {value}"):
+            build_solver(cfg)
 
     def test_zero_modes_rejected(self):
         with pytest.raises(ConfigError, match=r"model.N must be >= 1, got 0 \(key 'model.N'\)"):
@@ -465,8 +508,14 @@ class TestReproducibility:
 class TestCommandLine:
     def test_list_registry(self, capsys):
         assert main(["--list-registry"]) == 0
-        out = capsys.readouterr().out
-        assert "identity" in out and "tanh" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "cos: Lipschitz constant 1",
+            "identity: Lipschitz constant 1",
+            "one: Lipschitz constant 0",
+            "sigmoid: Lipschitz constant 0.25",
+            "sin: Lipschitz constant 1",
+            "tanh: Lipschitz constant 1",
+        ]
 
     def test_bad_config_returns_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path, "kind = simulate\nsolver.T = never\n")

@@ -12,8 +12,7 @@ from spdelab.models import (
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
     ModelSpec,
-    NemytskiiDiffusion,
-    NemytskiiDrift,
+    Nemytskii,
     ZeroDrift,
 )
 from spdelab.noise import example_covariance
@@ -58,8 +57,8 @@ def nemytskii_model(n):
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=example_covariance(n),
-        drift=NemytskiiDrift("tanh", 2 * n),
-        diffusion=NemytskiiDiffusion("cos", 2 * n),
+        drift=Nemytskii("tanh", 2 * n),
+        diffusion=Nemytskii("cos", 2 * n),
         initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
     )
 
@@ -97,6 +96,12 @@ class TestEstimateLpNorm:
             estimate_lp_norm([1.0], 2.0)
         with pytest.raises(ValueError):
             estimate_lp_norm([1.0, 2.0], 1.0)
+
+    # NaN passes a plain p < 2 test, and an infinite p has no finite moment
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_non_finite_moment_order_rejected(self, p):
+        with pytest.raises(ValueError, match="moment order p must be finite"):
+            estimate_lp_norm([1.0, 2.0], p)
 
     def test_standard_error_shrinks_like_root_n(self):
         rng = np.random.default_rng(3)

@@ -14,8 +14,7 @@ from spdelab.models import (
     AdditiveDiagonalDiffusion,
     DiagonalLinearDrift,
     ModelSpec,
-    NemytskiiDiffusion,
-    NemytskiiDrift,
+    Nemytskii,
     ZeroDrift,
 )
 from spdelab.noise import CovarianceSpectrum, NoiseStream, example_covariance
@@ -48,8 +47,8 @@ def nemytskii_model(n=8):
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=example_covariance(n),
-        drift=NemytskiiDrift("tanh", 4 * n),
-        diffusion=NemytskiiDiffusion("cos", 4 * n),
+        drift=Nemytskii("tanh", 4 * n),
+        diffusion=Nemytskii("cos", 4 * n),
         initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
     )
 
@@ -65,6 +64,12 @@ def diagonal_linear_model(n=8):
 
 
 class TestSolverConfig:
+    # NaN passes a plain T < 0 test, and T = inf makes h and every grid index inf
+    @pytest.mark.parametrize("t_final", [np.inf, np.nan])
+    def test_non_finite_final_time_rejected(self, t_final):
+        with pytest.raises(ValueError, match="final time T must be finite"):
+            SolverConfig(T=t_final, steps=10, paths=1)
+
     def test_snapshot_times_must_sit_on_the_grid(self):
         with pytest.raises(ValueError):
             SolverConfig(T=1.0, steps=10, paths=1, snapshot_times=(0.05,))
@@ -322,7 +327,7 @@ class TestExactOUPath:
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
             drift=ZeroDrift(),
-            diffusion=NemytskiiDiffusion("tanh", 4 * n),
+            diffusion=Nemytskii("tanh", 4 * n),
             initial=SpectralCoeffs(np.zeros(n)),
         )
         with pytest.raises(ValueError):
@@ -337,7 +342,7 @@ class TestExactOUPath:
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
             drift=ZeroDrift(),
-            diffusion=NemytskiiDiffusion("tanh", 4 * n),
+            diffusion=Nemytskii("tanh", 4 * n),
             initial=SpectralCoeffs(np.zeros(n)),
         )
         config = SolverConfig(T=T, steps=1, paths=3)
@@ -577,8 +582,8 @@ class TestSharedSynthesis:
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
-            drift=NemytskiiDrift("tanh", drift_grid),
-            diffusion=NemytskiiDiffusion("cos", diffusion_grid),
+            drift=Nemytskii("tanh", drift_grid),
+            diffusion=Nemytskii("cos", diffusion_grid),
             initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
         )
         config = SolverConfig(T=0.01, steps=7, paths=5)
@@ -589,16 +594,16 @@ class TestSharedSynthesis:
     # identity returns the shared state grid itself, which must come out of
     # each evaluation untouched
     CASES = {
-        "identity": (NemytskiiDrift("identity", 32), NemytskiiDiffusion("sigmoid", 32)),
-        "tanh": (NemytskiiDrift("tanh", 32), NemytskiiDiffusion("sigmoid", 32)),
-        "sigmoid-drift": (NemytskiiDrift("sigmoid", 32), NemytskiiDiffusion("identity", 32)),
-        "same-grid": (NemytskiiDrift("tanh", 32), NemytskiiDiffusion("cos", 32)),
-        "different-grids": (NemytskiiDrift("tanh", 20), NemytskiiDiffusion("cos", 32)),
+        "identity": (Nemytskii("identity", 32), Nemytskii("sigmoid", 32)),
+        "tanh": (Nemytskii("tanh", 32), Nemytskii("sigmoid", 32)),
+        "sigmoid-drift": (Nemytskii("sigmoid", 32), Nemytskii("identity", 32)),
+        "same-grid": (Nemytskii("tanh", 32), Nemytskii("cos", 32)),
+        "different-grids": (Nemytskii("tanh", 20), Nemytskii("cos", 32)),
         "linear-drift": (
-            DiagonalLinearDrift(np.linspace(-3.0, 3.0, 8)), NemytskiiDiffusion("cos", 32)
+            DiagonalLinearDrift(np.linspace(-3.0, 3.0, 8)), Nemytskii("cos", 32)
         ),
         "additive-diffusion": (
-            NemytskiiDrift("tanh", 32), AdditiveDiagonalDiffusion(np.full(8, 0.5))
+            Nemytskii("tanh", 32), AdditiveDiagonalDiffusion(np.full(8, 0.5))
         ),
     }
 
@@ -618,7 +623,7 @@ class TestSharedSynthesis:
         def on_grid(spec, x):
             """spec's function of the grid values of x, and the grid's basis."""
             basis = transforms.sine_basis_matrix(n, spec.grid_size)
-            return models.get_scalar_function(spec.function).fn(x @ basis), basis
+            return models.SCALAR_FUNCTIONS[spec.function].fn(x @ basis), basis
 
         h = config.h
         decay = np.exp(-model.operator.eigenvalues * h)
