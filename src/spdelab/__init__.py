@@ -3,20 +3,19 @@
 Simulates the mild solution of dX + [AX + F(X)]dt = G(X)dW on the truncated
 eigenbasis of A and probes the smoothness predictions that come with it:
 fractional-norm finiteness, temporal Hölder exponents, and the borderline
-covariance example whose higher norms blow up.  F is zero, diagonal or a
-`Nemytskii` map, and G is additive diagonal noise or a `Nemytskii` map; a
-`Nemytskii` map composes pointwise with a globally Lipschitz scalar function
-from the `SCALAR_FUNCTIONS` table.
+covariance example whose higher norms blow up.  F is None (zero), a
+`Diagonal` or a `Nemytskii` spec, and G a `Diagonal` (additive noise) or a
+`Nemytskii` spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec
+composes pointwise with a globally Lipschitz scalar function from the
+`SCALAR_FUNCTIONS` table.
 """
 
 from .models import (
     SCALAR_FUNCTIONS,
-    AdditiveDiagonalDiffusion,
-    DiagonalLinearDrift,
+    Diagonal,
     ModelSpec,
     Nemytskii,
     ScalarFunction,
-    ZeroDrift,
     validate_assumptions,
 )
 from .noise import (

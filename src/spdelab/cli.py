@@ -25,13 +25,7 @@ from .config import (
     parse_config_file,
     warn_on_stiff_linear_drift,
 )
-from .models import (
-    SCALAR_FUNCTIONS,
-    AdditiveDiagonalDiffusion,
-    ModelSpec,
-    ZeroDrift,
-    validate_assumptions,
-)
+from .models import SCALAR_FUNCTIONS, Diagonal, ModelSpec, validate_assumptions
 from .noise import burkholder_constant, example_covariance
 from .solver import EXACT_GAUSSIAN, SolverConfig
 from .spectrum import (
@@ -194,8 +188,8 @@ def verify_lemmas(
     model = ModelSpec(
         operator=op_mc,
         covariance=cov,
-        drift=ZeroDrift(),
-        diffusion=AdditiveDiagonalDiffusion(np.ones(n)),
+        drift=None,
+        diffusion=Diagonal(np.ones(n)),
         initial=SpectralCoeffs(np.zeros(n)),
         r=0.0,
         p=2.0,
@@ -390,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--list-registry", action="store_true",
-        help="print the registered pointwise scalar functions and exit",
+        help="print the pointwise scalar functions of the SCALAR_FUNCTIONS table "
+        "with their Lipschitz constants, and exit",
     )
     sub = parser.add_subparsers(dest="command")
     run_parser = sub.add_parser("run", help="run the experiment described by a config file")

@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import (
-    SCALAR_FUNCTIONS,
-    AdditiveDiagonalDiffusion,
-    DiagonalLinearDrift,
-    ModelSpec,
-    Nemytskii,
-    ZeroDrift,
-)
+from .models import SCALAR_FUNCTIONS, Diagonal, ModelError, ModelSpec, Nemytskii
 from .noise import CovarianceSpectrum, example_covariance
 from .solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER, SolverConfig
 from .spectrum import SpectralCoeffs, dirichlet_laplacian_1d
@@ -53,6 +46,24 @@ KNOWN_KEYS = frozenset({
     "lemmas.bound_draws", "lemmas.exactness_draws", "lemmas.paths",
     "series.r", "series.t", "series.N",
 })
+
+
+# The key that sets each ModelSpec field, by the field's name in a ModelError:
+# build_model reads the drift and diffusion through these keys and reports a
+# rejected field against its key.
+MODEL_FIELD_KEYS = {
+    "initial": "model.initial",
+    "r": "model.r",
+    "p": "model.p",
+    "drift": "model.drift",
+    "drift.multipliers": "model.drift.multipliers",
+    "drift.function": "model.drift.function",
+    "drift.grid_size": "model.drift.grid",
+    "diffusion": "model.diffusion",
+    "diffusion.multipliers": "model.diffusion.multipliers",
+    "diffusion.function": "model.diffusion.function",
+    "diffusion.grid_size": "model.diffusion.grid",
+}
 
 
 class ConfigError(ValueError):
@@ -212,27 +223,23 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
             raise ConfigError(f"need 1 or {n} values, got {len(values)}", key=key)
         return np.array(values)
 
-    drift_kind = cfg.get_choice("model.drift", ("zero", "linear", "nemytskii"), "zero")
-    if drift_kind == "zero":
-        drift = ZeroDrift()
-    elif drift_kind == "linear":
-        key = "model.drift.multipliers"
-        drift = checked(key, DiagonalLinearDrift, broadcast(key, 0.0))
-    else:
-        drift = Nemytskii(
-            cfg.get_choice("model.drift.function", tuple(SCALAR_FUNCTIONS)),
-            cfg.get_int("model.drift.grid", 4 * n),
-        )
+    def term(role: str, kinds: tuple[str, ...], multiplier: float):
+        """The drift or diffusion spec, of the first of `kinds` by default: None
+        for "zero", a `Nemytskii` for "nemytskii", else a `Diagonal` whose
+        multipliers default to `multiplier`."""
+        kind = cfg.get_choice(MODEL_FIELD_KEYS[role], kinds, kinds[0])
+        if kind == "zero":
+            return None
+        if kind == "nemytskii":
+            return Nemytskii(
+                cfg.get_choice(MODEL_FIELD_KEYS[f"{role}.function"], tuple(SCALAR_FUNCTIONS)),
+                cfg.get_int(MODEL_FIELD_KEYS[f"{role}.grid_size"], 4 * n),
+            )
+        key = MODEL_FIELD_KEYS[f"{role}.multipliers"]
+        return checked(key, Diagonal, broadcast(key, multiplier))
 
-    diff_kind = cfg.get_choice("model.diffusion", ("additive", "nemytskii"), "additive")
-    if diff_kind == "additive":
-        key = "model.diffusion.multipliers"
-        diffusion = checked(key, AdditiveDiagonalDiffusion, broadcast(key, 1.0))
-    else:
-        diffusion = Nemytskii(
-            cfg.get_choice("model.diffusion.function", tuple(SCALAR_FUNCTIONS)),
-            cfg.get_int("model.diffusion.grid", 4 * n),
-        )
+    drift = term("drift", ("zero", "linear", "nemytskii"), 0.0)
+    diffusion = term("diffusion", ("additive", "nemytskii"), 1.0)
 
     initial_values = cfg.get_floats("model.initial", [0.0])
     if len(initial_values) > n:
@@ -240,21 +247,17 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
             f"initial state has {len(initial_values)} coefficients for {n} modes",
             key="model.initial",
         )
-    initial = np.zeros(n)
-    initial[: len(initial_values)] = initial_values
+    padded = np.zeros(n)
+    padded[: len(initial_values)] = initial_values
+    initial = checked("model.initial", SpectralCoeffs, padded)
+    r, p = cfg.get_float("model.r", 0.0), cfg.get_float("model.p", 2.0)
 
     try:
-        return ModelSpec(
-            operator=operator,
-            covariance=covariance,
-            drift=drift,
-            diffusion=diffusion,
-            initial=SpectralCoeffs(initial),
-            r=cfg.get_float("model.r", 0.0),
-            p=cfg.get_float("model.p", 2.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
+        return ModelSpec(operator=operator, covariance=covariance, drift=drift,
+                         diffusion=diffusion, initial=initial, r=r, p=p)
+    except ModelError as exc:
+        key = MODEL_FIELD_KEYS.get(exc.field)
+        raise ConfigError(f"invalid model: {exc}", key=key, line=cfg._line(key)) from exc
 
 
 def build_solver(cfg: ExperimentConfig) -> SolverConfig:
@@ -287,7 +290,7 @@ def warn_on_stiff_linear_drift(
     changes sign for a damping f_k, and at least doubles the mode for a growing
     one, so the scheme can oscillate or blow up.
     """
-    if not isinstance(model.drift, DiagonalLinearDrift):
+    if not isinstance(model.drift, Diagonal):
         return
     k = int(np.argmax(np.abs(model.drift.multipliers)))
     worst = float(model.drift.multipliers[k])

@@ -2,18 +2,20 @@
 
 A model couples the operator spectrum, the noise covariance, a drift F, a
 diffusion G, a deterministic initial state, and the regularity parameters
-(r, p) the user claims for it.  A nonlinear F or G is a `Nemytskii` spec: the
-pointwise composition with a globally Lipschitz scalar function named in
-`SCALAR_FUNCTIONS`; the field of `ModelSpec` it sits in makes it the drift or
-the diffusion.  The solver evaluates F and G on the rows of a time step, and
-`validate_assumptions` returns one `AssumptionCheck` per standing assumption.
+(r, p) the user claims for it.  F is None (zero), a `Diagonal` or a
+`Nemytskii` spec, and G a `Diagonal` or a `Nemytskii` spec.  A `Diagonal`
+multiplies mode k by m_k; a `Nemytskii` spec composes pointwise with a
+globally Lipschitz scalar function named in `SCALAR_FUNCTIONS`.  The field of
+`ModelSpec` a spec sits in makes it the drift or the diffusion.  The solver
+evaluates F and G on the rows of a time step, and `validate_assumptions`
+returns one `AssumptionCheck` per standing assumption.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -43,24 +45,19 @@ SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
 
 
 @dataclass(frozen=True)
-class ZeroDrift:
-    lipschitz: float = 0.0
+class Diagonal:
+    """Diagonal operator acting as multiplication by m_k on mode k.
 
-
-@dataclass(frozen=True)
-class DiagonalLinearDrift:
-    """Drift acting as multiplication by f_k on mode k; Lipschitz constant sup|f_k|."""
+    As the drift it is F(x) = m x; as the diffusion it is the
+    state-independent G(x) w = m w.
+    """
 
     multipliers: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "multipliers", _frozen_array(self.multipliers))
         if not np.all(np.isfinite(self.multipliers)):
-            raise ValueError("drift multipliers must be finite")
-
-    @property
-    def lipschitz(self) -> float:
-        return float(np.max(np.abs(self.multipliers)))
+            raise ValueError("multipliers must be finite")
 
 
 @dataclass(frozen=True)
@@ -74,41 +71,28 @@ class Nemytskii:
     function: str
     grid_size: int
 
-    @property
-    def lipschitz(self) -> float:
-        return SCALAR_FUNCTIONS[self.function].lipschitz
 
+class ModelError(ValueError):
+    """A `ModelSpec` rejection.  `field` names the field at fault, dotted into
+    a drift or diffusion spec ("p", "drift.grid_size"), or is None when no one
+    field is."""
 
-DriftSpec = Union[ZeroDrift, DiagonalLinearDrift, Nemytskii]
-
-
-@dataclass(frozen=True)
-class AdditiveDiagonalDiffusion:
-    """State-independent diffusion acting as multiplication by g_k on mode k."""
-
-    multipliers: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "multipliers", _frozen_array(self.multipliers))
-        if not np.all(np.isfinite(self.multipliers)):
-            raise ValueError("diffusion multipliers must be finite")
-
-    @property
-    def lipschitz(self) -> float:
-        return 0.0
-
-
-DiffusionSpec = Union[AdditiveDiagonalDiffusion, Nemytskii]
+    def __init__(self, message: str, field: str | None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full problem description with its declared regularity parameters."""
+    """Full problem description with its declared regularity parameters.
+
+    A drift of None is F = 0.  Every rejection is a `ModelError`.
+    """
 
     operator: SpectralOperator
     covariance: CovarianceSpectrum
-    drift: DriftSpec
-    diffusion: DiffusionSpec
+    drift: Diagonal | Nemytskii | None
+    diffusion: Diagonal | Nemytskii
     initial: SpectralCoeffs
     r: float = 0.0
     p: float = 2.0
@@ -116,41 +100,52 @@ class ModelSpec:
     def __post_init__(self):
         n = self.operator.dimension
         if self.covariance.dimension != n:
-            raise ValueError(
-                f"covariance dimension {self.covariance.dimension} != operator dimension {n}"
+            raise ModelError(
+                f"covariance dimension {self.covariance.dimension} != operator dimension {n}",
+                "covariance",
             )
         if self.initial.dimension != n:
-            raise ValueError(
-                f"initial-state dimension {self.initial.dimension} != operator dimension {n}"
+            raise ModelError(
+                f"initial-state dimension {self.initial.dimension} != operator dimension {n}",
+                "initial",
             )
-        if isinstance(self.drift, DiagonalLinearDrift) and self.drift.multipliers.size != n:
-            raise ValueError("diagonal drift multiplier count must match the operator")
-        if isinstance(self.diffusion, AdditiveDiagonalDiffusion):
-            if self.diffusion.multipliers.size != n:
-                raise ValueError("diagonal diffusion multiplier count must match the operator")
-            if not 0.0 <= self.r <= 1.0:
-                raise ValueError(f"additive models allow r in [0, 1], got {self.r}")
-            norm = hs_norm_L2r(self.operator, self.covariance, self.diffusion.multipliers, self.r)
-            if not math.isfinite(norm):
-                raise ValueError("weighted Hilbert-Schmidt norm of the diffusion is not finite")
-        else:
-            if not 0.0 <= self.r < 1.0:
-                raise ValueError(f"multiplicative models require r in [0, 1), got {self.r}")
-        if not math.isfinite(self.p):
-            raise ValueError(f"moment order p must be finite, got {self.p}")
-        if self.p < 2.0:
-            raise ValueError(f"moment order must be >= 2, got {self.p}")
-        for spec in (self.drift, self.diffusion):
+        for role in ("drift", "diffusion"):
+            spec = getattr(self, role)
+            if isinstance(spec, Diagonal) and spec.multipliers.size != n:
+                raise ModelError(f"diagonal {role} multiplier count must match the operator",
+                                 f"{role}.multipliers")
             if isinstance(spec, Nemytskii):
                 if spec.function not in SCALAR_FUNCTIONS:
-                    raise ValueError(f"unknown scalar function {spec.function!r}, "
-                                     f"expected one of {tuple(SCALAR_FUNCTIONS)}")
+                    raise ModelError(f"unknown scalar function {spec.function!r}, "
+                                     f"expected one of {tuple(SCALAR_FUNCTIONS)}",
+                                     f"{role}.function")
                 if spec.grid_size < 2 * n:
-                    raise ValueError(
-                        f"Nemytskii grid size {spec.grid_size} must be >= 2 * {n}"
+                    raise ModelError(
+                        f"Nemytskii grid size {spec.grid_size} must be >= 2 * {n}",
+                        f"{role}.grid_size",
                     )
-        if not math.isfinite(hdot_norm(self.operator, self.r + 1.0, self.initial)):
-            raise ValueError("initial state must have a finite smoothness norm at r + 1")
+        if isinstance(self.diffusion, Diagonal):
+            if not 0.0 <= self.r <= 1.0:
+                raise ModelError(f"additive models allow r in [0, 1], got {self.r}", "r")
+            # an overflow gives inf, or nan where q_k = 0; either is rejected next
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = hs_norm_L2r(self.operator, self.covariance, self.diffusion.multipliers,
+                                   self.r)
+            if not math.isfinite(norm):
+                raise ModelError(
+                    "weighted Hilbert-Schmidt norm of the diffusion is not finite", None
+                )
+        elif not 0.0 <= self.r < 1.0:
+            raise ModelError(f"multiplicative models require r in [0, 1), got {self.r}", "r")
+        if not math.isfinite(self.p):
+            raise ModelError(f"moment order p must be finite, got {self.p}", "p")
+        if self.p < 2.0:
+            raise ModelError(f"moment order must be >= 2, got {self.p}", "p")
+        with np.errstate(over="ignore"):  # an overflow gives inf, rejected next
+            initial_norm = hdot_norm(self.operator, self.r + 1.0, self.initial)
+        if not math.isfinite(initial_norm):
+            raise ModelError("initial state must have a finite smoothness norm at r + 1",
+                             "initial")
 
     @property
     def dimension(self) -> int:
@@ -225,16 +220,23 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
     op, cov = model.operator, model.covariance
     n = model.dimension
 
-    lip_f = model.drift.lipschitz
+    # declared constants: a Nemytskii term's from the table, max|m_k| for a
+    # diagonal drift x -> m x, and 0 for no drift and for the state-independent
+    # diagonal diffusion
+    drift, diffusion = model.drift, model.diffusion
+    lip_f = lip_g = 0.0
+    if isinstance(drift, Diagonal):
+        lip_f = float(np.max(np.abs(drift.multipliers)))
+    elif isinstance(drift, Nemytskii):
+        lip_f = SCALAR_FUNCTIONS[drift.function].lipschitz
+    if isinstance(diffusion, Nemytskii):
+        lip_g = SCALAR_FUNCTIONS[diffusion.function].lipschitz
     checks.append(
         AssumptionCheck("drift_lipschitz", math.isfinite(lip_f), {"constant": lip_f})
     )
 
-    diffusion = model.diffusion
-    if isinstance(diffusion, AdditiveDiagonalDiffusion):
-        checks.append(
-            AssumptionCheck("diffusion_lipschitz", True, {"constant": diffusion.lipschitz})
-        )
+    if isinstance(diffusion, Diagonal):
+        checks.append(AssumptionCheck("diffusion_lipschitz", True, {"constant": lip_g}))
         weights = op.eigenvalues**model.r * cov.variances * diffusion.multipliers**2
         sums = _dyadic_partial_sums(weights)
         norm = math.sqrt(sums[-1])
@@ -273,12 +275,12 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
                 image_norm(image_terms(fn(ua) - fn(ub), 0.0)) / float(np.linalg.norm(x - y))
             )
         measured_lip = max(ratios)
-        lip_bound = diffusion.lipschitz * math.sqrt(2.0 * float(np.sum(cov.variances)))
+        lip_bound = lip_g * math.sqrt(2.0 * float(np.sum(cov.variances)))
         checks.append(
             AssumptionCheck(
                 "diffusion_lipschitz",
                 measured_lip <= lip_bound,
-                {"constant": diffusion.lipschitz, "measured": measured_lip},
+                {"constant": lip_g, "measured": measured_lip},
             )
         )
         rng = np.random.default_rng(probe_seed + 1)

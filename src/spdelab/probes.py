@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import AdditiveDiagonalDiffusion, DiagonalLinearDrift, ModelSpec, ZeroDrift
+from .models import Diagonal, ModelSpec, Nemytskii
 from .noise import CovarianceSpectrum
 from .solver import SolverConfig, map_paths
 from .spectrum import SpectralCoeffs, SpectralOperator
@@ -73,8 +73,8 @@ def increment_samples(
     Returns an array (len(s_values), len(lag_pairs), paths).
     """
     times = sorted({float(t) for pair in lag_pairs for t in pair})
+    # replace reruns SolverConfig's checks, which reject off-grid times
     run_config = dataclasses.replace(config, snapshot_times=tuple(times))
-    run_config.snapshot_steps()  # validates grid alignment
     index = {t: i for i, t in enumerate(times)}
     first = [index[t1] for t1, _ in lag_pairs]
     second = [index[t2] for _, t2 in lag_pairs]
@@ -138,26 +138,29 @@ def temporal_probe(
     s_values: Sequence[float],
     anchor: float,
     lags: Sequence[float],
-    p: float | None = None,
     workers: int = 1,
 ) -> list[tuple[HolderEstimate, list[tuple[float, float, float]]]]:
     """Fit the temporal Hölder exponent at each smoothness s from increments off an anchor.
 
-    The increments X(anchor + lag) - X(anchor) of one ensemble serve every s.
-    Returns, per s in `s_values`, the fit and the per-lag table
-    (lag, estimate, stderr).
+    The increments X(anchor + lag) - X(anchor) of one ensemble serve every s,
+    and their moments are taken at the model's p.  Returns, per s in
+    `s_values`, the fit and the per-lag table (lag, estimate, stderr).
     """
-    p = model.p if p is None else p
     pairs = [(anchor, anchor + lag) for lag in lags]
     samples = increment_samples(model, config, s_values, pairs, workers=workers)
     results = []
     for s, per_lag in zip(s_values, samples):
-        table = [(float(lag), *estimate_lp_norm(arr, p)) for lag, arr in zip(lags, per_lag)]
+        table = [(float(lag), *estimate_lp_norm(arr, model.p)) for lag, arr in zip(lags, per_lag)]
         fit = fit_holder_exponent(
             [(lag, est) for lag, est, _ in table], predicted_temporal_exponent(model.r, s)
         )
         results.append((fit, table))
     return results
+
+
+def _leading(spec, n_modes: int):
+    """A `Diagonal` spec cut to its first n_modes multipliers; any other spec as is."""
+    return Diagonal(spec.multipliers[:n_modes]) if isinstance(spec, Diagonal) else spec
 
 
 def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
@@ -167,17 +170,11 @@ def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
         raise ValueError(f"cannot truncate a {n}-mode model to {n_modes} modes")
     if n_modes == n:
         return model
-    drift = model.drift
-    if isinstance(drift, DiagonalLinearDrift):
-        drift = DiagonalLinearDrift(drift.multipliers[:n_modes])
-    diffusion = model.diffusion
-    if isinstance(diffusion, AdditiveDiagonalDiffusion):
-        diffusion = AdditiveDiagonalDiffusion(diffusion.multipliers[:n_modes])
     return ModelSpec(
         operator=SpectralOperator(model.operator.eigenvalues[:n_modes]),
         covariance=CovarianceSpectrum(model.covariance.variances[:n_modes]),
-        drift=drift,
-        diffusion=diffusion,
+        drift=_leading(model.drift, n_modes),
+        diffusion=_leading(model.diffusion, n_modes),
         initial=SpectralCoeffs(model.initial.values[:n_modes]),
         r=model.r,
         p=model.p,
@@ -194,8 +191,8 @@ def spatial_sweep(
     """Estimated sup over snapshots of the (s, p) moment norm at growing truncations.
 
     Truncation n is the model on its leading n modes.  The noise is addressed
-    per (path, step, mode), so every truncation reads the same draws.  With
-    zero or diagonal linear drift and additive diagonal diffusion each mode
+    per (path, step, mode), so every truncation reads the same draws.  With no
+    Nemytskii term (no or a diagonal drift, a diagonal diffusion) each mode
     evolves on its own, elementwise, so the first n modes of a run at the
     largest truncation are bitwise the run at n: one ensemble, reduced over
     every prefix, serves the whole sweep.  A Nemytskii term couples the modes
@@ -207,9 +204,7 @@ def spatial_sweep(
         raise ValueError("truncation dimensions must be strictly increasing")
     if n_values and n_values[0] < 1:
         raise ValueError(f"truncation dimensions must be >= 1, got {n_values[0]}")
-    decoupled = isinstance(model.drift, (ZeroDrift, DiagonalLinearDrift)) and isinstance(
-        model.diffusion, AdditiveDiagonalDiffusion
-    )
+    decoupled = not any(isinstance(term, Nemytskii) for term in (model.drift, model.diffusion))
     runs = [n_values] if decoupled and n_values else [[n] for n in n_values]
     results = []
     for run in runs:

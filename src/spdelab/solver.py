@@ -46,14 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import transforms
-from .models import (
-    SCALAR_FUNCTIONS,
-    AdditiveDiagonalDiffusion,
-    DiagonalLinearDrift,
-    ModelSpec,
-    Nemytskii,
-    ZeroDrift,
-)
+from .models import SCALAR_FUNCTIONS, Diagonal, ModelSpec, Nemytskii
 from .noise import NoiseStream
 
 EXPONENTIAL_EULER = "exponential-euler"
@@ -150,13 +143,13 @@ def _pointwise(spec: Nemytskii, state_grid: Callable[[int], np.ndarray],
 
 def _drift_rows(model: ModelSpec, states: np.ndarray, work: Workspace,
                 state_grid: Callable[[int], np.ndarray]) -> np.ndarray:
-    """Linear or Nemytskii drift F evaluated row-wise on a (paths, modes) state array.
+    """Diagonal or Nemytskii drift F evaluated row-wise on a (paths, modes) state array.
 
     A Nemytskii drift on an M-point grid reads the states' grid values from
     `state_grid(M)`.  The result is an array of `work`.
     """
     drift = model.drift
-    if isinstance(drift, DiagonalLinearDrift):
+    if isinstance(drift, Diagonal):
         return np.multiply(states, drift.multipliers, out=work.get("drift", states.shape))
     grid_shape = (len(states), drift.grid_size - 1)
     values = _pointwise(drift, state_grid, work.get("drift values", grid_shape))
@@ -171,7 +164,7 @@ def _diffusion_rows(model: ModelSpec, states: np.ndarray, increments: np.ndarray
     from `state_grid(M)`.  The result is an array of `work`.
     """
     diffusion = model.diffusion
-    if isinstance(diffusion, AdditiveDiagonalDiffusion):
+    if isinstance(diffusion, Diagonal):
         out = work.get("diffusion", increments.shape)
         return np.multiply(increments, diffusion.multipliers, out=out)
     grid_shape = (len(states), diffusion.grid_size - 1)
@@ -201,7 +194,7 @@ def _euler_rows(
 
     # both terms are evaluated before `states` changes
     g_dw = _diffusion_rows(model, states, increments, work, state_grid)
-    if not isinstance(model.drift, ZeroDrift):  # a zero drift is skipped: x - h * 0 is x, bitwise
+    if model.drift is not None:  # no drift is skipped: x - h * 0 is x, bitwise
         h_drift = _drift_rows(model, states, work, state_grid)
         h_drift *= h
         states -= h_drift
@@ -210,9 +203,9 @@ def _euler_rows(
 
 
 def _require_linear_additive(model: ModelSpec) -> np.ndarray:
-    if not isinstance(model.drift, ZeroDrift):
+    if model.drift is not None:
         raise ValueError("exact transition sampling requires zero drift")
-    if not isinstance(model.diffusion, AdditiveDiagonalDiffusion):
+    if not isinstance(model.diffusion, Diagonal):
         raise ValueError("exact transition sampling requires additive diagonal diffusion")
     return model.diffusion.multipliers
 

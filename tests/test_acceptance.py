@@ -11,12 +11,7 @@ import numpy as np
 from scipy.integrate import quad, quad_vec
 
 from spdelab.cli import main
-from spdelab.models import (
-    AdditiveDiagonalDiffusion,
-    ModelSpec,
-    Nemytskii,
-    ZeroDrift,
-)
+from spdelab.models import Diagonal, ModelSpec, Nemytskii
 from spdelab.noise import CovarianceSpectrum, burkholder_constant, example_covariance
 from spdelab.probes import (
     continuity_modulus,
@@ -49,8 +44,8 @@ def borderline_model(n, r=0.0):
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=example_covariance(n),
-        drift=ZeroDrift(),
-        diffusion=AdditiveDiagonalDiffusion(np.ones(n)),
+        drift=None,
+        diffusion=Diagonal(np.ones(n)),
         initial=SpectralCoeffs(np.zeros(n)),
         r=r,
     )
@@ -378,7 +373,7 @@ def test_criterion_11_multiplicative_temporal_exponents():
         )
 
     multiplicative = model(Nemytskii("tanh", grid), Nemytskii("cos", grid))
-    additive = model(ZeroDrift(), AdditiveDiagonalDiffusion(np.ones(n)))
+    additive = model(None, Diagonal(np.ones(n)))
     passed = True
     details = []
     # (s, h, steps, anchor in steps, seed): acceptance 5's two windows

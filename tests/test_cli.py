@@ -176,8 +176,38 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_moment_order_rejected(self, value):
-        with pytest.raises(ConfigError, match=f"moment order p must be finite, got {value}"):
+        with pytest.raises(
+            ConfigError,
+            match=rf"moment order p must be finite, got {value} \(key 'model.p', line 2\)",
+        ):
             self.build(f"model.N = 4\nmodel.p = {value}\n")
+
+    # ModelSpec decides each of these, and the config error names the key at
+    # fault; a norm that overflows is rejected by its check, with no numpy warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("model.r = 1.5\n",
+             r"additive models allow r in \[0, 1\], got 1.5 \(key 'model.r', line 2\)"),
+            ("model.p = 1\n", r"moment order must be >= 2, got 1.0 \(key 'model.p', line 2\)"),
+            ("model.drift = nemytskii\nmodel.drift.function = tanh\nmodel.drift.grid = 20\n",
+             r"Nemytskii grid size 20 must be >= 2 \* 16 \(key 'model.drift.grid', line 4\)"),
+            ("model.diffusion = nemytskii\nmodel.diffusion.function = cos\n"
+             "model.diffusion.grid = 20\n",
+             r"Nemytskii grid size 20 must be >= 2 \* 16 \(key 'model.diffusion.grid', line 4\)"),
+            ("model.initial = 1e300\n", r"initial state must have a finite smoothness norm "
+             r"at r \+ 1 \(key 'model.initial', line 2\)"),
+            # the covariance, the multipliers and r all enter this norm: no one key is at fault
+            ("model.diffusion.multipliers = 1e200\n",
+             "weighted Hilbert-Schmidt norm of the diffusion is not finite"),
+        ],
+        ids=["model.r", "model.p", "model.drift.grid", "model.diffusion.grid", "model.initial",
+             "hilbert-schmidt-norm"],
+    )
+    def test_model_rejection_names_key_and_line(self, lines, message):
+        with pytest.raises(ConfigError, match=f"^invalid model: {message}$"):
+            self.build(f"model.N = 16\n{lines}")
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_final_time_rejected(self, value):

@@ -8,12 +8,10 @@ import pytest
 from spdelab import solver, transforms
 from spdelab.models import (
     SCALAR_FUNCTIONS,
-    AdditiveDiagonalDiffusion,
-    DiagonalLinearDrift,
+    Diagonal,
     ModelSpec,
     Nemytskii,
     ScalarFunction,
-    ZeroDrift,
     validate_assumptions,
 )
 from spdelab.noise import CovarianceSpectrum, example_covariance
@@ -24,8 +22,8 @@ def make_model(n=8, drift=None, diffusion=None, r=0.0, initial=None, covariance=
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=covariance if covariance is not None else example_covariance(n),
-        drift=drift if drift is not None else ZeroDrift(),
-        diffusion=diffusion if diffusion is not None else AdditiveDiagonalDiffusion(np.ones(n)),
+        drift=drift,
+        diffusion=diffusion if diffusion is not None else Diagonal(np.ones(n)),
         initial=SpectralCoeffs(initial if initial is not None else np.zeros(n)),
         r=r,
         p=p,
@@ -90,8 +88,8 @@ class TestModelValidation:
             ModelSpec(
                 operator=dirichlet_laplacian_1d(4),
                 covariance=example_covariance(5),
-                drift=ZeroDrift(),
-                diffusion=AdditiveDiagonalDiffusion(np.ones(4)),
+                drift=None,
+                diffusion=Diagonal(np.ones(4)),
                 initial=SpectralCoeffs(np.zeros(4)),
             )
 
@@ -129,7 +127,7 @@ def diffusion_row(model, x, dw):
 class TestApplyDrift:
     def test_constant_diagonal_multiplier(self):
         n = 8
-        model = make_model(n, drift=DiagonalLinearDrift(np.full(n, 2.5)))
+        model = make_model(n, drift=Diagonal(np.full(n, 2.5)))
         x = np.arange(1.0, 9.0)
         np.testing.assert_allclose(drift_row(model, x), 2.5 * x, rtol=1e-15)
 
@@ -191,6 +189,15 @@ class TestValidateAssumptions:
         assert checks["drift_lipschitz"].passed
         assert checks["initial_regularity"].passed
         assert checks["initial_regularity"].measured["norm"] == 0.0
+
+    # one Diagonal instance is F(x) = m x as the drift and the state-independent
+    # G(x) w = m w as the diffusion
+    def test_one_diagonal_spec_takes_its_constant_from_its_role(self):
+        n = 8
+        diagonal = Diagonal(np.linspace(-3.0, 2.0, n))
+        checks = checks_of(make_model(n, drift=diagonal, diffusion=diagonal))
+        assert checks["drift_lipschitz"].measured == {"constant": 3.0}
+        assert checks["diffusion_lipschitz"].measured == {"constant": 0.0}
 
     def test_multiplicative_model_reports_measured_constants(self):
         n = 8

@@ -1,5 +1,6 @@
 """Estimator and probe tests: moment norms, exponent fits, sweeps, series."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
-from spdelab.models import (
-    AdditiveDiagonalDiffusion,
-    DiagonalLinearDrift,
-    ModelSpec,
-    Nemytskii,
-    ZeroDrift,
-)
+from spdelab.models import Diagonal, ModelSpec, Nemytskii
 from spdelab.noise import example_covariance
 from spdelab.probes import (
     continuity_modulus,
@@ -43,13 +38,14 @@ from spdelab.spectrum import (
 )
 
 
-def linear_drift_model(n):
+def linear_drift_model(n, p=2.0):
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=example_covariance(n),
-        drift=DiagonalLinearDrift(np.linspace(-5.0, 5.0, n)),
-        diffusion=AdditiveDiagonalDiffusion(np.linspace(1.0, 0.5, n)),
+        drift=Diagonal(np.linspace(-5.0, 5.0, n)),
+        diffusion=Diagonal(np.linspace(1.0, 0.5, n)),
         initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+        p=p,
     )
 
 
@@ -67,8 +63,8 @@ def borderline_model(n=8, r=0.0):
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=example_covariance(n),
-        drift=ZeroDrift(),
-        diffusion=AdditiveDiagonalDiffusion(np.ones(n)),
+        drift=None,
+        diffusion=Diagonal(np.ones(n)),
         initial=SpectralCoeffs(np.zeros(n)),
         r=r,
     )
@@ -232,7 +228,7 @@ class TestIncrementSamples:
         t1, t2 = 0.04, 0.05
         config = SolverConfig(T=0.05, steps=50, paths=2000, master_seed=4)
         coupled = increment_samples(model, config, (0.0,), [(t1, t2)])[0, 0]
-        run = dataclasses_replace_snapshots(config, (t1, t2))
+        run = dataclasses.replace(config, snapshot_times=(t1, t2))
         rows = ensemble_snapshots(model, run)
         crossed = np.sqrt(
             np.sum((np.roll(rows[:, 1, :], 1, axis=0) - rows[:, 0, :]) ** 2, axis=1)
@@ -240,25 +236,19 @@ class TestIncrementSamples:
         assert coupled.var() < crossed.var()
 
     def test_every_smoothness_reads_the_same_paths(self, map_paths_calls):
-        model = linear_drift_model(16)
+        model = linear_drift_model(16, p=4.0)
         config = SolverConfig(T=0.06, steps=120, paths=120, master_seed=9)
         anchor = 20 * config.h
         lags = [k * config.h for k in (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)]
         s_values = (0.0, 0.5, 1.0)
         one_by_one = [
-            temporal_probe(model, config, (s,), anchor, lags, p=4.0)[0] for s in s_values
+            temporal_probe(model, config, (s,), anchor, lags)[0] for s in s_values
         ]
         map_paths_calls.clear()
-        together = temporal_probe(model, config, s_values, anchor, lags, p=4.0)
+        together = temporal_probe(model, config, s_values, anchor, lags)
         assert len(map_paths_calls) == 1
         assert together == one_by_one
         assert [fit.predicted for fit, _ in together] == [0.5, 0.25, 0.0]
-
-
-def dataclasses_replace_snapshots(config, times):
-    import dataclasses
-
-    return dataclasses.replace(config, snapshot_times=tuple(times))
 
 
 class TestSpatialSweep:
@@ -291,7 +281,7 @@ class TestSpatialSweep:
         assert gaps[-1] > 0.9 * gaps[0]  # increments do not die off: divergence signature
 
     def test_truncate_model_slices_consistently(self):
-        model = borderline_model(16)
+        model = linear_drift_model(16)
         sub = truncate_model(model, 4)
         np.testing.assert_array_equal(
             sub.operator.eigenvalues, model.operator.eigenvalues[:4]
@@ -299,6 +289,12 @@ class TestSpatialSweep:
         np.testing.assert_array_equal(
             sub.covariance.variances, model.covariance.variances[:4]
         )
+        np.testing.assert_array_equal(sub.drift.multipliers, model.drift.multipliers[:4])
+        np.testing.assert_array_equal(sub.diffusion.multipliers, model.diffusion.multipliers[:4])
+        np.testing.assert_array_equal(sub.initial.values, model.initial.values[:4])
+        nemytskii = nemytskii_model(16)
+        sub = truncate_model(nemytskii, 4)
+        assert (sub.drift, sub.diffusion) == (nemytskii.drift, nemytskii.diffusion)
         with pytest.raises(ValueError):
             truncate_model(model, 17)
 
@@ -329,8 +325,15 @@ class TestSpatialSweep:
 
     @pytest.mark.parametrize(
         "model, expected_runs",
-        [(linear_drift_model(16), 1), (nemytskii_model(16), 3)],
-        ids=["decoupled", "nemytskii"],
+        [
+            (linear_drift_model(16), 1),
+            (nemytskii_model(16), 3),
+            (dataclasses.replace(nemytskii_model(16), drift=Diagonal(np.linspace(-5.0, 5.0, 16))),
+             3),
+            (dataclasses.replace(nemytskii_model(16), drift=None), 3),
+        ],
+        ids=["decoupled", "nemytskii", "diagonal-drift-nemytskii-diffusion",
+             "no-drift-nemytskii-diffusion"],
     )
     def test_decoupled_models_simulate_once(self, model, expected_runs, map_paths_calls):
         config = SolverConfig(T=0.02, steps=4, paths=8, master_seed=3)

@@ -10,13 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdelab import models, solver, transforms
-from spdelab.models import (
-    AdditiveDiagonalDiffusion,
-    DiagonalLinearDrift,
-    ModelSpec,
-    Nemytskii,
-    ZeroDrift,
-)
+from spdelab.models import Diagonal, ModelSpec, Nemytskii
 from spdelab.noise import CovarianceSpectrum, NoiseStream, example_covariance
 from spdelab.probes import truncate_model
 from spdelab.solver import (
@@ -37,8 +31,8 @@ def linear_additive_model(n=8, g=1.0, x0=None, covariance=None):
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=covariance if covariance is not None else example_covariance(n),
-        drift=ZeroDrift(),
-        diffusion=AdditiveDiagonalDiffusion(np.full(n, g)),
+        drift=None,
+        diffusion=Diagonal(np.full(n, g)),
         initial=SpectralCoeffs(x0 if x0 is not None else np.zeros(n)),
     )
 
@@ -57,8 +51,8 @@ def diagonal_linear_model(n=8):
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=example_covariance(n),
-        drift=DiagonalLinearDrift(np.linspace(-3.0, 3.0, n)),
-        diffusion=AdditiveDiagonalDiffusion(np.full(n, 0.5)),
+        drift=Diagonal(np.linspace(-3.0, 3.0, n)),
+        diffusion=Diagonal(np.full(n, 0.5)),
         initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
     )
 
@@ -121,8 +115,8 @@ class TestExponentialEulerStep:
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=CovarianceSpectrum(np.zeros(n)),
-            drift=DiagonalLinearDrift(f),
-            diffusion=AdditiveDiagonalDiffusion(np.ones(n)),
+            drift=Diagonal(f),
+            diffusion=Diagonal(np.ones(n)),
             initial=SpectralCoeffs(np.zeros(n)),
         )
         h = 0.01
@@ -141,8 +135,8 @@ class TestExponentialEulerStep:
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
-            drift=DiagonalLinearDrift(np.full(n, 0.3)),
-            diffusion=AdditiveDiagonalDiffusion(np.ones(n)),
+            drift=Diagonal(np.full(n, 0.3)),
+            diffusion=Diagonal(np.ones(n)),
             initial=SpectralCoeffs(np.zeros(n)),
         )
         h = 0.05
@@ -269,8 +263,8 @@ class TestSimulatePath:
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(2),
             covariance=CovarianceSpectrum(np.zeros(2)),
-            drift=DiagonalLinearDrift(np.array([-2000.0, 0.0])),
-            diffusion=AdditiveDiagonalDiffusion(np.ones(2)),
+            drift=Diagonal(np.array([-2000.0, 0.0])),
+            diffusion=Diagonal(np.ones(2)),
             initial=SpectralCoeffs(np.array([1.0, 0.0])),
         )
         config = SolverConfig(T=4.0, steps=400, paths=8)
@@ -316,17 +310,21 @@ class TestExactOUPath:
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
-            drift=DiagonalLinearDrift(np.ones(n)),
-            diffusion=AdditiveDiagonalDiffusion(np.ones(n)),
+            drift=Diagonal(np.ones(n)),
+            diffusion=Diagonal(np.ones(n)),
             initial=SpectralCoeffs(np.zeros(n)),
         )
         config = SolverConfig(T=0.1, steps=10, paths=1, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError):
             simulate_path(model, config, 0)
+        # any drift spec, even one that multiplies by zero, is not "no drift"
+        zero_diagonal = dataclasses.replace(model, drift=Diagonal(np.zeros(n)))
+        with pytest.raises(ValueError, match="requires zero drift"):
+            simulate_path(zero_diagonal, config, 0)
         model_mult = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
-            drift=ZeroDrift(),
+            drift=None,
             diffusion=Nemytskii("tanh", 4 * n),
             initial=SpectralCoeffs(np.zeros(n)),
         )
@@ -341,7 +339,7 @@ class TestExactOUPath:
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
-            drift=ZeroDrift(),
+            drift=None,
             diffusion=Nemytskii("tanh", 4 * n),
             initial=SpectralCoeffs(np.zeros(n)),
         )
@@ -600,10 +598,10 @@ class TestSharedSynthesis:
         "same-grid": (Nemytskii("tanh", 32), Nemytskii("cos", 32)),
         "different-grids": (Nemytskii("tanh", 20), Nemytskii("cos", 32)),
         "linear-drift": (
-            DiagonalLinearDrift(np.linspace(-3.0, 3.0, 8)), Nemytskii("cos", 32)
+            Diagonal(np.linspace(-3.0, 3.0, 8)), Nemytskii("cos", 32)
         ),
         "additive-diffusion": (
-            Nemytskii("tanh", 32), AdditiveDiagonalDiffusion(np.full(8, 0.5))
+            Nemytskii("tanh", 32), Diagonal(np.full(8, 0.5))
         ),
     }
 
@@ -631,12 +629,12 @@ class TestSharedSynthesis:
         x = np.tile(model.initial.values, (paths, 1))
         for j in range(config.steps):
             dW = noise_sd * np.array([NoiseStream(2, i).step_normals(j, n) for i in range(paths)])
-            if isinstance(drift, DiagonalLinearDrift):
+            if isinstance(drift, Diagonal):
                 f_x = x * drift.multipliers
             else:
                 values, basis = on_grid(drift, x)
                 f_x = values @ basis.T / drift.grid_size
-            if isinstance(diffusion, AdditiveDiagonalDiffusion):
+            if isinstance(diffusion, Diagonal):
                 g_dw = dW * diffusion.multipliers
             else:
                 values, basis = on_grid(diffusion, x)
