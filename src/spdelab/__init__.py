@@ -42,9 +42,7 @@ from .solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
     SolverConfig,
-    ensemble_snapshots,
     map_paths,
-    simulate_path,
 )
 from .spectrum import (
     SpectralCoeffs,

@@ -236,7 +236,7 @@ def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
 def _run_simulate(cfg, out_dir: Path) -> list[str]:
     model, config = _model_and_solver(cfg)
     workers = cfg.get_int("solver.workers", 1)
-    rows_all = solver.ensemble_snapshots(model, config, workers)
+    rows_all = solver.map_paths(model, config, lambda rows: rows, workers)
     table = []
     summary = []
     for i, t in enumerate(config.snapshot_times):
@@ -298,10 +298,11 @@ def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
 
 
 def _run_verify_lemmas(cfg, out_dir: Path) -> list[str]:
+    # every check draws at least once, and the moment check's standard error needs two paths
     checks = verify_lemmas(
-        bound_draws=cfg.get_int("lemmas.bound_draws", 1000),
-        exactness_draws=cfg.get_int("lemmas.exactness_draws", 100),
-        mc_paths=cfg.get_int("lemmas.paths", 10000),
+        bound_draws=cfg.get_int("lemmas.bound_draws", 1000, minimum=1),
+        exactness_draws=cfg.get_int("lemmas.exactness_draws", 100, minimum=1),
+        mc_paths=cfg.get_int("lemmas.paths", 10000, minimum=2),
         seed=cfg.get_int("solver.seed", 0),
     )
     write_csv(

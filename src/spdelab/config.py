@@ -117,8 +117,13 @@ class ExperimentConfig:
             )
         return value
 
-    def get_int(self, key: str, default: int | None = None) -> int:
-        return self._get(key, default, int, "an integer")
+    def get_int(self, key: str, default: int | None = None, minimum: int | None = None) -> int:
+        value = self._get(key, default, int, "an integer")
+        if minimum is not None and value < minimum:
+            raise ConfigError(
+                f"{key} must be >= {minimum}, got {value}", key=key, line=self._line(key)
+            )
+        return value
 
     def get_float(self, key: str, default: float | None = None) -> float:
         return self._get(key, default, float, "a number")
@@ -188,9 +193,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 
 
 def build_model(cfg: ExperimentConfig) -> ModelSpec:
-    n = cfg.get_int("model.N", 256)
-    if n < 1:
-        raise ConfigError(f"model.N must be >= 1, got {n}", key="model.N")
+    n = cfg.get_int("model.N", 256, minimum=1)
     operator = dirichlet_laplacian_1d(n)
 
     def checked(key: str, spec, values: np.ndarray):
@@ -212,6 +215,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
             raise ConfigError(
                 f"custom covariance needs {n} values, got {len(values)}",
                 key="model.covariance.values",
+                line=cfg._line("model.covariance.values"),
             )
         covariance = checked("model.covariance.values", CovarianceSpectrum, np.array(values))
 
@@ -220,7 +224,8 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         if len(values) == 1:
             return np.full(n, values[0])
         if len(values) != n:
-            raise ConfigError(f"need 1 or {n} values, got {len(values)}", key=key)
+            raise ConfigError(f"need 1 or {n} values, got {len(values)}", key=key,
+                              line=cfg._line(key))
         return np.array(values)
 
     def term(role: str, kinds: tuple[str, ...], multiplier: float):
@@ -246,6 +251,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         raise ConfigError(
             f"initial state has {len(initial_values)} coefficients for {n} modes",
             key="model.initial",
+            line=cfg._line("model.initial"),
         )
     padded = np.zeros(n)
     padded[: len(initial_values)] = initial_values

@@ -9,9 +9,10 @@ every run and no entry point takes it as an argument; the kernel rejects a
 model the exact stepper cannot sample before it takes a step, at any T.
 Every run goes through one kernel, ``_simulate_block``, which advances a block
 of paths together and returns their snapshots as an array (block,
-n_snapshots, modes).  ``map_paths`` and ``ensemble_snapshots`` split the
-ensemble into such blocks, and ``simulate_path`` runs one path as a one-row
-block.  ``_euler_rows`` is the scheme's update of a (paths, modes) array of
+n_snapshots, modes).  ``map_paths`` is the one public way to run it: it splits
+the ensemble into such blocks and reduces each one, and with the identity as
+its reduction it returns the snapshots (paths, n_snapshots, modes) of them
+all.  ``_euler_rows`` is the scheme's update of a (paths, modes) array of
 states, and ``_drift_rows`` and ``_diffusion_rows`` are its only evaluation of
 F and G dW.  Paths are independent given their streams and may run concurrently.
 For models without a Nemytskii term a path's result is a pure function of
@@ -215,7 +216,16 @@ def _simulate_block(
     config: SolverConfig,
     path_indices: Sequence[int],
 ) -> np.ndarray:
-    """Snapshots for a block of paths; returns array (block, n_snapshots, modes)."""
+    """Snapshots for a block of paths; returns array (block, n_snapshots, modes).
+
+    With ``config.method == EXACT_GAUSSIAN`` the linear additive model is
+    sampled exactly through its Gaussian mode transitions: mode k evolves by
+    x_k(t + h) = e^{-lam_k h} x_k(t) + xi with
+    xi ~ N(0, g_k^2 q_k (1 - e^{-2 lam_k h}) / (2 lam_k)), whose standard
+    deviation is ``transition_sd``.  The standard normal draws are shared with
+    the exponential Euler scheme, which couples the two pathwise and makes the
+    exact method the oracle for integrator error measurements.
+    """
     exact = config.method == EXACT_GAUSSIAN
     # checked before the T = 0 return, so an unsupported model fails at any T
     g = _require_linear_additive(model) if exact else None
@@ -274,24 +284,6 @@ def _simulate_block(
     return out
 
 
-def simulate_path(
-    model: ModelSpec,
-    config: SolverConfig,
-    path_index: int,
-) -> np.ndarray:
-    """Snapshots (n_snapshots, modes) of one path, run as a one-row block.
-
-    With ``config.method == EXACT_GAUSSIAN`` the linear additive model is
-    sampled exactly through its Gaussian mode transitions: mode k evolves by
-    x_k(t + h) = e^{-lam_k h} x_k(t) + xi with
-    xi ~ N(0, g_k^2 q_k (1 - e^{-2 lam_k h}) / (2 lam_k)).  The standard normal
-    draws are shared with the exponential Euler scheme, which couples the two
-    pathwise and makes the exact method the oracle for integrator error
-    measurements.
-    """
-    return _simulate_block(model, config, [path_index])[0]
-
-
 def map_paths(
     model: ModelSpec,
     config: SolverConfig,
@@ -320,12 +312,3 @@ def map_paths(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_one, blocks))
     return np.concatenate(parts, axis=0)
-
-
-def ensemble_snapshots(
-    model: ModelSpec,
-    config: SolverConfig,
-    workers: int = 1,
-) -> np.ndarray:
-    """Snapshot array (paths, n_snapshots, modes) for the full ensemble."""
-    return map_paths(model, config, lambda rows: rows, workers=workers)

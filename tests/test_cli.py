@@ -136,7 +136,8 @@ class TestBuildModel:
     def test_custom_covariance_of_the_wrong_length_names_the_key(self):
         with pytest.raises(
             ConfigError,
-            match=r"custom covariance needs 4 values, got 3 \(key 'model.covariance.values'\)",
+            match=r"custom covariance needs 4 values, got 3 "
+            r"\(key 'model.covariance.values', line 3\)",
         ):
             self.build("model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n")
 
@@ -148,7 +149,8 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("key", ["model.diffusion.multipliers", "model.drift.multipliers"])
     def test_multipliers_need_one_or_n_values(self, key):
-        with pytest.raises(ConfigError, match=rf"need 1 or 4 values, got 2 \(key '{key}'\)"):
+        with pytest.raises(ConfigError,
+                           match=rf"need 1 or 4 values, got 2 \(key '{key}', line 3\)"):
             self.build(f"model.N = 4\nmodel.drift = linear\n{key} = 1,2\n")
 
     @pytest.mark.parametrize(
@@ -216,7 +218,8 @@ class TestBuildModel:
             build_solver(cfg)
 
     def test_zero_modes_rejected(self):
-        with pytest.raises(ConfigError, match=r"model.N must be >= 1, got 0 \(key 'model.N'\)"):
+        with pytest.raises(ConfigError,
+                           match=r"model.N must be >= 1, got 0 \(key 'model.N', line 1\)"):
             self.build("model.N = 0\n")
 
     @pytest.mark.parametrize(
@@ -596,6 +599,50 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("config error: only 75 steps follow the anchor")
         assert "two decades" in err and "probe.lags" in err
+
+    # each size check of build_model names the line of the key at fault
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("model.N = 0\n", "model.N must be >= 1, got 0 (key 'model.N', line 4)"),
+            ("model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n",
+             "custom covariance needs 4 values, got 3 (key 'model.covariance.values', line 6)"),
+            ("model.N = 4\nmodel.diffusion.multipliers = 1,2\n",
+             "need 1 or 4 values, got 2 (key 'model.diffusion.multipliers', line 5)"),
+            ("model.N = 4\nmodel.initial = 1,2,3,4,5\n",
+             "initial state has 5 coefficients for 4 modes (key 'model.initial', line 5)"),
+        ],
+        ids=["model.N", "model.covariance.values", "model.diffusion.multipliers",
+             "model.initial"],
+    )
+    def test_model_size_error_names_key_and_line(self, tmp_path, capsys, lines, message):
+        config = write_config(
+            tmp_path, "kind = simulate\nsolver.T = 0.01\nsolver.seed = 0\n" + lines
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    # a check that draws nothing passes vacuously, and one path has no standard error
+    @pytest.mark.parametrize(
+        "key, value, least",
+        [("lemmas.bound_draws", 0, 1), ("lemmas.exactness_draws", -3, 1), ("lemmas.paths", 1, 2)],
+    )
+    def test_lemma_suite_that_tests_nothing_is_rejected(self, tmp_path, capsys, key, value,
+                                                        least):
+        sizes = {"lemmas.bound_draws": 5, "lemmas.exactness_draws": 2, "lemmas.paths": 50}
+        sizes[key] = value
+        config = write_config(
+            tmp_path, "kind = verify-lemmas\nsolver.seed = 0\n"
+            + "".join(f"{k} = {v}\n" for k, v in sizes.items()),
+        )
+        line = 3 + list(sizes).index(key)
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: {key} must be >= {least}, got {value} (key '{key}', line {line})\n"
+        )
+        assert captured.out == ""
+        assert list((tmp_path / "out").glob("*.csv")) == []
 
     def test_misspelled_key_exits_with_a_config_error(self, tmp_path, capsys):
         config = write_config(

@@ -28,7 +28,6 @@ from spdelab.solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
     SolverConfig,
-    ensemble_snapshots,
     map_paths,
 )
 from spdelab.spectrum import (
@@ -229,7 +228,7 @@ class TestIncrementSamples:
         config = SolverConfig(T=0.05, steps=50, paths=2000, master_seed=4)
         coupled = increment_samples(model, config, (0.0,), [(t1, t2)])[0, 0]
         run = dataclasses.replace(config, snapshot_times=(t1, t2))
-        rows = ensemble_snapshots(model, run)
+        rows = map_paths(model, run, lambda rows: rows)
         crossed = np.sqrt(
             np.sum((np.roll(rows[:, 1, :], 1, axis=0) - rows[:, 0, :]) ** 2, axis=1)
         )

@@ -20,11 +20,14 @@ from spdelab.solver import (
     Workspace,
     _euler_rows,
     _simulate_block,
-    ensemble_snapshots,
     map_paths,
-    simulate_path,
 )
 from spdelab.spectrum import SpectralCoeffs, dirichlet_laplacian_1d
+
+
+def identity(rows):
+    """The reduction that keeps every snapshot, so map_paths returns them all."""
+    return rows
 
 
 def linear_additive_model(n=8, g=1.0, x0=None, covariance=None):
@@ -172,7 +175,7 @@ class TestExponentialEulerStep:
             dW = stream.step_normals(j, model.dimension) * noise_sd
             state = euler_step(model, state, dW, config.h)
         np.testing.assert_array_equal(
-            state, simulate_path(model, config, 3)[-1]  # the snapshot at T = 0.05
+            state, _simulate_block(model, config, [3])[0, -1]  # the snapshot at T = 0.05
         )
 
     # the scheme never sees h <= 0: SolverConfig rejects a negative horizon and
@@ -188,7 +191,7 @@ class TestExponentialEulerStep:
 
         monkeypatch.setattr(solver, "_euler_rows", no_step)
         model = linear_additive_model(2, x0=np.array([1.0, 2.0]))
-        rows = simulate_path(model, SolverConfig(T=0.0, steps=5, paths=1), 0)
+        rows = _simulate_block(model, SolverConfig(T=0.0, steps=5, paths=1), [0])[0]
         np.testing.assert_array_equal(rows, [[1.0, 2.0]])
 
 
@@ -197,22 +200,22 @@ class TestSimulatePath:
         x0 = np.array([1.0, 2.0, 3.0, 4.0])
         model = linear_additive_model(4, x0=x0)
         config = SolverConfig(T=0.0, steps=1, paths=1)
-        rows = simulate_path(model, config, 0)
+        rows = _simulate_block(model, config, [0])[0]
         assert config.snapshot_times == (0.0,) and rows.shape == (1, 4)
         np.testing.assert_array_equal(rows[0], x0)
 
     def test_bitwise_deterministic(self):
         model = linear_additive_model()
         config = SolverConfig(T=0.1, steps=20, paths=4, master_seed=9)
-        a = simulate_path(model, config, 2)
-        b = simulate_path(model, config, 2)
+        a = _simulate_block(model, config, [2])[0]
+        b = _simulate_block(model, config, [2])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_paths_differ(self):
         model = linear_additive_model()
         config = SolverConfig(T=0.1, steps=20, paths=4, master_seed=9)
-        a = simulate_path(model, config, 0)
-        b = simulate_path(model, config, 1)
+        a = _simulate_block(model, config, [0])[0]
+        b = _simulate_block(model, config, [1])[0]
         assert not np.array_equal(a[-1], b[-1])
 
     def test_modewise_variance_matches_exact_dynamics(self):
@@ -221,7 +224,7 @@ class TestSimulatePath:
         config = SolverConfig(
             T=0.05, steps=250, paths=6000, master_seed=31, snapshot_times=(0.05,)
         )
-        rows = ensemble_snapshots(model, config)
+        rows = map_paths(model, config, identity)
         lam = model.operator.eigenvalues
         q = model.covariance.variances
         exact = q * -np.expm1(-2.0 * lam * config.T) / (2.0 * lam)
@@ -238,9 +241,9 @@ class TestSimulatePath:
         n = 6
         x0 = np.linspace(1.0, 2.0, n)
         config = SolverConfig(T=0.05, steps=25, paths=3, master_seed=4)
-        base = simulate_path(linear_additive_model(n, x0=np.zeros(n)), config, 1)
-        one = simulate_path(linear_additive_model(n, x0=x0), config, 1)
-        two = simulate_path(linear_additive_model(n, x0=2.0 * x0), config, 1)
+        base = _simulate_block(linear_additive_model(n, x0=np.zeros(n)), config, [1])[0]
+        one = _simulate_block(linear_additive_model(n, x0=x0), config, [1])[0]
+        two = _simulate_block(linear_additive_model(n, x0=2.0 * x0), config, [1])[0]
         np.testing.assert_allclose(two - base, 2.0 * (one - base), rtol=1e-12, atol=1e-14)
 
     def test_mean_dynamics_follow_the_heat_flow(self):
@@ -248,13 +251,34 @@ class TestSimulatePath:
         x0 = np.full(n, 2.0)
         model = linear_additive_model(n, x0=x0)
         config = SolverConfig(T=0.02, steps=40, paths=4000, master_seed=12, snapshot_times=(0.02,))
-        rows = ensemble_snapshots(model, config)
+        rows = map_paths(model, config, identity)
         lam = model.operator.eigenvalues
         q = model.covariance.variances
         expected = np.exp(-lam * config.T) * x0
         sd = np.sqrt(q * -np.expm1(-2.0 * lam * config.T) / (2.0 * lam))
         se = sd / math.sqrt(config.paths)
         assert np.all(np.abs(rows[:, 0, :].mean(axis=0) - expected) <= 3.0 * se + 1e-12)
+
+    # With no drift the step is x_{j+1} = E(h)(x_j + G(x_j) dW_j), and G(x_j) dW_j
+    # has mean zero because it is linear in dW_j, which is independent of x_j.  So
+    # the mean is exactly E(h)^j x0 for any G, here a state-dependent cos diffusion.
+    def test_nemytskii_mean_follows_the_heat_flow(self):
+        n = 8
+        x0 = np.linspace(1.0, 0.2, n)
+        model = ModelSpec(
+            operator=dirichlet_laplacian_1d(n),
+            covariance=CovarianceSpectrum(400.0 * example_covariance(n).variances),
+            drift=None,
+            diffusion=Nemytskii("cos", 32),
+            initial=SpectralCoeffs(x0),
+        )
+        config = SolverConfig(T=0.02, steps=40, paths=2000, master_seed=5,
+                              snapshot_times=(0.01, 0.02))
+        rows = map_paths(model, config, identity)
+        times = np.array(config.snapshot_times)[:, None]
+        expected = np.exp(-model.operator.eigenvalues * times) * x0
+        se = rows.std(axis=0, ddof=1) / math.sqrt(config.paths)
+        assert np.all(np.abs(rows.mean(axis=0) - expected) <= 4.0 * se)
 
     # an overflow warning escaping the solver would raise before the ValueError
     @pytest.mark.filterwarnings("error")
@@ -285,7 +309,7 @@ class TestExactOUPath:
         model = linear_additive_model(n, x0=x0, covariance=CovarianceSpectrum(np.zeros(n)))
         config = SolverConfig(T=0.5, steps=10, paths=1, snapshot_times=(0.5,),
                               method=EXACT_GAUSSIAN)
-        rows = simulate_path(model, config, 0)
+        rows = _simulate_block(model, config, [0])[0]
         np.testing.assert_allclose(
             rows[0],
             np.exp(-model.operator.eigenvalues * 0.5) * x0,
@@ -297,7 +321,7 @@ class TestExactOUPath:
         model = linear_additive_model(n, g=2.0)
         config = SolverConfig(T=5.0, steps=50, paths=8000, master_seed=3, snapshot_times=(5.0,),
                               method=EXACT_GAUSSIAN)
-        rows = ensemble_snapshots(model, config)
+        rows = map_paths(model, config, identity)
         lam = model.operator.eigenvalues
         q = model.covariance.variances
         stationary = 4.0 * q / (2.0 * lam)
@@ -316,11 +340,11 @@ class TestExactOUPath:
         )
         config = SolverConfig(T=0.1, steps=10, paths=1, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError):
-            simulate_path(model, config, 0)
+            _simulate_block(model, config, [0])
         # any drift spec, even one that multiplies by zero, is not "no drift"
         zero_diagonal = dataclasses.replace(model, drift=Diagonal(np.zeros(n)))
         with pytest.raises(ValueError, match="requires zero drift"):
-            simulate_path(zero_diagonal, config, 0)
+            _simulate_block(zero_diagonal, config, [0])
         model_mult = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
@@ -329,7 +353,7 @@ class TestExactOUPath:
             initial=SpectralCoeffs(np.zeros(n)),
         )
         with pytest.raises(ValueError):
-            simulate_path(model_mult, config, 0)
+            _simulate_block(model_mult, config, [0])
 
     # the model is checked before the T = 0 early return, so the exact method
     # rejects an unsupported model at every final time
@@ -346,11 +370,11 @@ class TestExactOUPath:
         config = SolverConfig(T=T, steps=1, paths=3)
         exact = dataclasses.replace(config, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError, match="additive diagonal diffusion"):
-            ensemble_snapshots(model, exact)
+            map_paths(model, exact, identity)
         with pytest.raises(ValueError, match="additive diagonal diffusion"):
-            simulate_path(model, exact, 0)
+            _simulate_block(model, exact, [0])
         # the Euler scheme handles the model, and at T = 0 returns the initial state
-        assert ensemble_snapshots(model, config).shape == (3, 1 if T == 0.0 else 2, n)
+        assert map_paths(model, config, identity).shape == (3, 1 if T == 0.0 else 2, n)
 
     def test_one_step_euler_matches_exact_transition_to_first_order(self):
         lam = np.pi**2 * np.arange(1, 5.0) ** 2
@@ -371,8 +395,8 @@ class TestExactOUPath:
         n = 8
         model = linear_additive_model(n)
         config = SolverConfig(T=0.2, steps=20, paths=4000, master_seed=17, snapshot_times=(0.2,))
-        euler = ensemble_snapshots(model, config)
-        exact = ensemble_snapshots(model, dataclasses.replace(config, method=EXACT_GAUSSIAN))
+        euler = map_paths(model, config, identity)
+        exact = map_paths(model, dataclasses.replace(config, method=EXACT_GAUSSIAN), identity)
         mc = np.mean((euler[:, 0, :] - exact[:, 0, :]) ** 2, axis=0)
         lam, q, h = model.operator.eigenvalues, model.covariance.variances, config.h
         a = np.exp(-lam * h) * np.sqrt(q * h)
@@ -390,8 +414,8 @@ class TestExactOUPath:
         gaps = []
         for steps in [64, 128, 256]:
             config = SolverConfig(T=T, steps=steps, paths=300, master_seed=21, snapshot_times=(T,))
-            euler = ensemble_snapshots(model, config)
-            exact = ensemble_snapshots(model, dataclasses.replace(config, method=EXACT_GAUSSIAN))
+            euler = map_paths(model, config, identity)
+            exact = map_paths(model, dataclasses.replace(config, method=EXACT_GAUSSIAN), identity)
             gaps.append(float(np.sqrt(np.mean(np.sum((euler - exact) ** 2, axis=2)))))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -420,8 +444,8 @@ class TestExactOUPath:
             closed.append(float(np.sum(
                 (a - b) ** 2 * -np.expm1(-2.0 * lam * T) / -np.expm1(-2.0 * lam * h)
             )))
-            euler = ensemble_snapshots(model, config)
-            exact = ensemble_snapshots(model, dataclasses.replace(config, method=EXACT_GAUSSIAN))
+            euler = map_paths(model, config, identity)
+            exact = map_paths(model, dataclasses.replace(config, method=EXACT_GAUSSIAN), identity)
             sampled.append(float(np.mean(np.sum((euler - exact) ** 2, axis=2))))
         assert closed[1] * 3.4 < closed[0]
         assert sampled[1] < sampled[0]
@@ -459,8 +483,8 @@ class TestEnsembleExecution:
     def test_worker_count_does_not_change_results(self):
         model = linear_additive_model(8)
         config = SolverConfig(T=0.05, steps=10, paths=300, master_seed=5, snapshot_times=(0.0, 0.05))
-        serial = ensemble_snapshots(model, config, workers=1)
-        threaded = ensemble_snapshots(model, config, workers=4)
+        serial = map_paths(model, config, identity, workers=1)
+        threaded = map_paths(model, config, identity, workers=4)
         np.testing.assert_array_equal(serial, threaded)
 
     # A single path runs as a 1-row block; in the ensemble, path 133 sits in the
@@ -478,14 +502,14 @@ class TestEnsembleExecution:
     def test_single_path_matches_its_ensemble_row(self, make_model, compare):
         model = make_model(8)
         config = SolverConfig(T=0.05, steps=10, paths=160, master_seed=5, snapshot_times=(0.05,))
-        rows = ensemble_snapshots(model, config)
-        compare(simulate_path(model, config, 133)[0], rows[133, 0, :])
+        rows = map_paths(model, config, identity)
+        compare(_simulate_block(model, config, [133])[0, 0], rows[133, 0, :])
 
     def test_map_paths_preserves_path_order(self):
         model = linear_additive_model(4)
         config = SolverConfig(T=0.02, steps=4, paths=70, master_seed=1, snapshot_times=(0.02,))
         firsts = map_paths(model, config, lambda rows: rows[:, 0, 1], block_size=16)
-        rows = ensemble_snapshots(model, config)
+        rows = map_paths(model, config, identity)
         np.testing.assert_array_equal(firsts, rows[:, 0, 1])
 
     # Decoupled models (zero or diagonal linear drift, additive diagonal noise)
@@ -510,9 +534,6 @@ class TestEnsembleExecution:
         config = SolverConfig(T=0.02, steps=4, paths=3, master_seed=seed,
                               snapshot_times=(0.0, 0.01, 0.02), method=method)
 
-        def identity(rows):
-            return rows
-
         full = map_paths(model, config, identity)
         truncated = map_paths(truncate_model(model, n), config, identity)
         np.testing.assert_array_equal(truncated, full[..., :n])
@@ -534,9 +555,6 @@ class TestEnsembleExecution:
         config = SolverConfig(T=0.02, steps=4, paths=paths, master_seed=8,
                               snapshot_times=(0.01, 0.02))
 
-        def identity(rows):
-            return rows
-
         blocked = map_paths(model, config, identity, block_size=block_size)
         whole = map_paths(model, config, identity, block_size=paths)
         if nemytskii:
@@ -549,8 +567,8 @@ class TestEnsembleExecution:
         model = nemytskii_model(8)
         config = SolverConfig(T=0.05, steps=10, paths=300, master_seed=5, snapshot_times=(0.05,))
         np.testing.assert_array_equal(
-            ensemble_snapshots(model, config, workers=1),
-            ensemble_snapshots(model, config, workers=2),
+            map_paths(model, config, identity, workers=1),
+            map_paths(model, config, identity, workers=2),
         )
 
 
