@@ -7,7 +7,8 @@ covariance example whose higher norms blow up.  F is None (zero), a
 `Diagonal` or a `Nemytskii` spec, and G a `Diagonal` (additive noise) or a
 `Nemytskii` spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec
 composes pointwise with a globally Lipschitz scalar function from the
-`SCALAR_FUNCTIONS` table.
+`SCALAR_FUNCTIONS` table.  A vector of mode coefficients, such as the initial
+state or a spec's multipliers, is a plain one-dimensional float array.
 """
 
 from .models import (
@@ -45,7 +46,6 @@ from .solver import (
     map_paths,
 )
 from .spectrum import (
-    SpectralCoeffs,
     SpectralOperator,
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,

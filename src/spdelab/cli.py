@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .models import SCALAR_FUNCTIONS, Diagonal, ModelSpec, validate_assumptions
 from .noise import burkholder_constant, example_covariance
 from .solver import EXACT_GAUSSIAN, SolverConfig
 from .spectrum import (
-    SpectralCoeffs,
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,
     smoothing_constant,
@@ -102,8 +101,8 @@ def _convolution_quad_oracles(op, rho, tau1, tau2, x) -> tuple[float, float]:
     u = (lower[:, None] + width[:, None] * nodes).ravel()
     w = (width[:, None] * weights).ravel()
     flow = np.exp(-np.outer(u, lam))  # (nodes, modes): e^{-lam u}
-    energy = float(w @ flow**2 @ (x.values**2 * lam**rho))
-    vector = (w @ flow) * x.values
+    energy = float(w @ flow**2 @ (x**2 * lam**rho))
+    vector = (w @ flow) * x
     norm = float(np.sqrt(np.sum((lam**rho * vector) ** 2)))
     return energy, norm
 
@@ -116,8 +115,13 @@ def verify_lemmas(
 
     Each bound check takes `bound_draws` random draws, the exactness check
     `exactness_draws`, and the moment check samples `mc_paths` exact paths;
-    `seed` drives all of them.
+    `seed` drives all of them.  A check that draws nothing passes vacuously,
+    and one path has no standard error, so smaller sizes are a ValueError.
     """
+    for name, size, least in (("bound_draws", bound_draws, 1),
+                              ("exactness_draws", exactness_draws, 1), ("mc_paths", mc_paths, 2)):
+        if size < least:
+            raise ValueError(f"{name} must be >= {least}, got {size}")
     rng = np.random.default_rng(seed)
     slack = 1.0 + RELATIVE_SLACK
     checks: list[LemmaCheck] = []
@@ -153,13 +157,13 @@ def verify_lemmas(
 
     def random_window(shortest):
         """A random vector at N = 64, smoothness rho, start tau1 and log-uniform width."""
-        x = SpectralCoeffs(rng.standard_normal(64))
+        x = rng.standard_normal(64)
         return x, rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5), log_uniform(shortest, 0.5)
 
     # (iii)/(iv) bounds with the derived constants
     def convolution_bounds():
         x, rho, tau1, delta = random_window(1e-4)
-        norm_sq = float(np.sum(x.values**2))
+        norm_sq = float(np.sum(x**2))
         energy = stochastic_convolution_energy(op, rho, tau1, tau1 + delta, x)
         energy_bound = 0.5 * smoothing_constant("integral", rho) * delta ** (1.0 - rho) * norm_sq
         flow = deterministic_convolution_norm(op, rho, tau1, tau1 + delta, x)
@@ -190,7 +194,7 @@ def verify_lemmas(
         covariance=cov,
         drift=None,
         diffusion=Diagonal(np.ones(n)),
-        initial=SpectralCoeffs(np.zeros(n)),
+        initial=np.zeros(n),
         r=0.0,
         p=2.0,
     )
@@ -202,9 +206,7 @@ def verify_lemmas(
     norms = solver.map_paths(
         model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1))
     )
-    energy = stochastic_convolution_energy(
-        op_mc, 0.0, 0.0, t_final, SpectralCoeffs(np.sqrt(cov.variances))
-    )
+    energy = stochastic_convolution_energy(op_mc, 0.0, 0.0, t_final, np.sqrt(cov.variances))
     for p in (2.0, 4.0):
         powered = norms**p
         moment = float(np.mean(powered))
@@ -256,9 +258,16 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
     workers = cfg.get_int("solver.workers", 1)
     s_values = cfg.get_floats("probe.s")
     anchor = cfg.get_float("probe.anchor", config.steps // 2 * config.h)
-    if "probe.lags" in cfg:
-        lags = cfg.get_floats("probe.lags")
-    else:
+    lags = cfg.get_floats("probe.lags") if "probe.lags" in cfg else []
+    # the probe snapshots the anchor and each anchor + lag: SolverConfig
+    # rejects a time off the grid, past T or on the grid step of another
+    for key, times in (("probe.anchor", {anchor}),
+                       ("probe.lags", {anchor, *(anchor + lag for lag in lags)})):
+        try:
+            replace(config, snapshot_times=sorted(times))
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=cfg._line(key)) from None
+    if "probe.lags" not in cfg:
         steps_left = config.steps - config.step_of(anchor)
         if steps_left < 100:
             raise ConfigError(f"only {steps_left} steps follow the anchor; the fit needs lags "

@@ -17,7 +17,7 @@ import numpy as np
 from .models import SCALAR_FUNCTIONS, Diagonal, ModelError, ModelSpec, Nemytskii
 from .noise import CovarianceSpectrum, example_covariance
 from .solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER, SolverConfig
-from .spectrum import SpectralCoeffs, dirichlet_laplacian_1d
+from .spectrum import dirichlet_laplacian_1d
 
 KINDS = (
     "simulate",
@@ -64,6 +64,10 @@ MODEL_FIELD_KEYS = {
     "diffusion.function": "model.diffusion.function",
     "diffusion.grid_size": "model.diffusion.grid",
 }
+
+# The key that sets each SolverConfig field, by the field's name in a ModelError.
+_SOLVER_FIELD_KEYS = {"T": "solver.T", "steps": "solver.steps", "paths": "solver.paths",
+                      "snapshot_times": "solver.snapshots", "method": "solver.method"}
 
 
 class ConfigError(ValueError):
@@ -248,14 +252,10 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
 
     initial_values = cfg.get_floats("model.initial", [0.0])
     if len(initial_values) > n:
-        raise ConfigError(
-            f"initial state has {len(initial_values)} coefficients for {n} modes",
-            key="model.initial",
-            line=cfg._line("model.initial"),
-        )
-    padded = np.zeros(n)
-    padded[: len(initial_values)] = initial_values
-    initial = checked("model.initial", SpectralCoeffs, padded)
+        raise ConfigError(f"initial state has {len(initial_values)} coefficients for {n} modes",
+                          key="model.initial", line=cfg._line("model.initial"))
+    initial = np.zeros(n)
+    initial[: len(initial_values)] = initial_values
     r, p = cfg.get_float("model.r", 0.0), cfg.get_float("model.p", 2.0)
 
     try:
@@ -269,9 +269,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
 def build_solver(cfg: ExperimentConfig) -> SolverConfig:
     if "solver.seed" not in cfg:
         cfg.warnings.append("solver.seed not set; defaulting to 0")
-    snapshots = None
-    if "solver.snapshots" in cfg:
-        snapshots = tuple(cfg.get_floats("solver.snapshots"))
+    snapshots = tuple(cfg.get_floats("solver.snapshots")) if "solver.snapshots" in cfg else None
     token = cfg.get_choice("solver.method", ("euler", "exact-gaussian"), "euler")
     try:
         return SolverConfig(
@@ -282,8 +280,9 @@ def build_solver(cfg: ExperimentConfig) -> SolverConfig:
             snapshot_times=snapshots,
             method=EXPONENTIAL_EULER if token == "euler" else EXACT_GAUSSIAN,
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver section: {exc}") from exc
+    except ModelError as exc:
+        key = _SOLVER_FIELD_KEYS.get(exc.field)
+        raise ConfigError(f"invalid solver section: {exc}", key=key, line=cfg._line(key)) from exc
 
 
 def warn_on_stiff_linear_drift(

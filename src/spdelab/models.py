@@ -2,13 +2,15 @@
 
 A model couples the operator spectrum, the noise covariance, a drift F, a
 diffusion G, a deterministic initial state, and the regularity parameters
-(r, p) the user claims for it.  F is None (zero), a `Diagonal` or a
-`Nemytskii` spec, and G a `Diagonal` or a `Nemytskii` spec.  A `Diagonal`
-multiplies mode k by m_k; a `Nemytskii` spec composes pointwise with a
-globally Lipschitz scalar function named in `SCALAR_FUNCTIONS`.  The field of
-`ModelSpec` a spec sits in makes it the drift or the diffusion.  The solver
-evaluates F and G on the rows of a time step, and `validate_assumptions`
-returns one `AssumptionCheck` per standing assumption.
+(r, p) the user claims for it.  The initial state is a read-only array of
+mode coefficients, like a `Diagonal` spec's multipliers.  F is None (zero),
+a `Diagonal` or a `Nemytskii` spec, and G a `Diagonal` or a `Nemytskii`
+spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec composes
+pointwise with a globally Lipschitz scalar function named in
+`SCALAR_FUNCTIONS`.  The field of `ModelSpec` a spec sits in makes it the
+drift or the diffusion.  The solver evaluates F and G on the rows of a time
+step, and `validate_assumptions` returns one `AssumptionCheck` per standing
+assumption.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import transforms
 from .noise import CovarianceSpectrum, hs_norm_L2r
-from .spectrum import SpectralCoeffs, SpectralOperator, _frozen_array, hdot_norm
+from .spectrum import SpectralOperator, _frozen_array, hdot_norm
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,9 @@ class Nemytskii:
 
 
 class ModelError(ValueError):
-    """A `ModelSpec` rejection.  `field` names the field at fault, dotted into
-    a drift or diffusion spec ("p", "drift.grid_size"), or is None when no one
-    field is."""
+    """A `ModelSpec` or `SolverConfig` rejection.  `field` names the field at
+    fault, dotted into a drift or diffusion spec ("p", "drift.grid_size",
+    "snapshot_times"), or is None when no one field is."""
 
     def __init__(self, message: str, field: str | None):
         super().__init__(message)
@@ -86,14 +88,15 @@ class ModelError(ValueError):
 class ModelSpec:
     """Full problem description with its declared regularity parameters.
 
-    A drift of None is F = 0.  Every rejection is a `ModelError`.
+    A drift of None is F = 0.  `initial` is stored as a read-only copy, and
+    its norm at r + 1 must be finite.  Every rejection is a `ModelError`.
     """
 
     operator: SpectralOperator
     covariance: CovarianceSpectrum
     drift: Diagonal | Nemytskii | None
     diffusion: Diagonal | Nemytskii
-    initial: SpectralCoeffs
+    initial: np.ndarray
     r: float = 0.0
     p: float = 2.0
 
@@ -104,11 +107,10 @@ class ModelSpec:
                 f"covariance dimension {self.covariance.dimension} != operator dimension {n}",
                 "covariance",
             )
-        if self.initial.dimension != n:
-            raise ModelError(
-                f"initial-state dimension {self.initial.dimension} != operator dimension {n}",
-                "initial",
-            )
+        initial = np.array(self.initial, dtype=float)
+        if initial.shape != (n,):
+            raise ModelError(f"initial state has shape {initial.shape}, expected ({n},)", "initial")
+        object.__setattr__(self, "initial", _frozen_array(initial))
         for role in ("drift", "diffusion"):
             spec = getattr(self, role)
             if isinstance(spec, Diagonal) and spec.multipliers.size != n:
@@ -144,8 +146,7 @@ class ModelSpec:
         with np.errstate(over="ignore"):  # an overflow gives inf, rejected next
             initial_norm = hdot_norm(self.operator, self.r + 1.0, self.initial)
         if not math.isfinite(initial_norm):
-            raise ModelError("initial state must have a finite smoothness norm at r + 1",
-                             "initial")
+            raise ModelError("initial state must have a finite smoothness norm at r + 1", "initial")
 
     @property
     def dimension(self) -> int:
@@ -290,7 +291,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
             x = rng.standard_normal(n) / modes
             u = transforms.synthesize(x, m)[0]
             terms = image_terms(fn(u), model.r)
-            ratios.append(image_norm(terms) / (1.0 + hdot_norm(op, model.r, SpectralCoeffs(x))))
+            ratios.append(image_norm(terms) / (1.0 + hdot_norm(op, model.r, x)))
             mode_sums = _dyadic_partial_sums(np.sum(terms, axis=1))
             converging = converging and _increments_shrink(mode_sums, n)
         measured = max(ratios)

@@ -18,7 +18,7 @@ import numpy as np
 from .models import Diagonal, ModelSpec, Nemytskii
 from .noise import CovarianceSpectrum
 from .solver import SolverConfig, map_paths
-from .spectrum import SpectralCoeffs, SpectralOperator
+from .spectrum import SpectralOperator
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def increment_samples(
     Returns an array (len(s_values), len(lag_pairs), paths).
     """
     times = sorted({float(t) for pair in lag_pairs for t in pair})
-    # replace reruns SolverConfig's checks, which reject off-grid times
+    # replace reruns SolverConfig's checks, which reject off-grid times and two on one step
     run_config = dataclasses.replace(config, snapshot_times=tuple(times))
     index = {t: i for i, t in enumerate(times)}
     first = [index[t1] for t1, _ in lag_pairs]
@@ -175,7 +175,7 @@ def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
         covariance=CovarianceSpectrum(model.covariance.variances[:n_modes]),
         drift=_leading(model.drift, n_modes),
         diffusion=_leading(model.diffusion, n_modes),
-        initial=SpectralCoeffs(model.initial.values[:n_modes]),
+        initial=model.initial[:n_modes],
         r=model.r,
         p=model.p,
     )

@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import transforms
-from .models import SCALAR_FUNCTIONS, Diagonal, ModelSpec, Nemytskii
+from .models import SCALAR_FUNCTIONS, Diagonal, ModelError, ModelSpec, Nemytskii
 from .noise import NoiseStream
 
 EXPONENTIAL_EULER = "exponential-euler"
@@ -59,9 +59,11 @@ _METHODS = (EXPONENTIAL_EULER, EXACT_GAUSSIAN)
 class SolverConfig:
     """Uniform time grid, ensemble size, seed, snapshot times and stepper.
 
-    Snapshot times must be grid points j * (T / steps); no interpolation is
-    ever performed between steps.  ``method`` names the stepper every run of
-    this configuration uses: ``EXPONENTIAL_EULER`` or ``EXACT_GAUSSIAN``.
+    Snapshot times must be grid points j * (T / steps) on strictly increasing
+    steps, whose indices ``snapshot_steps`` holds; no interpolation is ever
+    performed between steps.  ``method`` names the stepper every run of this
+    configuration uses: ``EXPONENTIAL_EULER`` or ``EXACT_GAUSSIAN``.  Every
+    rejection is a `ModelError` naming the field at fault.
     """
 
     T: float
@@ -70,26 +72,34 @@ class SolverConfig:
     master_seed: int = 0
     snapshot_times: tuple[float, ...] = field(default=None)  # defaults to (0, T)
     method: str = EXPONENTIAL_EULER
+    snapshot_steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {_METHODS}")
+            raise ModelError(f"unknown method {self.method!r}, expected one of {_METHODS}",
+                             "method")
         if not math.isfinite(self.T):
-            raise ValueError(f"final time T must be finite, got {self.T}")
+            raise ModelError(f"final time T must be finite, got {self.T}", "T")
         if self.T < 0.0:
-            raise ValueError(f"final time must be >= 0, got {self.T}")
+            raise ModelError(f"final time must be >= 0, got {self.T}", "T")
         if self.steps < 1:
-            raise ValueError(f"need at least one step, got {self.steps}")
+            raise ModelError(f"need at least one step, got {self.steps}", "steps")
         if self.paths < 1:
-            raise ValueError(f"need at least one path, got {self.paths}")
+            raise ModelError(f"need at least one path, got {self.paths}", "paths")
         times = self.snapshot_times
         if times is None:
             times = (0.0, self.T) if self.T > 0.0 else (0.0,)
         times = tuple(float(t) for t in times)
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
+        try:
+            steps = tuple(self.step_of(t) for t in times)
+        except ValueError as exc:
+            raise ModelError(str(exc), "snapshot_times") from None
+        for t1, t2, j1, j2 in zip(times, times[1:], steps, steps[1:]):
+            if j2 <= j1:  # the kernel fills one snapshot row per grid step, in time order
+                raise ModelError(f"snapshot times {t1} and {t2} fall on grid steps {j1} and {j2}, "
+                                 f"which must increase (h = {self.h})", "snapshot_times")
         object.__setattr__(self, "snapshot_times", times)
-        self.snapshot_steps()  # validate alignment eagerly
+        object.__setattr__(self, "snapshot_steps", steps)
 
     @property
     def h(self) -> float:
@@ -108,9 +118,6 @@ class SolverConfig:
         if j < 0 or j > self.steps or abs(j * self.h - t) > tol:
             raise ValueError(f"time {t} is not a grid point (h = {self.h})")
         return j
-
-    def snapshot_steps(self) -> list[int]:
-        return [self.step_of(t) for t in self.snapshot_times]
 
 
 class Workspace:
@@ -231,11 +238,10 @@ def _simulate_block(
     g = _require_linear_additive(model) if exact else None
     n = model.dimension
     block = len(path_indices)
-    snap_steps = config.snapshot_steps()
-    out = np.empty((block, len(snap_steps), n))
-    state = np.tile(model.initial.values, (block, 1))
+    out = np.empty((block, len(config.snapshot_steps), n))
+    state = np.tile(model.initial, (block, 1))
 
-    record = {j: i for i, j in enumerate(snap_steps)}
+    record = {j: i for i, j in enumerate(config.snapshot_steps)}
     if 0 in record:
         out[:, record[0], :] = state
     if config.T == 0.0:

@@ -3,7 +3,8 @@
 Everything here acts mode-wise on a truncated spectrum 0 < lam_1 <= ... <= lam_N:
 the fractional-space norms ||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the
 closed-form time integrals of the heat semigroup e^{-tA} that control smoothing
-(their sharp one-dimensional constants included).
+(their sharp one-dimensional constants included).  A vector of mode
+coefficients x is a plain one-dimensional float array of length N.
 
 The sharp constants come from a scalar root of u / expm1(u) = nu, so the module
 needs numpy and the standard library only.
@@ -52,28 +53,11 @@ class SpectralOperator:
         return int(self.eigenvalues.size)
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Coefficients of an element of the state space against the eigenbasis."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.size)
-
-
-def _check_dimensions(op: SpectralOperator, x: SpectralCoeffs) -> None:
-    if op.dimension != x.dimension:
+def _check_dimensions(op: SpectralOperator, x: np.ndarray) -> None:
+    if op.dimension != x.size:
         raise ValueError(
             f"dimension mismatch: operator has {op.dimension} modes, "
-            f"coefficients have {x.dimension}"
+            f"coefficients have {x.size}"
         )
 
 
@@ -85,10 +69,10 @@ def dirichlet_laplacian_1d(n_modes: int) -> SpectralOperator:
     return SpectralOperator((k * np.pi) ** 2)
 
 
-def hdot_norm(op: SpectralOperator, s: float, x: SpectralCoeffs) -> float:
+def hdot_norm(op: SpectralOperator, s: float, x: np.ndarray) -> float:
     """Fractional-space norm ||x||_s = sqrt(sum_n lam_n^s x_n^2)."""
     _check_dimensions(op, x)
-    return float(np.sqrt(np.sum(op.eigenvalues**s * x.values**2)))
+    return float(np.sqrt(np.sum(op.eigenvalues**s * x**2)))
 
 
 _SMOOTHING_KINDS = ("power", "difference", "integral", "convolution")
@@ -177,7 +161,7 @@ def _check_interval(tau1: float, tau2: float) -> float:
 
 
 def stochastic_convolution_energy(
-    op: SpectralOperator, rho: float, tau1: float, tau2: float, x: SpectralCoeffs
+    op: SpectralOperator, rho: float, tau1: float, tau2: float, x: np.ndarray
 ) -> float:
     """Exact value of int_{tau1}^{tau2} ||A^{rho/2} E(tau2 - sigma) x||^2 dsigma.
 
@@ -189,12 +173,12 @@ def stochastic_convolution_energy(
     _check_dimensions(op, x)
     delta = _check_interval(tau1, tau2)
     lam = op.eigenvalues
-    terms = x.values**2 * lam ** (rho - 1.0) * (-np.expm1(-2.0 * lam * delta))
+    terms = x**2 * lam ** (rho - 1.0) * (-np.expm1(-2.0 * lam * delta))
     return 0.5 * float(np.sum(terms))
 
 
 def deterministic_convolution_norm(
-    op: SpectralOperator, rho: float, tau1: float, tau2: float, x: SpectralCoeffs
+    op: SpectralOperator, rho: float, tau1: float, tau2: float, x: np.ndarray
 ) -> float:
     """Exact value of ||A^rho int_{tau1}^{tau2} E(tau2 - sigma) x dsigma||.
 
@@ -206,4 +190,4 @@ def deterministic_convolution_norm(
     delta = _check_interval(tau1, tau2)
     lam = op.eigenvalues
     factors = -np.expm1(-lam * delta) / lam ** (1.0 - rho)
-    return float(np.sqrt(np.sum(x.values**2 * factors**2)))
+    return float(np.sqrt(np.sum(x**2 * factors**2)))

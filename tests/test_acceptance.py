@@ -25,7 +25,6 @@ from spdelab.solver import (
     map_paths,
 )
 from spdelab.spectrum import (
-    SpectralCoeffs,
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,
     hdot_norm,
@@ -45,7 +44,7 @@ def borderline_model(n, r=0.0):
         covariance=example_covariance(n),
         drift=None,
         diffusion=Diagonal(np.ones(n)),
-        initial=SpectralCoeffs(np.zeros(n)),
+        initial=np.zeros(n),
         r=r,
     )
 
@@ -57,19 +56,19 @@ def test_criterion_01_convolution_exactness():
     lam = op.eigenvalues
     worst = 0.0
     for _ in range(100):
-        x = SpectralCoeffs(rng.standard_normal(64))
+        x = rng.standard_normal(64)
         rho = rng.uniform(0.0, 1.0)
         tau1 = rng.uniform(0.0, 0.5)
         tau2 = tau1 + math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
         delta = tau2 - tau1
 
-        weights = x.values**2 * lam**rho
+        weights = x**2 * lam**rho
         energy_oracle, _ = quad(
             lambda u: float(np.sum(weights * np.exp(-2.0 * lam * u))),
             0.0, delta, epsabs=0.0, epsrel=1e-12, limit=800,
         )
         flow_vec, _ = quad_vec(
-            lambda u: np.exp(-lam * u) * x.values, 0.0, delta, epsrel=1e-12, limit=800
+            lambda u: np.exp(-lam * u) * x, 0.0, delta, epsrel=1e-12, limit=800
         )
         flow_oracle = float(np.sqrt(np.sum((lam**rho * flow_vec) ** 2)))
 
@@ -104,7 +103,7 @@ def test_criterion_02_smoothing_bounds():
         if lam**-nu * -math.expm1(-lam * t) > smoothing_constant("difference", nu) * t**nu * slack:
             violations += 1
 
-        x = SpectralCoeffs(rng.standard_normal(64))
+        x = rng.standard_normal(64)
         rho = rng.uniform(0.0, 1.0)
         tau1 = rng.uniform(0.0, 0.5)
         delta = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
@@ -132,7 +131,7 @@ def test_criterion_03_ito_isometry():
     mc = float(np.mean(squared))
     se = float(np.std(squared, ddof=1) / math.sqrt(squared.size))
     exact = stochastic_convolution_energy(
-        model.operator, 0.0, 0.0, t, SpectralCoeffs(np.sqrt(model.covariance.variances))
+        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance.variances)
     )
     deviation = abs(mc - exact)
     report(
@@ -302,7 +301,7 @@ def test_criterion_09_moment_inequality():
                           method=EXACT_GAUSSIAN)
     norms = map_paths(model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1)))
     energy = stochastic_convolution_energy(
-        model.operator, 0.0, 0.0, t, SpectralCoeffs(np.sqrt(model.covariance.variances))
+        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance.variances)
     )
     details = []
     violations = 0
@@ -368,7 +367,7 @@ def test_criterion_11_multiplicative_temporal_exponents():
             covariance=covariance,
             drift=drift,
             diffusion=diffusion,
-            initial=SpectralCoeffs(np.zeros(n)),
+            initial=np.zeros(n),
         )
 
     multiplicative = model(Nemytskii("tanh", grid), Nemytskii("cos", grid))

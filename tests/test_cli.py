@@ -318,6 +318,21 @@ class TestRunSimulate:
         assert rows[0].split(",")[2] == "1.0"  # the initial coefficient
         assert all(row.split(",")[3] == "0.0" for row in rows)  # deterministic start
 
+    # two times on one grid step would leave one snapshot row of the run unset
+    def test_two_snapshot_times_on_one_grid_step_are_rejected(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            BASE_MODEL + "kind = simulate\nsolver.T = 1\nsolver.steps = 10\nsolver.paths = 4\n"
+            "solver.seed = 1\nsolver.snapshots = 0.3, 0.3000000000001\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid solver section: snapshot times 0.3 and 0.3000000000001 "
+            "fall on grid steps 3 and 3, which must increase (h = 0.1) "
+            "(key 'solver.snapshots', line 13)\n"
+        )
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
     # F(x) = -2000 x makes the modes with lam_k < 2000 grow like e^{(2000 - lam_k) t},
     # which overflows long before T = 4
     STIFF = (
@@ -392,6 +407,23 @@ class TestRunProbes:
         fits = (tmp_path / "out" / "holder_fits.csv").read_text().splitlines()
         assert fits[1] == "s,slope,stderr,predicted"
 
+    # the last two lags put anchor + lag on one grid step, 300
+    def test_two_lags_on_one_grid_step_are_rejected(self, tmp_path, capsys):
+        lags = [m * 5e-4 for m in (1, 2, 3, 5, 8, 13, 22, 36, 60)] + [0.05, 0.0500000000001]
+        config = write_config(
+            tmp_path,
+            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.2\nsolver.steps = 400\n"
+            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\nprobe.anchor = 0.1\n"
+            f"probe.lags = {', '.join(map(repr, lags))}\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: snapshot times {0.1 + 0.05} and "
+                              f"{0.1 + 0.0500000000001} fall on grid steps 300 and 300, "
+                              "which must increase (h = 0.0005)")
+        assert err.endswith("(key 'probe.lags', line 15)\n")
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
     def test_spatial_probe_summary(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -458,6 +490,18 @@ class TestRunVerifiers:
 
     def test_small_suite_passes_unpatched(self):
         assert all(self.outcomes(cli.verify_lemmas(**self.SMALL_SUITE)).values())
+
+    # called directly, a size that tests nothing is rejected before any draw
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "size, value, message",
+        [("bound_draws", 0, "bound_draws must be >= 1, got 0"),
+         ("exactness_draws", 0, "exactness_draws must be >= 1, got 0"),
+         ("mc_paths", 1, "mc_paths must be >= 2, got 1")],
+    )
+    def test_suite_that_tests_nothing_is_rejected(self, size, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.verify_lemmas(**{**self.SMALL_SUITE, size: value})
 
     def test_inexact_energy_fails_exactness(self, monkeypatch):
         exact = cli.stochastic_convolution_energy
@@ -621,6 +665,50 @@ class TestCommandLine:
         )
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    # SolverConfig decides each of these, and the probe's times are checked
+    # against its grid; the config error names the key at fault
+    @pytest.mark.parametrize(
+        "kind, fault, rest, message",
+        [
+            ("simulate", "solver.steps = 0", "solver.T = 0.01",
+             "invalid solver section: need at least one step, got 0 (key 'solver.steps', line 3)"),
+            ("simulate", "solver.paths = 0", "solver.T = 0.01",
+             "invalid solver section: need at least one path, got 0 (key 'solver.paths', line 3)"),
+            ("simulate", "solver.T = -1", "",
+             "invalid solver section: final time must be >= 0, got -1.0 (key 'solver.T', line 3)"),
+            ("simulate", "solver.snapshots = 0.003", "solver.T = 0.01\nsolver.steps = 4",
+             "invalid solver section: time 0.003 is not a grid point (h = 0.0025) "
+             "(key 'solver.snapshots', line 3)"),
+            ("simulate", "solver.snapshots = 0.02", "solver.T = 0.01\nsolver.steps = 4",
+             "invalid solver section: time 0.02 lies outside [0, T] = [0, 0.01] "
+             "(key 'solver.snapshots', line 3)"),
+            ("simulate", "solver.snapshots = 0.005, 0.0025", "solver.T = 0.01\nsolver.steps = 4",
+             "invalid solver section: snapshot times 0.005 and 0.0025 fall on grid steps 2 "
+             "and 1, which must increase (h = 0.0025) (key 'solver.snapshots', line 3)"),
+            ("probe-temporal", "probe.anchor = 0.01234", "solver.T = 0.1\nsolver.steps = 200",
+             "time 0.01234 is not a grid point (h = 0.0005) (key 'probe.anchor', line 3)"),
+            ("probe-temporal", "probe.anchor = 0.2", "solver.T = 0.1\nsolver.steps = 200",
+             "time 0.2 lies outside [0, T] = [0, 0.1] (key 'probe.anchor', line 3)"),
+            ("probe-temporal", "probe.lags = 0.0003",
+             "solver.T = 0.1\nsolver.steps = 200\nprobe.anchor = 0.01",
+             f"time {0.01 + 0.0003} is not a grid point (h = 0.0005) (key 'probe.lags', line 3)"),
+            ("probe-temporal", "probe.lags = 0.095",
+             "solver.T = 0.1\nsolver.steps = 200\nprobe.anchor = 0.01",
+             f"time {0.01 + 0.095} lies outside [0, T] = [0, 0.1] (key 'probe.lags', line 3)"),
+        ],
+        ids=["solver.steps", "solver.paths", "solver.T", "snapshot-off-grid",
+             "snapshot-past-T", "snapshots-decreasing", "anchor-off-grid", "anchor-past-T",
+             "lag-off-grid", "lag-past-T"],
+    )
+    def test_solver_and_probe_time_errors_name_key_and_line(self, tmp_path, capsys, kind,
+                                                           fault, rest, message):
+        config = write_config(
+            tmp_path, f"kind = {kind}\nsolver.seed = 0\n{fault}\n{rest}\nmodel.N = 4\nprobe.s = 0\n"
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list((tmp_path / "out").glob("*.csv")) == []
 
     # a check that draws nothing passes vacuously, and one path has no standard error
     @pytest.mark.parametrize(

@@ -72,7 +72,8 @@ def test_scipy_detector_sees_lazy_imports():
 
 # Underscore names that another library module may import, each with its reason.
 PRIVATE_IMPORTS_ALLOWED = {
-    "spectrum._frozen_array": "models freezes its multiplier arrays the way spectrum does",
+    "spectrum._frozen_array": "models freezes the initial state and the multipliers into "
+                              "read-only arrays the way spectrum freezes the eigenvalues",
 }
 
 

@@ -9,13 +9,14 @@ from spdelab import solver, transforms
 from spdelab.models import (
     SCALAR_FUNCTIONS,
     Diagonal,
+    ModelError,
     ModelSpec,
     Nemytskii,
     ScalarFunction,
     validate_assumptions,
 )
 from spdelab.noise import CovarianceSpectrum, example_covariance
-from spdelab.spectrum import SpectralCoeffs, dirichlet_laplacian_1d
+from spdelab.spectrum import dirichlet_laplacian_1d
 
 
 def make_model(n=8, drift=None, diffusion=None, r=0.0, initial=None, covariance=None, p=2.0):
@@ -24,7 +25,7 @@ def make_model(n=8, drift=None, diffusion=None, r=0.0, initial=None, covariance=
         covariance=covariance if covariance is not None else example_covariance(n),
         drift=drift,
         diffusion=diffusion if diffusion is not None else Diagonal(np.ones(n)),
-        initial=SpectralCoeffs(initial if initial is not None else np.zeros(n)),
+        initial=initial if initial is not None else np.zeros(n),
         r=r,
         p=p,
     )
@@ -90,7 +91,7 @@ class TestModelValidation:
                 covariance=example_covariance(5),
                 drift=None,
                 diffusion=Diagonal(np.ones(4)),
-                initial=SpectralCoeffs(np.zeros(4)),
+                initial=np.zeros(4),
             )
 
     def test_small_nemytskii_grid_rejected(self):
@@ -106,6 +107,34 @@ class TestModelValidation:
     def test_moment_order_must_be_finite(self, p):
         with pytest.raises(ValueError, match="moment order p must be finite"):
             make_model(4, p=p)
+
+    # X_0 must lie in H^{1+r}: a non-finite coefficient gives a non-finite norm
+    def test_initial_state_must_be_finite(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ModelError, match="finite smoothness norm") as info:
+                make_model(4, initial=np.array([1.0, bad, 0.0, 0.0]))
+            assert info.value.field == "initial"
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [(np.zeros((2, 2)), r"initial state has shape \(2, 2\), expected \(4,\)"),
+         (np.zeros(3), r"initial state has shape \(3,\), expected \(4,\)"),
+         (np.zeros(5), r"initial state has shape \(5,\), expected \(4,\)")],
+        ids=["2-d", "short", "long"],
+    )
+    def test_initial_state_must_be_one_row_of_n_modes(self, initial, message):
+        with pytest.raises(ModelError, match=message) as info:
+            make_model(4, initial=initial)
+        assert info.value.field == "initial"
+
+    def test_initial_state_is_a_read_only_copy(self):
+        x0 = np.array([1.0, 2.0, 0.0, 0.0])
+        model = make_model(4, initial=x0)
+        np.testing.assert_array_equal(model.initial, x0)
+        with pytest.raises(ValueError, match="read-only"):
+            model.initial[0] = 5.0
+        x0[0] = 7.0  # the caller's array stays writable and does not alias the model's
+        assert model.initial[0] == 1.0
 
 
 def drift_row(model, x):

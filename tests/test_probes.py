@@ -31,7 +31,6 @@ from spdelab.solver import (
     map_paths,
 )
 from spdelab.spectrum import (
-    SpectralCoeffs,
     dirichlet_laplacian_1d,
     stochastic_convolution_energy,
 )
@@ -43,7 +42,7 @@ def linear_drift_model(n, p=2.0):
         covariance=example_covariance(n),
         drift=Diagonal(np.linspace(-5.0, 5.0, n)),
         diffusion=Diagonal(np.linspace(1.0, 0.5, n)),
-        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+        initial=np.linspace(1.0, 0.0, n),
         p=p,
     )
 
@@ -54,7 +53,7 @@ def nemytskii_model(n):
         covariance=example_covariance(n),
         drift=Nemytskii("tanh", 2 * n),
         diffusion=Nemytskii("cos", 2 * n),
-        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+        initial=np.linspace(1.0, 0.0, n),
     )
 
 
@@ -64,7 +63,7 @@ def borderline_model(n=8, r=0.0):
         covariance=example_covariance(n),
         drift=None,
         diffusion=Diagonal(np.ones(n)),
-        initial=SpectralCoeffs(np.zeros(n)),
+        initial=np.zeros(n),
         r=r,
     )
 
@@ -290,7 +289,7 @@ class TestSpatialSweep:
         )
         np.testing.assert_array_equal(sub.drift.multipliers, model.drift.multipliers[:4])
         np.testing.assert_array_equal(sub.diffusion.multipliers, model.diffusion.multipliers[:4])
-        np.testing.assert_array_equal(sub.initial.values, model.initial.values[:4])
+        np.testing.assert_array_equal(sub.initial, model.initial[:4])
         nemytskii = nemytskii_model(16)
         sub = truncate_model(nemytskii, 4)
         assert (sub.drift, sub.diffusion) == (nemytskii.drift, nemytskii.diffusion)
@@ -377,7 +376,7 @@ class TestExampleSeries:
         n = 200
         op = dirichlet_laplacian_1d(n)
         q = example_covariance(n)
-        weighted = SpectralCoeffs(np.sqrt(q.variances))
+        weighted = np.sqrt(q.variances)
         energy = stochastic_convolution_energy(op, 1.0, 0.0, 0.1, weighted)
         series = example_series_partial_sum(0.0, 0.1, n)
         assert series == pytest.approx(energy, rel=1e-12)

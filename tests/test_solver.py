@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdelab import models, solver, transforms
-from spdelab.models import Diagonal, ModelSpec, Nemytskii
+from spdelab.models import Diagonal, ModelError, ModelSpec, Nemytskii
 from spdelab.noise import CovarianceSpectrum, NoiseStream, example_covariance
 from spdelab.probes import truncate_model
 from spdelab.solver import (
@@ -22,7 +22,7 @@ from spdelab.solver import (
     _simulate_block,
     map_paths,
 )
-from spdelab.spectrum import SpectralCoeffs, dirichlet_laplacian_1d
+from spdelab.spectrum import dirichlet_laplacian_1d
 
 
 def identity(rows):
@@ -36,7 +36,7 @@ def linear_additive_model(n=8, g=1.0, x0=None, covariance=None):
         covariance=covariance if covariance is not None else example_covariance(n),
         drift=None,
         diffusion=Diagonal(np.full(n, g)),
-        initial=SpectralCoeffs(x0 if x0 is not None else np.zeros(n)),
+        initial=x0 if x0 is not None else np.zeros(n),
     )
 
 
@@ -46,7 +46,7 @@ def nemytskii_model(n=8):
         covariance=example_covariance(n),
         drift=Nemytskii("tanh", 4 * n),
         diffusion=Nemytskii("cos", 4 * n),
-        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+        initial=np.linspace(1.0, 0.0, n),
     )
 
 
@@ -56,7 +56,7 @@ def diagonal_linear_model(n=8):
         covariance=example_covariance(n),
         drift=Diagonal(np.linspace(-3.0, 3.0, n)),
         diffusion=Diagonal(np.full(n, 0.5)),
-        initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+        initial=np.linspace(1.0, 0.0, n),
     )
 
 
@@ -75,9 +75,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(T=1.0, steps=10, paths=1, snapshot_times=(0.2, 0.2))
 
+    # two times on one grid step would leave one row of the snapshot buffer unset
+    def test_snapshot_times_on_one_grid_step_rejected(self):
+        with pytest.raises(ModelError, match=r"^snapshot times 0.3 and 0.3000000000001 fall on "
+                           r"grid steps 3 and 3, which must increase \(h = 0.1\)$") as info:
+            SolverConfig(T=1.0, steps=10, paths=1, snapshot_times=(0.3, 0.3000000000001))
+        assert info.value.field == "snapshot_times"
+
     def test_default_snapshots_are_endpoints(self):
         config = SolverConfig(T=1.0, steps=4, paths=1)
         assert config.snapshot_times == (0.0, 1.0)
+        assert config.snapshot_steps == (0, 4)
         assert config.h == 0.25
         assert config.method == EXPONENTIAL_EULER
 
@@ -120,7 +128,7 @@ class TestExponentialEulerStep:
             covariance=CovarianceSpectrum(np.zeros(n)),
             drift=Diagonal(f),
             diffusion=Diagonal(np.ones(n)),
-            initial=SpectralCoeffs(np.zeros(n)),
+            initial=np.zeros(n),
         )
         h = 0.01
         x = np.array([1.0, -2.0, 0.5, 3.0])
@@ -140,7 +148,7 @@ class TestExponentialEulerStep:
             covariance=example_covariance(n),
             drift=Diagonal(np.full(n, 0.3)),
             diffusion=Diagonal(np.ones(n)),
-            initial=SpectralCoeffs(np.zeros(n)),
+            initial=np.zeros(n),
         )
         h = 0.05
         x = np.array([1.0, 2.0, -1.0, 0.5])
@@ -170,7 +178,7 @@ class TestExponentialEulerStep:
         config = SolverConfig(T=0.05, steps=25, paths=4, master_seed=6)
         stream = NoiseStream(config.master_seed, 3)
         noise_sd = np.sqrt(model.covariance.variances * config.h)
-        state = model.initial.values
+        state = model.initial
         for j in range(config.steps):
             dW = stream.step_normals(j, model.dimension) * noise_sd
             state = euler_step(model, state, dW, config.h)
@@ -270,7 +278,7 @@ class TestSimulatePath:
             covariance=CovarianceSpectrum(400.0 * example_covariance(n).variances),
             drift=None,
             diffusion=Nemytskii("cos", 32),
-            initial=SpectralCoeffs(x0),
+            initial=x0,
         )
         config = SolverConfig(T=0.02, steps=40, paths=2000, master_seed=5,
                               snapshot_times=(0.01, 0.02))
@@ -289,7 +297,7 @@ class TestSimulatePath:
             covariance=CovarianceSpectrum(np.zeros(2)),
             drift=Diagonal(np.array([-2000.0, 0.0])),
             diffusion=Diagonal(np.ones(2)),
-            initial=SpectralCoeffs(np.array([1.0, 0.0])),
+            initial=np.array([1.0, 0.0]),
         )
         config = SolverConfig(T=4.0, steps=400, paths=8)
         # scalar oracle: the noiseless recurrence of mode 1 up to the first step whose
@@ -336,7 +344,7 @@ class TestExactOUPath:
             covariance=example_covariance(n),
             drift=Diagonal(np.ones(n)),
             diffusion=Diagonal(np.ones(n)),
-            initial=SpectralCoeffs(np.zeros(n)),
+            initial=np.zeros(n),
         )
         config = SolverConfig(T=0.1, steps=10, paths=1, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError):
@@ -350,7 +358,7 @@ class TestExactOUPath:
             covariance=example_covariance(n),
             drift=None,
             diffusion=Nemytskii("tanh", 4 * n),
-            initial=SpectralCoeffs(np.zeros(n)),
+            initial=np.zeros(n),
         )
         with pytest.raises(ValueError):
             _simulate_block(model_mult, config, [0])
@@ -365,7 +373,7 @@ class TestExactOUPath:
             covariance=example_covariance(n),
             drift=None,
             diffusion=Nemytskii("tanh", 4 * n),
-            initial=SpectralCoeffs(np.zeros(n)),
+            initial=np.zeros(n),
         )
         config = SolverConfig(T=T, steps=1, paths=3)
         exact = dataclasses.replace(config, method=EXACT_GAUSSIAN)
@@ -449,6 +457,48 @@ class TestExactOUPath:
             sampled.append(float(np.mean(np.sum((euler - exact) ** 2, axis=2))))
         assert closed[1] * 3.4 < closed[0]
         assert sampled[1] < sampled[0]
+
+
+class TestStrongSelfConvergence:
+    def test_multiplicative_kernel_converges_at_rate_one_half(self):
+        """RMS error of the Euler kernel against itself on one Brownian path.
+
+        Model: tanh drift and cos diffusion on a 64-point grid, 400 times the
+        example covariance, N = 32, x0 = 0, T = 0.05, 400 paths.  Level l
+        steps with h_l = 2^l h_0, h_0 = T / 2048, and feeds `_euler_rows` the
+        sum of 2^l consecutive fine normals divided by sqrt(2^l), so every
+        level follows the same Brownian path.  The RMS H-error at T of levels
+        1..6 against level 0 is fitted against h on a log-log scale, and the
+        slope must lie within 0.15 of 1/2, the strong Euler-Maruyama rate of a
+        state-dependent diffusion at fixed N.  This checks the
+        frozen-integrand update and its noise coupling, not the paper's
+        spatial claim, and it cannot see a G that is wrong the same way on
+        every level.
+        """
+        n, grid, T, paths, levels, fine_steps = 32, 64, 0.05, 400, 6, 2048
+        model = ModelSpec(
+            operator=dirichlet_laplacian_1d(n),
+            covariance=CovarianceSpectrum(400.0 * example_covariance(n).variances),
+            drift=Nemytskii("tanh", grid),
+            diffusion=Nemytskii("cos", grid),
+            initial=np.zeros(n),
+        )
+        lam, q = model.operator.eigenvalues, model.covariance.variances
+        hs = [T / fine_steps * 2**level for level in range(levels + 1)]
+        states = [np.zeros((paths, n)) for _ in hs]
+        works = [Workspace() for _ in hs]
+        rng = np.random.default_rng(1)
+        chunk = 2**levels  # fine steps per step of the coarsest level
+        for _ in range(fine_steps // chunk):
+            z = rng.standard_normal((chunk, paths, n))
+            for level, (h, state, work) in enumerate(zip(hs, states, works)):
+                k = 2**level
+                coarse = z.reshape(chunk // k, k, paths, n).sum(axis=1) / math.sqrt(k)
+                for normals in coarse:
+                    _euler_rows(model, np.exp(-lam * h), h, state, normals * np.sqrt(q * h), work)
+        errors = [math.sqrt(np.mean(np.sum((x - states[0]) ** 2, axis=1))) for x in states[1:]]
+        slope = np.polyfit(np.log(hs[1:]), np.log(errors), 1)[0]
+        assert abs(slope - 0.5) <= 0.15, (slope, errors)
 
 
 class TestNoiseDraws:
@@ -600,7 +650,7 @@ class TestSharedSynthesis:
             covariance=example_covariance(n),
             drift=Nemytskii("tanh", drift_grid),
             diffusion=Nemytskii("cos", diffusion_grid),
-            initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+            initial=np.linspace(1.0, 0.0, n),
         )
         config = SolverConfig(T=0.01, steps=7, paths=5)
         _simulate_block(model, config, range(5))
@@ -632,7 +682,7 @@ class TestSharedSynthesis:
             covariance=example_covariance(n),
             drift=drift,
             diffusion=diffusion,
-            initial=SpectralCoeffs(np.linspace(1.0, 0.0, n)),
+            initial=np.linspace(1.0, 0.0, n),
         )
         config = SolverConfig(T=0.03, steps=3, paths=paths, master_seed=2)
 
@@ -644,7 +694,7 @@ class TestSharedSynthesis:
         h = config.h
         decay = np.exp(-model.operator.eigenvalues * h)
         noise_sd = np.sqrt(model.covariance.variances * h)
-        x = np.tile(model.initial.values, (paths, 1))
+        x = np.tile(model.initial, (paths, 1))
         for j in range(config.steps):
             dW = noise_sd * np.array([NoiseStream(2, i).step_normals(j, n) for i in range(paths)])
             if isinstance(drift, Diagonal):

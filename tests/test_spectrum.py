@@ -11,7 +11,6 @@ from scipy.optimize import brentq, minimize_scalar
 
 from spdelab.cli import _convolution_quad_oracles
 from spdelab.spectrum import (
-    SpectralCoeffs,
     SpectralOperator,
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,
@@ -22,7 +21,7 @@ from spdelab.spectrum import (
 
 
 def coeffs(*values):
-    return SpectralCoeffs(np.array(values, dtype=float))
+    return np.array(values, dtype=float)
 
 
 class TestSpectralTypes:
@@ -33,10 +32,6 @@ class TestSpectralTypes:
     def test_eigenvalues_must_be_positive(self):
         with pytest.raises(ValueError):
             SpectralOperator(np.array([0.0, 1.0]))
-
-    def test_coefficients_must_be_finite(self):
-        with pytest.raises(ValueError):
-            SpectralCoeffs(np.array([1.0, np.inf]))
 
     def test_values_are_immutable(self):
         op = dirichlet_laplacian_1d(4)
@@ -91,7 +86,7 @@ class TestHdotNorm:
     def test_monotone_in_smoothness_above_unit_spectrum(self, s1, ds, seed):
         # The Dirichlet spectrum starts at pi^2 > 1, so the norm grows with s.
         op = dirichlet_laplacian_1d(6)
-        x = SpectralCoeffs(np.random.default_rng(seed).standard_normal(6))
+        x = np.random.default_rng(seed).standard_normal(6)
         assert hdot_norm(op, s1 + ds, x) >= hdot_norm(op, s1, x) * (1.0 - 1e-12)
 
 
@@ -203,7 +198,7 @@ class TestSharpConstantRoot:
 def quad_energy(op, rho, tau1, tau2, x):
     """Adaptive quadrature of the defining integral of the convolution energy."""
     lam = op.eigenvalues
-    weights = x.values**2 * lam**rho
+    weights = x**2 * lam**rho
 
     def integrand(u):
         return float(np.sum(weights * np.exp(-2.0 * lam * u)))
@@ -216,7 +211,7 @@ def quad_flow_norm(op, rho, tau1, tau2, x):
     """Adaptive quadrature of the vector integral, then the weighted norm."""
     lam = op.eigenvalues
     vector, _ = quad_vec(
-        lambda u: np.exp(-lam * u) * x.values, 0.0, tau2 - tau1, epsrel=1e-12, limit=800
+        lambda u: np.exp(-lam * u) * x, 0.0, tau2 - tau1, epsrel=1e-12, limit=800
     )
     return float(np.sqrt(np.sum((lam**rho * vector) ** 2)))
 
@@ -239,7 +234,7 @@ class TestStochasticConvolutionEnergy:
         rng = np.random.default_rng(0)
         op = dirichlet_laplacian_1d(16)
         for _ in range(50):
-            x = SpectralCoeffs(rng.standard_normal(16))
+            x = rng.standard_normal(16)
             rho = rng.uniform(0.0, 1.0)
             delta = 10.0 ** rng.uniform(-4.0, 0.0)
             energy = stochastic_convolution_energy(op, rho, 0.1, 0.1 + delta, x)
@@ -277,7 +272,7 @@ class TestDeterministicConvolutionNorm:
         rng = np.random.default_rng(1)
         op = dirichlet_laplacian_1d(16)
         for _ in range(50):
-            x = SpectralCoeffs(rng.standard_normal(16))
+            x = rng.standard_normal(16)
             rho = rng.uniform(0.0, 1.0)
             delta = 10.0 ** rng.uniform(-4.0, 0.0)
             value = deterministic_convolution_norm(op, rho, 0.0, delta, x)
@@ -299,7 +294,7 @@ class TestExactnessAgainstQuadrature:
         rng = np.random.default_rng(7)
         op = dirichlet_laplacian_1d(64)
         for _ in range(20):
-            x = SpectralCoeffs(rng.standard_normal(64))
+            x = rng.standard_normal(64)
             rho = rng.uniform(0.0, 1.0)
             tau1 = rng.uniform(0.0, 0.5)
             tau2 = tau1 + 10.0 ** rng.uniform(-3.0, -0.3)
@@ -318,7 +313,7 @@ class TestGaussLegendreOracle:
         rng = np.random.default_rng(n_modes)
         op = dirichlet_laplacian_1d(n_modes)
         for rho in (0.0, 0.37, 1.0):
-            x = SpectralCoeffs(rng.standard_normal(n_modes))
+            x = rng.standard_normal(n_modes)
             tau1 = rng.uniform(0.0, 0.5)
             energy, norm = _convolution_quad_oracles(op, rho, tau1, tau1 + delta, x)
             assert energy == pytest.approx(quad_energy(op, rho, tau1, tau1 + delta, x), rel=1e-12)
@@ -336,7 +331,7 @@ class TestGaussLegendreOracle:
 class TestVanishingWindowLimit:
     def test_both_quantities_decrease_to_zero_on_dyadic_windows(self):
         op = dirichlet_laplacian_1d(32)
-        x = SpectralCoeffs(np.random.default_rng(3).standard_normal(32))
+        x = np.random.default_rng(3).standard_normal(32)
         tau2 = 1.0
         deltas = [2.0**-j for j in range(1, 16)]
         energies = [
