@@ -7,8 +7,10 @@ covariance example whose higher norms blow up.  F is None (zero), a
 `Diagonal` or a `Nemytskii` spec, and G a `Diagonal` (additive noise) or a
 `Nemytskii` spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec
 composes pointwise with a globally Lipschitz scalar function from the
-`SCALAR_FUNCTIONS` table.  A vector of mode coefficients, such as the initial
-state or a spec's multipliers, is a plain one-dimensional float array.
+`SCALAR_FUNCTIONS` table.  A vector of mode values, such as the initial
+state, the noise covariance's variances or a spec's multipliers, is a plain
+one-dimensional float array, and `ModelSpec` checks every such array of a
+model.
 """
 
 from .models import (
@@ -20,7 +22,6 @@ from .models import (
     validate_assumptions,
 )
 from .noise import (
-    CovarianceSpectrum,
     NoiseStream,
     burkholder_constant,
     example_covariance,

@@ -25,9 +25,9 @@ from .config import (
     parse_config_file,
     warn_on_stiff_linear_drift,
 )
-from .models import SCALAR_FUNCTIONS, Diagonal, ModelSpec, validate_assumptions
+from .models import SCALAR_FUNCTIONS, Diagonal, ModelError, ModelSpec, validate_assumptions
 from .noise import burkholder_constant, example_covariance
-from .solver import EXACT_GAUSSIAN, SolverConfig
+from .solver import EXACT_GAUSSIAN, SolverConfig, _require_linear_additive
 from .spectrum import (
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,
@@ -206,7 +206,7 @@ def verify_lemmas(
     norms = solver.map_paths(
         model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1))
     )
-    energy = stochastic_convolution_energy(op_mc, 0.0, 0.0, t_final, np.sqrt(cov.variances))
+    energy = stochastic_convolution_energy(op_mc, 0.0, 0.0, t_final, np.sqrt(cov))
     for p in (2.0, 4.0):
         powered = norms**p
         moment = float(np.mean(powered))
@@ -231,6 +231,12 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
 def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
     model = build_model(cfg)
     config = build_solver(cfg)
+    if config.method == EXACT_GAUSSIAN:  # the kernel's own check, before any path runs
+        try:
+            _require_linear_additive(model)
+        except ModelError as exc:
+            raise ConfigError(str(exc), key="solver.method",
+                              line=cfg._line("solver.method")) from None
     warn_on_stiff_linear_drift(cfg, model, config)
     return model, config
 
@@ -259,12 +265,13 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
     s_values = cfg.get_floats("probe.s")
     anchor = cfg.get_float("probe.anchor", config.steps // 2 * config.h)
     lags = cfg.get_floats("probe.lags") if "probe.lags" in cfg else []
-    # the probe snapshots the anchor and each anchor + lag: SolverConfig
-    # rejects a time off the grid, past T or on the grid step of another
-    for key, times in (("probe.anchor", {anchor}),
-                       ("probe.lags", {anchor, *(anchor + lag for lag in lags)})):
+    # the probe snapshots the anchor and each anchor + lag, in the given order:
+    # SolverConfig rejects a time off the grid or past T, and a repeated, zero
+    # or decreasing lag, whose step does not follow the one before
+    for key, times in (("probe.anchor", (anchor,)),
+                       ("probe.lags", (anchor, *(anchor + lag for lag in lags)))):
         try:
-            replace(config, snapshot_times=sorted(times))
+            replace(config, snapshot_times=times)
         except ValueError as exc:
             raise ConfigError(str(exc), key=key, line=cfg._line(key)) from None
     if "probe.lags" not in cfg:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import SCALAR_FUNCTIONS, Diagonal, ModelError, ModelSpec, Nemytskii
-from .noise import CovarianceSpectrum, example_covariance
+from .noise import example_covariance
 from .solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER, SolverConfig
 from .spectrum import dirichlet_laplacian_1d
 
@@ -50,7 +50,8 @@ KNOWN_KEYS = frozenset({
 
 # The key that sets each ModelSpec field, by the field's name in a ModelError:
 # build_model reads the drift and diffusion through these keys and reports a
-# rejected field against its key.
+# rejected field against its key.  The covariance is not here: its key depends
+# on the covariance kind, so build_model names the one its values came from.
 MODEL_FIELD_KEYS = {
     "initial": "model.initial",
     "r": "model.r",
@@ -200,28 +201,16 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
     n = cfg.get_int("model.N", 256, minimum=1)
     operator = dirichlet_laplacian_1d(n)
 
-    def checked(key: str, spec, values: np.ndarray):
-        """`spec(values)`, with its rejection of the values reported against `key`."""
-        try:
-            return spec(values)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=cfg._line(key)) from None
-
+    # the key a rejected covariance is reported against: the one that set its values
     cov_kind = cfg.get_choice("model.covariance", ("example5", "constant", "custom"), "example5")
     if cov_kind == "example5":
-        covariance = example_covariance(n)
+        cov_key, covariance = "model.covariance", example_covariance(n)
     elif cov_kind == "constant":
-        key = "model.covariance.value"
-        covariance = checked(key, CovarianceSpectrum, np.full(n, cfg.get_float(key, 1.0)))
+        cov_key = "model.covariance.value"
+        covariance = np.full(n, cfg.get_float(cov_key, 1.0))
     else:
-        values = cfg.get_floats("model.covariance.values")
-        if len(values) != n:
-            raise ConfigError(
-                f"custom covariance needs {n} values, got {len(values)}",
-                key="model.covariance.values",
-                line=cfg._line("model.covariance.values"),
-            )
-        covariance = checked("model.covariance.values", CovarianceSpectrum, np.array(values))
+        cov_key = "model.covariance.values"
+        covariance = cfg.get_floats(cov_key)
 
     def broadcast(key: str, default: float) -> np.ndarray:
         values = cfg.get_floats(key, [default])
@@ -244,8 +233,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
                 cfg.get_choice(MODEL_FIELD_KEYS[f"{role}.function"], tuple(SCALAR_FUNCTIONS)),
                 cfg.get_int(MODEL_FIELD_KEYS[f"{role}.grid_size"], 4 * n),
             )
-        key = MODEL_FIELD_KEYS[f"{role}.multipliers"]
-        return checked(key, Diagonal, broadcast(key, multiplier))
+        return Diagonal(broadcast(MODEL_FIELD_KEYS[f"{role}.multipliers"], multiplier))
 
     drift = term("drift", ("zero", "linear", "nemytskii"), 0.0)
     diffusion = term("diffusion", ("additive", "nemytskii"), 1.0)
@@ -262,7 +250,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         return ModelSpec(operator=operator, covariance=covariance, drift=drift,
                          diffusion=diffusion, initial=initial, r=r, p=p)
     except ModelError as exc:
-        key = MODEL_FIELD_KEYS.get(exc.field)
+        key = cov_key if exc.field == "covariance" else MODEL_FIELD_KEYS.get(exc.field)
         raise ConfigError(f"invalid model: {exc}", key=key, line=cfg._line(key)) from exc
 
 

@@ -2,8 +2,10 @@
 
 A model couples the operator spectrum, the noise covariance, a drift F, a
 diffusion G, a deterministic initial state, and the regularity parameters
-(r, p) the user claims for it.  The initial state is a read-only array of
-mode coefficients, like a `Diagonal` spec's multipliers.  F is None (zero),
+(r, p) the user claims for it.  The noise covariance is the array of its
+variances q_k and the initial state an array of mode coefficients; like a
+`Diagonal` spec's multipliers, `ModelSpec` checks them and keeps them
+read-only, so it alone decides whether a model is valid.  F is None (zero),
 a `Diagonal` or a `Nemytskii` spec, and G a `Diagonal` or a `Nemytskii`
 spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec composes
 pointwise with a globally Lipschitz scalar function named in
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import transforms
-from .noise import CovarianceSpectrum, hs_norm_L2r
+from .noise import hs_norm_L2r
 from .spectrum import SpectralOperator, _frozen_array, hdot_norm
 
 
@@ -51,15 +53,14 @@ class Diagonal:
     """Diagonal operator acting as multiplication by m_k on mode k.
 
     As the drift it is F(x) = m x; as the diffusion it is the
-    state-independent G(x) w = m w.
+    state-independent G(x) w = m w.  The multipliers are kept read-only, and
+    `ModelSpec` checks that they are finite and one per mode.
     """
 
     multipliers: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "multipliers", _frozen_array(self.multipliers))
-        if not np.all(np.isfinite(self.multipliers)):
-            raise ValueError("multipliers must be finite")
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,14 @@ class ModelError(ValueError):
 class ModelSpec:
     """Full problem description with its declared regularity parameters.
 
-    A drift of None is F = 0.  `initial` is stored as a read-only copy, and
-    its norm at r + 1 must be finite.  Every rejection is a `ModelError`.
+    A drift of None is F = 0.  `covariance` holds the variances q_k >= 0 of
+    the noise modes, and `initial` the coefficients of X_0, whose norm at
+    r + 1 must be finite; both are stored as read-only copies.  Every
+    rejection is a `ModelError`.
     """
 
     operator: SpectralOperator
-    covariance: CovarianceSpectrum
+    covariance: np.ndarray
     drift: Diagonal | Nemytskii | None
     diffusion: Diagonal | Nemytskii
     initial: np.ndarray
@@ -102,20 +105,26 @@ class ModelSpec:
 
     def __post_init__(self):
         n = self.operator.dimension
-        if self.covariance.dimension != n:
-            raise ModelError(
-                f"covariance dimension {self.covariance.dimension} != operator dimension {n}",
-                "covariance",
-            )
+        covariance = np.array(self.covariance, dtype=float)
+        if covariance.shape != (n,):
+            raise ModelError(f"covariance has shape {covariance.shape}, expected ({n},)",
+                             "covariance")
+        if not np.all(np.isfinite(covariance)) or np.any(covariance < 0.0):
+            raise ModelError("covariance variances must be finite and nonnegative", "covariance")
+        object.__setattr__(self, "covariance", _frozen_array(covariance))
         initial = np.array(self.initial, dtype=float)
         if initial.shape != (n,):
             raise ModelError(f"initial state has shape {initial.shape}, expected ({n},)", "initial")
         object.__setattr__(self, "initial", _frozen_array(initial))
         for role in ("drift", "diffusion"):
             spec = getattr(self, role)
-            if isinstance(spec, Diagonal) and spec.multipliers.size != n:
-                raise ModelError(f"diagonal {role} multiplier count must match the operator",
-                                 f"{role}.multipliers")
+            if isinstance(spec, Diagonal):
+                if spec.multipliers.size != n:
+                    raise ModelError(f"diagonal {role} multiplier count must match the operator",
+                                     f"{role}.multipliers")
+                if not np.all(np.isfinite(spec.multipliers)):
+                    raise ModelError(f"diagonal {role} multipliers must be finite",
+                                     f"{role}.multipliers")
             if isinstance(spec, Nemytskii):
                 if spec.function not in SCALAR_FUNCTIONS:
                     raise ModelError(f"unknown scalar function {spec.function!r}, "
@@ -238,7 +247,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
 
     if isinstance(diffusion, Diagonal):
         checks.append(AssumptionCheck("diffusion_lipschitz", True, {"constant": lip_g}))
-        weights = op.eigenvalues**model.r * cov.variances * diffusion.multipliers**2
+        weights = op.eigenvalues**model.r * cov * diffusion.multipliers**2
         sums = _dyadic_partial_sums(weights)
         norm = math.sqrt(sums[-1])
         checks.append(
@@ -260,7 +269,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
             # rows of `images`: coefficients of values * e_i, one per noise mode i
             images = transforms.analyze(values * basis, n)
             weighted = op.eigenvalues[None, :] ** r * images**2
-            return cov.variances[:, None] * weighted
+            return cov[:, None] * weighted
 
         def image_norm(terms: np.ndarray) -> float:
             return float(np.sqrt(np.sum(terms)))
@@ -276,7 +285,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
                 image_norm(image_terms(fn(ua) - fn(ub), 0.0)) / float(np.linalg.norm(x - y))
             )
         measured_lip = max(ratios)
-        lip_bound = lip_g * math.sqrt(2.0 * float(np.sum(cov.variances)))
+        lip_bound = lip_g * math.sqrt(2.0 * float(np.sum(cov)))
         checks.append(
             AssumptionCheck(
                 "diffusion_lipschitz",

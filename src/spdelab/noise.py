@@ -1,41 +1,22 @@
 """Q-Wiener noise from a diagonal covariance spectrum, and Hilbert-Schmidt norms.
 
 The driving noise is expanded in the operator eigenbasis: mode k carries an
-independent scalar Brownian motion with variance rate q_k.  Sampling is
-counter-addressed: the standard normals for (master seed, path, step) are a
-pure function of those three indices, so results never depend on scheduling
-order and coincide across truncation dimensions (a run with more modes reads
-more of the same per-step block).  The simulation kernel scales mode k of
-those normals by sqrt(q_k h) to get the step's Wiener increment.
+independent scalar Brownian motion with variance rate q_k.  The covariance
+is the plain array of the q_k, which `ModelSpec` checks and stores
+read-only.  Sampling is counter-addressed: the standard normals for (master
+seed, path, step) are a pure function of those three indices, so results
+never depend on scheduling order and coincide across truncation dimensions
+(a run with more modes reads more of the same per-step block).  The
+simulation kernel scales mode k of those normals by sqrt(q_k h) to get the
+step's Wiener increment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .spectrum import SpectralOperator, _frozen_array
-
-
-@dataclass(frozen=True)
-class CovarianceSpectrum:
-    """Diagonal spectrum q_k >= 0 of the noise covariance operator."""
-
-    variances: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.variances)
-        if arr.size == 0:
-            raise ValueError("covariance spectrum needs at least one mode")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("variances must be finite and nonnegative")
-        object.__setattr__(self, "variances", arr)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.variances.size)
+from .spectrum import SpectralOperator
 
 
 class NoiseStream:
@@ -99,7 +80,7 @@ class NoiseStream:
         return self._gen.standard_normal(out=out)
 
 
-def example_covariance(n_modes: int) -> CovarianceSpectrum:
+def example_covariance(n_modes: int) -> np.ndarray:
     """Borderline trace-class spectrum q_1 = 0, q_k = 1/(k ln(k)^2) for k >= 2.
 
     The trace converges, but weighting by lam_k^r = (k pi)^{2r} diverges for
@@ -111,25 +92,23 @@ def example_covariance(n_modes: int) -> CovarianceSpectrum:
     if n_modes >= 2:
         k = np.arange(2, n_modes + 1, dtype=float)
         q[1:] = 1.0 / (k * np.log(k) ** 2)
-    return CovarianceSpectrum(q)
+    return q
 
 
-def hs_norm_L2r(
-    op: SpectralOperator, cov: CovarianceSpectrum, phi: np.ndarray, r: float
-) -> float:
+def hs_norm_L2r(op: SpectralOperator, q: np.ndarray, phi: np.ndarray, r: float) -> float:
     """Smoothness-weighted Hilbert-Schmidt norm sqrt(sum_k lam_k^r q_k phi_k^2).
 
-    `phi` holds the multipliers of the diagonal operator acting as phi_k on
-    eigenmode k.  At r = 0 (lam_k^0 is exactly 1.0) this is the norm against
-    the noise space basis psi_k = sqrt(q_k) e_k; modes with q_k = 0 contribute
-    nothing.
+    `q` holds the variances q_k of the covariance, and `phi` the multipliers
+    of the diagonal operator acting as phi_k on eigenmode k.  At r = 0
+    (lam_k^0 is exactly 1.0) this is the norm against the noise space basis
+    psi_k = sqrt(q_k) e_k; modes with q_k = 0 contribute nothing.
     """
-    if not (op.dimension == cov.dimension == phi.size):
+    if not (op.dimension == q.size == phi.size):
         raise ValueError(
             f"dimension mismatch: operator {op.dimension}, covariance "
-            f"{cov.dimension}, multiplier {phi.size}"
+            f"{q.size}, multiplier {phi.size}"
         )
-    return float(np.sqrt(np.sum(op.eigenvalues**r * cov.variances * phi**2)))
+    return float(np.sqrt(np.sum(op.eigenvalues**r * q * phi**2)))
 
 
 def burkholder_constant(p: float) -> float:

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .models import Diagonal, ModelSpec, Nemytskii
-from .noise import CovarianceSpectrum
 from .solver import SolverConfig, map_paths
 from .spectrum import SpectralOperator
 
@@ -172,7 +171,7 @@ def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
         return model
     return ModelSpec(
         operator=SpectralOperator(model.operator.eigenvalues[:n_modes]),
-        covariance=CovarianceSpectrum(model.covariance.variances[:n_modes]),
+        covariance=model.covariance[:n_modes],
         drift=_leading(model.drift, n_modes),
         diffusion=_leading(model.diffusion, n_modes),
         initial=model.initial[:n_modes],

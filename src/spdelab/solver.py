@@ -211,10 +211,13 @@ def _euler_rows(
 
 
 def _require_linear_additive(model: ModelSpec) -> np.ndarray:
+    """The diffusion multipliers of a model the exact stepper can sample; any
+    other model is a `ModelError` against the method."""
     if model.drift is not None:
-        raise ValueError("exact transition sampling requires zero drift")
+        raise ModelError("exact transition sampling requires zero drift", "method")
     if not isinstance(model.diffusion, Diagonal):
-        raise ValueError("exact transition sampling requires additive diagonal diffusion")
+        raise ModelError("exact transition sampling requires additive diagonal diffusion",
+                         "method")
     return model.diffusion.multipliers
 
 
@@ -258,7 +261,7 @@ def _simulate_block(
 
     if exact:
         transition_sd = np.sqrt(
-            g**2 * model.covariance.variances * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
+            g**2 * model.covariance * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
         )
 
         def advance(rows: np.ndarray, normals: np.ndarray) -> None:
@@ -267,7 +270,7 @@ def _simulate_block(
             rows += normals
 
     else:
-        noise_sd = np.sqrt(model.covariance.variances * h)
+        noise_sd = np.sqrt(model.covariance * h)
 
         def advance(rows: np.ndarray, normals: np.ndarray) -> None:
             normals *= noise_sd

@@ -12,7 +12,7 @@ from scipy.integrate import quad, quad_vec
 
 from spdelab.cli import main
 from spdelab.models import Diagonal, ModelSpec, Nemytskii
-from spdelab.noise import CovarianceSpectrum, burkholder_constant, example_covariance
+from spdelab.noise import burkholder_constant, example_covariance
 from spdelab.probes import (
     continuity_modulus,
     example_series_partial_sum,
@@ -131,7 +131,7 @@ def test_criterion_03_ito_isometry():
     mc = float(np.mean(squared))
     se = float(np.std(squared, ddof=1) / math.sqrt(squared.size))
     exact = stochastic_convolution_energy(
-        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance.variances)
+        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance)
     )
     deviation = abs(mc - exact)
     report(
@@ -147,7 +147,7 @@ def test_criterion_04_integrator_oracle():
     n, T, paths = 16, 0.2, 4000
     model = borderline_model(n)
     lam = model.operator.eigenvalues
-    q = model.covariance.variances
+    q = model.covariance
     exact = q * -np.expm1(-2.0 * lam * T) / (2.0 * lam)
     results = {}
     for h in (1e-2, 1e-3):
@@ -301,7 +301,7 @@ def test_criterion_09_moment_inequality():
                           method=EXACT_GAUSSIAN)
     norms = map_paths(model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1)))
     energy = stochastic_convolution_energy(
-        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance.variances)
+        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance)
     )
     details = []
     violations = 0
@@ -359,7 +359,7 @@ def test_criterion_11_multiplicative_temporal_exponents():
     """
     mults = [1, 2, 3, 5, 8, 13, 22, 36, 60, 100]
     n, grid = 64, 256
-    covariance = CovarianceSpectrum(400.0 * example_covariance(n).variances)
+    covariance = 400.0 * example_covariance(n)
 
     def model(drift, diffusion):
         return ModelSpec(

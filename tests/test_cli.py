@@ -15,8 +15,10 @@ import spdelab
 from spdelab import cli
 from spdelab.cli import main
 from spdelab.config import (
+    _SOLVER_FIELD_KEYS,
     KINDS,
     KNOWN_KEYS,
+    MODEL_FIELD_KEYS,
     ConfigError,
     build_model,
     build_solver,
@@ -123,21 +125,21 @@ class TestBuildModel:
         model = self.build(
             "model.N = 4\nmodel.covariance = constant\nmodel.covariance.value = 2.5\n"
         )
-        np.testing.assert_array_equal(model.covariance.variances, np.full(4, 2.5))
+        np.testing.assert_array_equal(model.covariance, np.full(4, 2.5))
         default = self.build("model.N = 3\nmodel.covariance = constant\n")
-        np.testing.assert_array_equal(default.covariance.variances, np.ones(3))
+        np.testing.assert_array_equal(default.covariance, np.ones(3))
 
     def test_custom_covariance(self):
         model = self.build(
             "model.N = 3\nmodel.covariance = custom\nmodel.covariance.values = 0,2,0.5\n"
         )
-        np.testing.assert_array_equal(model.covariance.variances, [0.0, 2.0, 0.5])
+        np.testing.assert_array_equal(model.covariance, [0.0, 2.0, 0.5])
 
     def test_custom_covariance_of_the_wrong_length_names_the_key(self):
         with pytest.raises(
             ConfigError,
-            match=r"custom covariance needs 4 values, got 3 "
-            r"\(key 'model.covariance.values', line 3\)",
+            match=r"^invalid model: covariance has shape \(3,\), expected \(4,\) "
+            r"\(key 'model.covariance.values', line 3\)$",
         ):
             self.build("model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n")
 
@@ -260,6 +262,50 @@ def keys_read(source: str) -> set[str]:
         ):
             keys.add(node.left.value)
     return keys
+
+
+def model_error_fields(source: str) -> set:
+    """The field argument of every `ModelError(...)` call in `source`; an
+    f-string field is expanded with `role` set to "drift" and to "diffusion"."""
+    fields = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "ModelError"):
+            continue
+        arg = node.args[1] if len(node.args) > 1 else node.keywords[0].value
+        if isinstance(arg, ast.Constant):
+            fields.add(arg.value)
+        elif isinstance(arg, ast.JoinedStr):
+            template = "".join(part.value if isinstance(part, ast.Constant)
+                               else f"{{{ast.unparse(part.value)}}}" for part in arg.values)
+            fields |= {template.format(role=role) for role in ("drift", "diffusion")}
+        else:  # a field the guard cannot read is reported as its source text
+            fields.add(ast.unparse(arg))
+    return fields
+
+
+# a ModelSpec or SolverConfig rejection whose field has no key would reach the
+# user without a key or line; the covariance's key depends on its kind
+def test_every_model_and_solver_rejection_has_a_config_key():
+    fields = set()
+    for name in ("models", "solver"):
+        fields |= model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
+    field_keys = {**MODEL_FIELD_KEYS, **_SOLVER_FIELD_KEYS}
+    assert {None, "covariance", "initial", "drift.multipliers", "method"} <= fields
+    assert sorted(fields - {None, "covariance"} - set(field_keys)) == []
+    assert sorted(set(field_keys.values()) - KNOWN_KEYS) == []
+
+
+def test_field_collector_expands_roles():
+    source = (
+        'def f(role, name):\n'
+        '    raise ModelError("a", None)\n'
+        '    raise ModelError(f"bad {role}", f"{role}.grid_size")\n'
+        '    raise ModelError("b", field="p")\n'
+        '    raise ValueError("c", "q")\n'
+        '    raise ModelError("d", name)\n'
+    )
+    assert model_error_fields(source) == {None, "drift.grid_size", "diffusion.grid_size", "p",
+                                          "name"}
 
 
 class TestRunSeries:
@@ -422,6 +468,32 @@ class TestRunProbes:
                               f"{0.1 + 0.0500000000001} fall on grid steps 300 and 300, "
                               "which must increase (h = 0.0005)")
         assert err.endswith("(key 'probe.lags', line 15)\n")
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
+    # a lag list that does not strictly increase is rejected before any path runs
+    @pytest.mark.parametrize("tail, t1, t2, j1, j2",
+                             [((0.05, 0.05), 0.1 + 0.05, 0.1 + 0.05, 300, 300),
+                              ((0.03, 0.02), 0.1 + 0.03, 0.1 + 0.02, 260, 240)],
+                             ids=["repeated", "decreasing"])
+    def test_lags_that_do_not_increase_are_rejected_before_the_run(self, tmp_path, capsys,
+                                                                   monkeypatch, tail, t1, t2,
+                                                                   j1, j2):
+        def no_run(*args):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(cli.solver, "_simulate_block", no_run)
+        lags = [m * 5e-4 for m in (1, 2, 3, 5, 8, 13, 22, 36)] + list(tail)
+        config = write_config(
+            tmp_path,
+            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.2\nsolver.steps = 400\n"
+            "solver.paths = 2000\nsolver.seed = 1\nprobe.s = 0\nprobe.anchor = 0.1\n"
+            f"probe.lags = {', '.join(map(repr, lags))}\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: snapshot times {t1} and {t2} fall on grid steps {j1} and {j2}, "
+            "which must increase (h = 0.0005) (key 'probe.lags', line 15)\n"
+        )
         assert list((tmp_path / "out").glob("*.csv")) == []
 
     def test_spatial_probe_summary(self, tmp_path, capsys):
@@ -650,7 +722,8 @@ class TestCommandLine:
         [
             ("model.N = 0\n", "model.N must be >= 1, got 0 (key 'model.N', line 4)"),
             ("model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n",
-             "custom covariance needs 4 values, got 3 (key 'model.covariance.values', line 6)"),
+             "invalid model: covariance has shape (3,), expected (4,) "
+             "(key 'model.covariance.values', line 6)"),
             ("model.N = 4\nmodel.diffusion.multipliers = 1,2\n",
              "need 1 or 4 values, got 2 (key 'model.diffusion.multipliers', line 5)"),
             ("model.N = 4\nmodel.initial = 1,2,3,4,5\n",
@@ -730,6 +803,32 @@ class TestCommandLine:
             f"config error: {key} must be >= {least}, got {value} (key '{key}', line {line})\n"
         )
         assert captured.out == ""
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
+    # the exact stepper samples only F = 0 with a diagonal G; the kernel's own
+    # check rejects any other model against solver.method before a path runs
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("model.drift = nemytskii\nmodel.drift.function = tanh\n", "requires zero drift"),
+         ("model.drift = linear\nmodel.drift.multipliers = 0\n", "requires zero drift"),
+         ("model.diffusion = nemytskii\nmodel.diffusion.function = tanh\n",
+          "requires additive diagonal diffusion")],
+        ids=["nemytskii-drift", "linear-drift", "nemytskii-diffusion"],
+    )
+    def test_exact_stepper_on_a_model_it_cannot_sample_names_the_method(
+            self, tmp_path, capsys, monkeypatch, lines, message):
+        def no_run(*args):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(cli.solver, "_simulate_block", no_run)
+        config = write_config(
+            tmp_path, "kind = simulate\nsolver.seed = 0\nsolver.method = exact-gaussian\n"
+            "solver.T = 0.01\nsolver.steps = 4\nmodel.N = 4\n" + lines,
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: exact transition sampling {message} (key 'solver.method', line 3)\n"
+        )
         assert list((tmp_path / "out").glob("*.csv")) == []
 
     def test_misspelled_key_exits_with_a_config_error(self, tmp_path, capsys):

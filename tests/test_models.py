@@ -15,7 +15,7 @@ from spdelab.models import (
     ScalarFunction,
     validate_assumptions,
 )
-from spdelab.noise import CovarianceSpectrum, example_covariance
+from spdelab.noise import example_covariance
 from spdelab.spectrum import dirichlet_laplacian_1d
 
 
@@ -75,7 +75,7 @@ class TestModelValidation:
         n = 4
         make_model(
             n,
-            covariance=CovarianceSpectrum(np.zeros(n)),
+            covariance=np.zeros(n),
             r=1.0,
         )
 
@@ -135,6 +135,41 @@ class TestModelValidation:
             model.initial[0] = 5.0
         x0[0] = 7.0  # the caller's array stays writable and does not alias the model's
         assert model.initial[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "covariance, message",
+        [(np.ones((2, 2)), r"covariance has shape \(2, 2\), expected \(4,\)"),
+         (np.ones(3), r"covariance has shape \(3,\), expected \(4,\)"),
+         (np.ones(5), r"covariance has shape \(5,\), expected \(4,\)")],
+        ids=["2-d", "short", "long"],
+    )
+    def test_covariance_must_be_one_row_of_n_modes(self, covariance, message):
+        with pytest.raises(ModelError, match=message) as info:
+            make_model(4, covariance=covariance)
+        assert info.value.field == "covariance"
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_covariance_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ModelError, match="variances must be finite and nonnegative") as info:
+            make_model(4, covariance=np.array([1.0, bad, 0.0, 1.0]))
+        assert info.value.field == "covariance"
+
+    def test_covariance_is_a_read_only_copy(self):
+        q = np.array([0.0, 1.0, 0.5, 0.25])
+        model = make_model(4, covariance=q)
+        np.testing.assert_array_equal(model.covariance, q)
+        with pytest.raises(ValueError, match="read-only"):
+            model.covariance[0] = 5.0
+        q[0] = 7.0  # the caller's array stays writable and does not alias the model's
+        assert model.covariance[0] == 0.0
+
+    @pytest.mark.parametrize("role", ["drift", "diffusion"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_diagonal_multipliers_must_be_finite(self, role, bad):
+        spec = Diagonal(np.array([1.0, bad, 1.0, 1.0]))
+        with pytest.raises(ModelError, match=f"diagonal {role} multipliers must be finite") as info:
+            make_model(4, **{role: spec})
+        assert info.value.field == f"{role}.multipliers"
 
 
 def drift_row(model, x):
@@ -214,7 +249,7 @@ class TestValidateAssumptions:
 
     def test_trivial_model_passes(self):
         n = 8
-        checks = checks_of(make_model(n, covariance=CovarianceSpectrum(np.zeros(n))))
+        checks = checks_of(make_model(n, covariance=np.zeros(n)))
         assert checks["drift_lipschitz"].passed
         assert checks["initial_regularity"].passed
         assert checks["initial_regularity"].measured["norm"] == 0.0

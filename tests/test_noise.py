@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from spdelab.noise import (
-    CovarianceSpectrum,
     NoiseStream,
     burkholder_constant,
     example_covariance,
@@ -20,21 +19,21 @@ from spdelab.spectrum import dirichlet_laplacian_1d
 
 def increment(cov, h, stream, step_index):
     """The kernel's Wiener increment of one path-step: mode k's normal times sqrt(q_k h)."""
-    return np.sqrt(cov.variances * h) * stream.step_normals(step_index, cov.dimension)
+    return np.sqrt(cov * h) * stream.step_normals(step_index, cov.size)
 
 
 class TestExampleCovariance:
     def test_first_mode_is_degenerate(self):
-        assert example_covariance(4).variances[0] == 0.0
+        assert example_covariance(4)[0] == 0.0
 
     def test_second_mode_value(self):
         # 1/(2 ln(2)^2) to 30 digits with mpmath
-        q = example_covariance(2).variances
+        q = example_covariance(2)
         assert q[1] == pytest.approx(1.04068449050280389893479080187, rel=1e-14)
 
     def test_eighth_mode_value(self):
         # 1/(8 ln(8)^2) by direct high-precision arithmetic
-        q = example_covariance(8).variances
+        q = example_covariance(8)
         assert q[7] == pytest.approx(0.0289079025139667749704108556074, rel=1e-14)
 
     def test_minimum_dimension(self):
@@ -122,7 +121,7 @@ class TestNoiseStream:
 
 class TestSampleIncrement:
     def test_degenerate_mode_is_zero(self):
-        cov = CovarianceSpectrum(np.array([0.0, 1.0]))
+        cov = np.array([0.0, 1.0])
         inc = increment(cov, 0.5, NoiseStream(0, 0), 0)
         assert inc[0] == 0.0
         assert inc[1] != 0.0
@@ -130,7 +129,7 @@ class TestSampleIncrement:
     # each step owns its counter segment, so one stream yields the draws that a
     # fresh stream per step would
     def test_sample_variance_matches_rate(self):
-        cov = CovarianceSpectrum(np.array([1.0]))
+        cov = np.array([1.0])
         h = 0.01
         stream = NoiseStream(42, 0)
         draws = np.array([increment(cov, h, stream, j)[0] for j in range(100_000)])
@@ -168,7 +167,7 @@ class TestHSNorms:
         ones = np.ones(n)
         op = dirichlet_laplacian_1d(n)
         assert hs_norm_L2r(op, cov, ones, 0.0) == pytest.approx(
-            math.sqrt(float(np.sum(cov.variances))), rel=1e-14
+            math.sqrt(float(np.sum(cov))), rel=1e-14
         )
         # finite and increasing with the truncation dimension
         smaller = hs_norm_L2r(dirichlet_laplacian_1d(50), example_covariance(50), np.ones(50), 0.0)
@@ -180,7 +179,7 @@ class TestHSNorms:
         assert hs_norm_L2r(op, cov, np.zeros(5), 0.0) == 0.0
 
     def test_single_mode(self):
-        cov = CovarianceSpectrum(np.array([4.0]))
+        cov = np.array([4.0])
         op = dirichlet_laplacian_1d(1)
         phi = np.array([3.0])
         assert hs_norm_L2r(op, cov, phi, 0.0) == pytest.approx(6.0)
@@ -190,12 +189,12 @@ class TestHSNorms:
         op = dirichlet_laplacian_1d(n)
         cov = example_covariance(n)
         phi = np.linspace(0.5, 2.0, n)
-        unweighted = math.sqrt(float(np.sum(cov.variances * phi**2)))
+        unweighted = math.sqrt(float(np.sum(cov * phi**2)))
         assert hs_norm_L2r(op, cov, phi, 0.0) == pytest.approx(unweighted, rel=1e-14)
 
     def test_weighted_norm_single_mode(self):
         op = dirichlet_laplacian_1d(1)
-        cov = CovarianceSpectrum(np.array([1.0]))
+        cov = np.array([1.0])
         phi = np.array([1.0])
         assert hs_norm_L2r(op, cov, phi, 2.0) == pytest.approx(np.pi**2, rel=1e-14)
 

@@ -138,7 +138,7 @@ class TestFitHolderExponent:
         values = [
             math.sqrt(
                 0.5
-                * float(np.sum(cov.variances * lam ** (0.9 - 1.0) * (-np.expm1(-2.0 * lam * d))))
+                * float(np.sum(cov * lam ** (0.9 - 1.0) * (-np.expm1(-2.0 * lam * d))))
             )
             for d in deltas
         ]
@@ -204,7 +204,7 @@ class TestIncrementSamples:
         config = SolverConfig(T=0.05, steps=100, paths=4000, master_seed=6, method=EXACT_GAUSSIAN)
         samples = increment_samples(model, config, (0.0,), [(t1, t2)])[0, 0]
         lam = model.operator.eigenvalues
-        q = model.covariance.variances
+        q = model.covariance
         v1 = q * -np.expm1(-2.0 * lam * t1) / (2.0 * lam)
         v2 = q * -np.expm1(-2.0 * lam * t2) / (2.0 * lam)
         expected = float(np.sum(v2 + v1 - 2.0 * np.exp(-lam * (t2 - t1)) * v1))
@@ -285,7 +285,7 @@ class TestSpatialSweep:
             sub.operator.eigenvalues, model.operator.eigenvalues[:4]
         )
         np.testing.assert_array_equal(
-            sub.covariance.variances, model.covariance.variances[:4]
+            sub.covariance, model.covariance[:4]
         )
         np.testing.assert_array_equal(sub.drift.multipliers, model.drift.multipliers[:4])
         np.testing.assert_array_equal(sub.diffusion.multipliers, model.diffusion.multipliers[:4])
@@ -376,7 +376,7 @@ class TestExampleSeries:
         n = 200
         op = dirichlet_laplacian_1d(n)
         q = example_covariance(n)
-        weighted = np.sqrt(q.variances)
+        weighted = np.sqrt(q)
         energy = stochastic_convolution_energy(op, 1.0, 0.0, 0.1, weighted)
         series = example_series_partial_sum(0.0, 0.1, n)
         assert series == pytest.approx(energy, rel=1e-12)

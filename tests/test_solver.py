@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spdelab import models, solver, transforms
 from spdelab.models import Diagonal, ModelError, ModelSpec, Nemytskii
-from spdelab.noise import CovarianceSpectrum, NoiseStream, example_covariance
+from spdelab.noise import NoiseStream, example_covariance
 from spdelab.probes import truncate_model
 from spdelab.solver import (
     EXACT_GAUSSIAN,
@@ -125,7 +125,7 @@ class TestExponentialEulerStep:
         f = np.array([0.5, -1.0, 2.0, 0.0])
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
-            covariance=CovarianceSpectrum(np.zeros(n)),
+            covariance=np.zeros(n),
             drift=Diagonal(f),
             diffusion=Diagonal(np.ones(n)),
             initial=np.zeros(n),
@@ -177,7 +177,7 @@ class TestExponentialEulerStep:
         model = make_model(8)
         config = SolverConfig(T=0.05, steps=25, paths=4, master_seed=6)
         stream = NoiseStream(config.master_seed, 3)
-        noise_sd = np.sqrt(model.covariance.variances * config.h)
+        noise_sd = np.sqrt(model.covariance * config.h)
         state = model.initial
         for j in range(config.steps):
             dW = stream.step_normals(j, model.dimension) * noise_sd
@@ -234,7 +234,7 @@ class TestSimulatePath:
         )
         rows = map_paths(model, config, identity)
         lam = model.operator.eigenvalues
-        q = model.covariance.variances
+        q = model.covariance
         exact = q * -np.expm1(-2.0 * lam * config.T) / (2.0 * lam)
         mc = rows[:, 0, :].var(axis=0)
         se = exact * math.sqrt(2.0 / config.paths)
@@ -261,7 +261,7 @@ class TestSimulatePath:
         config = SolverConfig(T=0.02, steps=40, paths=4000, master_seed=12, snapshot_times=(0.02,))
         rows = map_paths(model, config, identity)
         lam = model.operator.eigenvalues
-        q = model.covariance.variances
+        q = model.covariance
         expected = np.exp(-lam * config.T) * x0
         sd = np.sqrt(q * -np.expm1(-2.0 * lam * config.T) / (2.0 * lam))
         se = sd / math.sqrt(config.paths)
@@ -275,7 +275,7 @@ class TestSimulatePath:
         x0 = np.linspace(1.0, 0.2, n)
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
-            covariance=CovarianceSpectrum(400.0 * example_covariance(n).variances),
+            covariance=400.0 * example_covariance(n),
             drift=None,
             diffusion=Nemytskii("cos", 32),
             initial=x0,
@@ -294,7 +294,7 @@ class TestSimulatePath:
         # F(x) = -2000 x: mode 1 grows like e^{(2000 - pi^2) t} and overflows
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(2),
-            covariance=CovarianceSpectrum(np.zeros(2)),
+            covariance=np.zeros(2),
             drift=Diagonal(np.array([-2000.0, 0.0])),
             diffusion=Diagonal(np.ones(2)),
             initial=np.array([1.0, 0.0]),
@@ -314,7 +314,7 @@ class TestExactOUPath:
     def test_zero_covariance_decays_deterministically(self):
         n = 4
         x0 = np.array([1.0, -1.0, 2.0, 0.5])
-        model = linear_additive_model(n, x0=x0, covariance=CovarianceSpectrum(np.zeros(n)))
+        model = linear_additive_model(n, x0=x0, covariance=np.zeros(n))
         config = SolverConfig(T=0.5, steps=10, paths=1, snapshot_times=(0.5,),
                               method=EXACT_GAUSSIAN)
         rows = _simulate_block(model, config, [0])[0]
@@ -331,7 +331,7 @@ class TestExactOUPath:
                               method=EXACT_GAUSSIAN)
         rows = map_paths(model, config, identity)
         lam = model.operator.eigenvalues
-        q = model.covariance.variances
+        q = model.covariance
         stationary = 4.0 * q / (2.0 * lam)
         mc = rows[:, 0, :].var(axis=0)
         se = stationary * math.sqrt(2.0 / config.paths)
@@ -386,7 +386,7 @@ class TestExactOUPath:
 
     def test_one_step_euler_matches_exact_transition_to_first_order(self):
         lam = np.pi**2 * np.arange(1, 5.0) ** 2
-        q = example_covariance(4).variances
+        q = example_covariance(4)
         for h in (1e-3, 1e-4):
             euler_var = q * h * np.exp(-2.0 * lam * h)
             exact_var = q * -np.expm1(-2.0 * lam * h) / (2.0 * lam)
@@ -406,7 +406,7 @@ class TestExactOUPath:
         euler = map_paths(model, config, identity)
         exact = map_paths(model, dataclasses.replace(config, method=EXACT_GAUSSIAN), identity)
         mc = np.mean((euler[:, 0, :] - exact[:, 0, :]) ** 2, axis=0)
-        lam, q, h = model.operator.eigenvalues, model.covariance.variances, config.h
+        lam, q, h = model.operator.eigenvalues, model.covariance, config.h
         a = np.exp(-lam * h) * np.sqrt(q * h)
         b = np.sqrt(q * -np.expm1(-2.0 * lam * h) / (2.0 * lam))
         closed = (a - b) ** 2 * -np.expm1(-2.0 * lam * config.T) / -np.expm1(-2.0 * lam * h)
@@ -440,7 +440,7 @@ class TestExactOUPath:
     @settings(max_examples=15, deadline=None)
     def test_strong_gap_shrinks_when_the_steps_double(self, n, T, extra_steps, seed):
         model = linear_additive_model(n)
-        lam, q = model.operator.eigenvalues, model.covariance.variances
+        lam, q = model.operator.eigenvalues, model.covariance
         steps = math.ceil(lam[-1] * T) + extra_steps  # lam_N h <= 1
         closed, sampled = [], []
         for count in (steps, 2 * steps):
@@ -478,12 +478,12 @@ class TestStrongSelfConvergence:
         n, grid, T, paths, levels, fine_steps = 32, 64, 0.05, 400, 6, 2048
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
-            covariance=CovarianceSpectrum(400.0 * example_covariance(n).variances),
+            covariance=400.0 * example_covariance(n),
             drift=Nemytskii("tanh", grid),
             diffusion=Nemytskii("cos", grid),
             initial=np.zeros(n),
         )
-        lam, q = model.operator.eigenvalues, model.covariance.variances
+        lam, q = model.operator.eigenvalues, model.covariance
         hs = [T / fine_steps * 2**level for level in range(levels + 1)]
         states = [np.zeros((paths, n)) for _ in hs]
         works = [Workspace() for _ in hs]
@@ -693,7 +693,7 @@ class TestSharedSynthesis:
 
         h = config.h
         decay = np.exp(-model.operator.eigenvalues * h)
-        noise_sd = np.sqrt(model.covariance.variances * h)
+        noise_sd = np.sqrt(model.covariance * h)
         x = np.tile(model.initial, (paths, 1))
         for j in range(config.steps):
             dW = noise_sd * np.array([NoiseStream(2, i).step_normals(j, n) for i in range(paths)])
