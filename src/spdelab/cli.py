@@ -228,6 +228,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.set("solver.workers", args.workers)
 
 
+# The key that sets each probe argument, per command, by the argument's name in
+# the ModelError a probe raises: a truncation list is probe.sweep_N in one
+# command and series.N in another.
+_PROBE_FIELD_KEYS = {
+    "probe-temporal": {"lags": "probe.lags"},
+    "probe-spatial": {"n_values": "probe.sweep_N", "n_modes": "probe.sweep_N"},
+    "example-section5": {"t": "series.t", "n_values": "series.N", "n_modes": "series.N"},
+}
+
+
 def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
     model = build_model(cfg)
     config = build_solver(cfg)
@@ -238,13 +248,15 @@ def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
             raise ConfigError(str(exc), key="solver.method",
                               line=cfg._line("solver.method")) from None
     warn_on_stiff_linear_drift(cfg, model, config)
+    workers = cfg.get_int("solver.workers", 1)  # kept for old configs, and read only to warn
+    if workers > 1:
+        cfg.warnings.append(f"solver.workers = {workers} is ignored; paths run on one thread")
     return model, config
 
 
 def _run_simulate(cfg, out_dir: Path) -> list[str]:
     model, config = _model_and_solver(cfg)
-    workers = cfg.get_int("solver.workers", 1)
-    rows_all = solver.map_paths(model, config, lambda rows: rows, workers)
+    rows_all = solver.map_paths(model, config, lambda rows: rows)
     table = []
     summary = []
     for i, t in enumerate(config.snapshot_times):
@@ -261,7 +273,6 @@ def _run_simulate(cfg, out_dir: Path) -> list[str]:
 
 def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
     model, config = _model_and_solver(cfg)
-    workers = cfg.get_int("solver.workers", 1)
     s_values = cfg.get_floats("probe.s")
     anchor = cfg.get_float("probe.anchor", config.steps // 2 * config.h)
     lags = cfg.get_floats("probe.lags") if "probe.lags" in cfg else []
@@ -281,7 +292,7 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
                               "spanning two decades, so set probe.lags", key="probe.lags")
         mults = probes.geometric_lag_multiples(10, min(max(config.steps // 4, 100), steps_left))
         lags = [m * config.h for m in mults]
-    results = probes.temporal_probe(model, config, s_values, anchor, lags, workers=workers)
+    results = probes.temporal_probe(model, config, s_values, anchor, lags)
     summary = []
     fit_rows = []
     for idx, (s, (fit, table)) in enumerate(zip(s_values, results)):
@@ -299,10 +310,9 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
 
 def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
     model, config = _model_and_solver(cfg)
-    workers = cfg.get_int("solver.workers", 1)
     s = cfg.get_float("probe.s", model.r + 1.0)
     n_values = cfg.get_ints("probe.sweep_N")
-    sweep = probes.spatial_sweep(model, config, s, n_values, workers=workers)
+    sweep = probes.spatial_sweep(model, config, s, n_values)
     write_csv(out_dir / "spatial_sweep.csv", cfg.resolved(), ["N", "value"], sweep)
     summary = [f"sweep s={s:g}: values {' '.join(f'{v:.5g}' for _, v in sweep)}"]
     gaps = [abs(b[1] - a[1]) for a, b in zip(sweep, sweep[1:])]
@@ -381,6 +391,9 @@ def run(config_path: str, args) -> int:
         summary = _RUNNERS[kind](cfg, out_dir)
     except ConfigError as exc:
         error = f"config error: {exc}"
+    except ModelError as exc:  # a probe's rejection of an argument its command read from a key
+        key = _PROBE_FIELD_KEYS.get(kind, {}).get(exc.field)
+        error = f"config error: {ConfigError(str(exc), key=key, line=cfg._line(key))}"
     except (ValueError, KeyError, OSError) as exc:
         error = f"error: {exc}"
     # warnings gathered before a failure are printed too, ahead of the error
@@ -409,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("config", help="path to a key=value config file")
     run_parser.add_argument("--output-dir", default=None, help="directory for CSV output")
     run_parser.add_argument("--seed", type=int, default=None, help="override solver.seed")
-    run_parser.add_argument("--workers", type=int, default=None, help="parallel path workers")
+    run_parser.add_argument("--workers", type=int, default=None,
+                            help="ignored, like solver.workers: paths run on one thread")
     args = parser.parse_args(argv)
 
     if args.list_registry:

@@ -3,7 +3,8 @@
 All estimators consume per-path statistics produced by the solver in path
 order, so aggregation is independent of execution order.  The temporal probes
 use common-path coupling: both times of every increment are read from the same
-trajectory.
+trajectory.  A probe checks its lags or truncations before any path runs, and
+rejects them with a `ModelError` naming the argument.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import Diagonal, ModelSpec, Nemytskii
+from .models import Diagonal, ModelError, ModelSpec, Nemytskii
 from .solver import SolverConfig, map_paths
 from .spectrum import SpectralOperator
 
@@ -63,7 +64,6 @@ def increment_samples(
     config: SolverConfig,
     s_values: Sequence[float],
     lag_pairs: Sequence[tuple[float, float]],
-    workers: int = 1,
 ) -> np.ndarray:
     """Samples of ||X(t2) - X(t1)||_s for every s in `s_values` and every lag pair.
 
@@ -83,8 +83,22 @@ def increment_samples(
         diffs = rows[:, second, :] - rows[:, first, :]
         return np.stack([_norm_rows(lam, s, diffs) for s in s_values], axis=1)
 
-    table = map_paths(model, run_config, reduce_block, workers=workers)
+    table = map_paths(model, run_config, reduce_block)
     return np.moveaxis(table, 0, -1)
+
+
+def _fit_lags(lags: Sequence[float]) -> np.ndarray:
+    """`lags` as an array if a Hölder fit can use them: at least 8, strictly
+    increasing and spanning two decades; otherwise a `ModelError` against
+    `lags`."""
+    lags = np.array(lags, dtype=float)
+    if lags.size < 8:
+        raise ModelError(f"need at least 8 lags, got {lags.size}", "lags")
+    if np.any(np.diff(lags) <= 0.0):
+        raise ModelError("lags must be strictly increasing", "lags")
+    if lags[-1] / lags[0] < 100.0 * (1.0 - 1e-12):
+        raise ModelError("lags must span at least a factor of 100", "lags")
+    return lags
 
 
 def fit_holder_exponent(
@@ -92,17 +106,10 @@ def fit_holder_exponent(
 ) -> HolderEstimate:
     """Ordinary least squares of log(estimate) on log(lag).
 
-    Requires at least 8 strictly increasing lags spanning two decades and
-    positive estimates.
+    Requires lags that `_fit_lags` accepts and positive estimates.
     """
-    lags = np.array([lag for lag, _ in per_lag_estimates], dtype=float)
+    lags = _fit_lags([lag for lag, _ in per_lag_estimates])
     estimates = np.array([est for _, est in per_lag_estimates], dtype=float)
-    if lags.size < 8:
-        raise ValueError(f"need at least 8 lags, got {lags.size}")
-    if np.any(np.diff(lags) <= 0.0):
-        raise ValueError("lags must be strictly increasing")
-    if lags[-1] / lags[0] < 100.0 * (1.0 - 1e-12):
-        raise ValueError("lags must span at least a factor of 100")
     if np.any(estimates <= 0.0):
         raise ValueError("estimates must be positive for a log-log fit")
     x, y = np.log(lags), np.log(estimates)
@@ -137,16 +144,17 @@ def temporal_probe(
     s_values: Sequence[float],
     anchor: float,
     lags: Sequence[float],
-    workers: int = 1,
 ) -> list[tuple[HolderEstimate, list[tuple[float, float, float]]]]:
     """Fit the temporal Hölder exponent at each smoothness s from increments off an anchor.
 
     The increments X(anchor + lag) - X(anchor) of one ensemble serve every s,
     and their moments are taken at the model's p.  Returns, per s in
-    `s_values`, the fit and the per-lag table (lag, estimate, stderr).
+    `s_values`, the fit and the per-lag table (lag, estimate, stderr).  The
+    lags are checked against the fit's rule before any path runs.
     """
+    _fit_lags(lags)
     pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(model, config, s_values, pairs, workers=workers)
+    samples = increment_samples(model, config, s_values, pairs)
     results = []
     for s, per_lag in zip(s_values, samples):
         table = [(float(lag), *estimate_lp_norm(arr, model.p)) for lag, arr in zip(lags, per_lag)]
@@ -162,11 +170,20 @@ def _leading(spec, n_modes: int):
     return Diagonal(spec.multipliers[:n_modes]) if isinstance(spec, Diagonal) else spec
 
 
+def _increasing(n_values: Sequence[int]) -> list[int]:
+    """`n_values` as a list if it strictly increases; otherwise a `ModelError`
+    against `n_values`."""
+    n_values = list(n_values)
+    if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
+        raise ModelError("truncation dimensions must be strictly increasing", "n_values")
+    return n_values
+
+
 def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
     """Restrict a model to its first n_modes eigenmodes (consistent sub-spectrum)."""
     n = model.dimension
     if not 1 <= n_modes <= n:
-        raise ValueError(f"cannot truncate a {n}-mode model to {n_modes} modes")
+        raise ModelError(f"cannot truncate a {n}-mode model to {n_modes} modes", "n_modes")
     if n_modes == n:
         return model
     return ModelSpec(
@@ -185,7 +202,6 @@ def spatial_sweep(
     config: SolverConfig,
     s: float,
     n_values: Sequence[int],
-    workers: int = 1,
 ) -> list[tuple[int, float]]:
     """Estimated sup over snapshots of the (s, p) moment norm at growing truncations.
 
@@ -196,24 +212,23 @@ def spatial_sweep(
     largest truncation are bitwise the run at n: one ensemble, reduced over
     every prefix, serves the whole sweep.  A Nemytskii term couples the modes
     through the sine transforms, so such a model runs once per truncation.
-    Either way successive values differ by the added modes' contribution.
+    Either way successive values differ by the added modes' contribution, and
+    every truncation is checked before the first run.
     """
-    n_values = list(n_values)
-    if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
-        raise ValueError("truncation dimensions must be strictly increasing")
+    n_values = _increasing(n_values)
     if n_values and n_values[0] < 1:
-        raise ValueError(f"truncation dimensions must be >= 1, got {n_values[0]}")
+        raise ModelError(f"truncation dimensions must be >= 1, got {n_values[0]}", "n_values")
     decoupled = not any(isinstance(term, Nemytskii) for term in (model.drift, model.diffusion))
     runs = [n_values] if decoupled and n_values else [[n] for n in n_values]
+    subs = [truncate_model(model, run[-1]) for run in runs]
     results = []
-    for run in runs:
-        sub = truncate_model(model, run[-1])
+    for run, sub in zip(runs, subs):
         lam = sub.operator.eigenvalues
 
         def reduce_block(rows: np.ndarray) -> np.ndarray:
             return np.stack([_norm_rows(lam[:n], s, rows[..., :n]) for n in run], axis=1)
 
-        norms = map_paths(model=sub, config=config, reduce_block=reduce_block, workers=workers)
+        norms = map_paths(model=sub, config=config, reduce_block=reduce_block)
         for k, n in enumerate(run):
             value = max(
                 estimate_lp_norm(norms[:, k, i], model.p)[0] for i in range(norms.shape[2])
@@ -235,9 +250,9 @@ def example_series_partial_sum(r: float, t: float, n_modes: int) -> float:
     most 1/(2 ln N).
     """
     if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+        raise ModelError(f"time must be positive, got {t}", "t")
     if n_modes < 2:
-        raise ValueError(f"need at least two modes, got {n_modes}")
+        raise ModelError(f"need at least two modes, got {n_modes}", "n_modes")
     k = np.arange(2, n_modes + 1, dtype=float)
     lam = (k * np.pi) ** 2
     terms = lam**r * (-np.expm1(-2.0 * lam * t)) / (k * np.log(k) ** 2)
@@ -248,9 +263,7 @@ def example_series_report(
     r: float, t: float, n_values: Sequence[int]
 ) -> tuple[tuple[int, float], ...]:
     """(N, partial sum) pairs of the explicit second-moment series at growing truncations."""
-    n_values = list(n_values)
-    if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
-        raise ValueError("truncation dimensions must be strictly increasing")
+    n_values = _increasing(n_values)
     return tuple((int(n), example_series_partial_sum(r, t, n)) for n in n_values)
 
 
@@ -259,7 +272,6 @@ def continuity_modulus(
     config: SolverConfig,
     anchor: float,
     lags: Sequence[float],
-    workers: int = 1,
 ) -> list[tuple[float, float]]:
     """Modulus (lag, estimated ||X(anchor + lag) - X(anchor)|| in the (1, p) norm).
 
@@ -270,7 +282,7 @@ def continuity_modulus(
         raise ValueError(f"the top-norm modulus probe requires r = 0, got r = {model.r}")
     lags = sorted(float(lag) for lag in lags)
     pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(model, config, (1.0,), pairs, workers=workers)[0]
+    samples = increment_samples(model, config, (1.0,), pairs)[0]
     return [
         (lag, estimate_lp_norm(arr, model.p)[0]) for lag, arr in zip(lags, samples)
     ]

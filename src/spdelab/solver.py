@@ -14,13 +14,13 @@ the ensemble into such blocks and reduces each one, and with the identity as
 its reduction it returns the snapshots (paths, n_snapshots, modes) of them
 all.  ``_euler_rows`` is the scheme's update of a (paths, modes) array of
 states, and ``_drift_rows`` and ``_diffusion_rows`` are its only evaluation of
-F and G dW.  Paths are independent given their streams and may run concurrently.
-For models without a Nemytskii term a path's result is a pure function of
-(model, config, path index).  A Nemytskii term goes through the dense sine
-transforms, whose matrix products BLAS rounds differently for different row
-counts, so a row's last bits (about 1e-15 relative) depend on the block it is
-computed in.  ``map_paths`` fixes the blocks from the path count and
-``block_size`` alone, so results never depend on the worker count.
+F and G dW.  Paths are independent given their streams, and the blocks run one
+after another on the calling thread.  For models without a Nemytskii term a
+path's result is a pure function of (model, config, path index).  A Nemytskii
+term goes through the dense sine transforms, whose matrix products BLAS rounds
+differently for different row counts, so a row's last bits (about 1e-15
+relative) depend on the block it is computed in.  ``map_paths`` fixes the
+blocks from the path count and ``block_size`` alone.
 
 Each call of ``_simulate_block`` creates one ``Workspace`` holding the
 block's scratch arrays: the grid values of states and noise, the pointwise
@@ -29,18 +29,17 @@ step and reused by every later one, and the state, noise and finiteness rows
 are updated in place.  Each path's stream writes its normals straight into
 that path's row of the block's noise buffer, through row views made once per
 block, so a step allocates no block-sized array and no per-path draw array.
-The workspace is local to the call: it is never shared between blocks or
-between threads.  Each step synthesizes the states at most once per grid
-size, so a Nemytskii drift and diffusion on one grid evaluate the same grid
-values.  In-place updates keep the operation order of the textbook formulas,
-so results are bitwise those of the allocating form.
+The workspace is local to the call: it is never shared between blocks.  Each
+step synthesizes the states at most once per grid size, so a Nemytskii drift
+and diffusion on one grid evaluate the same grid values.  In-place updates
+keep the operation order of the textbook formulas, so results are bitwise
+those of the allocating form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -255,7 +254,7 @@ def _simulate_block(
     z = np.empty((block, n))
     z_rows = list(z)  # row views, filled in place by each path's stream
     finite = np.empty((block, n), dtype=bool)
-    work = Workspace()  # this call's own: never shared between blocks or threads
+    work = Workspace()  # this call's own: never shared between blocks
     lam = model.operator.eigenvalues
     decay = np.exp(-lam * h)
 
@@ -303,21 +302,16 @@ def map_paths(
     """Apply a per-path reduction over the whole ensemble, in path order.
 
     ``reduce_block`` maps a snapshot array (block, n_snapshots, modes) to an
-    array whose first axis is the block; results are concatenated in path-index
-    order.  The block partition is fixed by the configuration alone, so the
-    result is independent of ``workers``.
+    array whose first axis is the block; the blocks of ``block_size`` paths
+    run in path order on the calling thread, and their results are
+    concatenated.  ``workers`` is ignored: ``bench/tracing.py`` binds the
+    parameter by name, and it goes when the tracer reads library-owned timers
+    (ROADMAP item 1).
     """
     blocks = [
         list(range(start, min(start + block_size, config.paths)))
         for start in range(0, config.paths, block_size)
     ]
-
-    def run_one(indices: list[int]) -> np.ndarray:
-        return np.asarray(reduce_block(_simulate_block(model, config, indices)))
-
-    if workers <= 1:
-        parts = [run_one(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_one, blocks))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(
+        [np.asarray(reduce_block(_simulate_block(model, config, b))) for b in blocks], axis=0
+    )

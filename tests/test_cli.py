@@ -13,7 +13,7 @@ import pytest
 
 import spdelab
 from spdelab import cli
-from spdelab.cli import main
+from spdelab.cli import _PROBE_FIELD_KEYS, main
 from spdelab.config import (
     _SOLVER_FIELD_KEYS,
     KINDS,
@@ -40,6 +40,16 @@ def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+@pytest.fixture
+def no_ensemble(monkeypatch):
+    """Fails the test if any path step runs."""
+
+    def no_run(*args):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(cli.solver, "_simulate_block", no_run)
 
 
 class TestParsing:
@@ -295,6 +305,17 @@ def test_every_model_and_solver_rejection_has_a_config_key():
     assert sorted(set(field_keys.values()) - KNOWN_KEYS) == []
 
 
+# the same guard for the probes, whose argument's key depends on the command:
+# a truncation list is probe.sweep_N in probe-spatial and series.N in example-section5
+def test_every_probe_rejection_has_a_config_key():
+    fields = model_error_fields((Path(spdelab.__file__).parent / "probes.py").read_text())
+    assert fields == {"lags", "n_values", "n_modes", "t"}
+    assert fields == set().union(*_PROBE_FIELD_KEYS.values())
+    assert set(_PROBE_FIELD_KEYS) <= set(KINDS)
+    keys = {key for field_keys in _PROBE_FIELD_KEYS.values() for key in field_keys.values()}
+    assert sorted(keys - KNOWN_KEYS) == []
+
+
 def test_field_collector_expands_roles():
     source = (
         'def f(role, name):\n'
@@ -339,6 +360,21 @@ class TestRunSeries:
         assert "increments" not in captured.out and "decaying" not in captured.out
         rows = (tmp_path / "out" / "series.csv").read_text().splitlines()[2:]
         assert [int(r.split(",")[0]) for r in rows] == [int(v) for v in n_values.split(",")]
+
+    @pytest.mark.parametrize("lines, message, key, line", [
+        ("series.t = 0\nseries.N = 1000\n", "time must be positive, got 0.0", "series.t", 2),
+        ("series.t = 0.1\nseries.N = 1, 1000\n", "need at least two modes, got 1", "series.N", 3),
+        ("series.t = 0.1\nseries.N = 1000, 100\n",
+         "truncation dimensions must be strictly increasing", "series.N", 3),
+    ], ids=["time", "one-mode", "decreasing"])
+    def test_rejected_series_names_key_and_line(self, tmp_path, capsys, no_ensemble, lines,
+                                                message, key, line):
+        config = write_config(tmp_path, "kind = example-section5\n" + lines + "solver.seed = 0\n")
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message} (key '{key}', line {line})\n"
+        assert captured.out == ""
+        assert list((tmp_path / "out").glob("*.csv")) == []
 
     def test_seed_warning_when_missing(self, tmp_path, capsys):
         config = write_config(
@@ -476,12 +512,8 @@ class TestRunProbes:
                               ((0.03, 0.02), 0.1 + 0.03, 0.1 + 0.02, 260, 240)],
                              ids=["repeated", "decreasing"])
     def test_lags_that_do_not_increase_are_rejected_before_the_run(self, tmp_path, capsys,
-                                                                   monkeypatch, tail, t1, t2,
+                                                                   no_ensemble, tail, t1, t2,
                                                                    j1, j2):
-        def no_run(*args):
-            raise AssertionError("the ensemble ran")
-
-        monkeypatch.setattr(cli.solver, "_simulate_block", no_run)
         lags = [m * 5e-4 for m in (1, 2, 3, 5, 8, 13, 22, 36)] + list(tail)
         config = write_config(
             tmp_path,
@@ -493,6 +525,48 @@ class TestRunProbes:
         assert capsys.readouterr().err == (
             f"config error: snapshot times {t1} and {t2} fall on grid steps {j1} and {j2}, "
             "which must increase (h = 0.0005) (key 'probe.lags', line 15)\n"
+        )
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
+    # the Hölder fit's lag rule is checked before any path runs
+    @pytest.mark.parametrize("multiples, message",
+                             [((1, 2, 3, 5, 8), "need at least 8 lags, got 5"),
+                              ((1, 2, 3, 4, 5, 6, 7, 8), "lags must span at least a factor of 100")],
+                             ids=["five-lags", "one-decade"])
+    def test_lags_the_fit_cannot_use_are_rejected_before_the_run(self, tmp_path, capsys,
+                                                                 no_ensemble, multiples, message):
+        lags = [m * 5e-4 for m in multiples]
+        config = write_config(
+            tmp_path,
+            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.2\nsolver.steps = 400\n"
+            "solver.paths = 2000\nsolver.seed = 1\nprobe.s = 0\nprobe.anchor = 0.1\n"
+            f"probe.lags = {', '.join(map(repr, lags))}\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message} (key 'probe.lags', line 15)\n"
+        assert list((tmp_path / "out").glob("*.csv")) == []
+
+    # every truncation of the sweep is checked before the first one runs
+    @pytest.mark.parametrize("model", [
+        "model.drift = nemytskii\nmodel.drift.function = tanh\nmodel.drift.grid = 128\n"
+        "model.diffusion = nemytskii\nmodel.diffusion.function = cos\nmodel.diffusion.grid = 128\n",
+        "model.drift = zero\nmodel.diffusion = additive\n",
+    ], ids=["nemytskii", "additive"])
+    @pytest.mark.parametrize("sweep, message", [
+        ("8, 16, 64", "cannot truncate a 32-mode model to 64 modes"),
+        ("16, 8", "truncation dimensions must be strictly increasing"),
+        ("0, 8", "truncation dimensions must be >= 1, got 0"),
+    ], ids=["too-many-modes", "decreasing", "zero"])
+    def test_sweep_is_checked_whole_before_the_first_run(self, tmp_path, capsys, no_ensemble,
+                                                         model, sweep, message):
+        config = write_config(
+            tmp_path,
+            f"kind = probe-spatial\nmodel.N = 32\nsolver.T = 0.01\nsolver.steps = 10\n"
+            f"solver.paths = 1000\nsolver.seed = 1\nprobe.sweep_N = {sweep}\n" + model,
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {message} (key 'probe.sweep_N', line 7)\n"
         )
         assert list((tmp_path / "out").glob("*.csv")) == []
 
@@ -637,12 +711,38 @@ class TestReproducibility:
         for name in ("temporal_s0.csv", "temporal_s1.csv", "holder_fits.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    # paths run on one thread: a worker count above 1 is ignored, with one warning
+    def test_worker_count_does_not_change_output(self, tmp_path, capsys):
         config = write_config(tmp_path, self.CONFIG)
         assert main(["run", str(config), "--output-dir", str(tmp_path / "w1"), "--workers", "1"]) == 0
+        assert capsys.readouterr().err == ""
         assert main(["run", str(config), "--output-dir", str(tmp_path / "w4"), "--workers", "4"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: solver.workers = 4 is ignored; paths run on one thread\n"
+        )
         for name in ("temporal_s0.csv", "temporal_s1.csv", "holder_fits.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers, err", [
+        (1, ""), (2, "warning: solver.workers = 2 is ignored; paths run on one thread\n"),
+    ])
+    def test_workers_key_warns_above_one_and_changes_nothing(self, tmp_path, capsys, workers, err):
+        plain = write_config(tmp_path, self.CONFIG, "plain.cfg")
+        keyed = write_config(tmp_path, self.CONFIG + f"solver.workers = {workers}\n", "keyed.cfg")
+        assert main(["run", str(plain), "--output-dir", str(tmp_path / "plain")]) == 0
+        capsys.readouterr()
+        assert main(["run", str(keyed), "--output-dir", str(tmp_path / "keyed")]) == 0
+        assert capsys.readouterr().err == err
+        for name in ("temporal_s0.csv", "temporal_s1.csv", "holder_fits.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "keyed" / name).read_bytes()
+
+    def test_non_integer_workers_is_a_config_error(self, tmp_path, capsys, no_ensemble):
+        config = write_config(tmp_path, self.CONFIG + "solver.workers = two\n")
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: expected an integer, got 'two' (key 'solver.workers', line 16)\n"
+        )
+        assert list((tmp_path / "out").glob("*.csv")) == []
 
     def test_seed_override_changes_results(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
@@ -816,11 +916,7 @@ class TestCommandLine:
         ids=["nemytskii-drift", "linear-drift", "nemytskii-diffusion"],
     )
     def test_exact_stepper_on_a_model_it_cannot_sample_names_the_method(
-            self, tmp_path, capsys, monkeypatch, lines, message):
-        def no_run(*args):
-            raise AssertionError("the ensemble ran")
-
-        monkeypatch.setattr(cli.solver, "_simulate_block", no_run)
+            self, tmp_path, capsys, no_ensemble, lines, message):
         config = write_config(
             tmp_path, "kind = simulate\nsolver.seed = 0\nsolver.method = exact-gaussian\n"
             "solver.T = 0.01\nsolver.steps = 4\nmodel.N = 4\n" + lines,

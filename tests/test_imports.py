@@ -1,7 +1,7 @@
 """Every module-level import of the library is used somewhere in its module, no
-module imports scipy, which only the tests and the benchmark sweeps use, no
-module imports another module's underscore name, and every public name has a
-caller."""
+module imports scipy, which only the tests and the benchmark sweeps use, or a
+concurrency package, no module imports another module's underscore name, and
+every public name has a caller."""
 
 import ast
 from pathlib import Path
@@ -31,15 +31,15 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Modules of scipy imported anywhere in `source`, function bodies included."""
+def imports_from(source: str, packages: tuple[str, ...]) -> list[str]:
+    """Modules of `packages` imported anywhere in `source`, function bodies included."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+    return [name for name in names if name.split(".")[0] in packages]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -59,7 +59,7 @@ def test_detector_flags_only_unused_names():
 
 @pytest.mark.parametrize("path", ALL_FILES, ids=[p.stem for p in ALL_FILES])
 def test_module_does_not_import_scipy(path):
-    assert scipy_imports(path.read_text()) == []
+    assert imports_from(path.read_text(), ("scipy",)) == []
 
 
 def test_scipy_detector_sees_lazy_imports():
@@ -67,7 +67,29 @@ def test_scipy_detector_sees_lazy_imports():
         "import scipyx\nfrom . import scipy_like\n"
         "def f():\n    from scipy.optimize import brentq\n    import scipy.fft as fft\n"
     )
-    assert scipy_imports(source) == ["scipy.optimize", "scipy.fft"]
+    assert imports_from(source, ("scipy",)) == ["scipy.optimize", "scipy.fft"]
+
+
+# Paths run on the calling thread.  The benchmark VM has 2 vCPUs but about one
+# CPU of throughput: two CPU-bound processes take 0.59 s side by side against
+# 0.63 s one after the other.  The thread pool that map_paths once had lost
+# there: probe-temporal took 0.44-0.49 s spawn to exit on 2 workers against
+# 0.26-0.40 s on 1, over 3 series of 5 runs.
+CONCURRENCY = ("concurrent", "threading", "multiprocessing")
+
+
+@pytest.mark.parametrize("path", ALL_FILES, ids=[p.stem for p in ALL_FILES])
+def test_module_does_not_import_concurrency(path):
+    assert imports_from(path.read_text(), CONCURRENCY) == []
+
+
+def test_concurrency_detector_sees_lazy_imports():
+    source = (
+        "from concurrent.futures import ThreadPoolExecutor\nimport threadingx\n"
+        "def f():\n    import threading\n    from multiprocessing import pool\n"
+    )
+    assert imports_from(source, CONCURRENCY) == ["concurrent.futures", "threading",
+                                                 "multiprocessing"]
 
 
 # Underscore names that another library module may import, each with its reason.

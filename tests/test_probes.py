@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
-from spdelab.models import Diagonal, ModelSpec, Nemytskii
+from spdelab.models import Diagonal, ModelError, ModelSpec, Nemytskii
 from spdelab.noise import example_covariance
 from spdelab.probes import (
     continuity_modulus,
@@ -248,6 +248,19 @@ class TestIncrementSamples:
         assert together == one_by_one
         assert [fit.predicted for fit, _ in together] == [0.5, 0.25, 0.0]
 
+    # the fit's lag rule runs before the ensemble does, not after every path
+    @pytest.mark.parametrize("multiples", [(1, 2, 3, 5, 8), (1, 2, 3, 4, 5, 6, 7, 8),
+                                           (1, 2, 3, 5, 8, 13, 22, 36, 60, 60)],
+                             ids=["five-lags", "one-decade", "repeated"])
+    def test_lags_the_fit_cannot_use_are_rejected_before_any_path_runs(self, multiples,
+                                                                        map_paths_calls):
+        config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
+        lags = [m * config.h for m in multiples]
+        with pytest.raises(ModelError) as info:
+            temporal_probe(borderline_model(16), config, (0.0,), 0.1, lags)
+        assert info.value.field == "lags"
+        assert map_paths_calls == []
+
 
 class TestSpatialSweep:
     def test_admissible_model_is_cauchy(self):
@@ -342,6 +355,14 @@ class TestSpatialSweep:
     def test_rejects_empty_truncation(self):
         with pytest.raises(ValueError):
             spatial_sweep(borderline_model(8), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [0, 4])
+
+    # a coupled model runs once per truncation; the last one is checked before the first runs
+    def test_rejects_too_many_modes_before_any_run(self, map_paths_calls):
+        config = SolverConfig(T=0.02, steps=4, paths=8, master_seed=3)
+        with pytest.raises(ModelError, match="cannot truncate a 16-mode model to 32 modes") as info:
+            spatial_sweep(nemytskii_model(16), config, 0.5, [4, 8, 32])
+        assert info.value.field == "n_modes"
+        assert map_paths_calls == []
 
 
 class TestExampleSeries:

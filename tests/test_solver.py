@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from functools import partial
 
 import numpy as np
@@ -534,8 +535,8 @@ class TestEnsembleExecution:
         model = linear_additive_model(8)
         config = SolverConfig(T=0.05, steps=10, paths=300, master_seed=5, snapshot_times=(0.0, 0.05))
         serial = map_paths(model, config, identity, workers=1)
-        threaded = map_paths(model, config, identity, workers=4)
-        np.testing.assert_array_equal(serial, threaded)
+        ignored = map_paths(model, config, identity, workers=4)
+        np.testing.assert_array_equal(serial, ignored)
 
     # A single path runs as a 1-row block; in the ensemble, path 133 sits in the
     # 32-row block of paths 128-159. Additive models do only elementwise arithmetic, so the row is
@@ -612,14 +613,19 @@ class TestEnsembleExecution:
         else:
             np.testing.assert_array_equal(blocked, whole)
 
-    # each block has its own workspace; buffers shared across threads would mix rows
-    def test_nemytskii_workers_do_not_share_buffers(self):
+    # the worker count is ignored: blocks of 128, 128 and 44 paths run in
+    # path order on the thread that called map_paths
+    def test_every_block_runs_on_the_calling_thread(self):
         model = nemytskii_model(8)
         config = SolverConfig(T=0.05, steps=10, paths=300, master_seed=5, snapshot_times=(0.05,))
-        np.testing.assert_array_equal(
-            map_paths(model, config, identity, workers=1),
-            map_paths(model, config, identity, workers=2),
-        )
+        blocks = []
+
+        def reduce_block(rows):
+            blocks.append((threading.get_ident(), len(rows)))
+            return rows
+
+        map_paths(model, config, reduce_block, workers=4)
+        assert blocks == [(threading.get_ident(), size) for size in (128, 128, 44)]
 
 
 class TestSharedSynthesis:
