@@ -232,9 +232,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
 # the ModelError a probe raises: a truncation list is probe.sweep_N in one
 # command and series.N in another.
 _PROBE_FIELD_KEYS = {
-    "probe-temporal": {"lags": "probe.lags"},
+    "probe-temporal": {"lags": "probe.lags", "s_values": "probe.s"},
     "probe-spatial": {"n_values": "probe.sweep_N", "n_modes": "probe.sweep_N"},
-    "example-section5": {"t": "series.t", "n_values": "series.N", "n_modes": "series.N"},
+    "example-section5": {"t": "series.t", "r": "series.r", "n_values": "series.N",
+                         "n_modes": "series.N"},
 }
 
 
@@ -316,7 +317,7 @@ def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
     write_csv(out_dir / "spatial_sweep.csv", cfg.resolved(), ["N", "value"], sweep)
     summary = [f"sweep s={s:g}: values {' '.join(f'{v:.5g}' for _, v in sweep)}"]
     gaps = [abs(b[1] - a[1]) for a, b in zip(sweep, sweep[1:])]
-    if gaps:  # a gap needs two sweep values
+    if len(gaps) >= 2:  # a verdict compares consecutive gaps
         cauchy = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
         rel = gaps[-1] / sweep[-1][1] if sweep[-1][1] else math.inf
         summary.append(f"gaps decreasing: {cauchy}; final relative gap {rel:.3%}")

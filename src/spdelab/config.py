@@ -4,6 +4,10 @@ The format is one `key = value` pair per line, dotted section prefixes
 (`model.N = 256`), `#` comments, and no nesting.  Only the keys in
 `KNOWN_KEYS` are accepted.  Values stay strings until a typed accessor pulls
 them out; every parse or validation error reports the offending key and line.
+
+Numbers are finite and number lists are non-empty.  The number accessors
+(`get_float`, `get_floats`, `get_ints`) check both, so no NaN, infinity or
+empty list from a file reaches a model, a solver or a probe.
 """
 
 from __future__ import annotations
@@ -84,6 +88,20 @@ class ConfigError(ValueError):
         self.line = line
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _finite_list(raw: str) -> list[float]:
+    values = [_finite(part) for part in raw.split(",") if part.strip() != ""]
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed key=value pairs plus the line each key came from."""
@@ -131,26 +149,20 @@ class ExperimentConfig:
         return value
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        return self._get(key, default, float, "a number")
+        return self._get(key, default, _finite, "a finite number")
 
     def get_floats(self, key: str, default: list[float] | None = None) -> list[float]:
-        return self._get(
-            key,
-            None if default is None else list(default),
-            lambda raw: [float(part) for part in raw.split(",") if part.strip() != ""],
-            "a comma-separated number list",
-        )
+        return self._get(key, None if default is None else list(default), _finite_list,
+                         "a non-empty list of finite numbers")
 
     def get_ints(self, key: str, default: list[int] | None = None) -> list[int]:
         values = self.get_floats(key, default)
-        out = []
         for v in values:
-            if not math.isfinite(v) or v != int(v):
+            if v != int(v):
                 raise ConfigError(
                     f"expected integers, got {v}", key=key, line=self._line(key)
                 )
-            out.append(int(v))
-        return out
+        return [int(v) for v in values]
 
     @property
     def kind(self) -> str:

@@ -3,8 +3,8 @@
 All estimators consume per-path statistics produced by the solver in path
 order, so aggregation is independent of execution order.  The temporal probes
 use common-path coupling: both times of every increment are read from the same
-trajectory.  A probe checks its lags or truncations before any path runs, and
-rejects them with a `ModelError` naming the argument.
+trajectory.  A probe checks its arguments before any path runs, and rejects a
+bad one with a `ModelError` naming the argument.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def temporal_probe(
     `s_values`, the fit and the per-lag table (lag, estimate, stderr).  The
     lags are checked against the fit's rule before any path runs.
     """
+    if len(s_values) == 0:
+        raise ModelError("need at least one smoothness value", "s_values")
     _fit_lags(lags)
     pairs = [(anchor, anchor + lag) for lag in lags]
     samples = increment_samples(model, config, s_values, pairs)
@@ -171,9 +173,11 @@ def _leading(spec, n_modes: int):
 
 
 def _increasing(n_values: Sequence[int]) -> list[int]:
-    """`n_values` as a list if it strictly increases; otherwise a `ModelError`
-    against `n_values`."""
+    """`n_values` as a list if it is non-empty and strictly increases; otherwise
+    a `ModelError` against `n_values`."""
     n_values = list(n_values)
+    if not n_values:
+        raise ModelError("need at least one truncation dimension", "n_values")
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise ModelError("truncation dimensions must be strictly increasing", "n_values")
     return n_values
@@ -216,10 +220,10 @@ def spatial_sweep(
     every truncation is checked before the first run.
     """
     n_values = _increasing(n_values)
-    if n_values and n_values[0] < 1:
+    if n_values[0] < 1:
         raise ModelError(f"truncation dimensions must be >= 1, got {n_values[0]}", "n_values")
     decoupled = not any(isinstance(term, Nemytskii) for term in (model.drift, model.diffusion))
-    runs = [n_values] if decoupled and n_values else [[n] for n in n_values]
+    runs = [n_values] if decoupled else [[n] for n in n_values]
     subs = [truncate_model(model, run[-1]) for run in runs]
     results = []
     for run, sub in zip(runs, subs):
@@ -249,8 +253,12 @@ def example_series_partial_sum(r: float, t: float, n_modes: int) -> float:
     antiderivative -1/ln(k), so by the integral test the tail beyond N is at
     most 1/(2 ln N).
     """
-    if t <= 0.0:
+    if not t > 0.0:  # NaN too
         raise ModelError(f"time must be positive, got {t}", "t")
+    if not math.isfinite(t):
+        raise ModelError(f"time must be finite, got {t}", "t")
+    if not math.isfinite(r):
+        raise ModelError(f"r must be finite, got {r}", "r")
     if n_modes < 2:
         raise ModelError(f"need at least two modes, got {n_modes}", "n_modes")
     k = np.arange(2, n_modes + 1, dtype=float)

@@ -24,6 +24,7 @@ from spdelab.config import (
     build_solver,
     parse_config_text,
 )
+from spdelab.models import SCALAR_FUNCTIONS
 from spdelab.solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER
 
 BASE_MODEL = """
@@ -62,33 +63,9 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("kind = simulate\nmodel.N 8\n")
 
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_text("model.N = 8\nmodel.N = 9\n")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="kind"):
-            parse_config_text("kind = frobnicate\n")
-
     def test_empty_key_reports_line_number(self):
         with pytest.raises(ConfigError, match=r"empty key \(line 2\)"):
             parse_config_text("kind = simulate\n= 3\n")
-
-    def test_missing_key_names_the_key(self):
-        cfg = parse_config_text("kind = simulate\n")
-        with pytest.raises(ConfigError, match="solver.T"):
-            cfg.get_float("solver.T")
-
-    def test_bad_number_names_key_and_line(self):
-        cfg = parse_config_text("kind = simulate\nsolver.T = soon\n")
-        with pytest.raises(ConfigError, match=r"solver.T.*line 2"):
-            cfg.get_float("solver.T")
-
-    @pytest.mark.parametrize("line", ["solver.step = 100", "solver.methd = exact-gaussian"])
-    def test_misspelled_key_is_rejected(self, line):
-        key = line.split(" = ")[0]
-        with pytest.raises(ConfigError, match=rf"unknown key \(key '{key}', line 2\)"):
-            parse_config_text(f"kind = simulate\n{line}\n")
 
     def test_every_key_the_library_reads_is_known(self):
         read = set()
@@ -107,15 +84,6 @@ class TestParsing:
                              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         assert KNOWN_KEYS <= literals, sorted(KNOWN_KEYS - literals)
 
-    # int() raises OverflowError on an infinity and ValueError on a NaN, so the
-    # entries must be checked before they are converted
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_non_finite_integer_list_entry_names_key_and_line(self, tmp_path, capsys, value):
-        config = write_config(tmp_path, f"kind = example-section5\nseries.N = 10, {value}\n")
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err == f"config error: expected integers, got {value} (key 'series.N', line 2)\n"
-
     def test_key_reader_sees_accessors_membership_and_set(self):
         source = (
             'def f(cfg, self, key):\n'
@@ -124,6 +92,7 @@ class TestParsing:
             '        cfg.set("f.g", 2)\n'
         )
         assert keys_read(source) == {"a.b", "kind", "c.d", "e", "f.g"}
+        assert keys_read(source, ("get_int", "get_str")) == {"a.b", "key"}
 
 
 class TestBuildModel:
@@ -145,94 +114,11 @@ class TestBuildModel:
         )
         np.testing.assert_array_equal(model.covariance, [0.0, 2.0, 0.5])
 
-    def test_custom_covariance_of_the_wrong_length_names_the_key(self):
-        with pytest.raises(
-            ConfigError,
-            match=r"^invalid model: covariance has shape \(3,\), expected \(4,\) "
-            r"\(key 'model.covariance.values', line 3\)$",
-        ):
-            self.build("model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n")
-
     def test_diffusion_multipliers_broadcast_one_value_or_take_n(self):
         one = self.build("model.N = 3\nmodel.diffusion.multipliers = 0.5\n")
         np.testing.assert_array_equal(one.diffusion.multipliers, np.full(3, 0.5))
         each = self.build("model.N = 3\nmodel.diffusion.multipliers = 1,2,3\n")
         np.testing.assert_array_equal(each.diffusion.multipliers, [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("key", ["model.diffusion.multipliers", "model.drift.multipliers"])
-    def test_multipliers_need_one_or_n_values(self, key):
-        with pytest.raises(ConfigError,
-                           match=rf"need 1 or 4 values, got 2 \(key '{key}', line 3\)"):
-            self.build(f"model.N = 4\nmodel.drift = linear\n{key} = 1,2\n")
-
-    @pytest.mark.parametrize(
-        "lines, key",
-        [
-            ("model.covariance = constant\nmodel.covariance.value = -1\n", "model.covariance.value"),
-            ("model.covariance = constant\nmodel.covariance.value = nan\n", "model.covariance.value"),
-            ("model.covariance = custom\nmodel.covariance.values = 1,nan\n",
-             "model.covariance.values"),
-            ("model.drift = linear\nmodel.drift.multipliers = nan\n", "model.drift.multipliers"),
-            ("model.diffusion.multipliers = inf\n", "model.diffusion.multipliers"),
-        ],
-    )
-    def test_non_finite_or_negative_values_name_key_and_line(self, lines, key):
-        line = lines.count("\n") + 1
-        with pytest.raises(ConfigError, match=rf"must be finite.* \(key '{key}', line {line}\)"):
-            self.build(f"model.N = 2\n{lines}")
-
-    @pytest.mark.parametrize("role", ["drift", "diffusion"])
-    def test_unknown_scalar_function_names_key_and_line(self, role):
-        with pytest.raises(
-            ConfigError, match=rf"'nope' not in \('cos', .*\(key 'model.{role}.function', line 3\)"
-        ):
-            self.build(f"model.N = 4\nmodel.{role} = nemytskii\nmodel.{role}.function = nope\n")
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_moment_order_rejected(self, value):
-        with pytest.raises(
-            ConfigError,
-            match=rf"moment order p must be finite, got {value} \(key 'model.p', line 2\)",
-        ):
-            self.build(f"model.N = 4\nmodel.p = {value}\n")
-
-    # ModelSpec decides each of these, and the config error names the key at
-    # fault; a norm that overflows is rejected by its check, with no numpy warning
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "lines, message",
-        [
-            ("model.r = 1.5\n",
-             r"additive models allow r in \[0, 1\], got 1.5 \(key 'model.r', line 2\)"),
-            ("model.p = 1\n", r"moment order must be >= 2, got 1.0 \(key 'model.p', line 2\)"),
-            ("model.drift = nemytskii\nmodel.drift.function = tanh\nmodel.drift.grid = 20\n",
-             r"Nemytskii grid size 20 must be >= 2 \* 16 \(key 'model.drift.grid', line 4\)"),
-            ("model.diffusion = nemytskii\nmodel.diffusion.function = cos\n"
-             "model.diffusion.grid = 20\n",
-             r"Nemytskii grid size 20 must be >= 2 \* 16 \(key 'model.diffusion.grid', line 4\)"),
-            ("model.initial = 1e300\n", r"initial state must have a finite smoothness norm "
-             r"at r \+ 1 \(key 'model.initial', line 2\)"),
-            # the covariance, the multipliers and r all enter this norm: no one key is at fault
-            ("model.diffusion.multipliers = 1e200\n",
-             "weighted Hilbert-Schmidt norm of the diffusion is not finite"),
-        ],
-        ids=["model.r", "model.p", "model.drift.grid", "model.diffusion.grid", "model.initial",
-             "hilbert-schmidt-norm"],
-    )
-    def test_model_rejection_names_key_and_line(self, lines, message):
-        with pytest.raises(ConfigError, match=f"^invalid model: {message}$"):
-            self.build(f"model.N = 16\n{lines}")
-
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_non_finite_final_time_rejected(self, value):
-        cfg = parse_config_text(f"solver.T = {value}\nsolver.seed = 0\n")
-        with pytest.raises(ConfigError, match=f"final time T must be finite, got {value}"):
-            build_solver(cfg)
-
-    def test_zero_modes_rejected(self):
-        with pytest.raises(ConfigError,
-                           match=r"model.N must be >= 1, got 0 \(key 'model.N', line 1\)"):
-            self.build("model.N = 0\n")
 
     @pytest.mark.parametrize(
         "line, method",
@@ -246,17 +132,29 @@ class TestBuildModel:
         cfg = parse_config_text(f"solver.T = 0.1\nsolver.seed = 0\n{line}")
         assert build_solver(cfg).method == method
 
-    def test_unknown_solver_method_names_key_and_line(self):
-        cfg = parse_config_text("solver.T = 0.1\nsolver.method = rk4\n")
-        with pytest.raises(ConfigError, match=r"'rk4' not in .*\(key 'solver.method', line 2\)"):
-            build_solver(cfg)
+    # the covariance, the multipliers and r all enter this norm, so no one key is
+    # at fault; the overflow is rejected by the check, with no numpy warning
+    @pytest.mark.filterwarnings("error")
+    def test_hilbert_schmidt_overflow_names_no_key(self):
+        with pytest.raises(ConfigError, match="^invalid model: weighted Hilbert-Schmidt norm "
+                                              "of the diffusion is not finite$"):
+            self.build("model.N = 16\nmodel.diffusion.multipliers = 1e200\n")
 
 
-def keys_read(source: str) -> set[str]:
-    """Key literals read through a typed accessor, `in cfg` or `cfg.set`."""
+def keys_read(source: str, accessors: tuple[str, ...] | None = None) -> set[str]:
+    """Key literals read through a typed accessor, `in cfg` or `cfg.set`.
+
+    Given `accessors`, only the keys read through one of those methods; a key
+    such a call names by an expression is reported as the expression's source.
+    """
     keys = set()
     for node in ast.walk(ast.parse(source)):
-        if (
+        if accessors is not None:
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in accessors and node.args):
+                arg = node.args[0]
+                keys.add(arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg))
+        elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and (node.func.attr.startswith("get_") or node.func.attr == "set")
@@ -272,6 +170,40 @@ def keys_read(source: str) -> set[str]:
         ):
             keys.add(node.left.value)
     return keys
+
+
+# every key read through a number accessor, found by the key reader, so a number
+# key added later is covered too; build_model names four of them by a variable,
+# listed here by the variable (`key` is also get_ints' own call of get_floats)
+NAMED_NUMBER_KEYS = {
+    ("get_float", "cov_key"): ["model.covariance.value"],
+    ("get_floats", "cov_key"): ["model.covariance.values"],
+    ("get_floats", "key"): ["model.drift.multipliers", "model.diffusion.multipliers"],
+}
+NUMBER_READS = sorted({
+    (accessor, key)
+    for path in Path(spdelab.__file__).parent.glob("*.py")
+    for accessor in ("get_float", "get_floats", "get_ints")
+    for read in keys_read(path.read_text(), (accessor,))
+    for key in NAMED_NUMBER_KEYS.get((accessor, read), [read])
+})
+
+
+# a read through a variable the map does not list shows up as the variable's name
+def test_number_reads_are_known_keys():
+    keys = {key for _, key in NUMBER_READS}
+    assert keys <= KNOWN_KEYS, sorted(keys - KNOWN_KEYS)
+    assert {"model.p", "solver.T", "probe.s", "probe.sweep_N", "series.t", "series.r",
+            "series.N", "model.covariance.value", "model.drift.multipliers"} <= keys
+
+
+@pytest.mark.parametrize("accessor, key", NUMBER_READS)
+def test_number_key_rejects_non_finite_and_empty_values(accessor, key):
+    for value in ("nan", "inf", "-inf", ""):
+        cfg = parse_config_text(f"kind = simulate\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as info:
+            getattr(cfg, accessor)(key)
+        assert (info.value.key, info.value.line) == (key, 2), value
 
 
 def model_error_fields(source: str) -> set:
@@ -309,7 +241,7 @@ def test_every_model_and_solver_rejection_has_a_config_key():
 # a truncation list is probe.sweep_N in probe-spatial and series.N in example-section5
 def test_every_probe_rejection_has_a_config_key():
     fields = model_error_fields((Path(spdelab.__file__).parent / "probes.py").read_text())
-    assert fields == {"lags", "n_values", "n_modes", "t"}
+    assert fields == {"lags", "s_values", "n_values", "n_modes", "t", "r"}
     assert fields == set().union(*_PROBE_FIELD_KEYS.values())
     assert set(_PROBE_FIELD_KEYS) <= set(KINDS)
     keys = {key for field_keys in _PROBE_FIELD_KEYS.values() for key in field_keys.values()}
@@ -327,6 +259,233 @@ def test_field_collector_expands_roles():
     )
     assert model_error_fields(source) == {None, "drift.grid_size", "diffusion.grid_size", "p",
                                           "name"}
+
+
+# Every config the CLI rejects before any path runs, as (config text, message,
+# key, line); line is None for a key the file does not set.  Each row goes
+# through `main`, and `test_rejected_config` asserts the whole error contract.
+SIM = "kind = simulate\nsolver.seed = 0\n"
+NOT_FINITE = "expected a finite number, got {!r}"
+NOT_A_LIST = "expected a non-empty list of finite numbers, got {!r}"
+# a probe-temporal run of 400 steps on 2000 paths, its probe.lags set on line 9
+TEMPORAL = ("kind = probe-temporal\nsolver.seed = 1\nmodel.N = 16\nsolver.T = 0.2\n"
+            "solver.steps = 400\nsolver.paths = 2000\nprobe.s = 0\nprobe.anchor = 0.1\n")
+# a probe-spatial run on 32 modes, its probe.sweep_N set on line 7
+SPATIAL = ("kind = probe-spatial\nsolver.seed = 1\nmodel.N = 32\nsolver.T = 0.01\n"
+           "solver.steps = 10\nsolver.paths = 1000\n")
+SWEEP_MODELS = {
+    "nemytskii": "model.drift = nemytskii\nmodel.drift.function = tanh\nmodel.drift.grid = 128\n"
+    "model.diffusion = nemytskii\nmodel.diffusion.function = cos\nmodel.diffusion.grid = 128\n",
+    "additive": "model.drift = zero\nmodel.diffusion = additive\n",
+}
+# SolverConfig decides each of these, and a probe's times are checked against its
+# grid: (kind, the faulty line 3, further lines, message, key)
+TIME_FAULTS = {
+    "solver.steps": ("simulate", "solver.steps = 0", "solver.T = 0.01",
+                     "invalid solver section: need at least one step, got 0", "solver.steps"),
+    "solver.paths": ("simulate", "solver.paths = 0", "solver.T = 0.01",
+                     "invalid solver section: need at least one path, got 0", "solver.paths"),
+    "solver.T": ("simulate", "solver.T = -1", "",
+                 "invalid solver section: final time must be >= 0, got -1.0", "solver.T"),
+    "snapshot-off-grid": ("simulate", "solver.snapshots = 0.003",
+                          "solver.T = 0.01\nsolver.steps = 4",
+                          "invalid solver section: time 0.003 is not a grid point (h = 0.0025)",
+                          "solver.snapshots"),
+    "snapshot-past-T": ("simulate", "solver.snapshots = 0.02", "solver.T = 0.01\nsolver.steps = 4",
+                        "invalid solver section: time 0.02 lies outside [0, T] = [0, 0.01]",
+                        "solver.snapshots"),
+    "snapshots-decreasing": ("simulate", "solver.snapshots = 0.005, 0.0025",
+                             "solver.T = 0.01\nsolver.steps = 4",
+                             "invalid solver section: snapshot times 0.005 and 0.0025 fall on "
+                             "grid steps 2 and 1, which must increase (h = 0.0025)",
+                             "solver.snapshots"),
+    "anchor-off-grid": ("probe-temporal", "probe.anchor = 0.01234",
+                        "solver.T = 0.1\nsolver.steps = 200",
+                        "time 0.01234 is not a grid point (h = 0.0005)", "probe.anchor"),
+    "anchor-past-T": ("probe-temporal", "probe.anchor = 0.2", "solver.T = 0.1\nsolver.steps = 200",
+                      "time 0.2 lies outside [0, T] = [0, 0.1]", "probe.anchor"),
+    "lag-off-grid": ("probe-temporal", "probe.lags = 0.0003",
+                     "solver.T = 0.1\nsolver.steps = 200\nprobe.anchor = 0.01",
+                     f"time {0.01 + 0.0003} is not a grid point (h = 0.0005)", "probe.lags"),
+    "lag-past-T": ("probe-temporal", "probe.lags = 0.095",
+                   "solver.T = 0.1\nsolver.steps = 200\nprobe.anchor = 0.01",
+                   f"time {0.01 + 0.095} lies outside [0, T] = [0, 0.1]", "probe.lags"),
+}
+LEMMA_SIZES = {"lemmas.bound_draws": 5, "lemmas.exactness_draws": 2, "lemmas.paths": 50}
+
+
+def lags_line(multiples, *tail):
+    return f"probe.lags = {', '.join(map(repr, [m * 5e-4 for m in multiples] + list(tail)))}\n"
+
+
+def lag_clash(t1, t2, j1, j2):
+    return (f"snapshot times {t1} and {t2} fall on grid steps {j1} and {j2}, "
+            "which must increase (h = 0.0005)")
+
+
+REJECTIONS = [
+    # the parser
+    pytest.param("kind = simulate\nmodel.N = 8\nmodel.N = 9\n", "duplicate key", "model.N", 3,
+                 id="duplicate-key"),
+    pytest.param("kind = frobnicate\n", f"value 'frobnicate' not in {KINDS}", "kind", 1,
+                 id="unknown-kind"),
+    pytest.param("kind = simulate\nsolver.step = 100\n", "unknown key", "solver.step", 2,
+                 id="misspelled-solver.step"),
+    pytest.param("kind = simulate\nsolver.T = 0.01\nsolver.methd = exact-gaussian\n",
+                 "unknown key", "solver.methd", 3, id="misspelled-solver.methd"),
+    # the number accessors: finite numbers, non-empty lists, whole integers
+    pytest.param(SIM + "solver.T = soon\n", NOT_FINITE.format("soon"), "solver.T", 3,
+                 id="solver.T-not-a-number"),
+    pytest.param(SIM, "missing required key", "solver.T", None, id="solver.T-missing"),
+    *(pytest.param(SIM + f"solver.T = {v}\n", NOT_FINITE.format(v), "solver.T", 3,
+                   id=f"solver.T-{v}") for v in ("inf", "nan")),
+    *(pytest.param(f"kind = example-section5\nseries.N = 10, {v}\n",
+                   NOT_A_LIST.format(f"10, {v}"), "series.N", 2, id=f"series.N-{v}")
+      for v in ("inf", "nan")),
+    *(pytest.param(f"kind = example-section5\n{key} = nan\n", NOT_FINITE.format("nan"), key, 2,
+                   id=f"{key}-nan") for key in ("series.t", "series.r")),
+    pytest.param("kind = example-section5\nseries.N =\n", NOT_A_LIST.format(""), "series.N", 2,
+                 id="series.N-empty"),
+    *(pytest.param(SIM + f"model.N = 4\nmodel.p = {v}\n", NOT_FINITE.format(v), "model.p", 4,
+                   id=f"model.p-{v}") for v in ("nan", "inf")),
+    pytest.param(SIM + "model.N = 2\nmodel.covariance = constant\nmodel.covariance.value = nan\n",
+                 NOT_FINITE.format("nan"), "model.covariance.value", 5,
+                 id="model.covariance.value-nan"),
+    pytest.param(SIM + "model.N = 2\nmodel.covariance = custom\nmodel.covariance.values = 1,nan\n",
+                 NOT_A_LIST.format("1,nan"), "model.covariance.values", 5,
+                 id="model.covariance.values-nan"),
+    pytest.param(SIM + "model.N = 2\nmodel.drift = linear\nmodel.drift.multipliers = nan\n",
+                 NOT_A_LIST.format("nan"), "model.drift.multipliers", 5,
+                 id="model.drift.multipliers-nan"),
+    pytest.param(SIM + "model.N = 2\nmodel.diffusion.multipliers = inf\n",
+                 NOT_A_LIST.format("inf"), "model.diffusion.multipliers", 4,
+                 id="model.diffusion.multipliers-inf"),
+    pytest.param(SIM + "solver.T = 0.01\nsolver.snapshots =\n", NOT_A_LIST.format(""),
+                 "solver.snapshots", 4, id="solver.snapshots-empty"),
+    pytest.param(TEMPORAL.replace("probe.s = 0", "probe.s = nan"), NOT_A_LIST.format("nan"),
+                 "probe.s", 7, id="temporal-probe.s-nan"),
+    pytest.param(TEMPORAL.replace("probe.s = 0", "probe.s ="), NOT_A_LIST.format(""),
+                 "probe.s", 7, id="temporal-probe.s-empty"),
+    *(pytest.param(SPATIAL + f"probe.sweep_N = 4, 8\nprobe.s = {v}\n", NOT_FINITE.format(v),
+                   "probe.s", 8, id=f"spatial-probe.s-{v}") for v in ("nan", "inf")),
+    pytest.param(SPATIAL + "probe.sweep_N =\n", NOT_A_LIST.format(""), "probe.sweep_N", 7,
+                 id="probe.sweep_N-empty"),
+    pytest.param(SIM + "solver.T = 0.01\nsolver.workers = two\n",
+                 "expected an integer, got 'two'", "solver.workers", 4, id="solver.workers"),
+    # build_model's own checks, and ModelSpec's against the key at fault
+    pytest.param(SIM + "model.N = 0\n", "model.N must be >= 1, got 0", "model.N", 3,
+                 id="model.N"),
+    pytest.param(SIM + "model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n",
+                 "invalid model: covariance has shape (3,), expected (4,)",
+                 "model.covariance.values", 5, id="model.covariance.values-length"),
+    pytest.param(SIM + "model.N = 2\nmodel.covariance = constant\nmodel.covariance.value = -1\n",
+                 "invalid model: covariance variances must be finite and nonnegative",
+                 "model.covariance.value", 5, id="model.covariance.value-negative"),
+    *(pytest.param(SIM + f"model.N = 4\nmodel.drift = linear\n{key} = 1,2\n",
+                   "need 1 or 4 values, got 2", key, 5, id=f"{key}-length")
+      for key in ("model.drift.multipliers", "model.diffusion.multipliers")),
+    pytest.param(SIM + "model.N = 4\nmodel.initial = 1,2,3,4,5\n",
+                 "initial state has 5 coefficients for 4 modes", "model.initial", 4,
+                 id="model.initial-length"),
+    *(pytest.param(SIM + f"model.N = 4\nmodel.{role} = nemytskii\nmodel.{role}.function = nope\n",
+                   f"value 'nope' not in {tuple(SCALAR_FUNCTIONS)}", f"model.{role}.function", 5,
+                   id=f"model.{role}.function") for role in ("drift", "diffusion")),
+    pytest.param(SIM + "model.N = 16\nmodel.r = 1.5\n",
+                 "invalid model: additive models allow r in [0, 1], got 1.5", "model.r", 4,
+                 id="model.r"),
+    pytest.param(SIM + "model.N = 16\nmodel.p = 1\n",
+                 "invalid model: moment order must be >= 2, got 1.0", "model.p", 4, id="model.p"),
+    *(pytest.param(SIM + f"model.N = 16\nmodel.{role} = nemytskii\nmodel.{role}.function = "
+                   f"{function}\nmodel.{role}.grid = 20\n",
+                   "invalid model: Nemytskii grid size 20 must be >= 2 * 16", f"model.{role}.grid",
+                   6, id=f"model.{role}.grid") for role, function in (("drift", "tanh"),
+                                                                       ("diffusion", "cos"))),
+    pytest.param(SIM + "model.N = 16\nmodel.initial = 1e300\n",
+                 "invalid model: initial state must have a finite smoothness norm at r + 1",
+                 "model.initial", 4, id="model.initial-norm"),
+    # the solver section, and the probe times checked against its grid
+    pytest.param(SIM + "solver.T = 0.1\nsolver.method = rk4\n",
+                 "value 'rk4' not in ('euler', 'exact-gaussian')", "solver.method", 4,
+                 id="solver.method"),
+    pytest.param(SIM + "solver.T = 1\nsolver.steps = 10\nsolver.snapshots = 0.3, 0.3000000000001\n",
+                 "invalid solver section: snapshot times 0.3 and 0.3000000000001 fall on grid "
+                 "steps 3 and 3, which must increase (h = 0.1)", "solver.snapshots", 5,
+                 id="snapshots-on-one-step"),
+    *(pytest.param(f"kind = {kind}\nsolver.seed = 0\n{fault}\n{rest}\nmodel.N = 4\nprobe.s = 0\n",
+                   message, key, 3, id=name)
+      for name, (kind, fault, rest, message, key) in TIME_FAULTS.items()),
+    # the exact stepper samples only F = 0 with a diagonal G
+    *(pytest.param(SIM + "solver.method = exact-gaussian\nsolver.T = 0.01\nsolver.steps = 4\n"
+                   f"model.N = 4\n{lines}", f"exact transition sampling {message}",
+                   "solver.method", 3, id=name)
+      for name, lines, message in (
+          ("nemytskii-drift", "model.drift = nemytskii\nmodel.drift.function = tanh\n",
+           "requires zero drift"),
+          ("linear-drift", "model.drift = linear\nmodel.drift.multipliers = 0\n",
+           "requires zero drift"),
+          ("nemytskii-diffusion", "model.diffusion = nemytskii\nmodel.diffusion.function = tanh\n",
+           "requires additive diagonal diffusion"))),
+    # the probes' own checks, each before any path runs
+    pytest.param(TEMPORAL + lags_line((1, 2, 3, 5, 8, 13, 22, 36, 60), 0.05, 0.0500000000001),
+                 lag_clash(0.1 + 0.05, 0.1 + 0.0500000000001, 300, 300), "probe.lags", 9,
+                 id="lags-on-one-step"),
+    pytest.param(TEMPORAL + lags_line((1, 2, 3, 5, 8, 13, 22, 36), 0.05, 0.05),
+                 lag_clash(0.1 + 0.05, 0.1 + 0.05, 300, 300), "probe.lags", 9,
+                 id="lags-repeated"),
+    pytest.param(TEMPORAL + lags_line((1, 2, 3, 5, 8, 13, 22, 36), 0.03, 0.02),
+                 lag_clash(0.1 + 0.03, 0.1 + 0.02, 260, 240), "probe.lags", 9,
+                 id="lags-decreasing"),
+    pytest.param(TEMPORAL + lags_line((1, 2, 3, 5, 8)), "need at least 8 lags, got 5",
+                 "probe.lags", 9, id="five-lags"),
+    pytest.param(TEMPORAL + lags_line((1, 2, 3, 4, 5, 6, 7, 8)),
+                 "lags must span at least a factor of 100", "probe.lags", 9, id="one-decade"),
+    # the last lag reaches 7 steps past the anchor at step 5, beyond T = 10 steps
+    pytest.param("kind = probe-temporal\nsolver.seed = 1\nmodel.N = 16\nsolver.T = 0.01\n"
+                 "solver.steps = 10\nprobe.s = 0\n"
+                 "probe.lags = 0.001,0.002,0.003,0.004,0.005,0.007\n",
+                 f"time {0.005 + 0.007} lies outside [0, T] = [0, 0.01]", "probe.lags", 7,
+                 id="lag-past-T-default-anchor"),
+    pytest.param("kind = probe-temporal\nsolver.seed = 1\nmodel.N = 16\nsolver.T = 0.01\n"
+                 "solver.steps = 150\nprobe.s = 0\n",
+                 "only 75 steps follow the anchor; the fit needs lags spanning two decades, "
+                 "so set probe.lags", "probe.lags", None, id="too-few-steps-for-default-lags"),
+    *(pytest.param(SPATIAL + f"probe.sweep_N = {sweep}\n" + model, message, "probe.sweep_N", 7,
+                   id=f"sweep-{name}-{model_name}")
+      for name, sweep, message in (
+          ("too-many-modes", "8, 16, 64", "cannot truncate a 32-mode model to 64 modes"),
+          ("decreasing", "16, 8", "truncation dimensions must be strictly increasing"),
+          ("zero", "0, 8", "truncation dimensions must be >= 1, got 0"))
+      for model_name, model in SWEEP_MODELS.items()),
+    pytest.param("kind = example-section5\nseries.t = 0\nseries.N = 1000\n",
+                 "time must be positive, got 0.0", "series.t", 2, id="series.t"),
+    pytest.param("kind = example-section5\nseries.t = 0.1\nseries.N = 1, 1000\n",
+                 "need at least two modes, got 1", "series.N", 3, id="series.N-one-mode"),
+    pytest.param("kind = example-section5\nseries.t = 0.1\nseries.N = 1000, 100\n",
+                 "truncation dimensions must be strictly increasing", "series.N", 3,
+                 id="series.N-decreasing"),
+    # a lemma check that draws nothing passes vacuously, and one path has no standard error
+    *(pytest.param("kind = verify-lemmas\nsolver.seed = 0\n"
+                   + "".join(f"{k} = {value if k == key else v}\n" for k, v in LEMMA_SIZES.items()),
+                   f"{key} must be >= {least}, got {value}", key, 3 + list(LEMMA_SIZES).index(key),
+                   id=key)
+      for key, value, least in (("lemmas.bound_draws", 0, 1), ("lemmas.exactness_draws", -3, 1),
+                                ("lemmas.paths", 1, 2))),
+]
+
+
+# warnings are errors here, so a numpy warning on the way to a rejection fails the row
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message, key, line", REJECTIONS)
+def test_rejected_config(tmp_path, capsys, no_ensemble, text, message, key, line):
+    config, out = write_config(tmp_path, text), tmp_path / "out"
+    assert main(["run", str(config), "--output-dir", str(out)]) == 2
+    where = f"key '{key}'" if line is None else f"key '{key}', line {line}"
+    assert capsys.readouterr() == ("", f"config error: {message} ({where})\n")
+    assert list(out.glob("*")) == []
+    try:  # a file the parser rejects leaves no output directory behind
+        parse_config_text(text)
+    except ConfigError:
+        assert not out.exists()
 
 
 class TestRunSeries:
@@ -361,21 +520,6 @@ class TestRunSeries:
         rows = (tmp_path / "out" / "series.csv").read_text().splitlines()[2:]
         assert [int(r.split(",")[0]) for r in rows] == [int(v) for v in n_values.split(",")]
 
-    @pytest.mark.parametrize("lines, message, key, line", [
-        ("series.t = 0\nseries.N = 1000\n", "time must be positive, got 0.0", "series.t", 2),
-        ("series.t = 0.1\nseries.N = 1, 1000\n", "need at least two modes, got 1", "series.N", 3),
-        ("series.t = 0.1\nseries.N = 1000, 100\n",
-         "truncation dimensions must be strictly increasing", "series.N", 3),
-    ], ids=["time", "one-mode", "decreasing"])
-    def test_rejected_series_names_key_and_line(self, tmp_path, capsys, no_ensemble, lines,
-                                                message, key, line):
-        config = write_config(tmp_path, "kind = example-section5\n" + lines + "solver.seed = 0\n")
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"config error: {message} (key '{key}', line {line})\n"
-        assert captured.out == ""
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
     def test_seed_warning_when_missing(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -399,21 +543,6 @@ class TestRunSimulate:
         assert all(row.split(",")[0] == "0.0" for row in rows)
         assert rows[0].split(",")[2] == "1.0"  # the initial coefficient
         assert all(row.split(",")[3] == "0.0" for row in rows)  # deterministic start
-
-    # two times on one grid step would leave one snapshot row of the run unset
-    def test_two_snapshot_times_on_one_grid_step_are_rejected(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            BASE_MODEL + "kind = simulate\nsolver.T = 1\nsolver.steps = 10\nsolver.paths = 4\n"
-            "solver.seed = 1\nsolver.snapshots = 0.3, 0.3000000000001\n",
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "config error: invalid solver section: snapshot times 0.3 and 0.3000000000001 "
-            "fall on grid steps 3 and 3, which must increase (h = 0.1) "
-            "(key 'solver.snapshots', line 13)\n"
-        )
-        assert list((tmp_path / "out").glob("*.csv")) == []
 
     # F(x) = -2000 x makes the modes with lam_k < 2000 grow like e^{(2000 - lam_k) t},
     # which overflows long before T = 4
@@ -489,87 +618,6 @@ class TestRunProbes:
         fits = (tmp_path / "out" / "holder_fits.csv").read_text().splitlines()
         assert fits[1] == "s,slope,stderr,predicted"
 
-    # the last two lags put anchor + lag on one grid step, 300
-    def test_two_lags_on_one_grid_step_are_rejected(self, tmp_path, capsys):
-        lags = [m * 5e-4 for m in (1, 2, 3, 5, 8, 13, 22, 36, 60)] + [0.05, 0.0500000000001]
-        config = write_config(
-            tmp_path,
-            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.2\nsolver.steps = 400\n"
-            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\nprobe.anchor = 0.1\n"
-            f"probe.lags = {', '.join(map(repr, lags))}\n",
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: snapshot times {0.1 + 0.05} and "
-                              f"{0.1 + 0.0500000000001} fall on grid steps 300 and 300, "
-                              "which must increase (h = 0.0005)")
-        assert err.endswith("(key 'probe.lags', line 15)\n")
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
-    # a lag list that does not strictly increase is rejected before any path runs
-    @pytest.mark.parametrize("tail, t1, t2, j1, j2",
-                             [((0.05, 0.05), 0.1 + 0.05, 0.1 + 0.05, 300, 300),
-                              ((0.03, 0.02), 0.1 + 0.03, 0.1 + 0.02, 260, 240)],
-                             ids=["repeated", "decreasing"])
-    def test_lags_that_do_not_increase_are_rejected_before_the_run(self, tmp_path, capsys,
-                                                                   no_ensemble, tail, t1, t2,
-                                                                   j1, j2):
-        lags = [m * 5e-4 for m in (1, 2, 3, 5, 8, 13, 22, 36)] + list(tail)
-        config = write_config(
-            tmp_path,
-            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.2\nsolver.steps = 400\n"
-            "solver.paths = 2000\nsolver.seed = 1\nprobe.s = 0\nprobe.anchor = 0.1\n"
-            f"probe.lags = {', '.join(map(repr, lags))}\n",
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: snapshot times {t1} and {t2} fall on grid steps {j1} and {j2}, "
-            "which must increase (h = 0.0005) (key 'probe.lags', line 15)\n"
-        )
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
-    # the Hölder fit's lag rule is checked before any path runs
-    @pytest.mark.parametrize("multiples, message",
-                             [((1, 2, 3, 5, 8), "need at least 8 lags, got 5"),
-                              ((1, 2, 3, 4, 5, 6, 7, 8), "lags must span at least a factor of 100")],
-                             ids=["five-lags", "one-decade"])
-    def test_lags_the_fit_cannot_use_are_rejected_before_the_run(self, tmp_path, capsys,
-                                                                 no_ensemble, multiples, message):
-        lags = [m * 5e-4 for m in multiples]
-        config = write_config(
-            tmp_path,
-            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.2\nsolver.steps = 400\n"
-            "solver.paths = 2000\nsolver.seed = 1\nprobe.s = 0\nprobe.anchor = 0.1\n"
-            f"probe.lags = {', '.join(map(repr, lags))}\n",
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config error: {message} (key 'probe.lags', line 15)\n"
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
-    # every truncation of the sweep is checked before the first one runs
-    @pytest.mark.parametrize("model", [
-        "model.drift = nemytskii\nmodel.drift.function = tanh\nmodel.drift.grid = 128\n"
-        "model.diffusion = nemytskii\nmodel.diffusion.function = cos\nmodel.diffusion.grid = 128\n",
-        "model.drift = zero\nmodel.diffusion = additive\n",
-    ], ids=["nemytskii", "additive"])
-    @pytest.mark.parametrize("sweep, message", [
-        ("8, 16, 64", "cannot truncate a 32-mode model to 64 modes"),
-        ("16, 8", "truncation dimensions must be strictly increasing"),
-        ("0, 8", "truncation dimensions must be >= 1, got 0"),
-    ], ids=["too-many-modes", "decreasing", "zero"])
-    def test_sweep_is_checked_whole_before_the_first_run(self, tmp_path, capsys, no_ensemble,
-                                                         model, sweep, message):
-        config = write_config(
-            tmp_path,
-            f"kind = probe-spatial\nmodel.N = 32\nsolver.T = 0.01\nsolver.steps = 10\n"
-            f"solver.paths = 1000\nsolver.seed = 1\nprobe.sweep_N = {sweep}\n" + model,
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: {message} (key 'probe.sweep_N', line 7)\n"
-        )
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
     def test_spatial_probe_summary(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -582,18 +630,21 @@ class TestRunProbes:
         rows = (tmp_path / "out" / "spatial_sweep.csv").read_text().splitlines()[2:]
         assert [int(r.split(",")[0]) for r in rows] == [4, 8, 16, 32]
 
-    def test_single_value_sweep_has_no_gap_line(self, tmp_path, capsys):
+    # the verdict compares consecutive gaps: one gap would read "decreasing" against
+    # no other, and no gap has no verdict at all
+    @pytest.mark.parametrize("sweep", ["16", "8, 16"])
+    def test_single_value_sweep_has_no_gap_line(self, tmp_path, capsys, sweep):
         config = write_config(
             tmp_path,
             "kind = probe-spatial\nmodel.N = 16\nsolver.T = 0.1\nsolver.steps = 10\n"
-            "solver.paths = 50\nsolver.seed = 3\nprobe.sweep_N = 16\n",
+            f"solver.paths = 50\nsolver.seed = 3\nprobe.sweep_N = {sweep}\n",
         )
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert len(captured.out.splitlines()) == 1 and "gaps" not in captured.out
         rows = (tmp_path / "out" / "spatial_sweep.csv").read_text().splitlines()[2:]
-        assert len(rows) == 1 and rows[0].startswith("16,")
+        assert [int(r.split(",")[0]) for r in rows] == [int(v) for v in sweep.split(",")]
 
     @pytest.mark.parametrize(
         "probe",
@@ -736,14 +787,6 @@ class TestReproducibility:
         for name in ("temporal_s0.csv", "temporal_s1.csv", "holder_fits.csv"):
             assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "keyed" / name).read_bytes()
 
-    def test_non_integer_workers_is_a_config_error(self, tmp_path, capsys, no_ensemble):
-        config = write_config(tmp_path, self.CONFIG + "solver.workers = two\n")
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "config error: expected an integer, got 'two' (key 'solver.workers', line 16)\n"
-        )
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
     def test_seed_override_changes_results(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
         assert main(["run", str(config), "--output-dir", str(tmp_path / "s11")]) == 0
@@ -766,11 +809,6 @@ class TestCommandLine:
             "tanh: Lipschitz constant 1",
         ]
 
-    def test_bad_config_returns_nonzero(self, tmp_path, capsys):
-        config = write_config(tmp_path, "kind = simulate\nsolver.T = never\n")
-        assert main(["run", str(config)]) == 2
-        assert "solver.T" in capsys.readouterr().err
-
     # a kind without a runner would pass the parser and fail only at run time
     def test_every_kind_has_a_runner(self):
         assert tuple(cli._RUNNERS) == KINDS
@@ -778,19 +816,6 @@ class TestCommandLine:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
-
-    # the last lag reaches 7 steps past the anchor at step 5, beyond T = 10 steps
-    def test_lag_past_the_final_time_is_named_as_such(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.01\nsolver.steps = 10\n"
-            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\n"
-            "probe.lags = 0.001,0.002,0.003,0.004,0.005,0.007\n",
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "lies outside [0, T] = [0, 0.01]" in err
-        assert "not a grid point" not in err
 
     # the default anchor is grid step steps // 2 = 100, and the lags reach 100 steps past it
     def test_default_lags_fit_an_odd_step_count(self, tmp_path, capsys):
@@ -804,137 +829,6 @@ class TestCommandLine:
         lags = [float(row.split(",")[0]) for row in rows]
         assert len(lags) == 10
         assert lags[-1] / lags[0] == pytest.approx(100.0)
-
-    def test_too_few_steps_for_default_lags_name_the_key(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            BASE_MODEL + "kind = probe-temporal\nsolver.T = 0.01\nsolver.steps = 150\n"
-            "solver.paths = 4\nsolver.seed = 1\nprobe.s = 0\n",
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: only 75 steps follow the anchor")
-        assert "two decades" in err and "probe.lags" in err
-
-    # each size check of build_model names the line of the key at fault
-    @pytest.mark.parametrize(
-        "lines, message",
-        [
-            ("model.N = 0\n", "model.N must be >= 1, got 0 (key 'model.N', line 4)"),
-            ("model.N = 4\nmodel.covariance = custom\nmodel.covariance.values = 1,2,3\n",
-             "invalid model: covariance has shape (3,), expected (4,) "
-             "(key 'model.covariance.values', line 6)"),
-            ("model.N = 4\nmodel.diffusion.multipliers = 1,2\n",
-             "need 1 or 4 values, got 2 (key 'model.diffusion.multipliers', line 5)"),
-            ("model.N = 4\nmodel.initial = 1,2,3,4,5\n",
-             "initial state has 5 coefficients for 4 modes (key 'model.initial', line 5)"),
-        ],
-        ids=["model.N", "model.covariance.values", "model.diffusion.multipliers",
-             "model.initial"],
-    )
-    def test_model_size_error_names_key_and_line(self, tmp_path, capsys, lines, message):
-        config = write_config(
-            tmp_path, "kind = simulate\nsolver.T = 0.01\nsolver.seed = 0\n" + lines
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
-
-    # SolverConfig decides each of these, and the probe's times are checked
-    # against its grid; the config error names the key at fault
-    @pytest.mark.parametrize(
-        "kind, fault, rest, message",
-        [
-            ("simulate", "solver.steps = 0", "solver.T = 0.01",
-             "invalid solver section: need at least one step, got 0 (key 'solver.steps', line 3)"),
-            ("simulate", "solver.paths = 0", "solver.T = 0.01",
-             "invalid solver section: need at least one path, got 0 (key 'solver.paths', line 3)"),
-            ("simulate", "solver.T = -1", "",
-             "invalid solver section: final time must be >= 0, got -1.0 (key 'solver.T', line 3)"),
-            ("simulate", "solver.snapshots = 0.003", "solver.T = 0.01\nsolver.steps = 4",
-             "invalid solver section: time 0.003 is not a grid point (h = 0.0025) "
-             "(key 'solver.snapshots', line 3)"),
-            ("simulate", "solver.snapshots = 0.02", "solver.T = 0.01\nsolver.steps = 4",
-             "invalid solver section: time 0.02 lies outside [0, T] = [0, 0.01] "
-             "(key 'solver.snapshots', line 3)"),
-            ("simulate", "solver.snapshots = 0.005, 0.0025", "solver.T = 0.01\nsolver.steps = 4",
-             "invalid solver section: snapshot times 0.005 and 0.0025 fall on grid steps 2 "
-             "and 1, which must increase (h = 0.0025) (key 'solver.snapshots', line 3)"),
-            ("probe-temporal", "probe.anchor = 0.01234", "solver.T = 0.1\nsolver.steps = 200",
-             "time 0.01234 is not a grid point (h = 0.0005) (key 'probe.anchor', line 3)"),
-            ("probe-temporal", "probe.anchor = 0.2", "solver.T = 0.1\nsolver.steps = 200",
-             "time 0.2 lies outside [0, T] = [0, 0.1] (key 'probe.anchor', line 3)"),
-            ("probe-temporal", "probe.lags = 0.0003",
-             "solver.T = 0.1\nsolver.steps = 200\nprobe.anchor = 0.01",
-             f"time {0.01 + 0.0003} is not a grid point (h = 0.0005) (key 'probe.lags', line 3)"),
-            ("probe-temporal", "probe.lags = 0.095",
-             "solver.T = 0.1\nsolver.steps = 200\nprobe.anchor = 0.01",
-             f"time {0.01 + 0.095} lies outside [0, T] = [0, 0.1] (key 'probe.lags', line 3)"),
-        ],
-        ids=["solver.steps", "solver.paths", "solver.T", "snapshot-off-grid",
-             "snapshot-past-T", "snapshots-decreasing", "anchor-off-grid", "anchor-past-T",
-             "lag-off-grid", "lag-past-T"],
-    )
-    def test_solver_and_probe_time_errors_name_key_and_line(self, tmp_path, capsys, kind,
-                                                           fault, rest, message):
-        config = write_config(
-            tmp_path, f"kind = {kind}\nsolver.seed = 0\n{fault}\n{rest}\nmodel.N = 4\nprobe.s = 0\n"
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
-    # a check that draws nothing passes vacuously, and one path has no standard error
-    @pytest.mark.parametrize(
-        "key, value, least",
-        [("lemmas.bound_draws", 0, 1), ("lemmas.exactness_draws", -3, 1), ("lemmas.paths", 1, 2)],
-    )
-    def test_lemma_suite_that_tests_nothing_is_rejected(self, tmp_path, capsys, key, value,
-                                                        least):
-        sizes = {"lemmas.bound_draws": 5, "lemmas.exactness_draws": 2, "lemmas.paths": 50}
-        sizes[key] = value
-        config = write_config(
-            tmp_path, "kind = verify-lemmas\nsolver.seed = 0\n"
-            + "".join(f"{k} = {v}\n" for k, v in sizes.items()),
-        )
-        line = 3 + list(sizes).index(key)
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"config error: {key} must be >= {least}, got {value} (key '{key}', line {line})\n"
-        )
-        assert captured.out == ""
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
-    # the exact stepper samples only F = 0 with a diagonal G; the kernel's own
-    # check rejects any other model against solver.method before a path runs
-    @pytest.mark.parametrize(
-        "lines, message",
-        [("model.drift = nemytskii\nmodel.drift.function = tanh\n", "requires zero drift"),
-         ("model.drift = linear\nmodel.drift.multipliers = 0\n", "requires zero drift"),
-         ("model.diffusion = nemytskii\nmodel.diffusion.function = tanh\n",
-          "requires additive diagonal diffusion")],
-        ids=["nemytskii-drift", "linear-drift", "nemytskii-diffusion"],
-    )
-    def test_exact_stepper_on_a_model_it_cannot_sample_names_the_method(
-            self, tmp_path, capsys, no_ensemble, lines, message):
-        config = write_config(
-            tmp_path, "kind = simulate\nsolver.seed = 0\nsolver.method = exact-gaussian\n"
-            "solver.T = 0.01\nsolver.steps = 4\nmodel.N = 4\n" + lines,
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: exact transition sampling {message} (key 'solver.method', line 3)\n"
-        )
-        assert list((tmp_path / "out").glob("*.csv")) == []
-
-    def test_misspelled_key_exits_with_a_config_error(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path, "kind = simulate\nsolver.T = 0.01\nsolver.methd = exact-gaussian\n"
-        )
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 2
-        assert "unknown key (key 'solver.methd', line 3)" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
 
 # Runs every config through `cli.main` in a fresh interpreter and lists the scipy
 # modules loaded by then; it then imports scipy itself, as a positive control

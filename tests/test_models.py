@@ -105,8 +105,20 @@ class TestModelValidation:
     # NaN passes a plain p < 2 test, and an infinite p has no finite moment
     @pytest.mark.parametrize("p", [float("nan"), float("inf")])
     def test_moment_order_must_be_finite(self, p):
-        with pytest.raises(ValueError, match="moment order p must be finite"):
+        with pytest.raises(ModelError, match="moment order p must be finite") as info:
             make_model(4, p=p)
+        assert info.value.field == "p"
+
+    # NaN fails every comparison, so the range checks reject it as they reject inf
+    @pytest.mark.parametrize("diffusion, allowed", [
+        (None, r"additive models allow r in \[0, 1\]"),
+        (Nemytskii("cos", 8), r"multiplicative models require r in \[0, 1\)"),
+    ], ids=["additive", "multiplicative"])
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_smoothness_r_must_be_finite(self, diffusion, allowed, r):
+        with pytest.raises(ModelError, match=f"^{allowed}, got {r}$") as info:
+            make_model(4, diffusion=diffusion, r=r)
+        assert info.value.field == "r"
 
     # X_0 must lie in H^{1+r}: a non-finite coefficient gives a non-finite norm
     def test_initial_state_must_be_finite(self):

@@ -261,6 +261,15 @@ class TestIncrementSamples:
         assert info.value.field == "lags"
         assert map_paths_calls == []
 
+    # numpy cannot stack no s at all, and a run for no s computes nothing
+    def test_no_smoothness_value_is_rejected_before_any_path_runs(self, map_paths_calls):
+        config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
+        lags = [m * config.h for m in (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)]
+        with pytest.raises(ModelError, match="^need at least one smoothness value$") as info:
+            temporal_probe(borderline_model(16), config, (), 0.1, lags)
+        assert info.value.field == "s_values"
+        assert map_paths_calls == []
+
 
 class TestSpatialSweep:
     def test_admissible_model_is_cauchy(self):
@@ -356,6 +365,13 @@ class TestSpatialSweep:
         with pytest.raises(ValueError):
             spatial_sweep(borderline_model(8), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [0, 4])
 
+    # an empty sweep would return no values, and a verdict over them would be vacuous
+    def test_rejects_an_empty_sweep_before_any_run(self, map_paths_calls):
+        with pytest.raises(ModelError, match="^need at least one truncation dimension$") as info:
+            spatial_sweep(borderline_model(8), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [])
+        assert info.value.field == "n_values"
+        assert map_paths_calls == []
+
     # a coupled model runs once per truncation; the last one is checked before the first runs
     def test_rejects_too_many_modes_before_any_run(self, map_paths_calls):
         config = SolverConfig(T=0.02, steps=4, paths=8, master_seed=3)
@@ -407,6 +423,24 @@ class TestExampleSeries:
             example_series_partial_sum(0.0, 0.0, 10)
         with pytest.raises(ValueError):
             example_series_partial_sum(0.0, 0.1, 1)
+
+    # NaN passes a plain `t <= 0` test, and a NaN or infinite r makes every partial sum NaN or inf
+    @pytest.mark.parametrize("r, t, field, message", [
+        (0.0, math.nan, "t", "time must be positive, got nan"),
+        (0.0, -math.inf, "t", "time must be positive, got -inf"),
+        (0.0, math.inf, "t", "time must be finite, got inf"),
+        (math.nan, 0.1, "r", "r must be finite, got nan"),
+        (math.inf, 0.1, "r", "r must be finite, got inf"),
+    ], ids=["t-nan", "t--inf", "t-inf", "r-nan", "r-inf"])
+    def test_non_finite_arguments_are_rejected(self, r, t, field, message):
+        with pytest.raises(ModelError, match=f"^{message}$") as info:
+            example_series_partial_sum(r, t, 10)
+        assert info.value.field == field
+
+    def test_report_rejects_an_empty_truncation_list(self):
+        with pytest.raises(ModelError, match="^need at least one truncation dimension$") as info:
+            example_series_report(0.25, 0.1, [])
+        assert info.value.field == "n_values"
 
 
 class TestContinuityModulus:

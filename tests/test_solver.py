@@ -65,8 +65,9 @@ class TestSolverConfig:
     # NaN passes a plain T < 0 test, and T = inf makes h and every grid index inf
     @pytest.mark.parametrize("t_final", [np.inf, np.nan])
     def test_non_finite_final_time_rejected(self, t_final):
-        with pytest.raises(ValueError, match="final time T must be finite"):
+        with pytest.raises(ModelError, match="final time T must be finite") as info:
             SolverConfig(T=t_final, steps=10, paths=1)
+        assert info.value.field == "T"
 
     def test_snapshot_times_must_sit_on_the_grid(self):
         with pytest.raises(ValueError):
