@@ -18,6 +18,7 @@ import numpy as np
 
 from . import probes, solver
 from .config import (
+    FIELD_KEYS,
     ConfigError,
     ExperimentConfig,
     build_model,
@@ -27,7 +28,7 @@ from .config import (
 )
 from .models import SCALAR_FUNCTIONS, Diagonal, ModelError, ModelSpec, validate_assumptions
 from .noise import burkholder_constant, example_covariance
-from .solver import EXACT_GAUSSIAN, SolverConfig, _require_linear_additive
+from .solver import EXACT_GAUSSIAN, SolverConfig
 from .spectrum import (
     deterministic_convolution_norm,
     dirichlet_laplacian_1d,
@@ -224,16 +225,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.set("solver.seed", args.seed)
     if args.output_dir is not None:
         cfg.set("output.dir", args.output_dir)
-    if args.workers is not None:
-        cfg.set("solver.workers", args.workers)
 
 
 # The key that sets each probe argument, per command, by the argument's name in
 # the ModelError a probe raises: a truncation list is probe.sweep_N in one
-# command and series.N in another.
+# command and series.N in another.  `run` looks a field up here first and in
+# config.FIELD_KEYS second, so series.r, not model.r, is the r of
+# example-section5.
 _PROBE_FIELD_KEYS = {
     "probe-temporal": {"lags": "probe.lags", "s_values": "probe.s"},
-    "probe-spatial": {"n_values": "probe.sweep_N", "n_modes": "probe.sweep_N"},
+    "probe-spatial": {"s": "probe.s", "n_values": "probe.sweep_N", "n_modes": "probe.sweep_N"},
     "example-section5": {"t": "series.t", "r": "series.r", "n_values": "series.N",
                          "n_modes": "series.N"},
 }
@@ -242,12 +243,6 @@ _PROBE_FIELD_KEYS = {
 def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
     model = build_model(cfg)
     config = build_solver(cfg)
-    if config.method == EXACT_GAUSSIAN:  # the kernel's own check, before any path runs
-        try:
-            _require_linear_additive(model)
-        except ModelError as exc:
-            raise ConfigError(str(exc), key="solver.method",
-                              line=cfg._line("solver.method")) from None
     warn_on_stiff_linear_drift(cfg, model, config)
     workers = cfg.get_int("solver.workers", 1)  # kept for old configs, and read only to warn
     if workers > 1:
@@ -285,12 +280,12 @@ def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
         try:
             replace(config, snapshot_times=times)
         except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=cfg._line(key)) from None
+            raise cfg.error(str(exc), key) from None
     if "probe.lags" not in cfg:
         steps_left = config.steps - config.step_of(anchor)
         if steps_left < 100:
-            raise ConfigError(f"only {steps_left} steps follow the anchor; the fit needs lags "
-                              "spanning two decades, so set probe.lags", key="probe.lags")
+            raise cfg.error(f"only {steps_left} steps follow the anchor; the fit needs lags "
+                            "spanning two decades, so set probe.lags", "probe.lags")
         mults = probes.geometric_lag_multiples(10, min(max(config.steps // 4, 100), steps_left))
         lags = [m * config.h for m in mults]
     results = probes.temporal_probe(model, config, s_values, anchor, lags)
@@ -392,9 +387,9 @@ def run(config_path: str, args) -> int:
         summary = _RUNNERS[kind](cfg, out_dir)
     except ConfigError as exc:
         error = f"config error: {exc}"
-    except ModelError as exc:  # a probe's rejection of an argument its command read from a key
-        key = _PROBE_FIELD_KEYS.get(kind, {}).get(exc.field)
-        error = f"config error: {ConfigError(str(exc), key=key, line=cfg._line(key))}"
+    except ModelError as exc:  # a library rejection of an argument its command read from a key
+        key = _PROBE_FIELD_KEYS.get(kind, {}).get(exc.field, FIELD_KEYS.get(exc.field))
+        error = f"config error: {cfg.error(str(exc), key)}"
     except (ValueError, KeyError, OSError) as exc:
         error = f"error: {exc}"
     # warnings gathered before a failure are printed too, ahead of the error
@@ -423,8 +418,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("config", help="path to a key=value config file")
     run_parser.add_argument("--output-dir", default=None, help="directory for CSV output")
     run_parser.add_argument("--seed", type=int, default=None, help="override solver.seed")
-    run_parser.add_argument("--workers", type=int, default=None,
-                            help="ignored, like solver.workers: paths run on one thread")
     args = parser.parse_args(argv)
 
     if args.list_registry:

@@ -52,11 +52,12 @@ KNOWN_KEYS = frozenset({
 })
 
 
-# The key that sets each ModelSpec field, by the field's name in a ModelError:
-# build_model reads the drift and diffusion through these keys and reports a
-# rejected field against its key.  The covariance is not here: its key depends
-# on the covariance kind, so build_model names the one its values came from.
-MODEL_FIELD_KEYS = {
+# The key that sets each ModelSpec and SolverConfig field, by the field's name
+# in a ModelError: build_model reads the drift and diffusion through these keys,
+# and a rejected field is reported against its key.  The covariance is not here:
+# its key depends on the covariance kind, so build_model names the one its
+# values came from.
+FIELD_KEYS = {
     "initial": "model.initial",
     "r": "model.r",
     "p": "model.p",
@@ -68,11 +69,9 @@ MODEL_FIELD_KEYS = {
     "diffusion.multipliers": "model.diffusion.multipliers",
     "diffusion.function": "model.diffusion.function",
     "diffusion.grid_size": "model.diffusion.grid",
+    "T": "solver.T", "steps": "solver.steps", "paths": "solver.paths",
+    "snapshot_times": "solver.snapshots", "method": "solver.method",
 }
-
-# The key that sets each SolverConfig field, by the field's name in a ModelError.
-_SOLVER_FIELD_KEYS = {"T": "solver.T", "steps": "solver.steps", "paths": "solver.paths",
-                      "snapshot_times": "solver.snapshots", "method": "solver.method"}
 
 
 class ConfigError(ValueError):
@@ -96,10 +95,8 @@ def _finite(raw: str) -> float:
 
 
 def _finite_list(raw: str) -> list[float]:
-    values = [_finite(part) for part in raw.split(",") if part.strip() != ""]
-    if not values:
-        raise ValueError(raw)
-    return values
+    # float() rejects an empty entry: an empty value, or a doubled or trailing comma
+    return [_finite(part) for part in raw.split(",")]
 
 
 @dataclass
@@ -113,21 +110,20 @@ class ExperimentConfig:
     def __contains__(self, key: str) -> bool:
         return key in self.entries
 
-    def _line(self, key: str) -> int | None:
-        return self.lines.get(key)
+    def error(self, message: str, key: str | None) -> ConfigError:
+        """The error naming `key`, and the line that set it if the file sets it."""
+        return ConfigError(message, key=key, line=self.lines.get(key))
 
     def _get(self, key: str, default, convert, expected: str):
         if key not in self.entries:
             if default is None:
-                raise ConfigError("missing required key", key=key)
+                raise self.error("missing required key", key)
             return default
         raw = self.entries[key]
         try:
             return convert(raw)
         except ValueError:
-            raise ConfigError(
-                f"expected {expected}, got {raw!r}", key=key, line=self._line(key)
-            ) from None
+            raise self.error(f"expected {expected}, got {raw!r}", key) from None
 
     def get_str(self, key: str, default: str | None = None) -> str:
         return self._get(key, default, str, "a string")
@@ -135,17 +131,13 @@ class ExperimentConfig:
     def get_choice(self, key: str, choices: tuple[str, ...], default: str | None = None) -> str:
         value = self.get_str(key, default)
         if value not in choices:
-            raise ConfigError(
-                f"value {value!r} not in {choices}", key=key, line=self._line(key)
-            )
+            raise self.error(f"value {value!r} not in {choices}", key)
         return value
 
     def get_int(self, key: str, default: int | None = None, minimum: int | None = None) -> int:
         value = self._get(key, default, int, "an integer")
         if minimum is not None and value < minimum:
-            raise ConfigError(
-                f"{key} must be >= {minimum}, got {value}", key=key, line=self._line(key)
-            )
+            raise self.error(f"{key} must be >= {minimum}, got {value}", key)
         return value
 
     def get_float(self, key: str, default: float | None = None) -> float:
@@ -159,9 +151,7 @@ class ExperimentConfig:
         values = self.get_floats(key, default)
         for v in values:
             if v != int(v):
-                raise ConfigError(
-                    f"expected integers, got {v}", key=key, line=self._line(key)
-                )
+                raise self.error(f"expected integers, got {v}", key)
         return [int(v) for v in values]
 
     @property
@@ -229,31 +219,30 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         if len(values) == 1:
             return np.full(n, values[0])
         if len(values) != n:
-            raise ConfigError(f"need 1 or {n} values, got {len(values)}", key=key,
-                              line=cfg._line(key))
+            raise cfg.error(f"need 1 or {n} values, got {len(values)}", key)
         return np.array(values)
 
     def term(role: str, kinds: tuple[str, ...], multiplier: float):
         """The drift or diffusion spec, of the first of `kinds` by default: None
         for "zero", a `Nemytskii` for "nemytskii", else a `Diagonal` whose
         multipliers default to `multiplier`."""
-        kind = cfg.get_choice(MODEL_FIELD_KEYS[role], kinds, kinds[0])
+        kind = cfg.get_choice(FIELD_KEYS[role], kinds, kinds[0])
         if kind == "zero":
             return None
         if kind == "nemytskii":
             return Nemytskii(
-                cfg.get_choice(MODEL_FIELD_KEYS[f"{role}.function"], tuple(SCALAR_FUNCTIONS)),
-                cfg.get_int(MODEL_FIELD_KEYS[f"{role}.grid_size"], 4 * n),
+                cfg.get_choice(FIELD_KEYS[f"{role}.function"], tuple(SCALAR_FUNCTIONS)),
+                cfg.get_int(FIELD_KEYS[f"{role}.grid_size"], 4 * n),
             )
-        return Diagonal(broadcast(MODEL_FIELD_KEYS[f"{role}.multipliers"], multiplier))
+        return Diagonal(broadcast(FIELD_KEYS[f"{role}.multipliers"], multiplier))
 
     drift = term("drift", ("zero", "linear", "nemytskii"), 0.0)
     diffusion = term("diffusion", ("additive", "nemytskii"), 1.0)
 
     initial_values = cfg.get_floats("model.initial", [0.0])
     if len(initial_values) > n:
-        raise ConfigError(f"initial state has {len(initial_values)} coefficients for {n} modes",
-                          key="model.initial", line=cfg._line("model.initial"))
+        raise cfg.error(f"initial state has {len(initial_values)} coefficients for {n} modes",
+                        "model.initial")
     initial = np.zeros(n)
     initial[: len(initial_values)] = initial_values
     r, p = cfg.get_float("model.r", 0.0), cfg.get_float("model.p", 2.0)
@@ -262,8 +251,8 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         return ModelSpec(operator=operator, covariance=covariance, drift=drift,
                          diffusion=diffusion, initial=initial, r=r, p=p)
     except ModelError as exc:
-        key = cov_key if exc.field == "covariance" else MODEL_FIELD_KEYS.get(exc.field)
-        raise ConfigError(f"invalid model: {exc}", key=key, line=cfg._line(key)) from exc
+        key = cov_key if exc.field == "covariance" else FIELD_KEYS.get(exc.field)
+        raise cfg.error(f"invalid model: {exc}", key) from exc
 
 
 def build_solver(cfg: ExperimentConfig) -> SolverConfig:
@@ -281,8 +270,7 @@ def build_solver(cfg: ExperimentConfig) -> SolverConfig:
             method=EXPONENTIAL_EULER if token == "euler" else EXACT_GAUSSIAN,
         )
     except ModelError as exc:
-        key = _SOLVER_FIELD_KEYS.get(exc.field)
-        raise ConfigError(f"invalid solver section: {exc}", key=key, line=cfg._line(key)) from exc
+        raise cfg.error(f"invalid solver section: {exc}", FIELD_KEYS.get(exc.field)) from exc
 
 
 def warn_on_stiff_linear_drift(

@@ -71,6 +71,9 @@ def increment_samples(
     column from the same ensemble: one ``map_paths`` run serves them all.
     Returns an array (len(s_values), len(lag_pairs), paths).
     """
+    for s in s_values:
+        if not math.isfinite(s):
+            raise ModelError(f"smoothness s must be finite, got {s}", "s_values")
     times = sorted({float(t) for pair in lag_pairs for t in pair})
     # replace reruns SolverConfig's checks, which reject off-grid times and two on one step
     run_config = dataclasses.replace(config, snapshot_times=tuple(times))
@@ -217,8 +220,10 @@ def spatial_sweep(
     every prefix, serves the whole sweep.  A Nemytskii term couples the modes
     through the sine transforms, so such a model runs once per truncation.
     Either way successive values differ by the added modes' contribution, and
-    every truncation is checked before the first run.
+    `s` and every truncation are checked before the first run.
     """
+    if not math.isfinite(s):
+        raise ModelError(f"smoothness s must be finite, got {s}", "s")
     n_values = _increasing(n_values)
     if n_values[0] < 1:
         raise ModelError(f"truncation dimensions must be >= 1, got {n_values[0]}", "n_values")

@@ -5,8 +5,8 @@ coupled: the one-step frozen-integrand exponential scheme
 x_{j+1} = E(h)[x_j - h F(x_j) + G(x_j) dW_j], and, for linear models driven by
 state-independent diagonal noise, the exact Gaussian transition of each mode.
 ``SolverConfig.method`` names the stepper, so a configuration fixes it for
-every run and no entry point takes it as an argument; the kernel rejects a
-model the exact stepper cannot sample before it takes a step, at any T.
+every run and no entry point takes it as an argument; ``map_paths`` rejects a
+model the exact stepper cannot sample before its first block, at any T.
 Every run goes through one kernel, ``_simulate_block``, which advances a block
 of paths together and returns their snapshots as an array (block,
 n_snapshots, modes).  ``map_paths`` is the one public way to run it: it splits
@@ -209,15 +209,14 @@ def _euler_rows(
     states *= decay
 
 
-def _require_linear_additive(model: ModelSpec) -> np.ndarray:
-    """The diffusion multipliers of a model the exact stepper can sample; any
-    other model is a `ModelError` against the method."""
+def _require_linear_additive(model: ModelSpec) -> None:
+    """Reject a model the exact stepper cannot sample, one with a drift or a
+    non-diagonal diffusion, with a `ModelError` against the method."""
     if model.drift is not None:
         raise ModelError("exact transition sampling requires zero drift", "method")
     if not isinstance(model.diffusion, Diagonal):
         raise ModelError("exact transition sampling requires additive diagonal diffusion",
                          "method")
-    return model.diffusion.multipliers
 
 
 def _simulate_block(
@@ -233,11 +232,11 @@ def _simulate_block(
     xi ~ N(0, g_k^2 q_k (1 - e^{-2 lam_k h}) / (2 lam_k)), whose standard
     deviation is ``transition_sd``.  The standard normal draws are shared with
     the exponential Euler scheme, which couples the two pathwise and makes the
-    exact method the oracle for integrator error measurements.
+    exact method the oracle for integrator error measurements.  ``map_paths``,
+    the only caller, has already refused a model the exact stepper cannot
+    sample, so the block reads the diagonal diffusion's multipliers unchecked.
     """
     exact = config.method == EXACT_GAUSSIAN
-    # checked before the T = 0 return, so an unsupported model fails at any T
-    g = _require_linear_additive(model) if exact else None
     n = model.dimension
     block = len(path_indices)
     out = np.empty((block, len(config.snapshot_steps), n))
@@ -259,6 +258,7 @@ def _simulate_block(
     decay = np.exp(-lam * h)
 
     if exact:
+        g = model.diffusion.multipliers
         transition_sd = np.sqrt(
             g**2 * model.covariance * (-np.expm1(-2.0 * lam * h)) / (2.0 * lam)
         )
@@ -304,10 +304,14 @@ def map_paths(
     ``reduce_block`` maps a snapshot array (block, n_snapshots, modes) to an
     array whose first axis is the block; the blocks of ``block_size`` paths
     run in path order on the calling thread, and their results are
-    concatenated.  ``workers`` is ignored: ``bench/tracing.py`` binds the
+    concatenated.  With ``config.method == EXACT_GAUSSIAN`` a model the exact
+    stepper cannot sample is a `ModelError` against the method before the first
+    block, at any T.  ``workers`` is ignored: ``bench/tracing.py`` binds the
     parameter by name, and it goes when the tracer reads library-owned timers
     (ROADMAP item 1).
     """
+    if config.method == EXACT_GAUSSIAN:
+        _require_linear_additive(model)
     blocks = [
         list(range(start, min(start + block_size, config.paths)))
         for start in range(0, config.paths, block_size)

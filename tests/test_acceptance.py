@@ -326,12 +326,11 @@ def test_criterion_10_reproducibility(tmp_path):
         "probe.s = 0,0.5\nprobe.anchor = 0.002\n"
         "probe.lags = 2e-5,4e-5,6e-5,1e-4,1.6e-4,2.6e-4,4.4e-4,7.2e-4,1.2e-3,2e-3\n"
     )
-    config_path = tmp_path / "exp.cfg"
-    config_path.write_text(config_text)
     outputs = {}
     for label, workers in (("a", 1), ("b", 1), ("c", 4)):
-        out = tmp_path / label
-        code = main(["run", str(config_path), "--output-dir", str(out), "--workers", str(workers)])
+        out, config_path = tmp_path / label, tmp_path / f"{label}.cfg"
+        config_path.write_text(config_text + f"solver.workers = {workers}\n")
+        code = main(["run", str(config_path), "--output-dir", str(out)])
         assert code == 0
         outputs[label] = {
             name: (out / name).read_bytes()

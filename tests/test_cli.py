@@ -15,10 +15,9 @@ import spdelab
 from spdelab import cli
 from spdelab.cli import _PROBE_FIELD_KEYS, main
 from spdelab.config import (
-    _SOLVER_FIELD_KEYS,
+    FIELD_KEYS,
     KINDS,
     KNOWN_KEYS,
-    MODEL_FIELD_KEYS,
     ConfigError,
     build_model,
     build_solver,
@@ -199,7 +198,7 @@ def test_number_reads_are_known_keys():
 
 @pytest.mark.parametrize("accessor, key", NUMBER_READS)
 def test_number_key_rejects_non_finite_and_empty_values(accessor, key):
-    for value in ("nan", "inf", "-inf", ""):
+    for value in ("nan", "inf", "-inf", "", "1,,2", "1,"):
         cfg = parse_config_text(f"kind = simulate\n{key} = {value}\n")
         with pytest.raises(ConfigError) as info:
             getattr(cfg, accessor)(key)
@@ -225,27 +224,24 @@ def model_error_fields(source: str) -> set:
     return fields
 
 
-# a ModelSpec or SolverConfig rejection whose field has no key would reach the
-# user without a key or line; the covariance's key depends on its kind
-def test_every_model_and_solver_rejection_has_a_config_key():
-    fields = set()
-    for name in ("models", "solver"):
-        fields |= model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
-    field_keys = {**MODEL_FIELD_KEYS, **_SOLVER_FIELD_KEYS}
-    assert {None, "covariance", "initial", "drift.multipliers", "method"} <= fields
-    assert sorted(fields - {None, "covariance"} - set(field_keys)) == []
-    assert sorted(set(field_keys.values()) - KNOWN_KEYS) == []
-
-
-# the same guard for the probes, whose argument's key depends on the command:
-# a truncation list is probe.sweep_N in probe-spatial and series.N in example-section5
-def test_every_probe_rejection_has_a_config_key():
-    fields = model_error_fields((Path(spdelab.__file__).parent / "probes.py").read_text())
-    assert fields == {"lags", "s_values", "n_values", "n_modes", "t", "r"}
-    assert fields == set().union(*_PROBE_FIELD_KEYS.values())
+# a library rejection whose field has no key would reach the user without a key
+# or line.  Each command looks a field up in its _PROBE_FIELD_KEYS, then in
+# FIELD_KEYS: a model or solver field must resolve in every command, and a probe
+# argument in the commands that pass it.  The covariance's key depends on its
+# kind, and build_model names it; a rejection with no field names no key.
+def test_every_library_rejection_has_a_config_key():
+    fields = {name: model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
+              for name in ("models", "solver", "probes")}
+    shared = fields["models"] | fields["solver"]
+    assert {None, "covariance", "initial", "drift.multipliers", "method"} <= shared
+    assert fields["probes"] == {"lags", "s", "s_values", "n_values", "n_modes", "t", "r"}
+    assert fields["probes"] == set().union(*_PROBE_FIELD_KEYS.values())
     assert set(_PROBE_FIELD_KEYS) <= set(KINDS)
-    keys = {key for field_keys in _PROBE_FIELD_KEYS.values() for key in field_keys.values()}
-    assert sorted(keys - KNOWN_KEYS) == []
+    for kind in KINDS:
+        probe_keys = _PROBE_FIELD_KEYS.get(kind, {})
+        for field in shared - {None, "covariance"} | set(probe_keys):
+            key = probe_keys.get(field, FIELD_KEYS.get(field))
+            assert key in KNOWN_KEYS, (kind, field, key)
 
 
 def test_field_collector_expands_roles():
@@ -362,6 +358,12 @@ REJECTIONS = [
                  id="model.diffusion.multipliers-inf"),
     pytest.param(SIM + "solver.T = 0.01\nsolver.snapshots =\n", NOT_A_LIST.format(""),
                  "solver.snapshots", 4, id="solver.snapshots-empty"),
+    pytest.param(SIM + "solver.T = 0.2\nsolver.steps = 2\nsolver.snapshots = 0.1,,0.2\n",
+                 NOT_A_LIST.format("0.1,,0.2"), "solver.snapshots", 5,
+                 id="solver.snapshots-empty-entry"),
+    pytest.param(SIM + "model.N = 2\nmodel.diffusion.multipliers = 3,\nsolver.T = 0.01\n",
+                 NOT_A_LIST.format("3,"), "model.diffusion.multipliers", 4,
+                 id="model.diffusion.multipliers-trailing-comma"),
     pytest.param(TEMPORAL.replace("probe.s = 0", "probe.s = nan"), NOT_A_LIST.format("nan"),
                  "probe.s", 7, id="temporal-probe.s-nan"),
     pytest.param(TEMPORAL.replace("probe.s = 0", "probe.s ="), NOT_A_LIST.format(""),
@@ -425,6 +427,12 @@ REJECTIONS = [
            "requires zero drift"),
           ("nemytskii-diffusion", "model.diffusion = nemytskii\nmodel.diffusion.function = tanh\n",
            "requires additive diagonal diffusion"))),
+    # map_paths refuses it on a probe command too, before the probe's first block
+    *(pytest.param(head + "solver.method = exact-gaussian\nmodel.drift = nemytskii\n"
+                   "model.drift.function = tanh\n", "exact transition sampling requires zero drift",
+                   "solver.method", line, id=f"nemytskii-drift-{kind}")
+      for kind, head, line in (("probe-temporal", TEMPORAL, 9),
+                               ("probe-spatial", SPATIAL + "probe.sweep_N = 4, 8\n", 8))),
     # the probes' own checks, each before any path runs
     pytest.param(TEMPORAL + lags_line((1, 2, 3, 5, 8, 13, 22, 36, 60), 0.05, 0.0500000000001),
                  lag_clash(0.1 + 0.05, 0.1 + 0.0500000000001, 300, 300), "probe.lags", 9,
@@ -763,17 +771,6 @@ class TestReproducibility:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     # paths run on one thread: a worker count above 1 is ignored, with one warning
-    def test_worker_count_does_not_change_output(self, tmp_path, capsys):
-        config = write_config(tmp_path, self.CONFIG)
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "w1"), "--workers", "1"]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(["run", str(config), "--output-dir", str(tmp_path / "w4"), "--workers", "4"]) == 0
-        assert capsys.readouterr().err == (
-            "warning: solver.workers = 4 is ignored; paths run on one thread\n"
-        )
-        for name in ("temporal_s0.csv", "temporal_s1.csv", "holder_fits.csv"):
-            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
-
     @pytest.mark.parametrize("workers, err", [
         (1, ""), (2, "warning: solver.workers = 2 is ignored; paths run on one thread\n"),
     ])

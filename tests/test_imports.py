@@ -97,9 +97,6 @@ PRIVATE_IMPORTS_ALLOWED = {
     "spectrum._frozen_array": "models freezes the covariance, the initial state and the "
                               "multipliers into read-only arrays the way spectrum freezes "
                               "the eigenvalues",
-    "solver._require_linear_additive": "cli rejects a model the exact stepper cannot sample "
-                                       "against solver.method with the kernel's own rule, "
-                                       "before any path runs",
 }
 
 

@@ -270,6 +270,17 @@ class TestIncrementSamples:
         assert info.value.field == "s_values"
         assert map_paths_calls == []
 
+    # a non-finite s turns every norm into NaN, and the fit into a verdict over NaNs
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_smoothness_is_rejected_before_any_path_runs(self, s, map_paths_calls):
+        config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
+        lags = [m * config.h for m in (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)]
+        with pytest.raises(ModelError, match=f"^smoothness s must be finite, got {s}$") as info:
+            temporal_probe(borderline_model(16), config, (0.0, s), 0.1, lags)
+        assert info.value.field == "s_values"
+        assert map_paths_calls == []
+
 
 class TestSpatialSweep:
     def test_admissible_model_is_cauchy(self):
@@ -378,6 +389,16 @@ class TestSpatialSweep:
         with pytest.raises(ModelError, match="cannot truncate a 16-mode model to 32 modes") as info:
             spatial_sweep(nemytskii_model(16), config, 0.5, [4, 8, 32])
         assert info.value.field == "n_modes"
+        assert map_paths_calls == []
+
+    # a non-finite s would return NaN values, after numpy warnings for an infinite one
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_smoothness_before_any_run(self, s, map_paths_calls):
+        config = SolverConfig(T=0.1, steps=2, paths=4)
+        with pytest.raises(ModelError, match=f"^smoothness s must be finite, got {s}$") as info:
+            spatial_sweep(borderline_model(8), config, s, [4, 8])
+        assert info.value.field == "s"
         assert map_paths_calls == []
 
 

@@ -350,11 +350,11 @@ class TestExactOUPath:
         )
         config = SolverConfig(T=0.1, steps=10, paths=1, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError):
-            _simulate_block(model, config, [0])
+            map_paths(model, config, identity)
         # any drift spec, even one that multiplies by zero, is not "no drift"
         zero_diagonal = dataclasses.replace(model, drift=Diagonal(np.zeros(n)))
         with pytest.raises(ValueError, match="requires zero drift"):
-            _simulate_block(zero_diagonal, config, [0])
+            map_paths(zero_diagonal, config, identity)
         model_mult = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
             covariance=example_covariance(n),
@@ -363,12 +363,12 @@ class TestExactOUPath:
             initial=np.zeros(n),
         )
         with pytest.raises(ValueError):
-            _simulate_block(model_mult, config, [0])
+            map_paths(model_mult, config, identity)
 
-    # the model is checked before the T = 0 early return, so the exact method
-    # rejects an unsupported model at every final time
+    # map_paths checks the model before its first block, so the exact method
+    # rejects an unsupported model at every final time, with no block run
     @pytest.mark.parametrize("T", [0.0, 0.1])
-    def test_rejects_multiplicative_noise_at_any_final_time(self, T):
+    def test_rejects_multiplicative_noise_at_any_final_time(self, T, monkeypatch):
         n = 4
         model = ModelSpec(
             operator=dirichlet_laplacian_1d(n),
@@ -379,10 +379,15 @@ class TestExactOUPath:
         )
         config = SolverConfig(T=T, steps=1, paths=3)
         exact = dataclasses.replace(config, method=EXACT_GAUSSIAN)
-        with pytest.raises(ValueError, match="additive diagonal diffusion"):
-            map_paths(model, exact, identity)
-        with pytest.raises(ValueError, match="additive diagonal diffusion"):
-            _simulate_block(model, exact, [0])
+
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_simulate_block", no_block)
+            with pytest.raises(ModelError, match="additive diagonal diffusion") as info:
+                map_paths(model, exact, identity)
+        assert info.value.field == "method"
         # the Euler scheme handles the model, and at T = 0 returns the initial state
         assert map_paths(model, config, identity).shape == (3, 1 if T == 0.0 else 2, n)
 
