@@ -224,23 +224,32 @@ def model_error_fields(source: str) -> set:
     return fields
 
 
-# a library rejection whose field has no key would reach the user without a key
-# or line.  Each command looks a field up in its _PROBE_FIELD_KEYS, then in
-# FIELD_KEYS: a model or solver field must resolve in every command, and a probe
-# argument in the commands that pass it.  The covariance's key depends on its
-# kind, and build_model names it; a rejection with no field names no key.
-def test_every_library_rejection_has_a_config_key():
-    fields = {name: model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
-              for name in ("models", "solver", "probes")}
-    shared = fields["models"] | fields["solver"]
-    assert {None, "covariance", "initial", "drift.multipliers", "method"} <= shared
-    assert fields["probes"] == {"lags", "s", "s_values", "n_values", "n_modes", "t", "r"}
-    assert fields["probes"] == set().union(*_PROBE_FIELD_KEYS.values())
-    assert set(_PROBE_FIELD_KEYS) <= set(KINDS)
+# a ModelSpec or SolverConfig rejection whose field has no key would reach the
+# user without a key or line.  Each command looks a field up in its
+# _PROBE_FIELD_KEYS, then in FIELD_KEYS, so a model or solver field must resolve
+# in every command; the covariance's key depends on its kind, and build_model
+# names it; a rejection with no field names no key.
+def test_every_model_and_solver_rejection_has_a_config_key():
+    fields = set()
+    for name in ("models", "solver"):
+        fields |= model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
+    assert {None, "covariance", "initial", "drift.multipliers", "method"} <= fields
     for kind in KINDS:
         probe_keys = _PROBE_FIELD_KEYS.get(kind, {})
-        for field in shared - {None, "covariance"} | set(probe_keys):
+        for field in fields - {None, "covariance"}:
             key = probe_keys.get(field, FIELD_KEYS.get(field))
+            assert key in KNOWN_KEYS, (kind, field, key)
+
+
+# the same guard for the probes, whose argument's key depends on the command:
+# a truncation list is probe.sweep_N in probe-spatial and series.N in example-section5
+def test_every_probe_rejection_has_a_config_key():
+    fields = model_error_fields((Path(spdelab.__file__).parent / "probes.py").read_text())
+    assert fields == {"lags", "s", "s_values", "n_values", "n_modes", "t", "r"}
+    assert fields == set().union(*_PROBE_FIELD_KEYS.values())
+    assert set(_PROBE_FIELD_KEYS) <= set(KINDS)
+    for kind, probe_keys in _PROBE_FIELD_KEYS.items():
+        for field, key in probe_keys.items():
             assert key in KNOWN_KEYS, (kind, field, key)
 
 
