@@ -29,7 +29,6 @@ from .noise import (
 )
 from .probes import (
     HolderEstimate,
-    continuity_modulus,
     estimate_lp_norm,
     example_series_partial_sum,
     example_series_report,

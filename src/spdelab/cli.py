@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +117,13 @@ def verify_lemmas(
     Each bound check takes `bound_draws` random draws, the exactness check
     `exactness_draws`, and the moment check samples `mc_paths` exact paths;
     `seed` drives all of them.  A check that draws nothing passes vacuously,
-    and one path has no standard error, so smaller sizes are a ValueError.
+    and one path has no standard error, so smaller sizes are a `ModelError`
+    naming the parameter.
     """
     for name, size, least in (("bound_draws", bound_draws, 1),
                               ("exactness_draws", exactness_draws, 1), ("mc_paths", mc_paths, 2)):
         if size < least:
-            raise ValueError(f"{name} must be >= {least}, got {size}")
+            raise ModelError(f"{name} must be >= {least}, got {size}", name)
     rng = np.random.default_rng(seed)
     slack = 1.0 + RELATIVE_SLACK
     checks: list[LemmaCheck] = []
@@ -227,16 +228,17 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.set("output.dir", args.output_dir)
 
 
-# The key that sets each probe argument, per command, by the argument's name in
-# the ModelError a probe raises: a truncation list is probe.sweep_N in one
-# command and series.N in another.  `run` looks a field up here first and in
-# config.FIELD_KEYS second, so series.r, not model.r, is the r of
-# example-section5.
+# The key that sets each probe or verifier argument, per command, by its name in
+# the ModelError the library raises; the library owns every rule on them.  `run`
+# looks a field up here first and in config.FIELD_KEYS second, so series.r, not
+# model.r, is the r of example-section5, and a probe's `paths` is solver.paths.
 _PROBE_FIELD_KEYS = {
-    "probe-temporal": {"lags": "probe.lags", "s_values": "probe.s"},
+    "probe-temporal": {"anchor": "probe.anchor", "lags": "probe.lags", "s_values": "probe.s"},
     "probe-spatial": {"s": "probe.s", "n_values": "probe.sweep_N", "n_modes": "probe.sweep_N"},
     "example-section5": {"t": "series.t", "r": "series.r", "n_values": "series.N",
                          "n_modes": "series.N"},
+    "verify-lemmas": {"bound_draws": "lemmas.bound_draws",
+                      "exactness_draws": "lemmas.exactness_draws", "mc_paths": "lemmas.paths"},
 }
 
 
@@ -270,24 +272,8 @@ def _run_simulate(cfg, out_dir: Path) -> list[str]:
 def _run_probe_temporal(cfg, out_dir: Path) -> list[str]:
     model, config = _model_and_solver(cfg)
     s_values = cfg.get_floats("probe.s")
-    anchor = cfg.get_float("probe.anchor", config.steps // 2 * config.h)
-    lags = cfg.get_floats("probe.lags") if "probe.lags" in cfg else []
-    # the probe snapshots the anchor and each anchor + lag, in the given order:
-    # SolverConfig rejects a time off the grid or past T, and a repeated, zero
-    # or decreasing lag, whose step does not follow the one before
-    for key, times in (("probe.anchor", (anchor,)),
-                       ("probe.lags", (anchor, *(anchor + lag for lag in lags)))):
-        try:
-            replace(config, snapshot_times=times)
-        except ValueError as exc:
-            raise cfg.error(str(exc), key) from None
-    if "probe.lags" not in cfg:
-        steps_left = config.steps - config.step_of(anchor)
-        if steps_left < 100:
-            raise cfg.error(f"only {steps_left} steps follow the anchor; the fit needs lags "
-                            "spanning two decades, so set probe.lags", "probe.lags")
-        mults = probes.geometric_lag_multiples(10, min(max(config.steps // 4, 100), steps_left))
-        lags = [m * config.h for m in mults]
+    anchor = cfg.get_float("probe.anchor") if "probe.anchor" in cfg else None
+    lags = cfg.get_floats("probe.lags") if "probe.lags" in cfg else None
     results = probes.temporal_probe(model, config, s_values, anchor, lags)
     summary = []
     fit_rows = []
@@ -320,11 +306,10 @@ def _run_probe_spatial(cfg, out_dir: Path) -> list[str]:
 
 
 def _run_verify_lemmas(cfg, out_dir: Path) -> list[str]:
-    # every check draws at least once, and the moment check's standard error needs two paths
     checks = verify_lemmas(
-        bound_draws=cfg.get_int("lemmas.bound_draws", 1000, minimum=1),
-        exactness_draws=cfg.get_int("lemmas.exactness_draws", 100, minimum=1),
-        mc_paths=cfg.get_int("lemmas.paths", 10000, minimum=2),
+        bound_draws=cfg.get_int("lemmas.bound_draws", 1000),
+        exactness_draws=cfg.get_int("lemmas.exactness_draws", 100),
+        mc_paths=cfg.get_int("lemmas.paths", 10000),
         seed=cfg.get_int("solver.seed", 0),
     )
     write_csv(

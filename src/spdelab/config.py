@@ -276,14 +276,16 @@ def build_solver(cfg: ExperimentConfig) -> SolverConfig:
 def warn_on_stiff_linear_drift(
     cfg: ExperimentConfig, model: ModelSpec, config: SolverConfig
 ) -> None:
-    """Warn, without failing, when a linear drift has h * max|f_k| >= 1.
+    """Warn, without failing, when the Euler stepper meets a linear drift with
+    h * max|f_k| >= 1.
 
     The Euler step scales mode k by 1 - h f_k before the semigroup acts.  From
     h |f_k| = 1 on, that factor no longer resembles e^{-h f_k}: it vanishes or
     changes sign for a damping f_k, and at least doubles the mode for a growing
-    one, so the scheme can oscillate or blow up.
+    one, so the scheme can oscillate or blow up.  The exact stepper takes no
+    drift at all, and `map_paths` refuses one, so it gets no warning.
     """
-    if not isinstance(model.drift, Diagonal):
+    if config.method != EXPONENTIAL_EULER or not isinstance(model.drift, Diagonal):
         return
     k = int(np.argmax(np.abs(model.drift.multipliers)))
     worst = float(model.drift.multipliers[k])

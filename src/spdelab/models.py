@@ -76,9 +76,10 @@ class Nemytskii:
 
 
 class ModelError(ValueError):
-    """A `ModelSpec`, `SolverConfig` or probe-argument rejection.  `field` names
-    the field or argument at fault, dotted into a drift or diffusion spec ("p",
-    "drift.grid_size", "snapshot_times", "lags"), or is None when no one field is."""
+    """A `ModelSpec`, `SolverConfig`, probe-argument or verifier-size rejection.
+    `field` names the field or argument at fault, dotted into a drift or
+    diffusion spec ("p", "drift.grid_size", "snapshot_times", "anchor", "lags",
+    "mc_paths"), or is None when no one field is."""
 
     def __init__(self, message: str, field: str | None):
         super().__init__(message)

@@ -59,31 +59,43 @@ def _norm_rows(eigenvalues: np.ndarray, s: float, rows: np.ndarray) -> np.ndarra
     return np.sqrt(np.sum(eigenvalues**s * rows**2, axis=-1))
 
 
+def _increment_config(config: SolverConfig, anchor: float, lags: Sequence[float]) -> SolverConfig:
+    """`config` snapshotting the anchor, then each anchor + lag in the given order;
+    a time SolverConfig rejects is a `ModelError` against `anchor` or `lags`."""
+    try:
+        config.step_of(anchor)
+    except ValueError as exc:
+        raise ModelError(str(exc), "anchor") from None
+    try:
+        return dataclasses.replace(config, snapshot_times=(anchor, *(anchor + lag for lag in lags)))
+    except ModelError as exc:
+        raise ModelError(str(exc), "lags") from None
+
+
 def increment_samples(
     model: ModelSpec,
     config: SolverConfig,
     s_values: Sequence[float],
-    lag_pairs: Sequence[tuple[float, float]],
+    anchor: float,
+    lags: Sequence[float],
 ) -> np.ndarray:
-    """Samples of ||X(t2) - X(t1)||_s for every s in `s_values` and every lag pair.
+    """Samples of ||X(anchor + lag) - X(anchor)||_s for every s in `s_values` and every lag.
 
-    Both times of a pair are read from the same path, and every (s, pair)
+    The run snapshots the anchor and then each anchor + lag in the given order,
+    so every time is a grid point in [0, T] and each lag falls on a later step
+    than the one before; otherwise a `ModelError` names `anchor` or `lags`.
+    Both times of an increment are read from the same path, and every (s, lag)
     column from the same ensemble: one ``map_paths`` run serves them all.
-    Returns an array (len(s_values), len(lag_pairs), paths).
+    Returns an array (len(s_values), len(lags), paths).
     """
     for s in s_values:
         if not math.isfinite(s):
             raise ModelError(f"smoothness s must be finite, got {s}", "s_values")
-    times = sorted({float(t) for pair in lag_pairs for t in pair})
-    # replace reruns SolverConfig's checks, which reject off-grid times and two on one step
-    run_config = dataclasses.replace(config, snapshot_times=tuple(times))
-    index = {t: i for i, t in enumerate(times)}
-    first = [index[t1] for t1, _ in lag_pairs]
-    second = [index[t2] for _, t2 in lag_pairs]
+    run_config = _increment_config(config, anchor, lags)
     lam = model.operator.eigenvalues
 
     def reduce_block(rows: np.ndarray) -> np.ndarray:
-        diffs = rows[:, second, :] - rows[:, first, :]
+        diffs = rows[:, 1:, :] - rows[:, :1, :]
         return np.stack([_norm_rows(lam, s, diffs) for s in s_values], axis=1)
 
     table = map_paths(model, run_config, reduce_block)
@@ -145,21 +157,37 @@ def temporal_probe(
     model: ModelSpec,
     config: SolverConfig,
     s_values: Sequence[float],
-    anchor: float,
-    lags: Sequence[float],
+    anchor: float | None = None,
+    lags: Sequence[float] | None = None,
 ) -> list[tuple[HolderEstimate, list[tuple[float, float, float]]]]:
     """Fit the temporal Hölder exponent at each smoothness s from increments off an anchor.
 
     The increments X(anchor + lag) - X(anchor) of one ensemble serve every s,
     and their moments are taken at the model's p.  Returns, per s in
     `s_values`, the fit and the per-lag table (lag, estimate, stderr).  The
-    lags are checked against the fit's rule before any path runs.
+    anchor defaults to grid step steps // 2, and the lags to 10 near-geometric
+    multiples of h up to min(max(steps // 4, 100), k) h, where k >= 100 steps
+    follow the anchor.  Before any path runs, each argument is checked, with
+    the times (as in `increment_samples`) before the fit's rule on the lags, and
+    a `ModelError` names the one at fault: `s_values`, `anchor`, `lags` or, for
+    fewer than two paths, `paths`.
     """
     if len(s_values) == 0:
         raise ModelError("need at least one smoothness value", "s_values")
+    if anchor is None:
+        anchor = config.steps // 2 * config.h
+    if lags is None:
+        steps_left = config.steps - _increment_config(config, anchor, ()).snapshot_steps[0]
+        if steps_left < 100:
+            raise ModelError(f"only {steps_left} steps follow the anchor; the fit needs lags "
+                             "spanning two decades", "lags")
+        mults = geometric_lag_multiples(10, min(max(config.steps // 4, 100), steps_left))
+        lags = [m * config.h for m in mults]
+    _increment_config(config, anchor, lags)  # the grid's verdict comes before the fit's
     _fit_lags(lags)
-    pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(model, config, s_values, pairs)
+    if config.paths < 2:  # a moment estimate needs a standard error
+        raise ModelError(f"need at least two paths, got {config.paths}", "paths")
+    samples = increment_samples(model, config, s_values, anchor, lags)
     results = []
     for s, per_lag in zip(s_values, samples):
         table = [(float(lag), *estimate_lp_norm(arr, model.p)) for lag, arr in zip(lags, per_lag)]
@@ -220,7 +248,8 @@ def spatial_sweep(
     every prefix, serves the whole sweep.  A Nemytskii term couples the modes
     through the sine transforms, so such a model runs once per truncation.
     Either way successive values differ by the added modes' contribution, and
-    `s` and every truncation are checked before the first run.
+    `s`, every truncation and then the path count (at least two) are checked
+    before the first run.
     """
     if not math.isfinite(s):
         raise ModelError(f"smoothness s must be finite, got {s}", "s")
@@ -230,6 +259,8 @@ def spatial_sweep(
     decoupled = not any(isinstance(term, Nemytskii) for term in (model.drift, model.diffusion))
     runs = [n_values] if decoupled else [[n] for n in n_values]
     subs = [truncate_model(model, run[-1]) for run in runs]
+    if config.paths < 2:  # a moment estimate needs a standard error
+        raise ModelError(f"need at least two paths, got {config.paths}", "paths")
     results = []
     for run, sub in zip(runs, subs):
         lam = sub.operator.eigenvalues
@@ -279,23 +310,3 @@ def example_series_report(
     n_values = _increasing(n_values)
     return tuple((int(n), example_series_partial_sum(r, t, n)) for n in n_values)
 
-
-def continuity_modulus(
-    model: ModelSpec,
-    config: SolverConfig,
-    anchor: float,
-    lags: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Modulus (lag, estimated ||X(anchor + lag) - X(anchor)|| in the (1, p) norm).
-
-    Only meaningful for models declared with r = 0: the prediction is plain
-    continuity in the top norm s = 1, monotone decrease without any rate.
-    """
-    if model.r != 0.0:
-        raise ValueError(f"the top-norm modulus probe requires r = 0, got r = {model.r}")
-    lags = sorted(float(lag) for lag in lags)
-    pairs = [(anchor, anchor + lag) for lag in lags]
-    samples = increment_samples(model, config, (1.0,), pairs)[0]
-    return [
-        (lag, estimate_lp_norm(arr, model.p)[0]) for lag, arr in zip(lags, samples)
-    ]

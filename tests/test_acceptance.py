@@ -14,8 +14,9 @@ from spdelab.cli import main
 from spdelab.models import Diagonal, ModelSpec, Nemytskii
 from spdelab.noise import burkholder_constant, example_covariance
 from spdelab.probes import (
-    continuity_modulus,
+    estimate_lp_norm,
     example_series_partial_sum,
+    increment_samples,
     spatial_sweep,
     temporal_probe,
 )
@@ -281,8 +282,8 @@ def test_criterion_08_top_norm_continuity():
     config = SolverConfig(T=0.2, steps=800, paths=4000, master_seed=808)
     h = config.h
     lags = [2 * h, 4 * h, 8 * h, 16 * h, 32 * h]
-    modulus = continuity_modulus(model, config, anchor=0.1, lags=lags)
-    values = [v for _, v in modulus]  # ascending lags
+    samples = increment_samples(model, config, (1.0,), 0.1, lags)[0]
+    values = [estimate_lp_norm(arr, model.p)[0] for arr in samples]  # ascending lags
     decreasing = all(a < b for a, b in zip(values, values[1:]))
     below_half = values[0] < 0.5 * values[-1]
     report(

@@ -207,14 +207,29 @@ def test_number_key_rejects_non_finite_and_empty_values(accessor, key):
 
 def model_error_fields(source: str) -> set:
     """The field argument of every `ModelError(...)` call in `source`; an
-    f-string field is expanded with `role` set to "drift" and to "diffusion"."""
+    f-string field is expanded with `role` set to "drift" and to "diffusion",
+    and a variable that a `for` over a literal tuple binds to string literals
+    is expanded to those literals."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            names = node.target.elts if isinstance(node.target, ast.Tuple) else [node.target]
+            items = [item.elts if isinstance(item, ast.Tuple) else [item]
+                     for item in node.iter.elts]
+            for i, name in enumerate(names):
+                values = [item[i] for item in items]
+                if isinstance(name, ast.Name) and all(isinstance(v, ast.Constant) for v in values):
+                    bound[name.id] = {v.value for v in values}
     fields = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "ModelError"):
             continue
         arg = node.args[1] if len(node.args) > 1 else node.keywords[0].value
         if isinstance(arg, ast.Constant):
             fields.add(arg.value)
+        elif isinstance(arg, ast.Name) and arg.id in bound:
+            fields |= bound[arg.id]
         elif isinstance(arg, ast.JoinedStr):
             template = "".join(part.value if isinstance(part, ast.Constant)
                                else f"{{{ast.unparse(part.value)}}}" for part in arg.values)
@@ -241,16 +256,45 @@ def test_every_model_and_solver_rejection_has_a_config_key():
             assert key in KNOWN_KEYS, (kind, field, key)
 
 
-# the same guard for the probes, whose argument's key depends on the command:
-# a truncation list is probe.sweep_N in probe-spatial and series.N in example-section5
+# The arguments each command's probe or verifier may reject, by their ModelError
+# field.  An argument's key depends on the command: a truncation list is
+# probe.sweep_N in probe-spatial and series.N in example-section5.
+COMMAND_FIELDS = {
+    "probe-temporal": {"s_values", "paths", "anchor", "lags"},
+    "probe-spatial": {"s", "paths", "n_values", "n_modes"},
+    "example-section5": {"t", "r", "n_values", "n_modes"},
+    "verify-lemmas": {"bound_draws", "exactness_draws", "mc_paths"},
+}
+
+
+# the same guard for the probes and the lemma verifier: every field they raise
+# resolves, through its command's own lookup, to a known key
 def test_every_probe_rejection_has_a_config_key():
-    fields = model_error_fields((Path(spdelab.__file__).parent / "probes.py").read_text())
-    assert fields == {"lags", "s", "s_values", "n_values", "n_modes", "t", "r"}
-    assert fields == set().union(*_PROBE_FIELD_KEYS.values())
-    assert set(_PROBE_FIELD_KEYS) <= set(KINDS)
-    for kind, probe_keys in _PROBE_FIELD_KEYS.items():
-        for field, key in probe_keys.items():
+    fields = set()
+    for name in ("probes", "cli"):
+        fields |= model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
+    assert fields == set().union(*COMMAND_FIELDS.values())
+    assert set(_PROBE_FIELD_KEYS) == set(COMMAND_FIELDS) and set(COMMAND_FIELDS) <= set(KINDS)
+    for kind, kind_fields in COMMAND_FIELDS.items():
+        for field in kind_fields:
+            key = _PROBE_FIELD_KEYS[kind].get(field, FIELD_KEYS.get(field))
             assert key in KNOWN_KEYS, (kind, field, key)
+
+
+# a rule on a value read from a key lives in the library, which raises a
+# ModelError that `run` reports against the key: the CLI builds a key-naming
+# error nowhere else, and puts no bound on an integer it reads
+def test_cli_keeps_no_copy_of_a_library_rule():
+    errors_in_run = 0
+    for stmt in ast.parse(Path(cli.__file__).read_text()).body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            assert all(kw.arg != "minimum" for kw in node.keywords), ast.unparse(node)
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "error":
+                assert getattr(stmt, "name", None) == "run", ast.unparse(node)
+                errors_in_run += 1
+    assert errors_in_run > 0  # the check sees the one place that builds such an error
 
 
 def test_field_collector_expands_roles():
@@ -261,9 +305,11 @@ def test_field_collector_expands_roles():
         '    raise ModelError("b", field="p")\n'
         '    raise ValueError("c", "q")\n'
         '    raise ModelError("d", name)\n'
+        '    for size, least in (("e", 1), ("f", 2)):\n'
+        '        raise ModelError("g", size)\n'
     )
     assert model_error_fields(source) == {None, "drift.grid_size", "diffusion.grid_size", "p",
-                                          "name"}
+                                          "name", "e", "f"}
 
 
 # Every config the CLI rejects before any path runs, as (config text, message,
@@ -442,6 +488,12 @@ REJECTIONS = [
                    "solver.method", line, id=f"nemytskii-drift-{kind}")
       for kind, head, line in (("probe-temporal", TEMPORAL, 9),
                                ("probe-spatial", SPATIAL + "probe.sweep_N = 4, 8\n", 8))),
+    # h * |f| = 20 would warn of the Euler step, but this run has none: only the refusal shows
+    pytest.param("kind = probe-spatial\nsolver.seed = 1\nmodel.N = 8\nsolver.T = 0.1\n"
+                 "solver.steps = 10\nsolver.method = exact-gaussian\nmodel.drift = linear\n"
+                 "model.drift.multipliers = -2000\nprobe.sweep_N = 4, 8\n",
+                 "exact transition sampling requires zero drift", "solver.method", 6,
+                 id="stiff-linear-drift-exact-gaussian"),
     # the probes' own checks, each before any path runs
     pytest.param(TEMPORAL + lags_line((1, 2, 3, 5, 8, 13, 22, 36, 60), 0.05, 0.0500000000001),
                  lag_clash(0.1 + 0.05, 0.1 + 0.0500000000001, 300, 300), "probe.lags", 9,
@@ -464,8 +516,14 @@ REJECTIONS = [
                  id="lag-past-T-default-anchor"),
     pytest.param("kind = probe-temporal\nsolver.seed = 1\nmodel.N = 16\nsolver.T = 0.01\n"
                  "solver.steps = 150\nprobe.s = 0\n",
-                 "only 75 steps follow the anchor; the fit needs lags spanning two decades, "
-                 "so set probe.lags", "probe.lags", None, id="too-few-steps-for-default-lags"),
+                 "only 75 steps follow the anchor; the fit needs lags spanning two decades",
+                 "probe.lags", None, id="too-few-steps-for-default-lags"),
+    # a moment estimate needs two paths, and a probe refuses one before it runs
+    pytest.param(TEMPORAL.replace("solver.paths = 2000", "solver.paths = 1"),
+                 "need at least two paths, got 1", "solver.paths", 6, id="temporal-one-path"),
+    pytest.param(SPATIAL.replace("solver.paths = 1000", "solver.paths = 1")
+                 + "probe.sweep_N = 4, 8\n", "need at least two paths, got 1", "solver.paths", 6,
+                 id="spatial-one-path"),
     *(pytest.param(SPATIAL + f"probe.sweep_N = {sweep}\n" + model, message, "probe.sweep_N", 7,
                    id=f"sweep-{name}-{model_name}")
       for name, sweep, message in (
@@ -480,13 +538,15 @@ REJECTIONS = [
     pytest.param("kind = example-section5\nseries.t = 0.1\nseries.N = 1000, 100\n",
                  "truncation dimensions must be strictly increasing", "series.N", 3,
                  id="series.N-decreasing"),
-    # a lemma check that draws nothing passes vacuously, and one path has no standard error
+    # a lemma check that draws nothing passes vacuously, and one path has no standard
+    # error; verify_lemmas names its own parameter
     *(pytest.param("kind = verify-lemmas\nsolver.seed = 0\n"
                    + "".join(f"{k} = {value if k == key else v}\n" for k, v in LEMMA_SIZES.items()),
-                   f"{key} must be >= {least}, got {value}", key, 3 + list(LEMMA_SIZES).index(key),
+                   f"{name} must be >= {least}, got {value}", key, 3 + list(LEMMA_SIZES).index(key),
                    id=key)
-      for key, value, least in (("lemmas.bound_draws", 0, 1), ("lemmas.exactness_draws", -3, 1),
-                                ("lemmas.paths", 1, 2))),
+      for key, name, value, least in (("lemmas.bound_draws", "bound_draws", 0, 1),
+                                      ("lemmas.exactness_draws", "exactness_draws", -3, 1),
+                                      ("lemmas.paths", "mc_paths", 1, 2))),
 ]
 
 

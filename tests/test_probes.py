@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from scipy.stats import linregress
 from spdelab.models import Diagonal, ModelError, ModelSpec, Nemytskii
 from spdelab.noise import example_covariance
 from spdelab.probes import (
-    continuity_modulus,
     estimate_lp_norm,
     example_series_partial_sum,
     example_series_report,
@@ -185,24 +185,27 @@ class TestFitHolderExponent:
 
 
 class TestIncrementSamples:
-    def test_zero_lag_gives_zero_samples(self):
-        model = borderline_model()
+    # the anchor's snapshot comes first, so a zero lag would put a second one on its step
+    def test_zero_lag_is_rejected(self, map_paths_calls):
         config = SolverConfig(T=0.1, steps=10, paths=16, master_seed=2)
-        samples = increment_samples(model, config, (0.0,), [(0.05, 0.05)])
-        np.testing.assert_array_equal(samples[0, 0], np.zeros(16))
+        with pytest.raises(ModelError, match="fall on grid steps 5 and 5") as info:
+            increment_samples(borderline_model(), config, (0.0,), 0.05, [0.0])
+        assert info.value.field == "lags"
+        assert map_paths_calls == []
 
     def test_off_grid_times_rejected(self):
         model = borderline_model()
         config = SolverConfig(T=0.1, steps=10, paths=4, master_seed=2)
-        with pytest.raises(ValueError):
-            increment_samples(model, config, (0.0,), [(0.05, 0.0733)])
+        with pytest.raises(ModelError, match="is not a grid point") as info:
+            increment_samples(model, config, (0.0,), 0.05, [0.0233])
+        assert info.value.field == "lags"
 
     def test_second_moment_matches_gaussian_transition_algebra(self):
         n = 8
         model = borderline_model(n)
         t1, t2 = 0.02, 0.03
         config = SolverConfig(T=0.05, steps=100, paths=4000, master_seed=6, method=EXACT_GAUSSIAN)
-        samples = increment_samples(model, config, (0.0,), [(t1, t2)])[0, 0]
+        samples = increment_samples(model, config, (0.0,), t1, [t2 - t1])[0, 0]
         lam = model.operator.eigenvalues
         q = model.covariance
         v1 = q * -np.expm1(-2.0 * lam * t1) / (2.0 * lam)
@@ -215,7 +218,7 @@ class TestIncrementSamples:
     def test_paths_are_uncorrelated(self):
         model = borderline_model()
         config = SolverConfig(T=0.05, steps=20, paths=2000, master_seed=13)
-        samples = increment_samples(model, config, (0.0,), [(0.0, 0.05)])[0, 0]
+        samples = increment_samples(model, config, (0.0,), 0.0, [0.05])[0, 0]
         even, odd = samples[0::2], samples[1::2]
         corr = np.corrcoef(even, odd)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(even.size)
@@ -225,7 +228,7 @@ class TestIncrementSamples:
         model = borderline_model(n)
         t1, t2 = 0.04, 0.05
         config = SolverConfig(T=0.05, steps=50, paths=2000, master_seed=4)
-        coupled = increment_samples(model, config, (0.0,), [(t1, t2)])[0, 0]
+        coupled = increment_samples(model, config, (0.0,), t1, [t2 - t1])[0, 0]
         run = dataclasses.replace(config, snapshot_times=(t1, t2))
         rows = map_paths(model, run, lambda rows: rows)
         crossed = np.sqrt(
@@ -279,6 +282,38 @@ class TestIncrementSamples:
         with pytest.raises(ModelError, match=f"^smoothness s must be finite, got {s}$") as info:
             temporal_probe(borderline_model(16), config, (0.0, s), 0.1, lags)
         assert info.value.field == "s_values"
+        assert map_paths_calls == []
+
+    def test_default_anchor_and_lags(self):
+        model = linear_drift_model(8)
+        config = SolverConfig(T=0.02, steps=200, paths=40, master_seed=5)
+        # step 100 is the anchor, and 100 steps follow it
+        lags = [m * config.h for m in geometric_lag_multiples(10, 100)]
+        explicit = temporal_probe(model, config, (0.0, 0.5), 100 * config.h, lags)
+        assert temporal_probe(model, config, (0.0, 0.5)) == explicit
+        assert [lag for lag, _, _ in explicit[0][1]] == lags
+
+    # the grid's verdict on the times comes first, so a lag list the fit would also
+    # refuse reads as the time the grid rejects (repeated lags are a case of the
+    # lag-rule test); h = 0.0005, T = 0.2
+    @pytest.mark.parametrize("anchor, multiples, tail, field, message", [
+        (0.01234, None, (), "anchor", "time 0.01234 is not a grid point (h = 0.0005)"),
+        (0.3, None, (), "anchor", "time 0.3 lies outside [0, T] = [0, 0.2]"),
+        (0.1, (1, 2, 3), (0.0003,), "lags", "is not a grid point"),
+        (0.1, (1, 2, 3), (0.15,), "lags", "lies outside [0, T]"),
+        (0.1, (0, 1, 2, 3, 5, 8, 13, 22, 36, 60), (), "lags", "grid steps 200 and 200"),
+        (0.1, (1, 2, 3, 5, 8, 13, 22, 60, 36), (), "lags", "grid steps 260 and 236"),
+        (0.19, None, (), "lags",
+         "only 20 steps follow the anchor; the fit needs lags spanning two decades"),
+    ], ids=["anchor-off-grid", "anchor-past-T", "lag-off-grid", "lag-past-T", "zero-lag",
+            "decreasing-lags", "too-few-steps-for-default-lags"])
+    def test_rejected_times_name_their_argument(self, anchor, multiples, tail, field, message,
+                                                map_paths_calls):
+        config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
+        lags = None if multiples is None else [m * config.h for m in multiples] + list(tail)
+        with pytest.raises(ModelError, match=re.escape(message)) as info:
+            temporal_probe(borderline_model(16), config, (0.0,), anchor, lags)
+        assert info.value.field == field
         assert map_paths_calls == []
 
 
@@ -402,6 +437,19 @@ class TestSpatialSweep:
         assert map_paths_calls == []
 
 
+# one path gives a moment but no standard error, so both probes refuse it up front
+@pytest.mark.parametrize("probe", [
+    lambda model, config: temporal_probe(model, config, (0.0,)),
+    lambda model, config: spatial_sweep(model, config, 1.0, [4, 8]),
+], ids=["temporal", "spatial"])
+def test_probes_reject_one_path_before_any_run(probe, map_paths_calls):
+    config = SolverConfig(T=0.02, steps=200, paths=1)
+    with pytest.raises(ModelError, match="^need at least two paths, got 1$") as info:
+        probe(borderline_model(8), config)
+    assert info.value.field == "paths"
+    assert map_paths_calls == []
+
+
 class TestExampleSeries:
     def test_two_mode_value(self):
         # (1 - e^{-0.8 pi^2}) / (4 ln(2)^2) to 30 digits with mpmath
@@ -462,22 +510,3 @@ class TestExampleSeries:
         with pytest.raises(ModelError, match="^need at least one truncation dimension$") as info:
             example_series_report(0.25, 0.1, [])
         assert info.value.field == "n_values"
-
-
-class TestContinuityModulus:
-    def test_zero_lag_and_strict_decrease(self):
-        n = 16
-        model = borderline_model(n)
-        config = SolverConfig(T=0.2, steps=400, paths=800, master_seed=14)
-        h = config.h
-        lags = [0.0, 2 * h, 8 * h, 32 * h, 128 * h]
-        modulus = continuity_modulus(model, config, anchor=0.05, lags=lags)
-        assert modulus[0] == (0.0, 0.0)
-        values = [v for _, v in modulus[1:]]
-        assert all(b > a for a, b in zip(values, values[1:]))  # larger lag, larger modulus
-
-    def test_requires_zero_regularity_declaration(self):
-        model = borderline_model(8, r=0.5)
-        config = SolverConfig(T=0.1, steps=10, paths=4, master_seed=1)
-        with pytest.raises(ValueError):
-            continuity_modulus(model, config, 0.05, [0.01])
