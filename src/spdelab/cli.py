@@ -18,11 +18,12 @@ import numpy as np
 
 from . import probes, solver
 from .config import (
-    FIELD_KEYS,
+    COMMAND_KEYS,
     ConfigError,
     ExperimentConfig,
     build_model,
     build_solver,
+    field_key,
     parse_config_file,
     warn_on_stiff_linear_drift,
 )
@@ -117,11 +118,12 @@ def verify_lemmas(
     Each bound check takes `bound_draws` random draws, the exactness check
     `exactness_draws`, and the moment check samples `mc_paths` exact paths;
     `seed` drives all of them.  A check that draws nothing passes vacuously,
-    and one path has no standard error, so smaller sizes are a `ModelError`
-    naming the parameter.
+    and one path has no standard error, so smaller sizes, and a negative seed,
+    are a `ModelError` naming the parameter.
     """
     for name, size, least in (("bound_draws", bound_draws, 1),
-                              ("exactness_draws", exactness_draws, 1), ("mc_paths", mc_paths, 2)):
+                              ("exactness_draws", exactness_draws, 1),
+                              ("mc_paths", mc_paths, 2), ("seed", seed, 0)):
         if size < least:
             raise ModelError(f"{name} must be >= {least}, got {size}", name)
     rng = np.random.default_rng(seed)
@@ -226,20 +228,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.set("solver.seed", args.seed)
     if args.output_dir is not None:
         cfg.set("output.dir", args.output_dir)
-
-
-# The key that sets each probe or verifier argument, per command, by its name in
-# the ModelError the library raises; the library owns every rule on them.  `run`
-# looks a field up here first and in config.FIELD_KEYS second, so series.r, not
-# model.r, is the r of example-section5, and a probe's `paths` is solver.paths.
-_PROBE_FIELD_KEYS = {
-    "probe-temporal": {"anchor": "probe.anchor", "lags": "probe.lags", "s_values": "probe.s"},
-    "probe-spatial": {"s": "probe.s", "n_values": "probe.sweep_N", "n_modes": "probe.sweep_N"},
-    "example-section5": {"t": "series.t", "r": "series.r", "n_values": "series.N",
-                         "n_modes": "series.N"},
-    "verify-lemmas": {"bound_draws": "lemmas.bound_draws",
-                      "exactness_draws": "lemmas.exactness_draws", "mc_paths": "lemmas.paths"},
-}
 
 
 def _model_and_solver(cfg: ExperimentConfig) -> tuple[ModelSpec, SolverConfig]:
@@ -373,8 +361,7 @@ def run(config_path: str, args) -> int:
     except ConfigError as exc:
         error = f"config error: {exc}"
     except ModelError as exc:  # a library rejection of an argument its command read from a key
-        key = _PROBE_FIELD_KEYS.get(kind, {}).get(exc.field, FIELD_KEYS.get(exc.field))
-        error = f"config error: {cfg.error(str(exc), key)}"
+        error = f"config error: {cfg.error(str(exc), field_key(COMMAND_KEYS[kind], exc.field))}"
     except (ValueError, KeyError, OSError) as exc:
         error = f"error: {exc}"
     # warnings gathered before a failure are printed too, ahead of the error

@@ -1,9 +1,11 @@
 """Flat key=value experiment configuration files.
 
 The format is one `key = value` pair per line, dotted section prefixes
-(`model.N = 256`), `#` comments, and no nesting.  Only the keys in
-`KNOWN_KEYS` are accepted.  Values stay strings until a typed accessor pulls
-them out; every parse or validation error reports the offending key and line.
+(`model.N = 256`), `#` comments, and no nesting.  `COMMAND_KEYS` lists the
+keys each command reads: a key no command reads is unknown, and a file whose
+`kind` does not read one of its keys is rejected once the whole file is read.
+Values stay strings until a typed accessor pulls them out; every parse or
+validation error reports the offending key and line.
 
 Numbers are finite and number lists are non-empty.  The number accessors
 (`get_float`, `get_floats`, `get_ints`) check both, so no NaN, infinity or
@@ -23,55 +25,52 @@ from .noise import example_covariance
 from .solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER, SolverConfig
 from .spectrum import dirichlet_laplacian_1d
 
-KINDS = (
-    "simulate",
-    "probe-temporal",
-    "probe-spatial",
-    "verify-lemmas",
-    "example-section5",
-    "verify-assumptions",
-)
-
 # Keys that steer execution without changing any computed number; they are
 # excluded from the resolved-config line embedded in output files.
 EXECUTION_KEYS = ("output.dir", "solver.workers")
 
-# Every key a config file may set; any other key is rejected as a likely typo.
-KNOWN_KEYS = frozenset({
-    "kind", *EXECUTION_KEYS,
-    "model.N", "model.initial", "model.r", "model.p",
-    "model.covariance", "model.covariance.value", "model.covariance.values",
-    "model.drift", "model.drift.multipliers", "model.drift.function", "model.drift.grid",
-    "model.diffusion", "model.diffusion.multipliers", "model.diffusion.function",
-    "model.diffusion.grid",
-    "solver.method", "solver.T", "solver.steps", "solver.paths", "solver.seed",
-    "solver.snapshots",
-    "probe.s", "probe.anchor", "probe.lags", "probe.sweep_N",
-    "lemmas.bound_draws", "lemmas.exactness_draws", "lemmas.paths",
-    "series.r", "series.t", "series.N",
-})
-
-
-# The key that sets each ModelSpec and SolverConfig field, by the field's name
-# in a ModelError: build_model reads the drift and diffusion through these keys,
-# and a rejected field is reported against its key.  The covariance is not here:
-# its key depends on the covariance kind, so build_model names the one its
-# values came from.
-FIELD_KEYS = {
-    "initial": "model.initial",
-    "r": "model.r",
-    "p": "model.p",
-    "drift": "model.drift",
-    "drift.multipliers": "model.drift.multipliers",
-    "drift.function": "model.drift.function",
-    "drift.grid_size": "model.drift.grid",
-    "diffusion": "model.diffusion",
-    "diffusion.multipliers": "model.diffusion.multipliers",
-    "diffusion.function": "model.diffusion.function",
-    "diffusion.grid_size": "model.diffusion.grid",
-    "T": "solver.T", "steps": "solver.steps", "paths": "solver.paths",
-    "snapshot_times": "solver.snapshots", "method": "solver.method",
+# The keys each command reads, each mapped to the `ModelError` fields of the
+# library arguments its value feeds; a key whose value no library check names
+# maps to ().  Every command takes `kind`, `output.dir` and `solver.seed`,
+# which `--seed` sets on any run.  The covariance keys name no field: which one
+# set the values depends on the covariance kind, and build_model reports it.
+_COMMON_KEYS = {"kind": (), "output.dir": (), "solver.seed": ()}
+_MODEL_KEYS = {
+    "model.N": (), "model.covariance": (), "model.covariance.value": (),
+    "model.covariance.values": (), "model.initial": ("initial",), "model.r": ("r",),
+    "model.p": ("p",), "model.drift": (), "model.drift.multipliers": ("drift.multipliers",),
+    "model.drift.function": ("drift.function",), "model.drift.grid": ("drift.grid_size",),
+    "model.diffusion": (), "model.diffusion.multipliers": ("diffusion.multipliers",),
+    "model.diffusion.function": ("diffusion.function",),
+    "model.diffusion.grid": ("diffusion.grid_size",),
 }
+_SOLVER_KEYS = {
+    "solver.method": ("method",), "solver.T": ("T",), "solver.steps": ("steps",),
+    "solver.paths": ("paths",), "solver.seed": ("master_seed",),
+    "solver.snapshots": ("snapshot_times",), "solver.workers": (),
+}
+COMMAND_KEYS = {
+    "simulate": {**_COMMON_KEYS, **_MODEL_KEYS, **_SOLVER_KEYS},
+    "probe-temporal": {**_COMMON_KEYS, **_MODEL_KEYS, **_SOLVER_KEYS, "probe.s": ("s_values",),
+                       "probe.anchor": ("anchor",), "probe.lags": ("lags",)},
+    "probe-spatial": {**_COMMON_KEYS, **_MODEL_KEYS, **_SOLVER_KEYS, "probe.s": ("s",),
+                      "probe.sweep_N": ("n_values", "n_modes")},
+    "verify-lemmas": {**_COMMON_KEYS, "solver.seed": ("seed",),
+                      "lemmas.bound_draws": ("bound_draws",),
+                      "lemmas.exactness_draws": ("exactness_draws",),
+                      "lemmas.paths": ("mc_paths",)},
+    "example-section5": {**_COMMON_KEYS, "series.r": ("r",), "series.t": ("t",),
+                         "series.N": ("n_values", "n_modes")},
+    "verify-assumptions": {**_COMMON_KEYS, **_MODEL_KEYS, "solver.seed": ("probe_seed",)},
+}
+KINDS = tuple(COMMAND_KEYS)
+# a key no command reads is rejected as a likely typo
+KNOWN_KEYS = frozenset().union(*COMMAND_KEYS.values())
+
+
+def field_key(keys: dict[str, tuple[str, ...]], field: str | None) -> str | None:
+    """The key of `keys` whose value feeds the argument `field`, or None."""
+    return next((key for key, fields in keys.items() if field in fields), None)
 
 
 class ConfigError(ValueError):
@@ -159,7 +158,9 @@ class ExperimentConfig:
         return self.get_choice("kind", KINDS)
 
     def set(self, key: str, value) -> None:
+        """Set `key` over the file's value, which leaves the key no line."""
         self.entries[key] = str(value)
+        self.lines.pop(key, None)
 
     def resolved(self) -> str:
         """Deterministic one-line rendering of every result-affecting key."""
@@ -190,8 +191,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         entries[key] = value
         lines[key] = lineno
     cfg = ExperimentConfig(entries, lines, warnings=[])
-    if "kind" in cfg.entries:
-        cfg.kind  # validates the choice early
+    if "kind" in cfg.entries:  # on any line: the file's other keys are judged once it is read
+        kind = cfg.kind
+        for key in entries:
+            if key not in COMMAND_KEYS[kind]:
+                raise ConfigError(f"{kind} does not read this key", key=key, line=lines[key])
     return cfg
 
 
@@ -226,15 +230,13 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         """The drift or diffusion spec, of the first of `kinds` by default: None
         for "zero", a `Nemytskii` for "nemytskii", else a `Diagonal` whose
         multipliers default to `multiplier`."""
-        kind = cfg.get_choice(FIELD_KEYS[role], kinds, kinds[0])
+        kind = cfg.get_choice(f"model.{role}", kinds, kinds[0])
         if kind == "zero":
             return None
         if kind == "nemytskii":
-            return Nemytskii(
-                cfg.get_choice(FIELD_KEYS[f"{role}.function"], tuple(SCALAR_FUNCTIONS)),
-                cfg.get_int(FIELD_KEYS[f"{role}.grid_size"], 4 * n),
-            )
-        return Diagonal(broadcast(FIELD_KEYS[f"{role}.multipliers"], multiplier))
+            return Nemytskii(cfg.get_choice(f"model.{role}.function", tuple(SCALAR_FUNCTIONS)),
+                             cfg.get_int(f"model.{role}.grid", 4 * n))
+        return Diagonal(broadcast(f"model.{role}.multipliers", multiplier))
 
     drift = term("drift", ("zero", "linear", "nemytskii"), 0.0)
     diffusion = term("diffusion", ("additive", "nemytskii"), 1.0)
@@ -251,7 +253,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         return ModelSpec(operator=operator, covariance=covariance, drift=drift,
                          diffusion=diffusion, initial=initial, r=r, p=p)
     except ModelError as exc:
-        key = cov_key if exc.field == "covariance" else FIELD_KEYS.get(exc.field)
+        key = cov_key if exc.field == "covariance" else field_key(_MODEL_KEYS, exc.field)
         raise cfg.error(f"invalid model: {exc}", key) from exc
 
 
@@ -270,7 +272,8 @@ def build_solver(cfg: ExperimentConfig) -> SolverConfig:
             method=EXPONENTIAL_EULER if token == "euler" else EXACT_GAUSSIAN,
         )
     except ModelError as exc:
-        raise cfg.error(f"invalid solver section: {exc}", FIELD_KEYS.get(exc.field)) from exc
+        key = field_key(_SOLVER_KEYS, exc.field)
+        raise cfg.error(f"invalid solver section: {exc}", key) from exc
 
 
 def warn_on_stiff_linear_drift(

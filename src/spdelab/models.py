@@ -76,10 +76,11 @@ class Nemytskii:
 
 
 class ModelError(ValueError):
-    """A `ModelSpec`, `SolverConfig`, probe-argument or verifier-size rejection.
+    """A `ModelSpec`, `SolverConfig`, probe-argument or verifier rejection.
     `field` names the field or argument at fault, dotted into a drift or
     diffusion spec ("p", "drift.grid_size", "snapshot_times", "anchor", "lags",
-    "mc_paths"), or is None when no one field is."""
+    "mc_paths", "probe_seed"), or is None when no one field is; the config
+    reader's command table maps each field to the key that fed it."""
 
     def __init__(self, message: str, field: str | None):
         super().__init__(message)
@@ -226,7 +227,11 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
     exactly, since the grid inner products of the basis are exact for
     M >= 2N; that is the additive weight with g_i = 1, so both spellings of
     the identity operator get the same verdict.
+
+    A negative `probe_seed` is a `ModelError`, whether or not a probe draws.
     """
+    if probe_seed < 0:
+        raise ModelError(f"seed must be >= 0, got {probe_seed}", "probe_seed")
     checks: list[AssumptionCheck] = []
     op, cov = model.operator, model.covariance
     n = model.dimension

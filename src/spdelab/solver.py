@@ -85,6 +85,8 @@ class SolverConfig:
             raise ModelError(f"need at least one step, got {self.steps}", "steps")
         if self.paths < 1:
             raise ModelError(f"need at least one path, got {self.paths}", "paths")
+        if self.master_seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.master_seed}", "master_seed")
         times = self.snapshot_times
         if times is None:
             times = (0.0, self.T) if self.T > 0.0 else (0.0,)

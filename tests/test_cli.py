@@ -13,14 +13,17 @@ import pytest
 
 import spdelab
 from spdelab import cli
-from spdelab.cli import _PROBE_FIELD_KEYS, main
+from spdelab.cli import main
 from spdelab.config import (
-    FIELD_KEYS,
+    _MODEL_KEYS,
+    _SOLVER_KEYS,
+    COMMAND_KEYS,
     KINDS,
     KNOWN_KEYS,
     ConfigError,
     build_model,
     build_solver,
+    field_key,
     parse_config_text,
 )
 from spdelab.models import SCALAR_FUNCTIONS
@@ -72,15 +75,20 @@ class TestParsing:
             read |= keys_read(path.read_text())
         assert read and read <= KNOWN_KEYS, sorted(read - KNOWN_KEYS)
 
-    # a key that nothing reads, like the removed lemmas.slack, must not stay known
+    # a key that nothing reads, like the removed lemmas.slack, must not stay known:
+    # every key is a string outside the tables that declare keys, an f-string on
+    # a drift or diffusion `role` included
     def test_every_known_key_is_a_literal_of_the_library(self):
         literals = set()
         for path in Path(spdelab.__file__).parent.glob("*.py"):
             for stmt in ast.parse(path.read_text()).body:
-                if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "KNOWN_KEYS":
+                if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]).endswith("_KEYS"):
                     continue
-                literals |= {node.value for node in ast.walk(stmt)
-                             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        literals.add(node.value)
+                    elif isinstance(node, ast.JoinedStr):
+                        literals |= role_strings(node)
         assert KNOWN_KEYS <= literals, sorted(KNOWN_KEYS - literals)
 
     def test_key_reader_sees_accessors_membership_and_set(self):
@@ -196,13 +204,26 @@ def test_number_reads_are_known_keys():
             "series.N", "model.covariance.value", "model.drift.multipliers"} <= keys
 
 
+# each key is parsed under the first command that reads it
 @pytest.mark.parametrize("accessor, key", NUMBER_READS)
 def test_number_key_rejects_non_finite_and_empty_values(accessor, key):
+    kind = next(kind for kind, keys in COMMAND_KEYS.items() if key in keys)
     for value in ("nan", "inf", "-inf", "", "1,,2", "1,"):
-        cfg = parse_config_text(f"kind = simulate\n{key} = {value}\n")
+        cfg = parse_config_text(f"kind = {kind}\n{key} = {value}\n")
         with pytest.raises(ConfigError) as info:
             getattr(cfg, accessor)(key)
         assert (info.value.key, info.value.line) == (key, 2), value
+
+
+def role_strings(node: ast.JoinedStr) -> set[str]:
+    """The f-string `node` with `role` set to "drift" and to "diffusion"; any
+    other placeholder is kept as its source text in braces."""
+    def text(part, role):
+        if isinstance(part, ast.Constant):
+            return part.value
+        source = ast.unparse(part.value)
+        return role if source == "role" else f"{{{source}}}"
+    return {"".join(text(part, role) for part in node.values) for role in ("drift", "diffusion")}
 
 
 def model_error_fields(source: str) -> set:
@@ -231,54 +252,45 @@ def model_error_fields(source: str) -> set:
         elif isinstance(arg, ast.Name) and arg.id in bound:
             fields |= bound[arg.id]
         elif isinstance(arg, ast.JoinedStr):
-            template = "".join(part.value if isinstance(part, ast.Constant)
-                               else f"{{{ast.unparse(part.value)}}}" for part in arg.values)
-            fields |= {template.format(role=role) for role in ("drift", "diffusion")}
+            fields |= role_strings(arg)
         else:  # a field the guard cannot read is reported as its source text
             fields.add(ast.unparse(arg))
     return fields
 
 
-# a ModelSpec or SolverConfig rejection whose field has no key would reach the
-# user without a key or line.  Each command looks a field up in its
-# _PROBE_FIELD_KEYS, then in FIELD_KEYS, so a model or solver field must resolve
-# in every command; the covariance's key depends on its kind, and build_model
-# names it; a rejection with no field names no key.
-def test_every_model_and_solver_rejection_has_a_config_key():
+# A library rejection whose field has no key would reach the user without a key
+# or line.  The ModelError fields of the library are the fields the command
+# table names, apart from None (no one field is at fault) and the covariance,
+# whose key build_model names by the covariance kind.  Within a command each
+# field resolves to the one key that names it, and a command that builds a
+# model or a solver resolves its fields to the keys build_model and
+# build_solver report.
+def test_every_library_rejection_has_a_config_key(tmp_path, monkeypatch):
     fields = set()
-    for name in ("models", "solver"):
+    for name in ("models", "solver", "probes", "cli"):
         fields |= model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
-    assert {None, "covariance", "initial", "drift.multipliers", "method"} <= fields
-    for kind in KINDS:
-        probe_keys = _PROBE_FIELD_KEYS.get(kind, {})
-        for field in fields - {None, "covariance"}:
-            key = probe_keys.get(field, FIELD_KEYS.get(field))
-            assert key in KNOWN_KEYS, (kind, field, key)
-
-
-# The arguments each command's probe or verifier may reject, by their ModelError
-# field.  An argument's key depends on the command: a truncation list is
-# probe.sweep_N in probe-spatial and series.N in example-section5.
-COMMAND_FIELDS = {
-    "probe-temporal": {"s_values", "paths", "anchor", "lags"},
-    "probe-spatial": {"s", "paths", "n_values", "n_modes"},
-    "example-section5": {"t", "r", "n_values", "n_modes"},
-    "verify-lemmas": {"bound_draws", "exactness_draws", "mc_paths"},
-}
-
-
-# the same guard for the probes and the lemma verifier: every field they raise
-# resolves, through its command's own lookup, to a known key
-def test_every_probe_rejection_has_a_config_key():
-    fields = set()
-    for name in ("probes", "cli"):
-        fields |= model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
-    assert fields == set().union(*COMMAND_FIELDS.values())
-    assert set(_PROBE_FIELD_KEYS) == set(COMMAND_FIELDS) and set(COMMAND_FIELDS) <= set(KINDS)
-    for kind, kind_fields in COMMAND_FIELDS.items():
-        for field in kind_fields:
-            key = _PROBE_FIELD_KEYS[kind].get(field, FIELD_KEYS.get(field))
-            assert key in KNOWN_KEYS, (kind, field, key)
+    assert {None, "covariance", "initial", "drift.multipliers", "method", "lags",
+            "mc_paths"} <= fields
+    named = {field for keys in COMMAND_KEYS.values() for fed in keys.values() for field in fed}
+    assert fields - {None, "covariance"} == named
+    for kind, keys in COMMAND_KEYS.items():
+        for key, fed in keys.items():
+            assert all(field_key(keys, field) == key for field in fed), (kind, key)
+    built = {"model": set(), "solver": set()}
+    for part, builder in (("model", build_model), ("solver", build_solver)):
+        def record(cfg, part=part, builder=builder):
+            built[part].add(cfg.kind)
+            return builder(cfg)
+        monkeypatch.setattr(cli, f"build_{part}", record)
+    for kind, text in TestStartup.CONFIGS.items():
+        assert main(["run", str(write_config(tmp_path, text)), "--output-dir",
+                     str(tmp_path / kind)]) == 0
+    for part, section in (("model", _MODEL_KEYS), ("solver", _SOLVER_KEYS)):
+        holders = {kind for kind, keys in COMMAND_KEYS.items() if section.keys() <= keys.keys()}
+        assert built[part] == holders, part
+        for kind in holders:
+            for key, fed in section.items():
+                assert all(field_key(COMMAND_KEYS[kind], f) == key for f in fed), (kind, key)
 
 
 # a rule on a value read from a key lives in the library, which raises a
@@ -363,6 +375,11 @@ TIME_FAULTS = {
                    f"time {0.01 + 0.095} lies outside [0, T] = [0, 0.1]", "probe.lags"),
 }
 LEMMA_SIZES = {"lemmas.bound_draws": 5, "lemmas.exactness_draws": 2, "lemmas.paths": 50}
+# a config each command accepts, so a line added to it is the only fault
+VALID = {"simulate": SIM + "solver.T = 0.01\n", "probe-temporal": TEMPORAL,
+         "probe-spatial": SPATIAL + "probe.sweep_N = 4, 8\n",
+         "verify-lemmas": "kind = verify-lemmas\nsolver.seed = 0\n",
+         "verify-assumptions": "kind = verify-assumptions\nsolver.seed = 0\n"}
 
 
 def lags_line(multiples, *tail):
@@ -384,6 +401,19 @@ REJECTIONS = [
                  id="misspelled-solver.step"),
     pytest.param("kind = simulate\nsolver.T = 0.01\nsolver.methd = exact-gaussian\n",
                  "unknown key", "solver.methd", 3, id="misspelled-solver.methd"),
+    # a key the file's command never reads, judged once the whole file is read
+    pytest.param("kind = example-section5\nseries.N = 10, 100\nmodel.N = 0\nsolver.T = nan\n"
+                 "probe.lags = 1\n", "example-section5 does not read this key", "model.N", 3,
+                 id="example-section5-model.N"),
+    *(pytest.param(VALID[kind] + f"{key} = {value}\n", f"{kind} does not read this key", key,
+                   VALID[kind].count("\n") + 1, id=f"{kind}-{key}")
+      for kind, key, value in (("verify-lemmas", "series.t", 0.1),
+                               ("probe-spatial", "probe.lags", 1),
+                               ("probe-temporal", "probe.sweep_N", "4, 8"),
+                               ("simulate", "probe.s", 0), ("verify-assumptions", "solver.T", 0.1),
+                               ("verify-lemmas", "solver.workers", 1))),
+    pytest.param("series.t = 0.1\nkind = verify-lemmas\n", "verify-lemmas does not read this key",
+                 "series.t", 1, id="kind-after-the-key"),
     # the number accessors: finite numbers, non-empty lists, whole integers
     pytest.param(SIM + "solver.T = soon\n", NOT_FINITE.format("soon"), "solver.T", 3,
                  id="solver.T-not-a-number"),
@@ -468,9 +498,16 @@ REJECTIONS = [
                  "invalid solver section: snapshot times 0.3 and 0.3000000000001 fall on grid "
                  "steps 3 and 3, which must increase (h = 0.1)", "solver.snapshots", 5,
                  id="snapshots-on-one-step"),
-    *(pytest.param(f"kind = {kind}\nsolver.seed = 0\n{fault}\n{rest}\nmodel.N = 4\nprobe.s = 0\n",
-                   message, key, 3, id=name)
+    *(pytest.param(f"kind = {kind}\nsolver.seed = 0\n{fault}\n{rest}\nmodel.N = 4\n"
+                   + ("probe.s = 0\n" if kind == "probe-temporal" else ""), message, key, 3,
+                   id=name)
       for name, (kind, fault, rest, message, key) in TIME_FAULTS.items()),
+    # a negative seed, rejected by the library before any path runs or any draw
+    *(pytest.param(re.sub(r"solver.seed = \d", "solver.seed = -1", VALID[kind]) + rest,
+                   ("" if kind.startswith("verify") else "invalid solver section: ")
+                   + "seed must be >= 0, got -1", "solver.seed", 2, id=f"negative-seed-{kind}{tag}")
+      for kind, tag, rest in (*((kind, "", "") for kind in VALID), ("verify-assumptions",
+                              "-nemytskii", "model.N = 16\n" + SWEEP_MODELS["nemytskii"]))),
     # the exact stepper samples only F = 0 with a diagonal G
     *(pytest.param(SIM + "solver.method = exact-gaussian\nsolver.T = 0.01\nsolver.steps = 4\n"
                    f"model.N = 4\n{lines}", f"exact transition sampling {message}",
@@ -777,6 +814,11 @@ class TestRunVerifiers:
         with pytest.raises(ValueError, match=f"^{message}$"):
             cli.verify_lemmas(**{**self.SMALL_SUITE, size: value})
 
+    def test_negative_seed_is_rejected_before_any_draw(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$") as info:
+            cli.verify_lemmas(**{**self.SMALL_SUITE, "seed": -1})
+        assert info.value.field == "seed"
+
     def test_inexact_energy_fails_exactness(self, monkeypatch):
         exact = cli.stochastic_convolution_energy
         monkeypatch.setattr(cli, "stochastic_convolution_energy",
@@ -853,6 +895,13 @@ class TestReproducibility:
         for name in ("temporal_s0.csv", "temporal_s1.csv", "holder_fits.csv"):
             assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "keyed" / name).read_bytes()
 
+    # --seed sets solver.seed over the file's line, so its rejection names the key alone
+    def test_negative_seed_override_names_no_line(self, tmp_path, capsys, no_ensemble):
+        path = write_config(tmp_path, VALID["simulate"])
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == ("config error: invalid solver section: seed must be "
+                                           ">= 0, got -1 (key 'solver.seed')\n")
+
     def test_seed_override_changes_results(self, tmp_path):
         config = write_config(tmp_path, self.CONFIG)
         assert main(["run", str(config), "--output-dir", str(tmp_path / "s11")]) == 0
@@ -877,7 +926,7 @@ class TestCommandLine:
 
     # a kind without a runner would pass the parser and fail only at run time
     def test_every_kind_has_a_runner(self):
-        assert tuple(cli._RUNNERS) == KINDS
+        assert tuple(cli._RUNNERS) == tuple(COMMAND_KEYS)
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

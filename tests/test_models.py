@@ -259,6 +259,13 @@ class TestValidateAssumptions:
         sums = growth.measured["partial_sums"]
         assert sums[2] - sums[1] > sums[1] - sums[0]
 
+    # an additive model draws nothing, and is refused all the same
+    @pytest.mark.parametrize("diffusion", [None, Nemytskii("cos", 16)])
+    def test_negative_seed_rejected(self, diffusion):
+        with pytest.raises(ModelError, match=r"^seed must be >= 0, got -1$") as info:
+            validate_assumptions(make_model(diffusion=diffusion), probe_seed=-1)
+        assert info.value.field == "probe_seed"
+
     def test_trivial_model_passes(self):
         n = 8
         checks = checks_of(make_model(n, covariance=np.zeros(n)))

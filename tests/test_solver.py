@@ -69,6 +69,12 @@ class TestSolverConfig:
             SolverConfig(T=t_final, steps=10, paths=1)
         assert info.value.field == "T"
 
+    # numpy's SeedSequence would refuse it at the first path, naming nothing
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ModelError, match=r"^seed must be >= 0, got -1$") as info:
+            SolverConfig(T=1.0, steps=10, paths=1, master_seed=-1)
+        assert info.value.field == "master_seed"
+
     def test_snapshot_times_must_sit_on_the_grid(self):
         with pytest.raises(ValueError):
             SolverConfig(T=1.0, steps=10, paths=1, snapshot_times=(0.05,))
