@@ -258,24 +258,25 @@ def model_error_fields(source: str) -> set:
     return fields
 
 
-# A library rejection whose field has no key would reach the user without a key
-# or line.  The ModelError fields of the library are the fields the command
-# table names, apart from None (no one field is at fault) and the covariance,
-# whose key build_model names by the covariance kind.  Within a command each
-# field resolves to the one key that names it, and a command that builds a
-# model or a solver resolves its fields to the keys build_model and
-# build_solver report.
-def test_every_library_rejection_has_a_config_key(tmp_path, monkeypatch):
+def library_fields(*names):
+    """The ModelError fields raised in the named modules of spdelab."""
     fields = set()
-    for name in ("models", "solver", "probes", "cli"):
+    for name in names:
         fields |= model_error_fields((Path(spdelab.__file__).parent / f"{name}.py").read_text())
-    assert {None, "covariance", "initial", "drift.multipliers", "method", "lags",
-            "mc_paths"} <= fields
+    return fields
+
+
+# A ModelSpec or SolverConfig rejection whose field has no key would reach the
+# user without a key or line.  Every field of models.py and solver.py, apart
+# from None (no one field is at fault) and the covariance, whose key
+# build_model names by the covariance kind, is named in the command table; a
+# command that builds a model or a solver resolves its fields to the keys
+# build_model and build_solver report.
+def test_every_model_and_solver_rejection_has_a_config_key(tmp_path, monkeypatch):
+    fields = library_fields("models", "solver")
+    assert {None, "covariance", "initial", "drift.multipliers", "method"} <= fields
     named = {field for keys in COMMAND_KEYS.values() for fed in keys.values() for field in fed}
-    assert fields - {None, "covariance"} == named
-    for kind, keys in COMMAND_KEYS.items():
-        for key, fed in keys.items():
-            assert all(field_key(keys, field) == key for field in fed), (kind, key)
+    assert fields - {None, "covariance"} <= named
     built = {"model": set(), "solver": set()}
     for part, builder in (("model", build_model), ("solver", build_solver)):
         def record(cfg, part=part, builder=builder):
@@ -291,6 +292,22 @@ def test_every_library_rejection_has_a_config_key(tmp_path, monkeypatch):
         for kind in holders:
             for key, fed in section.items():
                 assert all(field_key(COMMAND_KEYS[kind], f) == key for f in fed), (kind, key)
+
+
+# the same guard for the probes and the CLI's own lemma arguments, whose key
+# depends on the command: a truncation list is probe.sweep_N in probe-spatial
+# and series.N in example-section5.  Within a command each field resolves to
+# the one key that names it, and the table names no field the library never
+# raises.
+def test_every_probe_rejection_has_a_config_key():
+    fields = library_fields("probes", "cli")
+    assert {"lags", "s", "s_values", "n_values", "n_modes", "t", "r", "mc_paths"} <= fields
+    named = {field for keys in COMMAND_KEYS.values() for fed in keys.values() for field in fed}
+    assert fields <= named
+    assert library_fields("models", "solver", "probes", "cli") - {None, "covariance"} == named
+    for kind, keys in COMMAND_KEYS.items():
+        for key, fed in keys.items():
+            assert all(field_key(keys, field) == key for field in fed), (kind, key)
 
 
 # a rule on a value read from a key lives in the library, which raises a
