@@ -25,7 +25,6 @@ from .noise import (
     NoiseStream,
     burkholder_constant,
     example_covariance,
-    hs_norm_L2r,
 )
 from .probes import (
     HolderEstimate,

@@ -7,9 +7,11 @@ keys each command reads: a key no command reads is unknown, and a file whose
 Values stay strings until a typed accessor pulls them out; every parse or
 validation error reports the offending key and line.
 
-Numbers are finite and number lists are non-empty.  The number accessors
-(`get_float`, `get_floats`, `get_ints`) check both, so no NaN, infinity or
-empty list from a file reaches a model, a solver or a probe.
+Numbers are finite, number lists are non-empty, and an integer, alone or in a
+list, is written as one (`1e2` and `4.0` are not).  The number accessors
+(`get_float`, `get_floats`, `get_int`, `get_ints`) check this, so no NaN,
+infinity, fraction or empty list from a file reaches a model, a solver or a
+probe.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ EXECUTION_KEYS = ("output.dir", "solver.workers")
 
 # The keys each command reads, each mapped to the `ModelError` fields of the
 # library arguments its value feeds; a key whose value no library check names
-# maps to ().  Every command takes `kind`, `output.dir` and `solver.seed`,
-# which `--seed` sets on any run.  The covariance keys name no field: which one
-# set the values depends on the covariance kind, and build_model reports it.
-_COMMON_KEYS = {"kind": (), "output.dir": (), "solver.seed": ()}
+# maps to ().  Every command takes `kind` and `output.dir`; `solver.seed`, which
+# `--seed` sets, only those that draw.  The covariance keys name no field: which
+# one set the values depends on the covariance kind, and build_model reports it.
+_COMMON_KEYS = {"kind": (), "output.dir": ()}
 _MODEL_KEYS = {
     "model.N": (), "model.covariance": (), "model.covariance.value": (),
     "model.covariance.values": (), "model.initial": ("initial",), "model.r": ("r",),
@@ -98,6 +100,11 @@ def _finite_list(raw: str) -> list[float]:
     return [_finite(part) for part in raw.split(",")]
 
 
+def _int_list(raw: str) -> list[int]:
+    # int(), as get_int reads one value: no float spelling, and no empty entry
+    return [int(part) for part in raw.split(",")]
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed key=value pairs plus the line each key came from."""
@@ -147,11 +154,8 @@ class ExperimentConfig:
                          "a non-empty list of finite numbers")
 
     def get_ints(self, key: str, default: list[int] | None = None) -> list[int]:
-        values = self.get_floats(key, default)
-        for v in values:
-            if v != int(v):
-                raise self.error(f"expected integers, got {v}", key)
-        return [int(v) for v in values]
+        return self._get(key, None if default is None else list(default), _int_list,
+                         "a non-empty list of integers")
 
     @property
     def kind(self) -> str:

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from . import transforms
-from .noise import hs_norm_L2r
 from .spectrum import SpectralOperator, _frozen_array, hdot_norm
 
 
@@ -140,10 +139,10 @@ class ModelSpec:
         if isinstance(self.diffusion, Diagonal):
             if not 0.0 <= self.r <= 1.0:
                 raise ModelError(f"additive models allow r in [0, 1], got {self.r}", "r")
-            # an overflow gives inf, or nan where q_k = 0; either is rejected next
-            with np.errstate(over="ignore", invalid="ignore"):
-                norm = hs_norm_L2r(self.operator, self.covariance, self.diffusion.multipliers,
-                                   self.r)
+            # an overflow gives inf, rejected next; sqrt(q_k) g_k is 0 where q_k = 0
+            with np.errstate(over="ignore"):
+                norm = hdot_norm(self.operator, self.r,
+                                 np.sqrt(self.covariance) * self.diffusion.multipliers)
             if not math.isfinite(norm):
                 raise ModelError(
                     "weighted Hilbert-Schmidt norm of the diffusion is not finite", None
@@ -253,6 +252,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
 
     if isinstance(diffusion, Diagonal):
         checks.append(AssumptionCheck("diffusion_lipschitz", True, {"constant": lip_g}))
+        # the terms of hdot_norm(op, r, sqrt(q) g) squared, kept for their partial sums
         weights = op.eigenvalues**model.r * cov * diffusion.multipliers**2
         sums = _dyadic_partial_sums(weights)
         norm = math.sqrt(sums[-1])

@@ -1,4 +1,4 @@
-"""Q-Wiener noise from a diagonal covariance spectrum, and Hilbert-Schmidt norms.
+"""Q-Wiener noise from a diagonal covariance spectrum.
 
 The driving noise is expanded in the operator eigenbasis: mode k carries an
 independent scalar Brownian motion with variance rate q_k.  The covariance
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-
-from .spectrum import SpectralOperator
 
 
 class NoiseStream:
@@ -93,22 +91,6 @@ def example_covariance(n_modes: int) -> np.ndarray:
         k = np.arange(2, n_modes + 1, dtype=float)
         q[1:] = 1.0 / (k * np.log(k) ** 2)
     return q
-
-
-def hs_norm_L2r(op: SpectralOperator, q: np.ndarray, phi: np.ndarray, r: float) -> float:
-    """Smoothness-weighted Hilbert-Schmidt norm sqrt(sum_k lam_k^r q_k phi_k^2).
-
-    `q` holds the variances q_k of the covariance, and `phi` the multipliers
-    of the diagonal operator acting as phi_k on eigenmode k.  At r = 0
-    (lam_k^0 is exactly 1.0) this is the norm against the noise space basis
-    psi_k = sqrt(q_k) e_k; modes with q_k = 0 contribute nothing.
-    """
-    if not (op.dimension == q.size == phi.size):
-        raise ValueError(
-            f"dimension mismatch: operator {op.dimension}, covariance "
-            f"{q.size}, multiplier {phi.size}"
-        )
-    return float(np.sqrt(np.sum(op.eigenvalues**r * q * phi**2)))
 
 
 def burkholder_constant(p: float) -> float:

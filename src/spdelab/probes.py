@@ -18,7 +18,7 @@ import numpy as np
 
 from .models import Diagonal, ModelError, ModelSpec, Nemytskii
 from .solver import SolverConfig, map_paths
-from .spectrum import SpectralOperator
+from .spectrum import SpectralOperator, hdot_norm
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ def estimate_lp_norm(samples: Sequence[float], p: float) -> tuple[float, float]:
     return estimate, moment_se * estimate / (p * moment)
 
 
-def _norm_rows(eigenvalues: np.ndarray, s: float, rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(eigenvalues**s * rows**2, axis=-1))
-
-
 def _increment_config(config: SolverConfig, anchor: float, lags: Sequence[float]) -> SolverConfig:
     """`config` snapshotting the anchor, then each anchor + lag in the given order;
     a time SolverConfig rejects is a `ModelError` against `anchor` or `lags`."""
@@ -92,11 +88,10 @@ def increment_samples(
         if not math.isfinite(s):
             raise ModelError(f"smoothness s must be finite, got {s}", "s_values")
     run_config = _increment_config(config, anchor, lags)
-    lam = model.operator.eigenvalues
 
     def reduce_block(rows: np.ndarray) -> np.ndarray:
         diffs = rows[:, 1:, :] - rows[:, :1, :]
-        return np.stack([_norm_rows(lam, s, diffs) for s in s_values], axis=1)
+        return np.stack([hdot_norm(model.operator, s, diffs) for s in s_values], axis=1)
 
     table = map_paths(model, run_config, reduce_block)
     return np.moveaxis(table, 0, -1)
@@ -263,10 +258,10 @@ def spatial_sweep(
         raise ModelError(f"need at least two paths, got {config.paths}", "paths")
     results = []
     for run, sub in zip(runs, subs):
-        lam = sub.operator.eigenvalues
+        ops = [SpectralOperator(sub.operator.eigenvalues[:n]) for n in run]
 
         def reduce_block(rows: np.ndarray) -> np.ndarray:
-            return np.stack([_norm_rows(lam[:n], s, rows[..., :n]) for n in run], axis=1)
+            return np.stack([hdot_norm(op, s, rows[..., :op.dimension]) for op in ops], axis=1)
 
         norms = map_paths(model=sub, config=config, reduce_block=reduce_block)
         for k, n in enumerate(run):

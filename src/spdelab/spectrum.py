@@ -4,7 +4,8 @@ Everything here acts mode-wise on a truncated spectrum 0 < lam_1 <= ... <= lam_N
 the fractional-space norms ||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the
 closed-form time integrals of the heat semigroup e^{-tA} that control smoothing
 (their sharp one-dimensional constants included).  A vector of mode
-coefficients x is a plain one-dimensional float array of length N.
+coefficients x is a plain one-dimensional float array of length N; the norm
+also takes an array of such rows and measures each.
 
 The sharp constants come from a scalar root of u / expm1(u) = nu, so the module
 needs numpy and the standard library only.
@@ -69,10 +70,19 @@ def dirichlet_laplacian_1d(n_modes: int) -> SpectralOperator:
     return SpectralOperator((k * np.pi) ** 2)
 
 
-def hdot_norm(op: SpectralOperator, s: float, x: np.ndarray) -> float:
-    """Fractional-space norm ||x||_s = sqrt(sum_n lam_n^s x_n^2)."""
-    _check_dimensions(op, x)
-    return float(np.sqrt(np.sum(op.eigenvalues**s * x**2)))
+def hdot_norm(op: SpectralOperator, s: float, x: np.ndarray) -> float | np.ndarray:
+    """Fractional-space norm ||x||_s = sqrt(sum_n lam_n^s x_n^2) over the last axis.
+
+    One vector of N coefficients gives a float; an array (..., N) gives the
+    array (...) of its rows' norms, each the same reduction as the vector's.
+    """
+    if x.shape[-1:] != (op.dimension,):
+        raise ValueError(
+            f"dimension mismatch: operator has {op.dimension} modes, "
+            f"coefficients have shape {x.shape}"
+        )
+    norm = np.sqrt(np.sum(op.eigenvalues**s * x**2, axis=-1))
+    return float(norm) if x.ndim == 1 else norm
 
 
 _SMOOTHING_KINDS = ("power", "difference", "integral", "convolution")

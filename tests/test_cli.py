@@ -181,7 +181,7 @@ def keys_read(source: str, accessors: tuple[str, ...] | None = None) -> set[str]
 
 # every key read through a number accessor, found by the key reader, so a number
 # key added later is covered too; build_model names four of them by a variable,
-# listed here by the variable (`key` is also get_ints' own call of get_floats)
+# listed here by the variable
 NAMED_NUMBER_KEYS = {
     ("get_float", "cov_key"): ["model.covariance.value"],
     ("get_floats", "cov_key"): ["model.covariance.values"],
@@ -347,6 +347,7 @@ def test_field_collector_expands_roles():
 SIM = "kind = simulate\nsolver.seed = 0\n"
 NOT_FINITE = "expected a finite number, got {!r}"
 NOT_A_LIST = "expected a non-empty list of finite numbers, got {!r}"
+NOT_INTS = "expected a non-empty list of integers, got {!r}"
 # a probe-temporal run of 400 steps on 2000 paths, its probe.lags set on line 9
 TEMPORAL = ("kind = probe-temporal\nsolver.seed = 1\nmodel.N = 16\nsolver.T = 0.2\n"
             "solver.steps = 400\nsolver.paths = 2000\nprobe.s = 0\nprobe.anchor = 0.1\n")
@@ -431,6 +432,10 @@ REJECTIONS = [
                                ("verify-lemmas", "solver.workers", 1))),
     pytest.param("series.t = 0.1\nkind = verify-lemmas\n", "verify-lemmas does not read this key",
                  "series.t", 1, id="kind-after-the-key"),
+    # the series draws nothing, so it reads no seed, and a bad one is not silently recorded
+    pytest.param("kind = example-section5\nseries.N = 10, 100\nsolver.seed = abc\n",
+                 "example-section5 does not read this key", "solver.seed", 3,
+                 id="example-section5-solver.seed"),
     # the number accessors: finite numbers, non-empty lists, whole integers
     pytest.param(SIM + "solver.T = soon\n", NOT_FINITE.format("soon"), "solver.T", 3,
                  id="solver.T-not-a-number"),
@@ -438,11 +443,16 @@ REJECTIONS = [
     *(pytest.param(SIM + f"solver.T = {v}\n", NOT_FINITE.format(v), "solver.T", 3,
                    id=f"solver.T-{v}") for v in ("inf", "nan")),
     *(pytest.param(f"kind = example-section5\nseries.N = 10, {v}\n",
-                   NOT_A_LIST.format(f"10, {v}"), "series.N", 2, id=f"series.N-{v}")
+                   NOT_INTS.format(f"10, {v}"), "series.N", 2, id=f"series.N-{v}")
       for v in ("inf", "nan")),
+    # an integer list is read entry by entry with int(), as get_int reads one value
+    pytest.param("kind = example-section5\nseries.N = 1e2, 1e3\n", NOT_INTS.format("1e2, 1e3"),
+                 "series.N", 2, id="series.N-exponent"),
+    pytest.param(SPATIAL + "probe.sweep_N = 4.0, 8\n", NOT_INTS.format("4.0, 8"),
+                 "probe.sweep_N", 7, id="probe.sweep_N-float"),
     *(pytest.param(f"kind = example-section5\n{key} = nan\n", NOT_FINITE.format("nan"), key, 2,
                    id=f"{key}-nan") for key in ("series.t", "series.r")),
-    pytest.param("kind = example-section5\nseries.N =\n", NOT_A_LIST.format(""), "series.N", 2,
+    pytest.param("kind = example-section5\nseries.N =\n", NOT_INTS.format(""), "series.N", 2,
                  id="series.N-empty"),
     *(pytest.param(SIM + f"model.N = 4\nmodel.p = {v}\n", NOT_FINITE.format(v), "model.p", 4,
                    id=f"model.p-{v}") for v in ("nan", "inf")),
@@ -472,7 +482,7 @@ REJECTIONS = [
                  "probe.s", 7, id="temporal-probe.s-empty"),
     *(pytest.param(SPATIAL + f"probe.sweep_N = 4, 8\nprobe.s = {v}\n", NOT_FINITE.format(v),
                    "probe.s", 8, id=f"spatial-probe.s-{v}") for v in ("nan", "inf")),
-    pytest.param(SPATIAL + "probe.sweep_N =\n", NOT_A_LIST.format(""), "probe.sweep_N", 7,
+    pytest.param(SPATIAL + "probe.sweep_N =\n", NOT_INTS.format(""), "probe.sweep_N", 7,
                  id="probe.sweep_N-empty"),
     pytest.param(SIM + "solver.T = 0.01\nsolver.workers = two\n",
                  "expected an integer, got 'two'", "solver.workers", 4, id="solver.workers"),
@@ -624,8 +634,7 @@ class TestRunSeries:
         config = write_config(
             tmp_path,
             "kind = example-section5\n"
-            "series.r = 0.25\nseries.t = 0.1\nseries.N = 1000,10000,100000\n"
-            "solver.seed = 0\n",
+            "series.r = 0.25\nseries.t = 0.1\nseries.N = 1000,10000,100000\n",
         )
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "series.csv").read_text().splitlines()
@@ -641,7 +650,7 @@ class TestRunSeries:
     def test_verdict_needs_two_increments(self, tmp_path, capsys, n_values):
         config = write_config(
             tmp_path,
-            f"kind = example-section5\nseries.r = 0\nseries.N = {n_values}\nsolver.seed = 0\n",
+            f"kind = example-section5\nseries.r = 0\nseries.N = {n_values}\n",
         )
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
         captured = capsys.readouterr()
@@ -928,6 +937,16 @@ class TestReproducibility:
         assert a != b
         assert "solver.seed=12" in b.splitlines()[0]
 
+    # --seed on every command, as a benchmark passes it, records no seed a command never reads
+    def test_seed_override_skips_a_command_without_a_seed(self, tmp_path, capsys):
+        config = write_config(tmp_path, "kind = example-section5\nseries.N = 100, 1000\n")
+        for out, seed in (("plain", []), ("seeded", ["--seed", "3"])):
+            assert main(["run", str(config), "--output-dir", str(tmp_path / out), *seed]) == 0
+        seeded = (tmp_path / "seeded" / "series.csv").read_text()
+        assert seeded.splitlines()[0] == "# config: kind=example-section5 series.N=100, 1000"
+        assert seeded == (tmp_path / "plain" / "series.csv").read_text()
+        assert capsys.readouterr().err == ""
+
 
 class TestCommandLine:
     def test_list_registry(self, capsys):
@@ -991,7 +1010,7 @@ class TestStartup:
         "probe-spatial": "kind = probe-spatial\nmodel.N = 16\nsolver.T = 0.1\n"
         "solver.steps = 4\nsolver.paths = 20\nsolver.seed = 0\n"
         "solver.method = exact-gaussian\nprobe.s = 1\nprobe.sweep_N = 4,8,16\n",
-        "example-section5": "kind = example-section5\nseries.N = 100,1000\nsolver.seed = 0\n",
+        "example-section5": "kind = example-section5\nseries.N = 100,1000\n",
         "verify-assumptions": "kind = verify-assumptions\nmodel.N = 16\n"
         "model.diffusion = nemytskii\nmodel.diffusion.function = cos\n"
         "model.diffusion.grid = 32\nsolver.seed = 0\n",

@@ -176,6 +176,14 @@ class TestModelValidation:
         assert model.covariance[0] == 0.0
 
     @pytest.mark.parametrize("role", ["drift", "diffusion"])
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_diagonal_multiplier_count_must_match_the_operator(self, role, count):
+        with pytest.raises(ModelError, match=f"^diagonal {role} multiplier count must match "
+                           "the operator$") as info:
+            make_model(4, **{role: Diagonal(np.ones(count))})
+        assert info.value.field == f"{role}.multipliers"
+
+    @pytest.mark.parametrize("role", ["drift", "diffusion"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_diagonal_multipliers_must_be_finite(self, role, bad):
         spec = Diagonal(np.array([1.0, bad, 1.0, 1.0]))

@@ -169,6 +169,9 @@ class TestFitHolderExponent:
         with_zero = [(lag, 0.0) for lag in np.logspace(-3.0, -1.0, 10)]
         with pytest.raises(ValueError):
             fit_holder_exponent(with_zero, 0.5)
+        decreasing = [(lag, lag) for lag in np.logspace(-1.0, -3.0, 10)]
+        with pytest.raises(ModelError, match="^lags must be strictly increasing$"):
+            fit_holder_exponent(decreasing, 0.5)
 
     def test_lag_multiple_helper(self):
         mults = geometric_lag_multiples(10, 100)
@@ -177,6 +180,11 @@ class TestFitHolderExponent:
         # the probe-temporal default asks for 10 multiples up to at least 100
         for max_multiple in range(100, 5001):
             assert len(set(geometric_lag_multiples(10, max_multiple))) == 10
+
+    @pytest.mark.parametrize("count, max_multiple", [(1, 10), (10, 9)])
+    def test_lag_multiple_count_and_maximum_are_checked(self, count, max_multiple):
+        with pytest.raises(ValueError, match="^need count >= 2 and max_multiple >= count$"):
+            geometric_lag_multiples(count, max_multiple)
 
     def test_colliding_lag_multiples_are_rejected(self):
         # 10^(1/9) = 1.29 rounds to 1, the same multiple as 10^0

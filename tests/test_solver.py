@@ -90,6 +90,16 @@ class TestSolverConfig:
             SolverConfig(T=1.0, steps=10, paths=1, snapshot_times=(0.3, 0.3000000000001))
         assert info.value.field == "snapshot_times"
 
+    # on T = 0 the grid is the one time 0
+    def test_degenerate_grid_holds_only_time_zero(self):
+        config = SolverConfig(T=0.0, steps=3, paths=1)
+        assert config.step_of(0.0) == 0
+        with pytest.raises(ValueError, match=r"^time 0.1 outside the degenerate grid \{0\}$"):
+            config.step_of(0.1)
+        with pytest.raises(ModelError, match="degenerate grid") as info:
+            SolverConfig(T=0.0, steps=3, paths=1, snapshot_times=(0.0, 0.1))
+        assert info.value.field == "snapshot_times"
+
     def test_default_snapshots_are_endpoints(self):
         config = SolverConfig(T=1.0, steps=4, paths=1)
         assert config.snapshot_times == (0.0, 1.0)

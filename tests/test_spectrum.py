@@ -38,6 +38,16 @@ class TestSpectralTypes:
         with pytest.raises(ValueError):
             op.eigenvalues[0] = 5.0
 
+    @pytest.mark.parametrize("eigenvalues, message", [
+        (np.ones((2, 2)), r"^expected a one-dimensional array, got shape \(2, 2\)$"),
+        (np.array([]), "^operator needs at least one eigenvalue$"),
+        (np.array([1.0, np.inf]), "^eigenvalues must be finite$"),
+        (np.array([np.nan, 1.0]), "^eigenvalues must be finite$"),
+    ], ids=["2-d", "empty", "inf", "nan"])
+    def test_malformed_spectrum_rejected(self, eigenvalues, message):
+        with pytest.raises(ValueError, match=message):
+            SpectralOperator(eigenvalues)
+
 
 class TestDirichletLaplacian:
     def test_first_three_eigenvalues(self):
@@ -76,6 +86,19 @@ class TestHdotNorm:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hdot_norm(dirichlet_laplacian_1d(2), 0.0, coeffs(1.0))
+        with pytest.raises(ValueError, match="coefficients have shape"):
+            hdot_norm(dirichlet_laplacian_1d(2), 0.0, np.ones((2, 3)))
+
+    # a (paths, lags, N) array of increments, as the temporal probe reduces it
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    def test_rows_give_each_vectors_norm_bitwise(self, s):
+        op = dirichlet_laplacian_1d(16)
+        x = np.random.default_rng(3).standard_normal((5, 4, 16))
+        norms = hdot_norm(op, s, x)
+        assert norms.shape == (5, 4)
+        for index in np.ndindex(5, 4):
+            assert norms[index] == hdot_norm(op, s, x[index])
+        assert isinstance(hdot_norm(op, s, x[0, 0]), float)
 
     @given(
         s1=st.floats(min_value=-1.0, max_value=2.0),
@@ -287,6 +310,18 @@ class TestDeterministicConvolutionNorm:
         op = dirichlet_laplacian_1d(2)
         with pytest.raises(ValueError):
             deterministic_convolution_norm(op, 0.5, 0.4, 0.2, coeffs(1.0, 1.0))
+
+
+@pytest.mark.parametrize("quantity", [stochastic_convolution_energy,
+                                      deterministic_convolution_norm])
+@pytest.mark.parametrize("rho, tau1, message", [
+    (-0.25, 0.0, r"^rho must lie in \[0, 1\], got -0.25$"),
+    (1.5, 0.0, r"^rho must lie in \[0, 1\], got 1.5$"),
+    (0.5, -0.1, "^interval start must be >= 0, got -0.1$"),
+], ids=["rho-negative", "rho-above-one", "negative-start"])
+def test_convolution_arguments_rejected(quantity, rho, tau1, message):
+    with pytest.raises(ValueError, match=message):
+        quantity(dirichlet_laplacian_1d(2), rho, tau1, 0.5, coeffs(1.0, 1.0))
 
 
 class TestExactnessAgainstQuadrature:

@@ -41,6 +41,10 @@ class TestForward:
         with pytest.raises(ValueError):
             sine_basis_matrix(8, 15)
 
+    def test_basis_needs_a_mode(self):
+        with pytest.raises(ValueError, match="^need at least one mode, got 0$"):
+            sine_basis_matrix(0, 8)
+
 
 class TestInverse:
     def test_recovers_second_mode(self):
