@@ -224,8 +224,11 @@ def verify_lemmas(
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    if args.seed is not None and "solver.seed" in COMMAND_KEYS[cfg.kind]:
-        cfg.set("solver.seed", args.seed)
+    if "solver.seed" in COMMAND_KEYS[cfg.kind]:
+        if args.seed is not None:
+            cfg.set("solver.seed", args.seed)
+        elif "solver.seed" not in cfg:  # every command that draws warns, ahead of its run's own
+            cfg.warnings.append("solver.seed not set; defaulting to 0")
     if args.output_dir is not None:
         cfg.set("output.dir", args.output_dir)
 

@@ -262,8 +262,6 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
 
 
 def build_solver(cfg: ExperimentConfig) -> SolverConfig:
-    if "solver.seed" not in cfg:
-        cfg.warnings.append("solver.seed not set; defaulting to 0")
     snapshots = tuple(cfg.get_floats("solver.snapshots")) if "solver.snapshots" in cfg else None
     token = cfg.get_choice("solver.method", ("euler", "exact-gaussian"), "euler")
     try:

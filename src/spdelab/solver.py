@@ -1,9 +1,11 @@
 """Time integration of the mild solution on the truncated eigenbasis.
 
-Two steppers share the same per-(path, step) noise draws and so are pathwise
-coupled: the one-step frozen-integrand exponential scheme
+Two steppers read the same per-(path, step) standard normals, the synchronous
+coupling: the one-step frozen-integrand exponential scheme
 x_{j+1} = E(h)[x_j - h F(x_j) + G(x_j) dW_j], and, for linear models driven by
 state-independent diagonal noise, the exact Gaussian transition of each mode.
+That is not one Brownian path driving both: on resolved modes the per-step
+mean-square gap is 3/4 of the same-path error's, the same rate, another constant.
 ``SolverConfig.method`` names the stepper, so a configuration fixes it for
 every run and no entry point takes it as an argument; ``map_paths`` rejects a
 model the exact stepper cannot sample before its first block, at any T.
@@ -232,11 +234,10 @@ def _simulate_block(
     sampled exactly through its Gaussian mode transitions: mode k evolves by
     x_k(t + h) = e^{-lam_k h} x_k(t) + xi with
     xi ~ N(0, g_k^2 q_k (1 - e^{-2 lam_k h}) / (2 lam_k)), whose standard
-    deviation is ``transition_sd``.  The standard normal draws are shared with
-    the exponential Euler scheme, which couples the two pathwise and makes the
-    exact method the oracle for integrator error measurements.  ``map_paths``,
-    the only caller, has already refused a model the exact stepper cannot
-    sample, so the block reads the diagonal diffusion's multipliers unchecked.
+    deviation is ``transition_sd``.  Its normals are the Euler scheme's (the
+    synchronous coupling of the module docstring).  ``map_paths``, the only
+    caller, has already refused a model the exact stepper cannot sample, so the
+    block reads the diagonal diffusion's multipliers unchecked.
     """
     exact = config.method == EXACT_GAUSSIAN
     n = model.dimension

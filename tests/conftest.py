@@ -7,13 +7,13 @@ from spdelab import probes
 
 @pytest.fixture
 def map_paths_calls(monkeypatch):
-    """A list that gains one entry per `probes.map_paths` call; the calls still run."""
+    """A list that gains each `probes.map_paths` call's result; the calls still run."""
     calls = []
     original = probes.map_paths
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(probes, "map_paths", counted)
     return calls

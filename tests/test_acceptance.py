@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
 Monte-Carlo configurations are pinned (seeded) and were sized against the
-closed-form Gaussian statistics of the linear model, so every tolerance below
-is the stated one, not a calibrated afterthought.
+closed-form Gaussian statistics of the linear additive model, which
+`tests/oracles.py` gives, so every tolerance below is the stated one, not a
+calibrated afterthought.
 """
 
 import functools
@@ -35,21 +36,12 @@ from spdelab.spectrum import (
     stochastic_convolution_energy,
 )
 
+from oracles import GaussianLaw, linear_additive_model
+
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"\nacceptance {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"acceptance {criterion}: {detail}"
-
-
-def borderline_model(n, r=0.0):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=example_covariance(n),
-        drift=None,
-        diffusion=Diagonal(np.ones(n)),
-        initial=np.zeros(n),
-        r=r,
-    )
 
 
 def test_criterion_01_convolution_exactness():
@@ -127,7 +119,7 @@ def test_criterion_02_smoothing_bounds():
 def test_criterion_03_ito_isometry():
     """Second moment of the exactly sampled noise response matches its series."""
     n, t = 256, 0.1
-    model = borderline_model(n)
+    model = linear_additive_model(n)
     config = SolverConfig(T=t, steps=100, paths=10_000, master_seed=303, snapshot_times=(t,),
                           method=EXACT_GAUSSIAN)
     squared = map_paths(model, config, lambda rows: np.sum(rows[:, 0, :] ** 2, axis=1))
@@ -148,10 +140,9 @@ def test_criterion_03_ito_isometry():
 def test_criterion_04_integrator_oracle():
     """Exponential-Euler mode variances track the exact transition law, bias shrinking in h."""
     n, T, paths = 16, 0.2, 4000
-    model = borderline_model(n)
+    model = linear_additive_model(n)
     lam = model.operator.eigenvalues
-    q = model.covariance
-    exact = q * -np.expm1(-2.0 * lam * T) / (2.0 * lam)
+    exact = GaussianLaw.exact(model).variance(T)
     results = {}
     for h in (1e-2, 1e-3):
         config = SolverConfig(
@@ -183,14 +174,14 @@ def test_criterion_05_temporal_exponents():
     """Fitted temporal exponents match min(1/2, (1+r-s)/2) within 0.1 at s in {0, 0.5}."""
     mults = [1, 2, 3, 5, 8, 13, 22, 36, 60, 100]
     # s = 0: lag window far below the slowest active mode's relaxation time
-    model0 = borderline_model(64)
+    model0 = linear_additive_model(64)
     h0 = 2e-5
     config0 = SolverConfig(T=200 * h0, steps=200, paths=10_000, master_seed=505)
     [(fit0, _)] = temporal_probe(
         model0, config0, s_values=(0.0,), anchor=100 * h0, lags=[m * h0 for m in mults]
     )
     # s = 0.5: window spanning the scaling range of the smoothness-weighted norm
-    model5 = borderline_model(256)
+    model5 = linear_additive_model(256)
     h5 = 1.2e-3
     config5 = SolverConfig(T=164 * h5, steps=164, paths=10_000, master_seed=506)
     [(fit5, _)] = temporal_probe(
@@ -209,7 +200,7 @@ def test_criterion_05_temporal_exponents():
 
 def test_criterion_06_spatial_regularity_sweep():
     """Truncation sweep of the top-norm estimate is Cauchy for the admissible model."""
-    model = borderline_model(512, r=0.0)
+    model = linear_additive_model(512, r=0.0)
     config = SolverConfig(T=0.1, steps=100, paths=2000, master_seed=606, snapshot_times=(0.1,),
                           method=EXACT_GAUSSIAN)
     sweep = spatial_sweep(model, config, s=1.0, n_values=[64, 128, 256, 512])
@@ -280,7 +271,7 @@ def test_criterion_07_series_sharpness():
 def test_criterion_08_top_norm_continuity():
     """Top-norm modulus decreases across four dyadic lag reductions to below half."""
     n = 16
-    model = borderline_model(n)
+    model = linear_additive_model(n)
     config = SolverConfig(T=0.2, steps=800, paths=4000, master_seed=808)
     h = config.h
     lags = [2 * h, 4 * h, 8 * h, 16 * h, 32 * h]
@@ -299,7 +290,7 @@ def test_criterion_08_top_norm_continuity():
 def test_criterion_09_moment_inequality():
     """Monte-Carlo p-th moments respect the moment-inequality constant at p in {2, 4}."""
     n, t = 64, 0.1
-    model = borderline_model(n)
+    model = linear_additive_model(n)
     config = SolverConfig(T=t, steps=100, paths=10_000, master_seed=909, snapshot_times=(t,),
                           method=EXACT_GAUSSIAN)
     norms = map_paths(model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1)))
@@ -363,17 +354,10 @@ def test_criterion_11_multiplicative_temporal_exponents():
     n, grid = 64, 256
     covariance = 400.0 * example_covariance(n)
 
-    def model(drift, diffusion):
-        return ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=covariance,
-            drift=drift,
-            diffusion=diffusion,
-            initial=np.zeros(n),
-        )
-
-    multiplicative = model(Nemytskii("tanh", grid), Nemytskii("cos", grid))
-    additive = model(None, Diagonal(np.ones(n)))
+    multiplicative = ModelSpec(operator=dirichlet_laplacian_1d(n), covariance=covariance,
+                               drift=Nemytskii("tanh", grid), diffusion=Nemytskii("cos", grid),
+                               initial=np.zeros(n))
+    additive = linear_additive_model(n, covariance=covariance)
     passed = True
     details = []
     # (s, h, steps, anchor in steps, seed): acceptance 5's two windows
@@ -499,12 +483,12 @@ def test_criterion_13_stochastic_part_carries_the_roughness():
         def rms(s, part):
             return math.sqrt(np.mean(hdot_norm(op, s, part) ** 2))
 
-        def model(drift, diffusion):
-            return ModelSpec(operator=op, covariance=400.0 * example_covariance(n), drift=drift,
-                             diffusion=diffusion, initial=np.zeros(n))
-
-        multiplicative = model(Nemytskii("tanh", grid), Nemytskii("cos", grid))
-        x, o = final_state(multiplicative), final_state(model(None, Diagonal(np.ones(n))))
+        covariance = 400.0 * example_covariance(n)
+        multiplicative = ModelSpec(operator=op, covariance=covariance,
+                                   drift=Nemytskii("tanh", grid), diffusion=Nemytskii("cos", grid),
+                                   initial=np.zeros(n))
+        x = final_state(multiplicative)
+        o = final_state(linear_additive_model(n, covariance=covariance))
         d, s = split_euler(multiplicative, h, normals[:, :, :n])
         mismatch = max(mismatch, float(np.max(np.abs(d + s - x)) / np.max(np.abs(x))))
         d_values.append(rms(2.0, d))

@@ -668,6 +668,16 @@ class TestRunSeries:
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
         assert "defaulting to 0" in capsys.readouterr().err
 
+    # a command that draws from solver.seed without building a solver warns as well
+    @pytest.mark.parametrize("text", [
+        "kind = verify-lemmas\n" + "".join(f"{k} = {v}\n" for k, v in LEMMA_SIZES.items()),
+        "kind = verify-assumptions\nmodel.N = 16\n" + SWEEP_MODELS["nemytskii"],
+    ], ids=["verify-lemmas", "verify-assumptions-nemytskii"])
+    def test_seed_warning_without_a_solver(self, tmp_path, capsys, text):
+        assert main(["run", str(write_config(tmp_path, text)), "--output-dir",
+                     str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "warning: solver.seed not set; defaulting to 0\n"
+
 
 class TestRunSimulate:
     def test_degenerate_time_writes_initial_snapshot_only(self, tmp_path):

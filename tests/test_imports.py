@@ -193,3 +193,38 @@ def test_caller_detector_skips_the_definition():
         "def run(cfg):\n    return simulate(cfg.LIMIT, probes.sweep)\n"
     )
     assert referenced_names(source) == {"n", "simulate", "cfg", "LIMIT", "probes", "sweep"}
+
+
+ORACLE = Path(__file__).resolve().parent / "oracles.py"
+
+
+# the oracle is the reference the solver and the library's convolution series are
+# judged against, so it neither imports nor calls them
+def test_oracle_is_independent_of_what_it_checks():
+    source = ORACLE.read_text()
+    modules = imports_from(source, ("spdelab",))
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "spdelab.models" in modules and "spdelab.solver" not in modules
+    used = imported | referenced_names(source)
+    assert not used & {"solver", "map_paths", "stochastic_convolution_energy"}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public top-level functions and classes of `source`, and their classes' public methods."""
+    names = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            names += [f.name for f in stmt.body if isinstance(f, ast.FunctionDef)]
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+    return [name for name in names if not name.startswith("_")]
+
+
+TEST_CALLS = set().union(*(referenced_names(p.read_text())
+                           for p in ORACLE.parent.glob("test_*.py")))
+
+
+@pytest.mark.parametrize("name", public_definitions(ORACLE.read_text()))
+def test_oracle_name_has_a_caller(name):
+    assert name in TEST_CALLS, f"oracles.{name} has no caller in the tests"

@@ -35,6 +35,8 @@ from spdelab.spectrum import (
     stochastic_convolution_energy,
 )
 
+from oracles import GaussianLaw, linear_additive_model
+
 
 def linear_drift_model(n, p=2.0):
     return ModelSpec(
@@ -54,17 +56,6 @@ def nemytskii_model(n):
         drift=Nemytskii("tanh", 2 * n),
         diffusion=Nemytskii("cos", 2 * n),
         initial=np.linspace(1.0, 0.0, n),
-    )
-
-
-def borderline_model(n=8, r=0.0):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=example_covariance(n),
-        drift=None,
-        diffusion=Diagonal(np.ones(n)),
-        initial=np.zeros(n),
-        r=r,
     )
 
 
@@ -131,17 +122,9 @@ class TestFitHolderExponent:
     # the exact noise-response window energy (1/2) sum_k q_k lam_k^{s-1} (1 - e^{-2 lam_k d})
     # of the log-weighted covariance at s = 0.9, fitted against an independent regression
     def test_matches_independent_regression_script(self):
-        op = dirichlet_laplacian_1d(4096)
-        cov = example_covariance(4096)
+        law = GaussianLaw.exact(linear_additive_model(4096))
         deltas = np.logspace(-6.0, -2.0, 9)
-        lam = op.eigenvalues
-        values = [
-            math.sqrt(
-                0.5
-                * float(np.sum(cov * lam ** (0.9 - 1.0) * (-np.expm1(-2.0 * lam * d))))
-            )
-            for d in deltas
-        ]
+        values = [math.sqrt(law.norm_moments(0.9, law.variance(d))[0]) for d in deltas]
         fit = fit_holder_exponent(
             list(zip(deltas.tolist(), values)), predicted_temporal_exponent(0.0, 0.9)
         )
@@ -197,12 +180,12 @@ class TestIncrementSamples:
     def test_zero_lag_is_rejected(self, map_paths_calls):
         config = SolverConfig(T=0.1, steps=10, paths=16, master_seed=2)
         with pytest.raises(ModelError, match="fall on grid steps 5 and 5") as info:
-            increment_samples(borderline_model(), config, (0.0,), 0.05, [0.0])
+            increment_samples(linear_additive_model(), config, (0.0,), 0.05, [0.0])
         assert info.value.field == "lags"
         assert map_paths_calls == []
 
     def test_off_grid_times_rejected(self):
-        model = borderline_model()
+        model = linear_additive_model()
         config = SolverConfig(T=0.1, steps=10, paths=4, master_seed=2)
         with pytest.raises(ModelError, match="is not a grid point") as info:
             increment_samples(model, config, (0.0,), 0.05, [0.0233])
@@ -210,21 +193,17 @@ class TestIncrementSamples:
 
     def test_second_moment_matches_gaussian_transition_algebra(self):
         n = 8
-        model = borderline_model(n)
+        model = linear_additive_model(n)
         t1, t2 = 0.02, 0.03
         config = SolverConfig(T=0.05, steps=100, paths=4000, master_seed=6, method=EXACT_GAUSSIAN)
         samples = increment_samples(model, config, (0.0,), t1, [t2 - t1])[0, 0]
-        lam = model.operator.eigenvalues
-        q = model.covariance
-        v1 = q * -np.expm1(-2.0 * lam * t1) / (2.0 * lam)
-        v2 = q * -np.expm1(-2.0 * lam * t2) / (2.0 * lam)
-        expected = float(np.sum(v2 + v1 - 2.0 * np.exp(-lam * (t2 - t1)) * v1))
+        expected = float(np.sum(GaussianLaw.exact(model).increment_variance(t1, t2 - t1)))
         squared = samples**2
         se = float(np.std(squared, ddof=1) / math.sqrt(squared.size))
         assert abs(float(np.mean(squared)) - expected) <= 3.0 * se
 
     def test_paths_are_uncorrelated(self):
-        model = borderline_model()
+        model = linear_additive_model()
         config = SolverConfig(T=0.05, steps=20, paths=2000, master_seed=13)
         samples = increment_samples(model, config, (0.0,), 0.0, [0.05])[0, 0]
         even, odd = samples[0::2], samples[1::2]
@@ -233,7 +212,7 @@ class TestIncrementSamples:
 
     def test_common_path_coupling_shrinks_variance(self):
         n = 8
-        model = borderline_model(n)
+        model = linear_additive_model(n)
         t1, t2 = 0.04, 0.05
         config = SolverConfig(T=0.05, steps=50, paths=2000, master_seed=4)
         coupled = increment_samples(model, config, (0.0,), t1, [t2 - t1])[0, 0]
@@ -268,7 +247,7 @@ class TestIncrementSamples:
         config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
         lags = [m * config.h for m in multiples]
         with pytest.raises(ModelError) as info:
-            temporal_probe(borderline_model(16), config, (0.0,), 0.1, lags)
+            temporal_probe(linear_additive_model(16), config, (0.0,), 0.1, lags)
         assert info.value.field == "lags"
         assert map_paths_calls == []
 
@@ -277,7 +256,7 @@ class TestIncrementSamples:
         config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
         lags = [m * config.h for m in (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)]
         with pytest.raises(ModelError, match="^need at least one smoothness value$") as info:
-            temporal_probe(borderline_model(16), config, (), 0.1, lags)
+            temporal_probe(linear_additive_model(16), config, (), 0.1, lags)
         assert info.value.field == "s_values"
         assert map_paths_calls == []
 
@@ -288,7 +267,7 @@ class TestIncrementSamples:
         config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
         lags = [m * config.h for m in (1, 2, 3, 5, 8, 13, 22, 36, 60, 100)]
         with pytest.raises(ModelError, match=f"^smoothness s must be finite, got {s}$") as info:
-            temporal_probe(borderline_model(16), config, (0.0, s), 0.1, lags)
+            temporal_probe(linear_additive_model(16), config, (0.0, s), 0.1, lags)
         assert info.value.field == "s_values"
         assert map_paths_calls == []
 
@@ -320,14 +299,14 @@ class TestIncrementSamples:
         config = SolverConfig(T=0.2, steps=400, paths=2000, master_seed=1)
         lags = None if multiples is None else [m * config.h for m in multiples] + list(tail)
         with pytest.raises(ModelError, match=re.escape(message)) as info:
-            temporal_probe(borderline_model(16), config, (0.0,), anchor, lags)
+            temporal_probe(linear_additive_model(16), config, (0.0,), anchor, lags)
         assert info.value.field == field
         assert map_paths_calls == []
 
 
 class TestSpatialSweep:
     def test_admissible_model_is_cauchy(self):
-        model = borderline_model(64, r=0.0)
+        model = linear_additive_model(64, r=0.0)
         config = SolverConfig(T=0.1, steps=50, paths=500, master_seed=20, snapshot_times=(0.1,),
                               method=EXACT_GAUSSIAN)
         sweep = spatial_sweep(model, config, 1.0, [8, 16, 32, 64])
@@ -337,7 +316,7 @@ class TestSpatialSweep:
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_base_norm_sweep_stays_bounded(self):
-        model = borderline_model(64, r=0.0)
+        model = linear_additive_model(64, r=0.0)
         config = SolverConfig(T=0.1, steps=50, paths=500, master_seed=21, snapshot_times=(0.1,),
                               method=EXACT_GAUSSIAN)
         sweep = spatial_sweep(model, config, 0.0, [8, 16, 32, 64])
@@ -345,7 +324,7 @@ class TestSpatialSweep:
         assert gaps[-1] < 0.02 * sweep[-1][1]
 
     def test_borderline_model_blows_up_above_its_regularity(self):
-        model = borderline_model(512, r=0.25)
+        model = linear_additive_model(512, r=0.25)
         config = SolverConfig(T=0.1, steps=50, paths=400, master_seed=22, snapshot_times=(0.1,),
                               method=EXACT_GAUSSIAN)
         sweep = spatial_sweep(model, config, 1.25, [64, 128, 256, 512])
@@ -353,6 +332,28 @@ class TestSpatialSweep:
         assert all(b > a for a, b in zip(values, values[1:]))
         gaps = [b - a for a, b in zip(values, values[1:])]
         assert gaps[-1] > 0.9 * gaps[0]  # increments do not die off: divergence signature
+
+    # The Euler step keeps y / expm1(y) of a mode's variance, y = 2 lam h, so at
+    # lam_16 h = 2.5 the sweep below is flat and passes a Cauchy check whatever
+    # the damping; only the scheme's own law tells a right damping from a wrong
+    # one.  Tolerance, set before the first run: each value within 4 SE (that
+    # of `estimate_lp_norm` on the final snapshot's norms) of the Euler law's
+    # value, and the exact law's value more than 4 SE away.  Seeds 606, 1 and 2
+    # read z = 0.28, 0.76 and 0.71 against the Euler law, and 6.6 to 10.8 SE
+    # against the exact one.
+    def test_euler_sweep_matches_the_schemes_own_law(self, map_paths_calls):
+        s, n_values = 1.0, [16, 32, 64, 128]
+        model = linear_additive_model(128, covariance=400.0 * example_covariance(128))
+        config = SolverConfig(T=0.1, steps=100, paths=2000, master_seed=606)
+        sweep = spatial_sweep(model, config, s, n_values)
+        [norms] = map_paths_calls  # (paths, truncations, snapshots): one run serves the sweep
+        for k, (n, value) in enumerate(sweep):
+            se = estimate_lp_norm(norms[:, k, -1], model.p)[1]
+            sub = truncate_model(model, n)
+            euler, exact = (math.sqrt(law.norm_moments(s, law.variance(config.T))[0])
+                            for law in (GaussianLaw.euler(sub, config.h), GaussianLaw.exact(sub)))
+            assert abs(value - euler) <= 4.0 * se, (n, value, euler, se)
+            assert abs(value - exact) > 4.0 * se, (n, value, exact, se)
 
     def test_truncate_model_slices_consistently(self):
         model = linear_drift_model(16)
@@ -376,7 +377,7 @@ class TestSpatialSweep:
         "model, method",
         [
             (linear_drift_model(32), EXPONENTIAL_EULER),
-            (borderline_model(32, r=0.0), EXACT_GAUSSIAN),
+            (linear_additive_model(32, r=0.0), EXACT_GAUSSIAN),
             (nemytskii_model(16), EXPONENTIAL_EULER),
         ],
         ids=["euler-linear-drift", "exact-gaussian", "nemytskii"],
@@ -417,12 +418,12 @@ class TestSpatialSweep:
 
     def test_rejects_empty_truncation(self):
         with pytest.raises(ValueError):
-            spatial_sweep(borderline_model(8), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [0, 4])
+            spatial_sweep(linear_additive_model(), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [0, 4])
 
     # an empty sweep would return no values, and a verdict over them would be vacuous
     def test_rejects_an_empty_sweep_before_any_run(self, map_paths_calls):
         with pytest.raises(ModelError, match="^need at least one truncation dimension$") as info:
-            spatial_sweep(borderline_model(8), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [])
+            spatial_sweep(linear_additive_model(), SolverConfig(T=0.1, steps=2, paths=4), 1.0, [])
         assert info.value.field == "n_values"
         assert map_paths_calls == []
 
@@ -440,7 +441,7 @@ class TestSpatialSweep:
     def test_rejects_non_finite_smoothness_before_any_run(self, s, map_paths_calls):
         config = SolverConfig(T=0.1, steps=2, paths=4)
         with pytest.raises(ModelError, match=f"^smoothness s must be finite, got {s}$") as info:
-            spatial_sweep(borderline_model(8), config, s, [4, 8])
+            spatial_sweep(linear_additive_model(8), config, s, [4, 8])
         assert info.value.field == "s"
         assert map_paths_calls == []
 
@@ -453,7 +454,7 @@ class TestSpatialSweep:
 def test_probes_reject_one_path_before_any_run(probe, map_paths_calls):
     config = SolverConfig(T=0.02, steps=200, paths=1)
     with pytest.raises(ModelError, match="^need at least two paths, got 1$") as info:
-        probe(borderline_model(8), config)
+        probe(linear_additive_model(8), config)
     assert info.value.field == "paths"
     assert map_paths_calls == []
 

@@ -25,20 +25,12 @@ from spdelab.solver import (
 )
 from spdelab.spectrum import dirichlet_laplacian_1d
 
+from oracles import GaussianLaw, euler_gap_variance, linear_additive_model
+
 
 def identity(rows):
     """The reduction that keeps every snapshot, so map_paths returns them all."""
     return rows
-
-
-def linear_additive_model(n=8, g=1.0, x0=None, covariance=None):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=covariance if covariance is not None else example_covariance(n),
-        drift=None,
-        diffusion=Diagonal(np.full(n, g)),
-        initial=x0 if x0 is not None else np.zeros(n),
-    )
 
 
 def nemytskii_model(n=8):
@@ -252,8 +244,7 @@ class TestSimulatePath:
         )
         rows = map_paths(model, config, identity)
         lam = model.operator.eigenvalues
-        q = model.covariance
-        exact = q * -np.expm1(-2.0 * lam * config.T) / (2.0 * lam)
+        exact = GaussianLaw.exact(model).variance(config.T)
         mc = rows[:, 0, :].var(axis=0)
         se = exact * math.sqrt(2.0 / config.paths)
         # restrict to the modes where h keeps the integrator bias far below 3 SE
@@ -278,11 +269,9 @@ class TestSimulatePath:
         model = linear_additive_model(n, x0=x0)
         config = SolverConfig(T=0.02, steps=40, paths=4000, master_seed=12, snapshot_times=(0.02,))
         rows = map_paths(model, config, identity)
-        lam = model.operator.eigenvalues
-        q = model.covariance
-        expected = np.exp(-lam * config.T) * x0
-        sd = np.sqrt(q * -np.expm1(-2.0 * lam * config.T) / (2.0 * lam))
-        se = sd / math.sqrt(config.paths)
+        law = GaussianLaw.exact(model)
+        expected = law.mean(config.T)
+        se = np.sqrt(law.variance(config.T)) / math.sqrt(config.paths)
         assert np.all(np.abs(rows[:, 0, :].mean(axis=0) - expected) <= 3.0 * se + 1e-12)
 
     # With no drift the step is x_{j+1} = E(h)(x_j + G(x_j) dW_j), and G(x_j) dW_j
@@ -348,9 +337,7 @@ class TestExactOUPath:
         config = SolverConfig(T=5.0, steps=50, paths=8000, master_seed=3, snapshot_times=(5.0,),
                               method=EXACT_GAUSSIAN)
         rows = map_paths(model, config, identity)
-        lam = model.operator.eigenvalues
-        q = model.covariance
-        stationary = 4.0 * q / (2.0 * lam)
+        stationary = GaussianLaw.exact(model).stationary_variance()
         mc = rows[:, 0, :].var(axis=0)
         se = stationary * math.sqrt(2.0 / config.paths)
         assert np.all(np.abs(mc - stationary) <= 3.0 * se + 1e-15)
@@ -408,20 +395,18 @@ class TestExactOUPath:
         assert map_paths(model, config, identity).shape == (3, 1 if T == 0.0 else 2, n)
 
     def test_one_step_euler_matches_exact_transition_to_first_order(self):
-        lam = np.pi**2 * np.arange(1, 5.0) ** 2
-        q = example_covariance(4)
+        model = linear_additive_model(4)
+        lam, q = model.operator.eigenvalues, model.covariance
         for h in (1e-3, 1e-4):
-            euler_var = q * h * np.exp(-2.0 * lam * h)
-            exact_var = q * -np.expm1(-2.0 * lam * h) / (2.0 * lam)
+            euler_var = GaussianLaw.euler(model, h).variance(h)
+            exact_var = GaussianLaw.exact(model).variance(h)
             mask = q > 0
             rel = np.abs(euler_var[mask] / exact_var[mask] - 1.0)
             assert np.all(rel <= 2.2 * lam[mask] * h)
 
     # With zero drift and additive noise both steppers are linear recursions in the
-    # shared normals: x_{j+1} = e^{-lam h} x_j + a z_j (Euler) and
-    # y_{j+1} = e^{-lam h} y_j + b z_j (exact), with a = e^{-lam h} sqrt(q h) and
-    # b = sqrt(q (1 - e^{-2 lam h}) / (2 lam)).  Their gap is Gaussian with
-    # variance (a - b)^2 (1 - e^{-2 lam T}) / (1 - e^{-2 lam h}).
+    # shared normals, so their gap is a centred Gaussian whose variance
+    # `euler_gap_variance` gives
     def test_pathwise_gap_matches_its_closed_form(self):
         n = 8
         model = linear_additive_model(n)
@@ -429,10 +414,7 @@ class TestExactOUPath:
         euler = map_paths(model, config, identity)
         exact = map_paths(model, dataclasses.replace(config, method=EXACT_GAUSSIAN), identity)
         mc = np.mean((euler[:, 0, :] - exact[:, 0, :]) ** 2, axis=0)
-        lam, q, h = model.operator.eigenvalues, model.covariance, config.h
-        a = np.exp(-lam * h) * np.sqrt(q * h)
-        b = np.sqrt(q * -np.expm1(-2.0 * lam * h) / (2.0 * lam))
-        closed = (a - b) ** 2 * -np.expm1(-2.0 * lam * config.T) / -np.expm1(-2.0 * lam * h)
+        closed = euler_gap_variance(model, config.h, config.T)
         assert mc[0] == closed[0] == 0.0  # q_1 = 0: both steppers leave mode 1 at rest
         # mean square of a centred Gaussian: relative standard error sqrt(2 / paths)
         se = closed[1:] * math.sqrt(2.0 / config.paths)
@@ -463,18 +445,12 @@ class TestExactOUPath:
     @settings(max_examples=15, deadline=None)
     def test_strong_gap_shrinks_when_the_steps_double(self, n, T, extra_steps, seed):
         model = linear_additive_model(n)
-        lam, q = model.operator.eigenvalues, model.covariance
-        steps = math.ceil(lam[-1] * T) + extra_steps  # lam_N h <= 1
+        steps = math.ceil(model.operator.eigenvalues[-1] * T) + extra_steps  # lam_N h <= 1
         closed, sampled = [], []
         for count in (steps, 2 * steps):
             config = SolverConfig(T=T, steps=count, paths=200, master_seed=seed,
                                   snapshot_times=(T,))
-            h = config.h
-            a = np.exp(-lam * h) * np.sqrt(q * h)
-            b = np.sqrt(q * -np.expm1(-2.0 * lam * h) / (2.0 * lam))
-            closed.append(float(np.sum(
-                (a - b) ** 2 * -np.expm1(-2.0 * lam * T) / -np.expm1(-2.0 * lam * h)
-            )))
+            closed.append(float(np.sum(euler_gap_variance(model, config.h, T))))
             euler = map_paths(model, config, identity)
             exact = map_paths(model, dataclasses.replace(config, method=EXACT_GAUSSIAN), identity)
             sampled.append(float(np.mean(np.sum((euler - exact) ** 2, axis=2))))
