@@ -46,6 +46,8 @@ def _format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, tuple):  # no commas, which would split a CSV cell
+        return ";".join(_format_cell(item) for item in value)
     return str(value)
 
 

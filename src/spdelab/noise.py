@@ -42,11 +42,10 @@ class NoiseStream:
     """
 
     def __init__(self, master_seed: int, path_index: int = 0):
-        self.master_seed = int(master_seed)
-        self.path_index = int(path_index)
-        if self.path_index < 0:
+        path_index = int(path_index)
+        if path_index < 0:
             raise ValueError(f"path index must be >= 0, got {path_index}")
-        self._bitgen = Philox(SeedSequence(self.master_seed, spawn_key=(self.path_index,)))
+        self._bitgen = Philox(SeedSequence(int(master_seed), spawn_key=(path_index,)))
         self._gen = Generator(self._bitgen)
         key = self._bitgen.state["state"]["key"].tolist()
         self._counter = [0, 0, 0, 0]

@@ -28,7 +28,6 @@ class HolderEstimate:
     slope: float
     intercept: float
     slope_stderr: float
-    lags: tuple[float, ...]
     predicted: float
 
 
@@ -130,7 +129,7 @@ def fit_holder_exponent(
     intercept = float(y.mean() - slope * x.mean())
     residuals = y - (intercept + slope * x)
     stderr = float(np.sqrt(np.sum(residuals**2) / (n - 2) / sxx))
-    return HolderEstimate(slope, intercept, stderr, tuple(lags), float(predicted))
+    return HolderEstimate(slope, intercept, stderr, float(predicted))
 
 
 def geometric_lag_multiples(count: int, max_multiple: int) -> list[int]:

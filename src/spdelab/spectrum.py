@@ -55,10 +55,10 @@ class SpectralOperator:
 
 
 def _check_dimensions(op: SpectralOperator, x: np.ndarray) -> None:
-    if op.dimension != x.size:
+    if x.shape != (op.dimension,):
         raise ValueError(
             f"dimension mismatch: operator has {op.dimension} modes, "
-            f"coefficients have {x.size}"
+            f"coefficients have shape {x.shape}"
         )
 
 

@@ -1,4 +1,13 @@
-"""The linear additive model and its Gaussian laws, a reference the tests compare against.
+"""What the tests build and compare against, in one place.
+
+- `make_model` is the tests' one builder of a `ModelSpec`, and
+  `linear_additive_model` is its zero-drift, constant-diagonal-diffusion case.
+- `kernel_normals` reads the standard normals the simulation kernel draws, in
+  its layout, for the tests that redo the kernel's steps by hand.
+- `quad_energy` and `quad_flow_norm` are adaptive quadratures of the integrals
+  that define the library's two convolution series.
+- `GaussianLaw` and `euler_gap_variance` give the linear additive model's
+  Gaussian laws.
 
 With zero drift and a diagonal diffusion g, each mode of the model is, under
 either stepper, the linear recursion x_{j+1} = b x_j + sigma z_j in the
@@ -28,23 +37,59 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.integrate import quad, quad_vec
 
 from spdelab.models import Diagonal, ModelSpec
-from spdelab.noise import example_covariance
+from spdelab.noise import NoiseStream, example_covariance
 from spdelab.probes import fit_holder_exponent
 from spdelab.spectrum import dirichlet_laplacian_1d
 
 
-def linear_additive_model(n=8, g=1.0, x0=None, covariance=None, r=0.0) -> ModelSpec:
-    """Zero drift and diffusion g on n modes, the example covariance and x0 = 0 by default."""
+def make_model(n=8, drift=None, diffusion=None, r=0.0, initial=None, covariance=None, p=2.0):
+    """A model on n modes of the Dirichlet Laplacian, with the example covariance,
+    the identity diagonal diffusion and x0 = 0 unless given."""
     return ModelSpec(
         operator=dirichlet_laplacian_1d(n),
         covariance=covariance if covariance is not None else example_covariance(n),
-        drift=None,
-        diffusion=Diagonal(np.full(n, g)),
-        initial=x0 if x0 is not None else np.zeros(n),
+        drift=drift,
+        diffusion=diffusion if diffusion is not None else Diagonal(np.ones(n)),
+        initial=initial if initial is not None else np.zeros(n),
         r=r,
+        p=p,
     )
+
+
+def linear_additive_model(n=8, g=1.0, x0=None, covariance=None, r=0.0) -> ModelSpec:
+    """Zero drift and diffusion g on n modes, the example covariance and x0 = 0 by default."""
+    return make_model(n, diffusion=Diagonal(np.full(n, g)), r=r, initial=x0, covariance=covariance)
+
+
+def kernel_normals(seed: int, path_indices: Sequence[int], steps: int, n: int) -> np.ndarray:
+    """The (steps, paths, n) standard normals the kernel reads for these paths:
+    entry [j, b] is the first n normals of step j on path `path_indices[b]`."""
+    streams = [NoiseStream(seed, path) for path in path_indices]
+    return np.array([[stream.step_normals(j, n) for stream in streams] for j in range(steps)])
+
+
+def quad_energy(op, rho, tau1, tau2, x):
+    """Adaptive quadrature of the defining integral of the convolution energy."""
+    lam = op.eigenvalues
+    weights = x**2 * lam**rho
+
+    def integrand(u):
+        return float(np.sum(weights * np.exp(-2.0 * lam * u)))
+
+    value, _ = quad(integrand, 0.0, tau2 - tau1, epsabs=0.0, epsrel=1e-12, limit=800)
+    return value
+
+
+def quad_flow_norm(op, rho, tau1, tau2, x):
+    """Adaptive quadrature of the vector integral, then the weighted norm."""
+    lam = op.eigenvalues
+    vector, _ = quad_vec(
+        lambda u: np.exp(-lam * u) * x, 0.0, tau2 - tau1, epsrel=1e-12, limit=800
+    )
+    return float(np.sqrt(np.sum((lam**rho * vector) ** 2)))
 
 
 def _squared_diffusion(model: ModelSpec) -> np.ndarray:

@@ -10,12 +10,11 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from spdelab import solver, transforms
 from spdelab.cli import main
-from spdelab.models import Diagonal, ModelSpec, Nemytskii
-from spdelab.noise import NoiseStream, burkholder_constant, example_covariance
+from spdelab.models import Nemytskii
+from spdelab.noise import burkholder_constant, example_covariance
 from spdelab.probes import (
     estimate_lp_norm,
     example_series_partial_sum,
@@ -36,7 +35,14 @@ from spdelab.spectrum import (
     stochastic_convolution_energy,
 )
 
-from oracles import GaussianLaw, linear_additive_model
+from oracles import (
+    GaussianLaw,
+    kernel_normals,
+    linear_additive_model,
+    make_model,
+    quad_energy,
+    quad_flow_norm,
+)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -48,25 +54,14 @@ def test_criterion_01_convolution_exactness():
     """Closed-form convolution quantities agree with adaptive quadrature to 1e-8."""
     rng = np.random.default_rng(101)
     op = dirichlet_laplacian_1d(64)
-    lam = op.eigenvalues
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal(64)
         rho = rng.uniform(0.0, 1.0)
         tau1 = rng.uniform(0.0, 0.5)
         tau2 = tau1 + math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
-        delta = tau2 - tau1
-
-        weights = x**2 * lam**rho
-        energy_oracle, _ = quad(
-            lambda u: float(np.sum(weights * np.exp(-2.0 * lam * u))),
-            0.0, delta, epsabs=0.0, epsrel=1e-12, limit=800,
-        )
-        flow_vec, _ = quad_vec(
-            lambda u: np.exp(-lam * u) * x, 0.0, delta, epsrel=1e-12, limit=800
-        )
-        flow_oracle = float(np.sqrt(np.sum((lam**rho * flow_vec) ** 2)))
-
+        energy_oracle = quad_energy(op, rho, tau1, tau2, x)
+        flow_oracle = quad_flow_norm(op, rho, tau1, tau2, x)
         energy = stochastic_convolution_energy(op, rho, tau1, tau2, x)
         flow = deterministic_convolution_norm(op, rho, tau1, tau2, x)
         worst = max(
@@ -354,9 +349,8 @@ def test_criterion_11_multiplicative_temporal_exponents():
     n, grid = 64, 256
     covariance = 400.0 * example_covariance(n)
 
-    multiplicative = ModelSpec(operator=dirichlet_laplacian_1d(n), covariance=covariance,
-                               drift=Nemytskii("tanh", grid), diffusion=Nemytskii("cos", grid),
-                               initial=np.zeros(n))
+    multiplicative = make_model(n, Nemytskii("tanh", grid), Nemytskii("cos", grid),
+                                covariance=covariance)
     additive = linear_additive_model(n, covariance=covariance)
     passed = True
     details = []
@@ -404,9 +398,7 @@ def test_criterion_12_drift_part_is_smoother():
         lam = dirichlet_laplacian_1d(n).eigenvalues
 
         def final_state(drift):
-            model = ModelSpec(operator=dirichlet_laplacian_1d(n),
-                              covariance=400.0 * example_covariance(n), drift=drift,
-                              diffusion=Diagonal(np.ones(n)), initial=np.zeros(n))
+            model = make_model(n, drift, covariance=400.0 * example_covariance(n))
             return map_paths(model, config, lambda rows: rows[:, -1, :])
 
         x, o = final_state(Nemytskii("tanh", grid)), final_state(None)
@@ -470,9 +462,8 @@ def test_criterion_13_stochastic_part_carries_the_roughness():
     steps, h, grid, seed = 200, 1e-5, 256, 606
     config = SolverConfig(T=steps * h, steps=steps, paths=256, master_seed=seed,
                           snapshot_times=(steps * h,))
-    streams = [NoiseStream(seed, path) for path in range(config.paths)]
     # a path's first n normals of a step are those a run on n modes draws
-    normals = np.array([[stream.step_normals(j, 64) for stream in streams] for j in range(steps)])
+    normals = kernel_normals(seed, range(config.paths), steps, 64)
     d_values, s_values, ratios, mismatch = [], [], [], 0.0
     for n in (16, 32, 64):
         op = dirichlet_laplacian_1d(n)
@@ -484,9 +475,8 @@ def test_criterion_13_stochastic_part_carries_the_roughness():
             return math.sqrt(np.mean(hdot_norm(op, s, part) ** 2))
 
         covariance = 400.0 * example_covariance(n)
-        multiplicative = ModelSpec(operator=op, covariance=covariance,
-                                   drift=Nemytskii("tanh", grid), diffusion=Nemytskii("cos", grid),
-                                   initial=np.zeros(n))
+        multiplicative = make_model(n, Nemytskii("tanh", grid), Nemytskii("cos", grid),
+                                    covariance=covariance)
         x = final_state(multiplicative)
         o = final_state(linear_additive_model(n, covariance=covariance))
         d, s = split_euler(multiplicative, h, normals[:, :, :n])

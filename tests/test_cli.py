@@ -1,6 +1,7 @@
 """CLI and config-file tests: parsing, experiment kinds, and reproducibility."""
 
 import ast
+import csv
 import json
 import os
 import re
@@ -26,7 +27,7 @@ from spdelab.config import (
     field_key,
     parse_config_text,
 )
-from spdelab.models import SCALAR_FUNCTIONS
+from spdelab.models import SCALAR_FUNCTIONS, validate_assumptions
 from spdelab.solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER
 
 BASE_MODEL = """
@@ -891,6 +892,23 @@ class TestRunVerifiers:
         assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
         # the Lipschitz constant of a diagonal drift is sup |f_k|
         assert "drift_lipschitz: PASS constant=3.0" in capsys.readouterr().out.splitlines()
+
+    # a diagonal diffusion measures its partial sums as a tuple, whose cell
+    # must not add commas to the row
+    @pytest.mark.parametrize("model", SWEEP_MODELS)
+    def test_assumption_rows_have_the_header_width(self, tmp_path, model):
+        text = f"kind = verify-assumptions\nmodel.N = 16\nsolver.seed = 0\n{SWEEP_MODELS[model]}"
+        assert main(["run", str(write_config(tmp_path, text)), "--output-dir",
+                     str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "assumptions.csv").read_text().splitlines()
+        header, *rows = csv.reader(lines[1:])
+        assert rows and all(len(row) == len(header) for row in rows)
+        measured = [dict(item.split("=") for item in row[2].split()) for row in rows]
+        read = [[float(v) for v in m["partial_sums"].split(";")]
+                for m in measured if "partial_sums" in m]
+        checks = validate_assumptions(build_model(parse_config_text(text)), probe_seed=0)
+        assert read == [list(c.measured["partial_sums"]) for c in checks
+                        if "partial_sums" in c.measured]
 
     def test_assumption_report_flags_divergent_weighting(self, tmp_path, capsys):
         config = write_config(

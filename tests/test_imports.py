@@ -1,7 +1,8 @@
 """Every module-level import of the library is used somewhere in its module, no
 module imports scipy, which only the tests and the benchmark sweeps use, or a
 concurrency package, no module imports another module's underscore name, and
-every public name has a caller."""
+every public name has a caller.  Among the tests, only `oracles.py` builds a
+model, and only it and `test_noise.py` build a noise stream."""
 
 import ast
 from pathlib import Path
@@ -13,11 +14,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdelab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_FILES = sorted(PACKAGE.glob("*.py"))
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
-
-# Public names that may have no caller in the library or the acceptance tests,
-# each with its reason.
-PUBLIC_WITHOUT_CALLER: dict[str, str] = {}
-
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
@@ -168,20 +164,9 @@ PUBLIC = exported_names((PACKAGE / "__init__.py").read_text())
 CALLED = set().union(*(referenced_names(p.read_text()) for p in [*MODULES, ACCEPTANCE]))
 
 
-@pytest.mark.parametrize("name", [n for n in PUBLIC if n not in PUBLIC_WITHOUT_CALLER])
+@pytest.mark.parametrize("name", PUBLIC)
 def test_public_name_has_a_caller(name):
     assert name in CALLED, f"{name} is exported but neither the library nor acceptance uses it"
-
-
-def test_allowlisted_names_are_exported():
-    assert set(PUBLIC_WITHOUT_CALLER) <= set(PUBLIC)
-
-
-# a name that gains a caller leaves the allowlist, so the list cannot go stale;
-# one loop rather than one case per name, so the guard still runs on an empty list
-def test_allowlisted_name_has_no_caller():
-    called = sorted(name for name in PUBLIC_WITHOUT_CALLER if name in CALLED)
-    assert called == [], f"{called} have callers now; remove them from PUBLIC_WITHOUT_CALLER"
 
 
 def test_caller_detector_skips_the_definition():
@@ -228,3 +213,25 @@ TEST_CALLS = set().union(*(referenced_names(p.read_text())
 @pytest.mark.parametrize("name", public_definitions(ORACLE.read_text()))
 def test_oracle_name_has_a_caller(name):
     assert name in TEST_CALLS, f"oracles.{name} has no caller in the tests"
+
+
+# the test files that may call each constructor: the tests build every model with
+# `make_model` and read the kernel's noise with `kernel_normals`, so a change to
+# either is made in one place
+CONSTRUCTED_IN = {"ModelSpec": {"oracles.py"}, "NoiseStream": {"oracles.py", "test_noise.py"}}
+
+
+def called_names(source: str) -> set[str]:
+    """Names called in `source`, bare or as an attribute."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_tests_construct_models_and_noise_streams_in_one_place():
+    calls = {p.name: called_names(p.read_text()) for p in ORACLE.parent.glob("*.py")}
+    callers = {name: {file for file, names in calls.items() if name in names}
+               for name in CONSTRUCTED_IN}
+    assert callers == CONSTRUCTED_IN

@@ -10,25 +10,13 @@ from spdelab.models import (
     SCALAR_FUNCTIONS,
     Diagonal,
     ModelError,
-    ModelSpec,
     Nemytskii,
     ScalarFunction,
     validate_assumptions,
 )
 from spdelab.noise import example_covariance
-from spdelab.spectrum import dirichlet_laplacian_1d
 
-
-def make_model(n=8, drift=None, diffusion=None, r=0.0, initial=None, covariance=None, p=2.0):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=covariance if covariance is not None else example_covariance(n),
-        drift=drift,
-        diffusion=diffusion if diffusion is not None else Diagonal(np.ones(n)),
-        initial=initial if initial is not None else np.zeros(n),
-        r=r,
-        p=p,
-    )
+from oracles import make_model
 
 
 def understated_constants(table):
@@ -86,13 +74,7 @@ class TestModelValidation:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ModelSpec(
-                operator=dirichlet_laplacian_1d(4),
-                covariance=example_covariance(5),
-                drift=None,
-                diffusion=Diagonal(np.ones(4)),
-                initial=np.zeros(4),
-            )
+            make_model(4, covariance=example_covariance(5))
 
     def test_small_nemytskii_grid_rejected(self):
         with pytest.raises(ValueError):

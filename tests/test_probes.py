@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
-from spdelab.models import Diagonal, ModelError, ModelSpec, Nemytskii
+from spdelab.models import Diagonal, ModelError, Nemytskii
 from spdelab.noise import example_covariance
 from spdelab.probes import (
     estimate_lp_norm,
@@ -35,28 +35,17 @@ from spdelab.spectrum import (
     stochastic_convolution_energy,
 )
 
-from oracles import GaussianLaw, linear_additive_model
+from oracles import GaussianLaw, linear_additive_model, make_model
 
 
 def linear_drift_model(n, p=2.0):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=example_covariance(n),
-        drift=Diagonal(np.linspace(-5.0, 5.0, n)),
-        diffusion=Diagonal(np.linspace(1.0, 0.5, n)),
-        initial=np.linspace(1.0, 0.0, n),
-        p=p,
-    )
+    return make_model(n, Diagonal(np.linspace(-5.0, 5.0, n)), Diagonal(np.linspace(1.0, 0.5, n)),
+                      initial=np.linspace(1.0, 0.0, n), p=p)
 
 
 def nemytskii_model(n):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=example_covariance(n),
-        drift=Nemytskii("tanh", 2 * n),
-        diffusion=Nemytskii("cos", 2 * n),
-        initial=np.linspace(1.0, 0.0, n),
-    )
+    return make_model(n, Nemytskii("tanh", 2 * n), Nemytskii("cos", 2 * n),
+                      initial=np.linspace(1.0, 0.0, n))
 
 
 class TestEstimateLpNorm:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdelab import models, solver, transforms
-from spdelab.models import Diagonal, ModelError, ModelSpec, Nemytskii
+from spdelab.models import Diagonal, ModelError, Nemytskii
 from spdelab.noise import NoiseStream, example_covariance
 from spdelab.probes import truncate_model
 from spdelab.solver import (
@@ -23,9 +23,14 @@ from spdelab.solver import (
     _simulate_block,
     map_paths,
 )
-from spdelab.spectrum import dirichlet_laplacian_1d
 
-from oracles import GaussianLaw, euler_gap_variance, linear_additive_model
+from oracles import (
+    GaussianLaw,
+    euler_gap_variance,
+    kernel_normals,
+    linear_additive_model,
+    make_model,
+)
 
 
 def identity(rows):
@@ -34,23 +39,13 @@ def identity(rows):
 
 
 def nemytskii_model(n=8):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=example_covariance(n),
-        drift=Nemytskii("tanh", 4 * n),
-        diffusion=Nemytskii("cos", 4 * n),
-        initial=np.linspace(1.0, 0.0, n),
-    )
+    return make_model(n, Nemytskii("tanh", 4 * n), Nemytskii("cos", 4 * n),
+                      initial=np.linspace(1.0, 0.0, n))
 
 
 def diagonal_linear_model(n=8):
-    return ModelSpec(
-        operator=dirichlet_laplacian_1d(n),
-        covariance=example_covariance(n),
-        drift=Diagonal(np.linspace(-3.0, 3.0, n)),
-        diffusion=Diagonal(np.full(n, 0.5)),
-        initial=np.linspace(1.0, 0.0, n),
-    )
+    return make_model(n, Diagonal(np.linspace(-3.0, 3.0, n)), Diagonal(np.full(n, 0.5)),
+                      initial=np.linspace(1.0, 0.0, n))
 
 
 class TestSolverConfig:
@@ -133,13 +128,7 @@ class TestExponentialEulerStep:
     def test_noiseless_linear_drift_recurrence(self):
         n = 4
         f = np.array([0.5, -1.0, 2.0, 0.0])
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=np.zeros(n),
-            drift=Diagonal(f),
-            diffusion=Diagonal(np.ones(n)),
-            initial=np.zeros(n),
-        )
+        model = make_model(n, drift=Diagonal(f), covariance=np.zeros(n))
         h = 0.01
         x = np.array([1.0, -2.0, 0.5, 3.0])
         state = x
@@ -153,13 +142,7 @@ class TestExponentialEulerStep:
 
     def test_conditional_mean_drops_the_noise_term(self):
         n = 4
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=example_covariance(n),
-            drift=Diagonal(np.full(n, 0.3)),
-            diffusion=Diagonal(np.ones(n)),
-            initial=np.zeros(n),
-        )
+        model = make_model(n, drift=Diagonal(np.full(n, 0.3)))
         h = 0.05
         x = np.array([1.0, 2.0, -1.0, 0.5])
         # the step is affine in dW, so the conditional mean is the zero-noise step
@@ -178,22 +161,6 @@ class TestExponentialEulerStep:
         x, dw = np.arange(1.0, 9.0), np.linspace(-1.0, 1.0, n)
         np.testing.assert_array_equal(
             euler_step(model, x, dw, h), np.exp(-model.operator.eigenvalues * h) * (x + dw * 0.5)
-        )
-
-    @pytest.mark.parametrize(
-        "make_model", [linear_additive_model, diagonal_linear_model, nemytskii_model]
-    )
-    def test_single_steps_reproduce_the_kernel(self, make_model):
-        model = make_model(8)
-        config = SolverConfig(T=0.05, steps=25, paths=4, master_seed=6)
-        stream = NoiseStream(config.master_seed, 3)
-        noise_sd = np.sqrt(model.covariance * config.h)
-        state = model.initial
-        for j in range(config.steps):
-            dW = stream.step_normals(j, model.dimension) * noise_sd
-            state = euler_step(model, state, dW, config.h)
-        np.testing.assert_array_equal(
-            state, _simulate_block(model, config, [3])[0, -1]  # the snapshot at T = 0.05
         )
 
     # the scheme never sees h <= 0: SolverConfig rejects a negative horizon and
@@ -280,13 +247,8 @@ class TestSimulatePath:
     def test_nemytskii_mean_follows_the_heat_flow(self):
         n = 8
         x0 = np.linspace(1.0, 0.2, n)
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=400.0 * example_covariance(n),
-            drift=None,
-            diffusion=Nemytskii("cos", 32),
-            initial=x0,
-        )
+        model = make_model(n, diffusion=Nemytskii("cos", 32), initial=x0,
+                           covariance=400.0 * example_covariance(n))
         config = SolverConfig(T=0.02, steps=40, paths=2000, master_seed=5,
                               snapshot_times=(0.01, 0.02))
         rows = map_paths(model, config, identity)
@@ -299,13 +261,8 @@ class TestSimulatePath:
     @pytest.mark.filterwarnings("error")
     def test_non_finite_state_names_path_and_step(self):
         # F(x) = -2000 x: mode 1 grows like e^{(2000 - pi^2) t} and overflows
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(2),
-            covariance=np.zeros(2),
-            drift=Diagonal(np.array([-2000.0, 0.0])),
-            diffusion=Diagonal(np.ones(2)),
-            initial=np.array([1.0, 0.0]),
-        )
+        model = make_model(2, drift=Diagonal(np.array([-2000.0, 0.0])),
+                           initial=np.array([1.0, 0.0]), covariance=np.zeros(2))
         config = SolverConfig(T=4.0, steps=400, paths=8)
         # scalar oracle: the noiseless recurrence of mode 1 up to the first step whose
         # drift value F(x) = -2000 x overflows
@@ -344,13 +301,7 @@ class TestExactOUPath:
 
     def test_rejects_nonlinear_models(self):
         n = 4
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=example_covariance(n),
-            drift=Diagonal(np.ones(n)),
-            diffusion=Diagonal(np.ones(n)),
-            initial=np.zeros(n),
-        )
+        model = make_model(n, drift=Diagonal(np.ones(n)))
         config = SolverConfig(T=0.1, steps=10, paths=1, method=EXACT_GAUSSIAN)
         with pytest.raises(ValueError):
             map_paths(model, config, identity)
@@ -358,13 +309,7 @@ class TestExactOUPath:
         zero_diagonal = dataclasses.replace(model, drift=Diagonal(np.zeros(n)))
         with pytest.raises(ValueError, match="requires zero drift"):
             map_paths(zero_diagonal, config, identity)
-        model_mult = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=example_covariance(n),
-            drift=None,
-            diffusion=Nemytskii("tanh", 4 * n),
-            initial=np.zeros(n),
-        )
+        model_mult = make_model(n, diffusion=Nemytskii("tanh", 4 * n))
         with pytest.raises(ValueError):
             map_paths(model_mult, config, identity)
 
@@ -373,13 +318,7 @@ class TestExactOUPath:
     @pytest.mark.parametrize("T", [0.0, 0.1])
     def test_rejects_multiplicative_noise_at_any_final_time(self, T, monkeypatch):
         n = 4
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=example_covariance(n),
-            drift=None,
-            diffusion=Nemytskii("tanh", 4 * n),
-            initial=np.zeros(n),
-        )
+        model = make_model(n, diffusion=Nemytskii("tanh", 4 * n))
         config = SolverConfig(T=T, steps=1, paths=3)
         exact = dataclasses.replace(config, method=EXACT_GAUSSIAN)
 
@@ -475,13 +414,8 @@ class TestStrongSelfConvergence:
         every level.
         """
         n, grid, T, paths, levels, fine_steps = 32, 64, 0.05, 400, 6, 2048
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=400.0 * example_covariance(n),
-            drift=Nemytskii("tanh", grid),
-            diffusion=Nemytskii("cos", grid),
-            initial=np.zeros(n),
-        )
+        model = make_model(n, Nemytskii("tanh", grid), Nemytskii("cos", grid),
+                           covariance=400.0 * example_covariance(n))
         lam, q = model.operator.eigenvalues, model.covariance
         hs = [T / fine_steps * 2**level for level in range(levels + 1)]
         states = [np.zeros((paths, n)) for _ in hs]
@@ -541,15 +475,15 @@ class TestEnsembleExecution:
     # bitwise the same; the sine transforms of a Nemytskii model are matrix
     # products that BLAS may round differently for different row counts.
     @pytest.mark.parametrize(
-        "make_model, compare",
+        "build, compare",
         [
             (linear_additive_model, np.testing.assert_array_equal),
             (nemytskii_model, partial(np.testing.assert_allclose, rtol=1e-12)),
         ],
         ids=["additive", "nemytskii"],
     )
-    def test_single_path_matches_its_ensemble_row(self, make_model, compare):
-        model = make_model(8)
+    def test_single_path_matches_its_ensemble_row(self, build, compare):
+        model = build(8)
         config = SolverConfig(T=0.05, steps=10, paths=160, master_seed=5, snapshot_times=(0.05,))
         rows = map_paths(model, config, identity)
         compare(_simulate_block(model, config, [133])[0, 0], rows[133, 0, :])
@@ -649,13 +583,8 @@ class TestSharedSynthesis:
         self, calls, drift_grid, diffusion_grid, synthesize_per_step
     ):
         n = 16
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=example_covariance(n),
-            drift=Nemytskii("tanh", drift_grid),
-            diffusion=Nemytskii("cos", diffusion_grid),
-            initial=np.linspace(1.0, 0.0, n),
-        )
+        model = make_model(n, Nemytskii("tanh", drift_grid), Nemytskii("cos", diffusion_grid),
+                           initial=np.linspace(1.0, 0.0, n))
         config = SolverConfig(T=0.01, steps=7, paths=5)
         _simulate_block(model, config, range(5))
         assert calls == {"synthesize": synthesize_per_step * 7, "analyze": 2 * 7}
@@ -675,19 +604,15 @@ class TestSharedSynthesis:
         "additive-diffusion": (
             Nemytskii("tanh", 32), Diagonal(np.full(8, 0.5))
         ),
+        "no-drift": (None, Diagonal(np.ones(8))),
+        "diagonal": (Diagonal(np.linspace(-3.0, 3.0, 8)), Diagonal(np.full(8, 0.5))),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_steps_match_the_allocating_formula(self, case):
         n, paths = 8, 4
         drift, diffusion = self.CASES[case]
-        model = ModelSpec(
-            operator=dirichlet_laplacian_1d(n),
-            covariance=example_covariance(n),
-            drift=drift,
-            diffusion=diffusion,
-            initial=np.linspace(1.0, 0.0, n),
-        )
+        model = make_model(n, drift, diffusion, initial=np.linspace(1.0, 0.0, n))
         config = SolverConfig(T=0.03, steps=3, paths=paths, master_seed=2)
 
         def on_grid(spec, x):
@@ -699,9 +624,11 @@ class TestSharedSynthesis:
         decay = np.exp(-model.operator.eigenvalues * h)
         noise_sd = np.sqrt(model.covariance * h)
         x = np.tile(model.initial, (paths, 1))
-        for j in range(config.steps):
-            dW = noise_sd * np.array([NoiseStream(2, i).step_normals(j, n) for i in range(paths)])
-            if isinstance(drift, Diagonal):
+        for z in kernel_normals(config.master_seed, range(paths), config.steps, n):
+            dW = noise_sd * z
+            if drift is None:
+                f_x = 0.0
+            elif isinstance(drift, Diagonal):
                 f_x = x * drift.multipliers
             else:
                 values, basis = on_grid(drift, x)

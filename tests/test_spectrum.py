@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, quad_vec
 from scipy.optimize import brentq, minimize_scalar
 
 from spdelab.cli import _convolution_quad_oracles
@@ -18,6 +17,8 @@ from spdelab.spectrum import (
     smoothing_constant,
     stochastic_convolution_energy,
 )
+
+from oracles import quad_energy, quad_flow_norm
 
 
 def coeffs(*values):
@@ -218,27 +219,6 @@ class TestSharpConstantRoot:
             assert smoothing_constant(kind, exponent) == pytest.approx(-res.fun, rel=1e-12)
 
 
-def quad_energy(op, rho, tau1, tau2, x):
-    """Adaptive quadrature of the defining integral of the convolution energy."""
-    lam = op.eigenvalues
-    weights = x**2 * lam**rho
-
-    def integrand(u):
-        return float(np.sum(weights * np.exp(-2.0 * lam * u)))
-
-    value, _ = quad(integrand, 0.0, tau2 - tau1, epsabs=0.0, epsrel=1e-12, limit=800)
-    return value
-
-
-def quad_flow_norm(op, rho, tau1, tau2, x):
-    """Adaptive quadrature of the vector integral, then the weighted norm."""
-    lam = op.eigenvalues
-    vector, _ = quad_vec(
-        lambda u: np.exp(-lam * u) * x, 0.0, tau2 - tau1, epsrel=1e-12, limit=800
-    )
-    return float(np.sqrt(np.sum((lam**rho * vector) ** 2)))
-
-
 class TestStochasticConvolutionEnergy:
     def test_single_mode_against_quadrature(self):
         op = SpectralOperator(np.array([1.0]))
@@ -314,14 +294,16 @@ class TestDeterministicConvolutionNorm:
 
 @pytest.mark.parametrize("quantity", [stochastic_convolution_energy,
                                       deterministic_convolution_norm])
-@pytest.mark.parametrize("rho, tau1, message", [
-    (-0.25, 0.0, r"^rho must lie in \[0, 1\], got -0.25$"),
-    (1.5, 0.0, r"^rho must lie in \[0, 1\], got 1.5$"),
-    (0.5, -0.1, "^interval start must be >= 0, got -0.1$"),
-], ids=["rho-negative", "rho-above-one", "negative-start"])
-def test_convolution_arguments_rejected(quantity, rho, tau1, message):
+# a column of N coefficients would broadcast against the eigenvalues
+@pytest.mark.parametrize("rho, tau1, x, message", [
+    (-0.25, 0.0, coeffs(1.0, 1.0), r"^rho must lie in \[0, 1\], got -0.25$"),
+    (1.5, 0.0, coeffs(1.0, 1.0), r"^rho must lie in \[0, 1\], got 1.5$"),
+    (0.5, -0.1, coeffs(1.0, 1.0), "^interval start must be >= 0, got -0.1$"),
+    (0.5, 0.0, np.ones((2, 1)), r"coefficients have shape \(2, 1\)$"),
+], ids=["rho-negative", "rho-above-one", "negative-start", "column"])
+def test_convolution_arguments_rejected(quantity, rho, tau1, x, message):
     with pytest.raises(ValueError, match=message):
-        quantity(dirichlet_laplacian_1d(2), rho, tau1, 0.5, coeffs(1.0, 1.0))
+        quantity(dirichlet_laplacian_1d(2), rho, tau1, 0.5, x)
 
 
 class TestExactnessAgainstQuadrature:
