@@ -1,9 +1,10 @@
 """Spectral-Galerkin laboratory for semilinear stochastic heat equations.
 
-Simulates the mild solution of dX + [AX + F(X)]dt = G(X)dW on the truncated
-eigenbasis of A and probes the smoothness predictions that come with it:
-fractional-norm finiteness, temporal Hölder exponents, and the borderline
-covariance example whose higher norms blow up.  F is None (zero), a
+Simulates the mild solution of dX + [AX + F(X)]dt = G(X)dW, A the Dirichlet
+Laplacian on (0, 1), on the first N sine eigenmodes of A, and probes the
+smoothness predictions that come with it: fractional-norm finiteness,
+temporal Hölder exponents, and the borderline covariance example whose
+higher norms blow up.  F is None (zero), a
 `Diagonal` or a `Nemytskii` spec, and G a `Diagonal` (additive noise) or a
 `Nemytskii` spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec
 composes pointwise with a globally Lipschitz scalar function from the
@@ -45,9 +46,8 @@ from .solver import (
     map_paths,
 )
 from .spectrum import (
-    SpectralOperator,
     deterministic_convolution_norm,
-    dirichlet_laplacian_1d,
+    dirichlet_eigenvalues,
     hdot_norm,
     smoothing_constant,
     stochastic_convolution_energy,

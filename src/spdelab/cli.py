@@ -32,7 +32,7 @@ from .noise import burkholder_constant, example_covariance
 from .solver import EXACT_GAUSSIAN, SolverConfig
 from .spectrum import (
     deterministic_convolution_norm,
-    dirichlet_laplacian_1d,
+    dirichlet_eigenvalues,
     hdot_norm,
     smoothing_constant,
     stochastic_convolution_energy,
@@ -85,7 +85,7 @@ def _unit_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _convolution_quad_oracles(op, rho, tau1, tau2, x) -> tuple[float, float]:
+def _convolution_quad_oracles(rho, tau1, tau2, x) -> tuple[float, float]:
     """Quadrature values of the two convolution quantities, from their integrands.
 
     A 24-point Gauss-Legendre rule runs on the dyadic panels [0, d 2^-L], ...,
@@ -95,7 +95,7 @@ def _convolution_quad_oracles(op, rho, tau1, tau2, x) -> tuple[float, float]:
     times (c a)^49 e^{-c a} / c, which stays below 1e-28 of the mode's whole
     integral 1/c whatever c a is.
     """
-    lam = op.eigenvalues
+    lam = dirichlet_eigenvalues(x.shape[-1])
     edges = [tau2 - tau1]
     while 2.0 * lam[-1] * edges[-1] > 1e-3:
         edges.append(0.5 * edges[-1])
@@ -161,8 +161,6 @@ def verify_lemmas(
         lhs = lam**-nu * -math.expm1(-lam * t)
         return (lhs / (smoothing_constant("difference", nu) * t**nu),)
 
-    op = dirichlet_laplacian_1d(64)
-
     def random_window(shortest):
         """A random vector at N = 64, smoothness rho, start tau1 and log-uniform width."""
         x = rng.standard_normal(64)
@@ -172,9 +170,9 @@ def verify_lemmas(
     def convolution_bounds():
         x, rho, tau1, delta = random_window(1e-4)
         norm_sq = float(np.sum(x**2))
-        energy = stochastic_convolution_energy(op, rho, tau1, tau1 + delta, x)
+        energy = stochastic_convolution_energy(rho, tau1, tau1 + delta, x)
         energy_bound = 0.5 * smoothing_constant("integral", rho) * delta ** (1.0 - rho) * norm_sq
-        flow = deterministic_convolution_norm(op, rho, tau1, tau1 + delta, x)
+        flow = deterministic_convolution_norm(rho, tau1, tau1 + delta, x)
         flow_bound = smoothing_constant("convolution", rho) * delta ** (1.0 - rho)
         return energy / energy_bound, flow / (flow_bound * math.sqrt(norm_sq))
 
@@ -182,9 +180,9 @@ def verify_lemmas(
     def convolution_exactness():
         x, rho, tau1, delta = random_window(1e-3)
         tau2 = tau1 + delta
-        energy_q, norm_q = _convolution_quad_oracles(op, rho, tau1, tau2, x)
-        energy = stochastic_convolution_energy(op, rho, tau1, tau2, x)
-        flow = deterministic_convolution_norm(op, rho, tau1, tau2, x)
+        energy_q, norm_q = _convolution_quad_oracles(rho, tau1, tau2, x)
+        energy = stochastic_convolution_energy(rho, tau1, tau2, x)
+        flow = deterministic_convolution_norm(rho, tau1, tau2, x)
         return (max(abs(energy - energy_q) / energy_q, abs(flow - norm_q) / norm_q),)
 
     record(("power_smoothing",), bound_draws, slack, power_smoothing)
@@ -195,10 +193,9 @@ def verify_lemmas(
 
     # moment inequality at p in {2, 4} for an exactly sampled noise response
     n = 32
-    op_mc = dirichlet_laplacian_1d(n)
     cov = example_covariance(n)
     model = ModelSpec(
-        operator=op_mc,
+        dimension=n,
         covariance=cov,
         drift=None,
         diffusion=Diagonal(np.ones(n)),
@@ -211,8 +208,8 @@ def verify_lemmas(
         T=t_final, steps=100, paths=mc_paths, master_seed=seed,
         snapshot_times=(t_final,), method=EXACT_GAUSSIAN,
     )
-    norms = solver.map_paths(model, config, lambda rows: hdot_norm(op_mc, 0.0, rows[:, 0, :]))
-    energy = stochastic_convolution_energy(op_mc, 0.0, 0.0, t_final, np.sqrt(cov))
+    norms = solver.map_paths(model, config, lambda rows: hdot_norm(0.0, rows[:, 0, :]))
+    energy = stochastic_convolution_energy(0.0, 0.0, t_final, np.sqrt(cov))
     for p in (2.0, 4.0):
         powered = norms**p
         moment = float(np.mean(powered))

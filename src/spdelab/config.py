@@ -25,7 +25,6 @@ import numpy as np
 from .models import SCALAR_FUNCTIONS, Diagonal, ModelError, ModelSpec, Nemytskii
 from .noise import example_covariance
 from .solver import EXACT_GAUSSIAN, EXPONENTIAL_EULER, SolverConfig
-from .spectrum import dirichlet_laplacian_1d
 
 # Keys that steer execution without changing any computed number; they are
 # excluded from the resolved-config line embedded in output files.
@@ -38,7 +37,7 @@ EXECUTION_KEYS = ("output.dir", "solver.workers")
 # one set the values depends on the covariance kind, and build_model reports it.
 _COMMON_KEYS = {"kind": (), "output.dir": ()}
 _MODEL_KEYS = {
-    "model.N": (), "model.covariance": (), "model.covariance.value": (),
+    "model.N": ("dimension",), "model.covariance": (), "model.covariance.value": (),
     "model.covariance.values": (), "model.initial": ("initial",), "model.r": ("r",),
     "model.p": ("p",), "model.drift": (), "model.drift.multipliers": ("drift.multipliers",),
     "model.drift.function": ("drift.function",), "model.drift.grid": ("drift.grid_size",),
@@ -209,7 +208,6 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 
 def build_model(cfg: ExperimentConfig) -> ModelSpec:
     n = cfg.get_int("model.N", 256, minimum=1)
-    operator = dirichlet_laplacian_1d(n)
 
     # the key a rejected covariance is reported against: the one that set its values
     cov_kind = cfg.get_choice("model.covariance", ("example5", "constant", "custom"), "example5")
@@ -254,7 +252,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
     r, p = cfg.get_float("model.r", 0.0), cfg.get_float("model.p", 2.0)
 
     try:
-        return ModelSpec(operator=operator, covariance=covariance, drift=drift,
+        return ModelSpec(dimension=n, covariance=covariance, drift=drift,
                          diffusion=diffusion, initial=initial, r=r, p=p)
     except ModelError as exc:
         key = cov_key if exc.field == "covariance" else field_key(_MODEL_KEYS, exc.field)

@@ -1,14 +1,15 @@
 """Problem description: model specs, the scalar-function table, assumption checks.
 
-A model couples the operator spectrum, the noise covariance, a drift F, a
-diffusion G, a deterministic initial state, and the regularity parameters
-(r, p) the user claims for it.  The noise covariance is the array of its
-variances q_k and the initial state an array of mode coefficients; like a
-`Diagonal` spec's multipliers, `ModelSpec` checks them and keeps them
-read-only, so it alone decides whether a model is valid.  F is None (zero),
-a `Diagonal` or a `Nemytskii` spec, and G a `Diagonal` or a `Nemytskii`
-spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec composes
-pointwise with a globally Lipschitz scalar function named in
+A model lives on the first N sine modes of the Dirichlet Laplacian on
+(0, 1), whose eigenvalues it computes once.  It couples them with the noise
+covariance, a drift F, a diffusion G, a deterministic initial state, and the
+regularity parameters (r, p) the user claims for it.  The noise covariance
+is the array of its variances q_k and the initial state an array of mode
+coefficients; like a `Diagonal` spec's multipliers, `ModelSpec` checks them
+and keeps them read-only, so it alone decides whether a model is valid.  F
+is None (zero), a `Diagonal` or a `Nemytskii` spec, and G a `Diagonal` or a
+`Nemytskii` spec.  A `Diagonal` multiplies mode k by m_k; a `Nemytskii` spec
+composes pointwise with a globally Lipschitz scalar function named in
 `SCALAR_FUNCTIONS`.  The field of `ModelSpec` a spec sits in makes it the
 drift or the diffusion.  The solver evaluates F and G on the rows of a time
 step, and `validate_assumptions` returns one `AssumptionCheck` per standing
@@ -24,7 +25,15 @@ from typing import Callable
 import numpy as np
 
 from . import transforms
-from .spectrum import SpectralOperator, _frozen_array, hdot_norm
+from .spectrum import dirichlet_eigenvalues, hdot_norm
+
+
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a one-dimensional array, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -90,22 +99,29 @@ class ModelError(ValueError):
 class ModelSpec:
     """Full problem description with its declared regularity parameters.
 
-    A drift of None is F = 0.  `covariance` holds the variances q_k >= 0 of
-    the noise modes, and `initial` the coefficients of X_0, whose norm at
-    r + 1 must be finite; both are stored as read-only copies.  Every
-    rejection is a `ModelError`.
+    `dimension` is the number N >= 1 of sine modes, and `eigenvalues` their
+    read-only Dirichlet eigenvalues, computed once.  A drift of None is
+    F = 0.  `covariance` holds the variances q_k >= 0 of the noise modes, and
+    `initial` the coefficients of X_0, whose norm at r + 1 must be finite;
+    both are stored as read-only copies.  Every rejection is a `ModelError`.
     """
 
-    operator: SpectralOperator
+    dimension: int
     covariance: np.ndarray
     drift: Diagonal | Nemytskii | None
     diffusion: Diagonal | Nemytskii
     initial: np.ndarray
     r: float = 0.0
     p: float = 2.0
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.operator.dimension
+        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
+            raise ModelError(f"dimension must be an integer >= 1, got {self.dimension!r}",
+                             "dimension")
+        n = int(self.dimension)
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "eigenvalues", dirichlet_eigenvalues(n))
         covariance = np.array(self.covariance, dtype=float)
         if covariance.shape != (n,):
             raise ModelError(f"covariance has shape {covariance.shape}, expected ({n},)",
@@ -141,8 +157,7 @@ class ModelSpec:
                 raise ModelError(f"additive models allow r in [0, 1], got {self.r}", "r")
             # an overflow gives inf, rejected next; sqrt(q_k) g_k is 0 where q_k = 0
             with np.errstate(over="ignore"):
-                norm = hdot_norm(self.operator, self.r,
-                                 np.sqrt(self.covariance) * self.diffusion.multipliers)
+                norm = hdot_norm(self.r, np.sqrt(self.covariance) * self.diffusion.multipliers)
             if not math.isfinite(norm):
                 raise ModelError(
                     "weighted Hilbert-Schmidt norm of the diffusion is not finite", None
@@ -154,13 +169,9 @@ class ModelSpec:
         if self.p < 2.0:
             raise ModelError(f"moment order must be >= 2, got {self.p}", "p")
         with np.errstate(over="ignore"):  # an overflow gives inf, rejected next
-            initial_norm = hdot_norm(self.operator, self.r + 1.0, self.initial)
+            initial_norm = hdot_norm(self.r + 1.0, self.initial)
         if not math.isfinite(initial_norm):
             raise ModelError("initial state must have a finite smoothness norm at r + 1", "initial")
-
-    @property
-    def dimension(self) -> int:
-        return self.operator.dimension
 
 
 @dataclass(frozen=True)
@@ -232,8 +243,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
     if probe_seed < 0:
         raise ModelError(f"seed must be >= 0, got {probe_seed}", "probe_seed")
     checks: list[AssumptionCheck] = []
-    op, cov = model.operator, model.covariance
-    n = model.dimension
+    lam, cov, n = model.eigenvalues, model.covariance, model.dimension
 
     # declared constants: a Nemytskii term's from the table, max|m_k| for a
     # diagonal drift x -> m x, and 0 for no drift and for the state-independent
@@ -252,8 +262,8 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
 
     if isinstance(diffusion, Diagonal):
         checks.append(AssumptionCheck("diffusion_lipschitz", True, {"constant": lip_g}))
-        # the terms of hdot_norm(op, r, sqrt(q) g) squared, kept for their partial sums
-        weights = op.eigenvalues**model.r * cov * diffusion.multipliers**2
+        # the terms of hdot_norm(r, sqrt(q) g) squared, in its order, kept for their partial sums
+        weights = lam**model.r * (np.sqrt(cov) * diffusion.multipliers) ** 2
         sums = _dyadic_partial_sums(weights)
         norm = math.sqrt(sums[-1])
         checks.append(
@@ -274,7 +284,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
             Hilbert-Schmidt norm of multiplication by grid `values`; row i per noise mode."""
             # rows of `images`: coefficients of values * e_i, one per noise mode i
             images = transforms.analyze(values * basis, n)
-            weighted = op.eigenvalues[None, :] ** r * images**2
+            weighted = lam[None, :] ** r * images**2
             return cov[:, None] * weighted
 
         def image_norm(terms: np.ndarray) -> float:
@@ -306,7 +316,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
             x = rng.standard_normal(n) / modes
             u = transforms.synthesize(x, m)[0]
             terms = image_terms(fn(u), model.r)
-            ratios.append(image_norm(terms) / (1.0 + hdot_norm(op, model.r, x)))
+            ratios.append(image_norm(terms) / (1.0 + hdot_norm(model.r, x)))
             mode_sums = _dyadic_partial_sums(np.sum(terms, axis=1))
             converging = converging and _increments_shrink(mode_sums, n)
         measured = max(ratios)
@@ -316,7 +326,7 @@ def validate_assumptions(model: ModelSpec, probe_seed: int = 0) -> tuple[Assumpt
             )
         )
 
-    initial_norm = hdot_norm(op, model.r + 1.0, model.initial)
+    initial_norm = hdot_norm(model.r + 1.0, model.initial)
     checks.append(
         AssumptionCheck(
             "initial_regularity", math.isfinite(initial_norm), {"norm": initial_norm}

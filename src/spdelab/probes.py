@@ -18,7 +18,7 @@ import numpy as np
 
 from .models import Diagonal, ModelError, ModelSpec, Nemytskii
 from .solver import SolverConfig, map_paths
-from .spectrum import SpectralOperator, hdot_norm
+from .spectrum import dirichlet_eigenvalues, hdot_norm
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,18 @@ def estimate_lp_norm(samples: Sequence[float], p: float) -> tuple[float, float]:
     return estimate, moment_se * estimate / (p * moment)
 
 
+def _check_increment_arguments(s_values: Sequence[float], lags: Sequence[float] | None) -> None:
+    """A `ModelError` against `s_values` if it is empty or holds a non-finite s,
+    or against `lags` if it is given and empty."""
+    if len(s_values) == 0:
+        raise ModelError("need at least one smoothness value", "s_values")
+    for s in s_values:
+        if not math.isfinite(s):
+            raise ModelError(f"smoothness s must be finite, got {s}", "s_values")
+    if lags is not None and len(lags) == 0:
+        raise ModelError("need at least one lag", "lags")
+
+
 def _increment_config(config: SolverConfig, anchor: float, lags: Sequence[float]) -> SolverConfig:
     """`config` snapshotting the anchor, then each anchor + lag in the given order;
     a time SolverConfig rejects is a `ModelError` against `anchor` or `lags`."""
@@ -76,21 +88,21 @@ def increment_samples(
 ) -> np.ndarray:
     """Samples of ||X(anchor + lag) - X(anchor)||_s for every s in `s_values` and every lag.
 
-    The run snapshots the anchor and then each anchor + lag in the given order,
-    so every time is a grid point in [0, T] and each lag falls on a later step
-    than the one before; otherwise a `ModelError` names `anchor` or `lags`.
+    Before any path runs, `s_values` must be non-empty and finite and `lags`
+    non-empty.  The run snapshots the anchor and then each anchor + lag in the
+    given order, so every time is a grid point in [0, T] and each lag falls on
+    a later step than the one before.  Otherwise a `ModelError` names
+    `s_values`, `anchor` or `lags`.
     Both times of an increment are read from the same path, and every (s, lag)
     column from the same ensemble: one ``map_paths`` run serves them all.
     Returns an array (len(s_values), len(lags), paths).
     """
-    for s in s_values:
-        if not math.isfinite(s):
-            raise ModelError(f"smoothness s must be finite, got {s}", "s_values")
+    _check_increment_arguments(s_values, lags)
     run_config = _increment_config(config, anchor, lags)
 
     def reduce_block(rows: np.ndarray) -> np.ndarray:
         diffs = rows[:, 1:, :] - rows[:, :1, :]
-        return np.stack([hdot_norm(model.operator, s, diffs) for s in s_values], axis=1)
+        return np.stack([hdot_norm(s, diffs) for s in s_values], axis=1)
 
     table = map_paths(model, run_config, reduce_block)
     return np.moveaxis(table, 0, -1)
@@ -162,12 +174,11 @@ def temporal_probe(
     anchor defaults to grid step steps // 2, and the lags to 10 near-geometric
     multiples of h up to min(max(steps // 4, 100), k) h, where k >= 100 steps
     follow the anchor.  Before any path runs, each argument is checked, with
-    the times (as in `increment_samples`) before the fit's rule on the lags, and
-    a `ModelError` names the one at fault: `s_values`, `anchor`, `lags` or, for
+    the rules of `increment_samples` before the fit's rule on the lags, and a
+    `ModelError` names the one at fault: `s_values`, `anchor`, `lags` or, for
     fewer than two paths, `paths`.
     """
-    if len(s_values) == 0:
-        raise ModelError("need at least one smoothness value", "s_values")
+    _check_increment_arguments(s_values, lags)
     if anchor is None:
         anchor = config.steps // 2 * config.h
     if lags is None:
@@ -216,7 +227,7 @@ def truncate_model(model: ModelSpec, n_modes: int) -> ModelSpec:
     if n_modes == n:
         return model
     return ModelSpec(
-        operator=SpectralOperator(model.operator.eigenvalues[:n_modes]),
+        dimension=n_modes,
         covariance=model.covariance[:n_modes],
         drift=_leading(model.drift, n_modes),
         diffusion=_leading(model.diffusion, n_modes),
@@ -257,10 +268,8 @@ def spatial_sweep(
         raise ModelError(f"need at least two paths, got {config.paths}", "paths")
     results = []
     for run, sub in zip(runs, subs):
-        ops = [SpectralOperator(sub.operator.eigenvalues[:n]) for n in run]
-
         def reduce_block(rows: np.ndarray) -> np.ndarray:
-            return np.stack([hdot_norm(op, s, rows[..., :op.dimension]) for op in ops], axis=1)
+            return np.stack([hdot_norm(s, rows[..., :n]) for n in run], axis=1)
 
         norms = map_paths(model=sub, config=config, reduce_block=reduce_block)
         for k, n in enumerate(run):
@@ -292,7 +301,7 @@ def example_series_partial_sum(r: float, t: float, n_modes: int) -> float:
     if n_modes < 2:
         raise ModelError(f"need at least two modes, got {n_modes}", "n_modes")
     k = np.arange(2, n_modes + 1, dtype=float)
-    lam = (k * np.pi) ** 2
+    lam = dirichlet_eigenvalues(n_modes)[1:]
     terms = lam**r * (-np.expm1(-2.0 * lam * t)) / (k * np.log(k) ** 2)
     return 0.5 * float(np.sum(terms))
 

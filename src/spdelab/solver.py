@@ -257,7 +257,7 @@ def _simulate_block(
     z_rows = list(z)  # row views, filled in place by each path's stream
     finite = np.empty((block, n), dtype=bool)
     work = Workspace()  # this call's own: never shared between blocks
-    lam = model.operator.eigenvalues
+    lam = model.eigenvalues
     decay = np.exp(-lam * h)
 
     if exact:

@@ -1,11 +1,14 @@
-"""Diagonal operator calculus on the eigenbasis of a positive self-adjoint operator.
+"""Diagonal operator calculus on the eigenbasis of the Dirichlet Laplacian on (0, 1).
 
-Everything here acts mode-wise on a truncated spectrum 0 < lam_1 <= ... <= lam_N:
-the fractional-space norms ||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the
-closed-form time integrals of the heat semigroup e^{-tA} that control smoothing
-(their sharp one-dimensional constants included).  A vector of mode
-coefficients x is a plain one-dimensional float array of length N; the norm
-also takes an array of such rows and measures each.
+The operator A is -d^2/dx^2 with zero boundary values, whose sine eigenmodes
+e_k(x) = sqrt(2) sin(k pi x) have the eigenvalues lam_k = (k pi)^2.  A vector
+of mode coefficients x is a plain one-dimensional float array of the modes
+1..N, so its length fixes the truncation.  Everything here acts mode-wise on
+that truncated spectrum: the fractional-space norms
+||x||_s = (sum_n lam_n^s x_n^2)^{1/2}, and the closed-form time integrals of
+the heat semigroup e^{-tA} that control smoothing (their sharp
+one-dimensional constants included).  The norm also takes an array of such
+rows and measures each.
 
 The sharp constants come from a scalar root of u / expm1(u) = nu, so the module
 needs numpy and the standard library only.
@@ -14,74 +17,32 @@ needs numpy and the standard library only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a one-dimensional array, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+def dirichlet_eigenvalues(n: int) -> np.ndarray:
+    """The read-only eigenvalues lam_k = (k pi)^2, k = 1..n, of the Dirichlet Laplacian.
 
-
-@dataclass(frozen=True)
-class SpectralOperator:
-    """Truncated eigenvalue sequence of the linear operator A.
-
-    The eigenvalues must be strictly positive and nondecreasing; the truncation
-    dimension is the length of the sequence.
+    Each entry depends on k alone, so the first n entries of a longer array
+    are bitwise this one.
     """
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.eigenvalues)
-        if arr.size == 0:
-            raise ValueError("operator needs at least one eigenvalue")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("eigenvalues must be finite")
-        if arr[0] <= 0.0:
-            raise ValueError("eigenvalues must be strictly positive")
-        if np.any(np.diff(arr) < 0.0):
-            raise ValueError("eigenvalues must be nondecreasing")
-        object.__setattr__(self, "eigenvalues", arr)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.eigenvalues.size)
+    if n < 1:
+        raise ValueError(f"truncation dimension must be >= 1, got {n}")
+    k = np.arange(1, n + 1, dtype=float)
+    lam = (k * np.pi) ** 2
+    lam.setflags(write=False)
+    return lam
 
 
-def _check_dimensions(op: SpectralOperator, x: np.ndarray) -> None:
-    if x.shape != (op.dimension,):
-        raise ValueError(
-            f"dimension mismatch: operator has {op.dimension} modes, "
-            f"coefficients have shape {x.shape}"
-        )
-
-
-def dirichlet_laplacian_1d(n_modes: int) -> SpectralOperator:
-    """Spectrum lam_k = k^2 pi^2 of the 1-d Dirichlet Laplacian on (0, 1)."""
-    if n_modes < 1:
-        raise ValueError(f"truncation dimension must be >= 1, got {n_modes}")
-    k = np.arange(1, n_modes + 1, dtype=float)
-    return SpectralOperator((k * np.pi) ** 2)
-
-
-def hdot_norm(op: SpectralOperator, s: float, x: np.ndarray) -> float | np.ndarray:
+def hdot_norm(s: float, x: np.ndarray) -> float | np.ndarray:
     """Fractional-space norm ||x||_s = sqrt(sum_n lam_n^s x_n^2) over the last axis.
 
     One vector of N coefficients gives a float; an array (..., N) gives the
     array (...) of its rows' norms, each the same reduction as the vector's.
     """
-    if x.shape[-1:] != (op.dimension,):
-        raise ValueError(
-            f"dimension mismatch: operator has {op.dimension} modes, "
-            f"coefficients have shape {x.shape}"
-        )
-    norm = np.sqrt(np.sum(op.eigenvalues**s * x**2, axis=-1))
+    lam = dirichlet_eigenvalues(x.shape[-1])
+    norm = np.sqrt(np.sum(lam**s * x**2, axis=-1))
     return float(norm) if x.ndim == 1 else norm
 
 
@@ -162,42 +123,37 @@ def smoothing_constant(kind: str, exponent: float) -> float:
     return _difference_sup(1.0 - e)  # convolution
 
 
-def _check_interval(tau1: float, tau2: float) -> float:
+def _check_window(
+    rho: float, tau1: float, tau2: float, x: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The window length tau2 - tau1 and the eigenvalues of the modes of the vector x."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    if x.ndim != 1:
+        raise ValueError(f"need one vector of mode coefficients, coefficients have shape {x.shape}")
     if tau1 < 0.0:
         raise ValueError(f"interval start must be >= 0, got {tau1}")
     if tau2 <= tau1:
         raise ValueError(f"interval must satisfy tau1 < tau2, got [{tau1}, {tau2}]")
-    return tau2 - tau1
+    return tau2 - tau1, dirichlet_eigenvalues(x.size)
 
 
-def stochastic_convolution_energy(
-    op: SpectralOperator, rho: float, tau1: float, tau2: float, x: np.ndarray
-) -> float:
+def stochastic_convolution_energy(rho: float, tau1: float, tau2: float, x: np.ndarray) -> float:
     """Exact value of int_{tau1}^{tau2} ||A^{rho/2} E(tau2 - sigma) x||^2 dsigma.
 
     Mode-wise the integral evaluates to the closed-form series
     (1/2) sum_n x_n^2 lam_n^{rho-1} (1 - e^{-2 lam_n (tau2 - tau1)}).
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    _check_dimensions(op, x)
-    delta = _check_interval(tau1, tau2)
-    lam = op.eigenvalues
+    delta, lam = _check_window(rho, tau1, tau2, x)
     terms = x**2 * lam ** (rho - 1.0) * (-np.expm1(-2.0 * lam * delta))
     return 0.5 * float(np.sum(terms))
 
 
-def deterministic_convolution_norm(
-    op: SpectralOperator, rho: float, tau1: float, tau2: float, x: np.ndarray
-) -> float:
+def deterministic_convolution_norm(rho: float, tau1: float, tau2: float, x: np.ndarray) -> float:
     """Exact value of ||A^rho int_{tau1}^{tau2} E(tau2 - sigma) x dsigma||.
 
     Mode-wise the squared norm is sum_n x_n^2 ((1 - e^{-lam_n delta}) / lam_n^{1-rho})^2.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    _check_dimensions(op, x)
-    delta = _check_interval(tau1, tau2)
-    lam = op.eigenvalues
+    delta, lam = _check_window(rho, tau1, tau2, x)
     factors = -np.expm1(-lam * delta) / lam ** (1.0 - rho)
     return float(np.sqrt(np.sum(x**2 * factors**2)))

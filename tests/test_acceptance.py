@@ -29,7 +29,7 @@ from spdelab.solver import (
 )
 from spdelab.spectrum import (
     deterministic_convolution_norm,
-    dirichlet_laplacian_1d,
+    dirichlet_eigenvalues,
     hdot_norm,
     smoothing_constant,
     stochastic_convolution_energy,
@@ -53,17 +53,16 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 def test_criterion_01_convolution_exactness():
     """Closed-form convolution quantities agree with adaptive quadrature to 1e-8."""
     rng = np.random.default_rng(101)
-    op = dirichlet_laplacian_1d(64)
     worst = 0.0
     for _ in range(100):
         x = rng.standard_normal(64)
         rho = rng.uniform(0.0, 1.0)
         tau1 = rng.uniform(0.0, 0.5)
         tau2 = tau1 + math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
-        energy_oracle = quad_energy(op, rho, tau1, tau2, x)
-        flow_oracle = quad_flow_norm(op, rho, tau1, tau2, x)
-        energy = stochastic_convolution_energy(op, rho, tau1, tau2, x)
-        flow = deterministic_convolution_norm(op, rho, tau1, tau2, x)
+        energy_oracle = quad_energy(rho, tau1, tau2, x)
+        flow_oracle = quad_flow_norm(rho, tau1, tau2, x)
+        energy = stochastic_convolution_energy(rho, tau1, tau2, x)
+        flow = deterministic_convolution_norm(rho, tau1, tau2, x)
         worst = max(
             worst,
             abs(energy - energy_oracle) / energy_oracle,
@@ -80,7 +79,6 @@ def test_criterion_02_smoothing_bounds():
     """Semigroup smoothing estimates hold with the derived sharp constants."""
     rng = np.random.default_rng(202)
     slack = 1.0 + 1e-12
-    op = dirichlet_laplacian_1d(64)
     violations = 0
     draws = 1000
     for _ in range(draws):
@@ -97,11 +95,11 @@ def test_criterion_02_smoothing_bounds():
         rho = rng.uniform(0.0, 1.0)
         tau1 = rng.uniform(0.0, 0.5)
         delta = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
-        norm = hdot_norm(op, 0.0, x)
-        energy = stochastic_convolution_energy(op, rho, tau1, tau1 + delta, x)
+        norm = hdot_norm(0.0, x)
+        energy = stochastic_convolution_energy(rho, tau1, tau1 + delta, x)
         if energy > 0.5 * smoothing_constant("integral", rho) * delta ** (1.0 - rho) * norm**2 * slack:
             violations += 1
-        flow = deterministic_convolution_norm(op, rho, tau1, tau1 + delta, x)
+        flow = deterministic_convolution_norm(rho, tau1, tau1 + delta, x)
         if flow > smoothing_constant("convolution", rho) * delta ** (1.0 - rho) * norm * slack:
             violations += 1
     report(
@@ -121,7 +119,7 @@ def test_criterion_03_ito_isometry():
     mc = float(np.mean(squared))
     se = float(np.std(squared, ddof=1) / math.sqrt(squared.size))
     exact = stochastic_convolution_energy(
-        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance)
+        0.0, 0.0, t, np.sqrt(model.covariance)
     )
     deviation = abs(mc - exact)
     report(
@@ -136,7 +134,7 @@ def test_criterion_04_integrator_oracle():
     """Exponential-Euler mode variances track the exact transition law, bias shrinking in h."""
     n, T, paths = 16, 0.2, 4000
     model = linear_additive_model(n)
-    lam = model.operator.eigenvalues
+    lam = model.eigenvalues
     exact = GaussianLaw.exact(model).variance(T)
     results = {}
     for h in (1e-2, 1e-3):
@@ -290,7 +288,7 @@ def test_criterion_09_moment_inequality():
                           method=EXACT_GAUSSIAN)
     norms = map_paths(model, config, lambda rows: np.sqrt(np.sum(rows[:, 0, :] ** 2, axis=1)))
     energy = stochastic_convolution_energy(
-        model.operator, 0.0, 0.0, t, np.sqrt(model.covariance)
+        0.0, 0.0, t, np.sqrt(model.covariance)
     )
     details = []
     violations = 0
@@ -395,7 +393,7 @@ def test_criterion_12_drift_part_is_smoother():
                           snapshot_times=(steps * 1e-5,))
     values = {"D": [], "O": []}
     for n in (16, 32, 64):
-        lam = dirichlet_laplacian_1d(n).eigenvalues
+        lam = dirichlet_eigenvalues(n)
 
         def final_state(drift):
             model = make_model(n, drift, covariance=400.0 * example_covariance(n))
@@ -424,7 +422,7 @@ def split_euler(model, h, normals):
     `_diffusion_rows`, and dW_j the kernel's sqrt(q h) times `normals[j]`, an
     array (steps, paths, modes).
     """
-    decay = np.exp(-model.operator.eigenvalues * h)
+    decay = np.exp(-model.eigenvalues * h)
     noise_sd = np.sqrt(model.covariance * h)
     d, s = np.zeros(normals.shape[1:]), np.zeros(normals.shape[1:])
     work = solver.Workspace()
@@ -466,13 +464,11 @@ def test_criterion_13_stochastic_part_carries_the_roughness():
     normals = kernel_normals(seed, range(config.paths), steps, 64)
     d_values, s_values, ratios, mismatch = [], [], [], 0.0
     for n in (16, 32, 64):
-        op = dirichlet_laplacian_1d(n)
-
         def final_state(model):
             return map_paths(model, config, lambda rows: rows[:, -1, :])
 
         def rms(s, part):
-            return math.sqrt(np.mean(hdot_norm(op, s, part) ** 2))
+            return math.sqrt(np.mean(hdot_norm(s, part) ** 2))
 
         covariance = 400.0 * example_covariance(n)
         multiplicative = make_model(n, Nemytskii("tanh", grid), Nemytskii("cos", grid),

@@ -88,14 +88,6 @@ def test_concurrency_detector_sees_lazy_imports():
                                                  "multiprocessing"]
 
 
-# Underscore names that another library module may import, each with its reason.
-PRIVATE_IMPORTS_ALLOWED = {
-    "spectrum._frozen_array": "models freezes the covariance, the initial state and the "
-                              "multipliers into read-only arrays the way spectrum freezes "
-                              "the eigenvalues",
-}
-
-
 def private_imports(source: str) -> list[str]:
     """`module.name` for each underscore name that `source` imports from the package."""
     return [
@@ -109,13 +101,7 @@ def private_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", ALL_FILES, ids=[p.stem for p in ALL_FILES])
 def test_module_imports_no_private_name(path):
-    names = private_imports(path.read_text())
-    assert [name for name in names if name not in PRIVATE_IMPORTS_ALLOWED] == []
-
-
-def test_private_allowlist_is_used():
-    used = {name for p in ALL_FILES for name in private_imports(p.read_text())}
-    assert set(PRIVATE_IMPORTS_ALLOWED) <= used
+    assert private_imports(path.read_text()) == []
 
 
 def test_private_import_detector():

@@ -1,6 +1,8 @@
 """Model specification tests: function table, drift/diffusion evaluation, assumptions."""
 
+import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from spdelab.models import (
     validate_assumptions,
 )
 from spdelab.noise import example_covariance
+from spdelab.spectrum import hdot_norm
 
 from oracles import make_model
 
@@ -75,6 +78,13 @@ class TestModelValidation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_model(4, covariance=example_covariance(5))
+
+    # the mode count is checked before any array is compared against it
+    @pytest.mark.parametrize("dimension", [0, -3, 4.0, "4"])
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        with pytest.raises(ModelError, match="^dimension must be an integer >= 1") as info:
+            dataclasses.replace(make_model(4), dimension=dimension)
+        assert info.value.field == "dimension"
 
     def test_small_nemytskii_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -248,6 +258,20 @@ class TestValidateAssumptions:
         assert not growth.passed
         sums = growth.measured["partial_sums"]
         assert sums[2] - sums[1] > sums[1] - sums[0]
+
+    # the additive growth check sums the terms of the norm ModelSpec accepted, in
+    # its order: q g^2 would overflow at g = 1e155 where (sqrt(q) g)^2 = 1e280 does not
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, q, g, r", [(4, 1e-30, 1e155, 0.0), (256, None, 1.0, 0.5),
+                                            (64, None, 0.7, 0.25), (64, 2.0, 3.0, 1.0)],
+                             ids=["overflow", "borderline", "example", "constant"])
+    def test_additive_hs_norm_is_the_norm_model_spec_accepts(self, n, q, g, r):
+        covariance = None if q is None else np.full(n, q)
+        model = make_model(n, covariance=covariance, diffusion=Diagonal(np.full(n, g)), r=r)
+        growth = checks_of(model)["diffusion_growth"]
+        x = np.sqrt(model.covariance) * model.diffusion.multipliers
+        assert growth.measured["hs_norm"] == hdot_norm(r, x)
+        assert math.isfinite(growth.measured["hs_norm"])
 
     # an additive model draws nothing, and is refused all the same
     @pytest.mark.parametrize("diffusion", [None, Nemytskii("cos", 16)])

@@ -1,4 +1,5 @@
-"""Noise sampling and Hilbert-Schmidt norm tests."""
+"""Noise tests: the counter-addressed stream, its Gaussian draws, the example
+covariance and the Burkholder constant."""
 
 import math
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from spdelab.noise import NoiseStream, burkholder_constant, example_covariance
-from spdelab.spectrum import dirichlet_laplacian_1d, hdot_norm
 
 
 def increment(cov, h, stream, step_index):
@@ -159,63 +159,6 @@ class TestGaussianity:
         corr = np.corrcoef(draws.T)
         off_diagonal = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diagonal)) < 3.0 / math.sqrt(draws.shape[0])
-
-
-def hs_norm(op, q, phi, r):
-    """Smoothness-weighted Hilbert-Schmidt norm sqrt(sum_k lam_k^r q_k phi_k^2) of
-    the diagonal operator phi against the covariance q: the r-norm of sqrt(q) phi."""
-    return hdot_norm(op, r, np.sqrt(q) * phi)
-
-
-class TestHSNorms:
-    def test_identity_norm_is_truncated_trace(self):
-        n = 100
-        cov = example_covariance(n)
-        ones = np.ones(n)
-        op = dirichlet_laplacian_1d(n)
-        assert hs_norm(op, cov, ones, 0.0) == pytest.approx(
-            math.sqrt(float(np.sum(cov))), rel=1e-14
-        )
-        # finite and increasing with the truncation dimension
-        smaller = hs_norm(dirichlet_laplacian_1d(50), example_covariance(50), np.ones(50), 0.0)
-        assert smaller < hs_norm(op, cov, ones, 0.0) < math.inf
-
-    def test_zero_operator(self):
-        cov = example_covariance(5)
-        op = dirichlet_laplacian_1d(5)
-        assert hs_norm(op, cov, np.zeros(5), 0.0) == 0.0
-
-    def test_single_mode(self):
-        cov = np.array([4.0])
-        op = dirichlet_laplacian_1d(1)
-        phi = np.array([3.0])
-        assert hs_norm(op, cov, phi, 0.0) == pytest.approx(6.0)
-
-    def test_weighted_norm_reduces_at_zero_smoothness(self):
-        n = 16
-        op = dirichlet_laplacian_1d(n)
-        cov = example_covariance(n)
-        phi = np.linspace(0.5, 2.0, n)
-        unweighted = math.sqrt(float(np.sum(cov * phi**2)))
-        assert hs_norm(op, cov, phi, 0.0) == pytest.approx(unweighted, rel=1e-14)
-
-    def test_weighted_norm_single_mode(self):
-        op = dirichlet_laplacian_1d(1)
-        cov = np.array([1.0])
-        phi = np.array([1.0])
-        assert hs_norm(op, cov, phi, 2.0) == pytest.approx(np.pi**2, rel=1e-14)
-
-    def test_borderline_weighting_grows_without_bound(self):
-        # with positive smoothness weight the truncated sums keep growing
-        values = []
-        for n in (100, 1000, 10000):
-            op = dirichlet_laplacian_1d(n)
-            cov = example_covariance(n)
-            values.append(hs_norm(op, cov, np.ones(n), 0.5))
-        assert values[0] < values[1] < values[2]
-        # squared-norm increments do not shrink: the series diverges
-        squared = [v**2 for v in values]
-        assert squared[2] - squared[1] > squared[1] - squared[0]
 
 
 class TestBurkholderConstant:

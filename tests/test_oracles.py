@@ -11,7 +11,7 @@ from oracles import GaussianLaw, euler_gap_variance, linear_additive_model
 @pytest.mark.parametrize("t", [1e-4, 0.1, 2.0])
 def test_exact_variance_sums_to_the_convolution_energy(t):
     model = linear_additive_model(256)
-    energy = stochastic_convolution_energy(model.operator, 0.0, 0.0, t, np.sqrt(model.covariance))
+    energy = stochastic_convolution_energy(0.0, 0.0, t, np.sqrt(model.covariance))
     assert float(np.sum(GaussianLaw.exact(model).variance(t))) == pytest.approx(energy, rel=1e-14)
 
 
@@ -22,7 +22,7 @@ def test_exact_variance_sums_to_the_convolution_energy(t):
 def test_euler_laws_follow_the_schemes_recurrence():
     h, anchor, lags = 1e-3, 7, (1, 4, 25)
     model = linear_additive_model(32, g=0.7, x0=np.linspace(1.0, 0.0, 32))
-    lam, g2q = model.operator.eigenvalues, 0.49 * model.covariance
+    lam, g2q = model.eigenvalues, 0.49 * model.covariance
     b = np.exp(-lam * h)
     noise = b**2 * g2q * h
     exact_sd = np.sqrt(GaussianLaw.exact(model).variance(h))  # the exact law one step from 0

@@ -30,10 +30,7 @@ from spdelab.solver import (
     SolverConfig,
     map_paths,
 )
-from spdelab.spectrum import (
-    dirichlet_laplacian_1d,
-    stochastic_convolution_energy,
-)
+from spdelab.spectrum import stochastic_convolution_energy
 
 from oracles import GaussianLaw, linear_additive_model, make_model
 
@@ -171,6 +168,19 @@ class TestIncrementSamples:
         with pytest.raises(ModelError, match="fall on grid steps 5 and 5") as info:
             increment_samples(linear_additive_model(), config, (0.0,), 0.05, [0.0])
         assert info.value.field == "lags"
+        assert map_paths_calls == []
+
+    # numpy cannot stack no s at all, and no lag leaves nothing to sample
+    @pytest.mark.parametrize("s_values, lags, field, message", [
+        ((), [0.01], "s_values", "^need at least one smoothness value$"),
+        ((0.0,), [], "lags", "^need at least one lag$"),
+    ], ids=["no-smoothness", "no-lags"])
+    def test_empty_arguments_are_rejected_before_any_path_runs(self, s_values, lags, field,
+                                                              message, map_paths_calls):
+        config = SolverConfig(T=0.1, steps=10, paths=16, master_seed=2)
+        with pytest.raises(ModelError, match=message) as info:
+            increment_samples(linear_additive_model(), config, s_values, 0.05, lags)
+        assert info.value.field == field
         assert map_paths_calls == []
 
     def test_off_grid_times_rejected(self):
@@ -347,12 +357,9 @@ class TestSpatialSweep:
     def test_truncate_model_slices_consistently(self):
         model = linear_drift_model(16)
         sub = truncate_model(model, 4)
-        np.testing.assert_array_equal(
-            sub.operator.eigenvalues, model.operator.eigenvalues[:4]
-        )
-        np.testing.assert_array_equal(
-            sub.covariance, model.covariance[:4]
-        )
+        assert sub.dimension == 4
+        np.testing.assert_array_equal(sub.eigenvalues, model.eigenvalues[:4])
+        np.testing.assert_array_equal(sub.covariance, model.covariance[:4])
         np.testing.assert_array_equal(sub.drift.multipliers, model.drift.multipliers[:4])
         np.testing.assert_array_equal(sub.diffusion.multipliers, model.diffusion.multipliers[:4])
         np.testing.assert_array_equal(sub.initial, model.initial[:4])
@@ -379,7 +386,7 @@ class TestSpatialSweep:
         reference = []
         for n in n_values:
             sub = truncate_model(model, n)
-            lam = sub.operator.eigenvalues
+            lam = sub.eigenvalues
             norms = map_paths(
                 sub, config, lambda rows: np.sqrt(np.sum(lam**s * rows**2, axis=-1))
             )
@@ -478,10 +485,9 @@ class TestExampleSeries:
 
     def test_matches_convolution_energy_assembly(self):
         n = 200
-        op = dirichlet_laplacian_1d(n)
         q = example_covariance(n)
         weighted = np.sqrt(q)
-        energy = stochastic_convolution_energy(op, 1.0, 0.0, 0.1, weighted)
+        energy = stochastic_convolution_energy(1.0, 0.0, 0.1, weighted)
         series = example_series_partial_sum(0.0, 0.1, n)
         assert series == pytest.approx(energy, rel=1e-12)
 

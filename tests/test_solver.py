@@ -112,7 +112,7 @@ class TestSolverConfig:
 def euler_step(model, x, dW, h):
     """One step of the kernel's row update on a single (1, modes) row."""
     state = np.array(x, dtype=float)[None, :]
-    decay = np.exp(-model.operator.eigenvalues * h)
+    decay = np.exp(-model.eigenvalues * h)
     _euler_rows(model, decay, h, state, np.array(dW, dtype=float)[None, :], Workspace())
     return state[0]
 
@@ -123,7 +123,7 @@ class TestExponentialEulerStep:
         model = linear_additive_model(n, g=0.0)
         x = np.arange(1.0, 7.0)
         out = euler_step(model, x, np.zeros(n), 0.1)
-        np.testing.assert_array_equal(out, np.exp(-model.operator.eigenvalues * 0.1) * x)
+        np.testing.assert_array_equal(out, np.exp(-model.eigenvalues * 0.1) * x)
 
     def test_noiseless_linear_drift_recurrence(self):
         n = 4
@@ -137,7 +137,7 @@ class TestExponentialEulerStep:
         # independent scalar recurrence oracle
         expected = x.copy()
         for _ in range(3):
-            expected = np.exp(-model.operator.eigenvalues * h) * (1.0 - h * f) * expected
+            expected = np.exp(-model.eigenvalues * h) * (1.0 - h * f) * expected
         np.testing.assert_allclose(state, expected, rtol=1e-13)
 
     def test_conditional_mean_drops_the_noise_term(self):
@@ -147,7 +147,7 @@ class TestExponentialEulerStep:
         x = np.array([1.0, 2.0, -1.0, 0.5])
         # the step is affine in dW, so the conditional mean is the zero-noise step
         mean_step = euler_step(model, x, np.zeros(n), h)
-        expected = np.exp(-model.operator.eigenvalues * h) * (1.0 - h * 0.3) * x
+        expected = np.exp(-model.eigenvalues * h) * (1.0 - h * 0.3) * x
         np.testing.assert_allclose(mean_step, expected, rtol=1e-14)
 
     # a zero drift is never evaluated: x - h * 0 is x, bitwise
@@ -160,7 +160,7 @@ class TestExponentialEulerStep:
         model = linear_additive_model(n, g=0.5)
         x, dw = np.arange(1.0, 9.0), np.linspace(-1.0, 1.0, n)
         np.testing.assert_array_equal(
-            euler_step(model, x, dw, h), np.exp(-model.operator.eigenvalues * h) * (x + dw * 0.5)
+            euler_step(model, x, dw, h), np.exp(-model.eigenvalues * h) * (x + dw * 0.5)
         )
 
     # the scheme never sees h <= 0: SolverConfig rejects a negative horizon and
@@ -210,7 +210,7 @@ class TestSimulatePath:
             T=0.05, steps=250, paths=6000, master_seed=31, snapshot_times=(0.05,)
         )
         rows = map_paths(model, config, identity)
-        lam = model.operator.eigenvalues
+        lam = model.eigenvalues
         exact = GaussianLaw.exact(model).variance(config.T)
         mc = rows[:, 0, :].var(axis=0)
         se = exact * math.sqrt(2.0 / config.paths)
@@ -253,7 +253,7 @@ class TestSimulatePath:
                               snapshot_times=(0.01, 0.02))
         rows = map_paths(model, config, identity)
         times = np.array(config.snapshot_times)[:, None]
-        expected = np.exp(-model.operator.eigenvalues * times) * x0
+        expected = np.exp(-model.eigenvalues * times) * x0
         se = rows.std(axis=0, ddof=1) / math.sqrt(config.paths)
         assert np.all(np.abs(rows.mean(axis=0) - expected) <= 4.0 * se)
 
@@ -284,7 +284,7 @@ class TestExactOUPath:
         rows = _simulate_block(model, config, [0])[0]
         np.testing.assert_allclose(
             rows[0],
-            np.exp(-model.operator.eigenvalues * 0.5) * x0,
+            np.exp(-model.eigenvalues * 0.5) * x0,
             rtol=1e-12,
         )
 
@@ -335,7 +335,7 @@ class TestExactOUPath:
 
     def test_one_step_euler_matches_exact_transition_to_first_order(self):
         model = linear_additive_model(4)
-        lam, q = model.operator.eigenvalues, model.covariance
+        lam, q = model.eigenvalues, model.covariance
         for h in (1e-3, 1e-4):
             euler_var = GaussianLaw.euler(model, h).variance(h)
             exact_var = GaussianLaw.exact(model).variance(h)
@@ -384,7 +384,7 @@ class TestExactOUPath:
     @settings(max_examples=15, deadline=None)
     def test_strong_gap_shrinks_when_the_steps_double(self, n, T, extra_steps, seed):
         model = linear_additive_model(n)
-        steps = math.ceil(model.operator.eigenvalues[-1] * T) + extra_steps  # lam_N h <= 1
+        steps = math.ceil(model.eigenvalues[-1] * T) + extra_steps  # lam_N h <= 1
         closed, sampled = [], []
         for count in (steps, 2 * steps):
             config = SolverConfig(T=T, steps=count, paths=200, master_seed=seed,
@@ -416,7 +416,7 @@ class TestStrongSelfConvergence:
         n, grid, T, paths, levels, fine_steps = 32, 64, 0.05, 400, 6, 2048
         model = make_model(n, Nemytskii("tanh", grid), Nemytskii("cos", grid),
                            covariance=400.0 * example_covariance(n))
-        lam, q = model.operator.eigenvalues, model.covariance
+        lam, q = model.eigenvalues, model.covariance
         hs = [T / fine_steps * 2**level for level in range(levels + 1)]
         states = [np.zeros((paths, n)) for _ in hs]
         works = [Workspace() for _ in hs]
@@ -621,7 +621,7 @@ class TestSharedSynthesis:
             return models.SCALAR_FUNCTIONS[spec.function].fn(x @ basis), basis
 
         h = config.h
-        decay = np.exp(-model.operator.eigenvalues * h)
+        decay = np.exp(-model.eigenvalues * h)
         noise_sd = np.sqrt(model.covariance * h)
         x = np.tile(model.initial, (paths, 1))
         for z in kernel_normals(config.master_seed, range(paths), config.steps, n):

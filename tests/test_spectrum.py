@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from spdelab.cli import _convolution_quad_oracles
+from spdelab.noise import example_covariance
 from spdelab.spectrum import (
-    SpectralOperator,
     deterministic_convolution_norm,
-    dirichlet_laplacian_1d,
+    dirichlet_eigenvalues,
     hdot_norm,
     smoothing_constant,
     stochastic_convolution_energy,
 )
 
-from oracles import quad_energy, quad_flow_norm
+from oracles import make_model, quad_energy, quad_flow_norm
 
 
 def coeffs(*values):
@@ -26,80 +26,77 @@ def coeffs(*values):
 
 
 class TestSpectralTypes:
-    def test_eigenvalues_must_increase(self):
-        with pytest.raises(ValueError):
-            SpectralOperator(np.array([2.0, 1.0]))
-
-    def test_eigenvalues_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SpectralOperator(np.array([0.0, 1.0]))
-
     def test_values_are_immutable(self):
-        op = dirichlet_laplacian_1d(4)
-        with pytest.raises(ValueError):
-            op.eigenvalues[0] = 5.0
-
-    @pytest.mark.parametrize("eigenvalues, message", [
-        (np.ones((2, 2)), r"^expected a one-dimensional array, got shape \(2, 2\)$"),
-        (np.array([]), "^operator needs at least one eigenvalue$"),
-        (np.array([1.0, np.inf]), "^eigenvalues must be finite$"),
-        (np.array([np.nan, 1.0]), "^eigenvalues must be finite$"),
-    ], ids=["2-d", "empty", "inf", "nan"])
-    def test_malformed_spectrum_rejected(self, eigenvalues, message):
-        with pytest.raises(ValueError, match=message):
-            SpectralOperator(eigenvalues)
+        for lam in (dirichlet_eigenvalues(4), make_model(4).eigenvalues):
+            with pytest.raises(ValueError):
+                lam[0] = 5.0
 
 
 class TestDirichletLaplacian:
     def test_first_three_eigenvalues(self):
-        op = dirichlet_laplacian_1d(3)
         expected = np.pi**2 * np.array([1.0, 4.0, 9.0])
-        np.testing.assert_allclose(op.eigenvalues, expected, rtol=1e-15)
+        np.testing.assert_allclose(dirichlet_eigenvalues(3), expected, rtol=1e-15)
 
     def test_single_mode(self):
-        np.testing.assert_allclose(dirichlet_laplacian_1d(1).eigenvalues, [np.pi**2])
+        np.testing.assert_allclose(dirichlet_eigenvalues(1), [np.pi**2])
 
     def test_eigenvalue_ratio_is_exact(self):
-        op = dirichlet_laplacian_1d(2)
-        assert op.eigenvalues[1] / op.eigenvalues[0] == 4.0
+        lam = dirichlet_eigenvalues(2)
+        assert lam[1] / lam[0] == 4.0
 
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
-            dirichlet_laplacian_1d(0)
+            dirichlet_eigenvalues(0)
+
+    # the spatial sweep reduces prefixes of one run, and the section-5 series
+    # sums from the second mode up to N, each on the eigenvalues of its own length
+    def test_prefix_of_a_longer_spectrum_is_bitwise_the_shorter(self):
+        longest = dirichlet_eigenvalues(100_000)
+        for n in (1, 2, 16, 512, 1000, 10_000, 99_999):
+            np.testing.assert_array_equal(longest[:n], dirichlet_eigenvalues(n))
 
 
 class TestHdotNorm:
     def test_zero_weight_is_euclidean(self):
-        op = dirichlet_laplacian_1d(3)
-        x = coeffs(3.0, 4.0, 0.0)
-        assert hdot_norm(op, 0.0, x) == pytest.approx(5.0, rel=1e-15)
+        assert hdot_norm(0.0, coeffs(3.0, 4.0, 0.0)) == pytest.approx(5.0, rel=1e-15)
+        assert hdot_norm(0.0, np.zeros(5)) == 0.0
 
     def test_single_mode_weighting(self):
-        op = SpectralOperator(np.array([4.0]))
-        assert hdot_norm(op, 1.0, coeffs(3.0)) == pytest.approx(6.0, rel=1e-15)
+        # ||3 e_2||_1 = 3 sqrt(lam_2) = 6 pi, evaluated to 30 digits with mpmath
+        value = hdot_norm(1.0, coeffs(0.0, 3.0))
+        assert value == pytest.approx(18.8495559215387594307758602997, rel=1e-15)
 
     def test_two_mode_oracle(self):
         # pi^2 sqrt(17) evaluated to 30 digits with mpmath
-        op = dirichlet_laplacian_1d(2)
-        value = hdot_norm(op, 2.0, coeffs(1.0, 1.0))
+        value = hdot_norm(2.0, coeffs(1.0, 1.0))
         assert value == pytest.approx(40.6934214287523559298553805578, rel=1e-14)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            hdot_norm(dirichlet_laplacian_1d(2), 0.0, coeffs(1.0))
-        with pytest.raises(ValueError, match="coefficients have shape"):
-            hdot_norm(dirichlet_laplacian_1d(2), 0.0, np.ones((2, 3)))
+    # at s = 0 the norm of sqrt(q) is the Hilbert-Schmidt norm of the identity
+    # against the covariance q: the square root of its truncated trace
+    def test_identity_norm_is_truncated_trace(self):
+        cov = example_covariance(100)
+        norm = hdot_norm(0.0, np.sqrt(cov))
+        assert norm == pytest.approx(math.sqrt(float(np.sum(cov))), rel=1e-14)
+        # finite and increasing with the truncation dimension
+        assert hdot_norm(0.0, np.sqrt(example_covariance(50))) < norm < math.inf
+
+    def test_borderline_weighting_grows_without_bound(self):
+        # with positive smoothness weight the truncated sums keep growing
+        values = [hdot_norm(0.5, np.sqrt(example_covariance(n))) for n in (100, 1000, 10000)]
+        assert values[0] < values[1] < values[2]
+        # squared-norm increments do not shrink: the series diverges
+        squared = [v**2 for v in values]
+        assert squared[2] - squared[1] > squared[1] - squared[0]
 
     # a (paths, lags, N) array of increments, as the temporal probe reduces it
     @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
     def test_rows_give_each_vectors_norm_bitwise(self, s):
-        op = dirichlet_laplacian_1d(16)
         x = np.random.default_rng(3).standard_normal((5, 4, 16))
-        norms = hdot_norm(op, s, x)
+        norms = hdot_norm(s, x)
         assert norms.shape == (5, 4)
         for index in np.ndindex(5, 4):
-            assert norms[index] == hdot_norm(op, s, x[index])
-        assert isinstance(hdot_norm(op, s, x[0, 0]), float)
+            assert norms[index] == hdot_norm(s, x[index])
+        assert isinstance(hdot_norm(s, x[0, 0]), float)
 
     @given(
         s1=st.floats(min_value=-1.0, max_value=2.0),
@@ -109,9 +106,8 @@ class TestHdotNorm:
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_smoothness_above_unit_spectrum(self, s1, ds, seed):
         # The Dirichlet spectrum starts at pi^2 > 1, so the norm grows with s.
-        op = dirichlet_laplacian_1d(6)
         x = np.random.default_rng(seed).standard_normal(6)
-        assert hdot_norm(op, s1 + ds, x) >= hdot_norm(op, s1, x) * (1.0 - 1e-12)
+        assert hdot_norm(s1 + ds, x) >= hdot_norm(s1, x) * (1.0 - 1e-12)
 
 
 class TestSmoothingConstant:
@@ -221,75 +217,69 @@ class TestSharpConstantRoot:
 
 class TestStochasticConvolutionEnergy:
     def test_single_mode_against_quadrature(self):
-        op = SpectralOperator(np.array([1.0]))
-        value = stochastic_convolution_energy(op, 1.0, 0.0, 0.5, coeffs(1.0))
-        # (1 - e^{-1})/2 to 30 digits with mpmath, equal to the quadrature value
-        assert value == pytest.approx(0.316060279414278839202238114919, rel=1e-14)
-        assert value == pytest.approx(quad_energy(op, 1.0, 0.0, 0.5, coeffs(1.0)), rel=1e-10)
+        x = coeffs(0.0, 1.0)  # e_2, lam_2 = 4 pi^2
+        value = stochastic_convolution_energy(1.0, 0.0, 0.01, x)
+        # (1 - e^{-0.08 pi^2})/2 to 30 digits with mpmath, equal to the quadrature value
+        assert value == pytest.approx(0.272979630636377477150092335217, rel=1e-14)
+        assert value == pytest.approx(quad_energy(1.0, 0.0, 0.01, x), rel=1e-10)
 
     def test_long_time_limit_recovers_half_norm(self):
-        op = dirichlet_laplacian_1d(4)
         x = coeffs(1.0, -2.0, 0.5, 1.5)
-        value = stochastic_convolution_energy(op, 1.0, 0.0, 100.0, x)
-        assert value == pytest.approx(0.5 * hdot_norm(op, 0.0, x) ** 2, rel=1e-12)
+        value = stochastic_convolution_energy(1.0, 0.0, 100.0, x)
+        assert value == pytest.approx(0.5 * hdot_norm(0.0, x) ** 2, rel=1e-12)
 
     def test_sharp_upper_bound(self):
         rng = np.random.default_rng(0)
-        op = dirichlet_laplacian_1d(16)
         for _ in range(50):
             x = rng.standard_normal(16)
             rho = rng.uniform(0.0, 1.0)
             delta = 10.0 ** rng.uniform(-4.0, 0.0)
-            energy = stochastic_convolution_energy(op, rho, 0.1, 0.1 + delta, x)
+            energy = stochastic_convolution_energy(rho, 0.1, 0.1 + delta, x)
             bound = (
                 0.5
                 * smoothing_constant("integral", rho)
                 * delta ** (1.0 - rho)
-                * hdot_norm(op, 0.0, x) ** 2
+                * hdot_norm(0.0, x) ** 2
             )
             assert energy <= bound * (1.0 + 1e-12)
 
     def test_empty_interval_rejected(self):
-        op = dirichlet_laplacian_1d(2)
         with pytest.raises(ValueError):
-            stochastic_convolution_energy(op, 0.5, 0.3, 0.3, coeffs(1.0, 1.0))
+            stochastic_convolution_energy(0.5, 0.3, 0.3, coeffs(1.0, 1.0))
 
 
 class TestDeterministicConvolutionNorm:
     def test_single_mode_closed_form(self):
-        lam = 7.0
-        op = SpectralOperator(np.array([lam]))
-        value = deterministic_convolution_norm(op, 1.0, 0.0, 0.25, coeffs(1.0))
-        assert value == pytest.approx(-math.expm1(-lam * 0.25), rel=1e-14)
+        # at rho = 1 the norm for e_k is 1 - e^{-lam_k delta}; for e_3, lam_3 = 9 pi^2
+        # and delta = 0.01, 1 - e^{-0.09 pi^2} to 30 digits with mpmath
+        value = deterministic_convolution_norm(1.0, 0.0, 0.01, coeffs(0.0, 0.0, 1.0))
+        assert value == pytest.approx(0.588630892649375099653916504839, rel=1e-14)
         assert value <= 1.0
 
     def test_small_interval_linearizes(self):
-        op = dirichlet_laplacian_1d(4)
         x = coeffs(0.3, -1.0, 0.4, 0.2)
         delta = 1e-7
-        value = deterministic_convolution_norm(op, 0.0, 0.0, delta, x)
-        assert value == pytest.approx(delta * hdot_norm(op, 0.0, x), rel=1e-3)
-        assert value == pytest.approx(quad_flow_norm(op, 0.0, 0.0, delta, x), rel=1e-10)
+        value = deterministic_convolution_norm(0.0, 0.0, delta, x)
+        assert value == pytest.approx(delta * hdot_norm(0.0, x), rel=1e-3)
+        assert value == pytest.approx(quad_flow_norm(0.0, 0.0, delta, x), rel=1e-10)
 
     def test_sharp_upper_bound(self):
         rng = np.random.default_rng(1)
-        op = dirichlet_laplacian_1d(16)
         for _ in range(50):
             x = rng.standard_normal(16)
             rho = rng.uniform(0.0, 1.0)
             delta = 10.0 ** rng.uniform(-4.0, 0.0)
-            value = deterministic_convolution_norm(op, rho, 0.0, delta, x)
+            value = deterministic_convolution_norm(rho, 0.0, delta, x)
             bound = (
                 smoothing_constant("convolution", rho)
                 * delta ** (1.0 - rho)
-                * hdot_norm(op, 0.0, x)
+                * hdot_norm(0.0, x)
             )
             assert value <= bound * (1.0 + 1e-12)
 
     def test_empty_interval_rejected(self):
-        op = dirichlet_laplacian_1d(2)
         with pytest.raises(ValueError):
-            deterministic_convolution_norm(op, 0.5, 0.4, 0.2, coeffs(1.0, 1.0))
+            deterministic_convolution_norm(0.5, 0.4, 0.2, coeffs(1.0, 1.0))
 
 
 @pytest.mark.parametrize("quantity", [stochastic_convolution_energy,
@@ -303,22 +293,21 @@ class TestDeterministicConvolutionNorm:
 ], ids=["rho-negative", "rho-above-one", "negative-start", "column"])
 def test_convolution_arguments_rejected(quantity, rho, tau1, x, message):
     with pytest.raises(ValueError, match=message):
-        quantity(dirichlet_laplacian_1d(2), rho, tau1, 0.5, x)
+        quantity(rho, tau1, 0.5, x)
 
 
 class TestExactnessAgainstQuadrature:
     def test_random_instances_match_quadrature(self):
         rng = np.random.default_rng(7)
-        op = dirichlet_laplacian_1d(64)
         for _ in range(20):
             x = rng.standard_normal(64)
             rho = rng.uniform(0.0, 1.0)
             tau1 = rng.uniform(0.0, 0.5)
             tau2 = tau1 + 10.0 ** rng.uniform(-3.0, -0.3)
-            energy = stochastic_convolution_energy(op, rho, tau1, tau2, x)
-            assert energy == pytest.approx(quad_energy(op, rho, tau1, tau2, x), rel=1e-8)
-            flow = deterministic_convolution_norm(op, rho, tau1, tau2, x)
-            assert flow == pytest.approx(quad_flow_norm(op, rho, tau1, tau2, x), rel=1e-8)
+            energy = stochastic_convolution_energy(rho, tau1, tau2, x)
+            assert energy == pytest.approx(quad_energy(rho, tau1, tau2, x), rel=1e-8)
+            flow = deterministic_convolution_norm(rho, tau1, tau2, x)
+            assert flow == pytest.approx(quad_flow_norm(rho, tau1, tau2, x), rel=1e-8)
 
 
 class TestGaussLegendreOracle:
@@ -328,34 +317,31 @@ class TestGaussLegendreOracle:
                                                 (256, 2e-2), (256, 0.5)])
     def test_matches_adaptive_quadrature(self, n_modes, delta):
         rng = np.random.default_rng(n_modes)
-        op = dirichlet_laplacian_1d(n_modes)
         for rho in (0.0, 0.37, 1.0):
             x = rng.standard_normal(n_modes)
             tau1 = rng.uniform(0.0, 0.5)
-            energy, norm = _convolution_quad_oracles(op, rho, tau1, tau1 + delta, x)
-            assert energy == pytest.approx(quad_energy(op, rho, tau1, tau1 + delta, x), rel=1e-12)
-            assert norm == pytest.approx(quad_flow_norm(op, rho, tau1, tau1 + delta, x), rel=1e-12)
+            energy, norm = _convolution_quad_oracles(rho, tau1, tau1 + delta, x)
+            assert energy == pytest.approx(quad_energy(rho, tau1, tau1 + delta, x), rel=1e-12)
+            assert norm == pytest.approx(quad_flow_norm(rho, tau1, tau1 + delta, x), rel=1e-12)
 
     def test_single_mode_closed_form(self):
         # int_0^d e^{-2 lam u} du = (1 - e^{-2 lam d}) / (2 lam) at lam = pi^2, x = 1
-        op = dirichlet_laplacian_1d(1)
         lam, delta = math.pi**2, 0.25
-        energy, norm = _convolution_quad_oracles(op, 0.0, 0.0, delta, coeffs(1.0))
+        energy, norm = _convolution_quad_oracles(0.0, 0.0, delta, coeffs(1.0))
         assert energy == pytest.approx(-math.expm1(-2.0 * lam * delta) / (2.0 * lam), rel=1e-14)
         assert norm == pytest.approx(-math.expm1(-lam * delta) / lam, rel=1e-14)
 
 
 class TestVanishingWindowLimit:
     def test_both_quantities_decrease_to_zero_on_dyadic_windows(self):
-        op = dirichlet_laplacian_1d(32)
         x = np.random.default_rng(3).standard_normal(32)
         tau2 = 1.0
         deltas = [2.0**-j for j in range(1, 16)]
         energies = [
-            stochastic_convolution_energy(op, 0.7, tau2 - d, tau2, x) for d in deltas
+            stochastic_convolution_energy(0.7, tau2 - d, tau2, x) for d in deltas
         ]
         flows = [
-            deterministic_convolution_norm(op, 0.7, tau2 - d, tau2, x) for d in deltas
+            deterministic_convolution_norm(0.7, tau2 - d, tau2, x) for d in deltas
         ]
         assert all(b < a for a, b in zip(energies, energies[1:]))
         assert all(b < a for a, b in zip(flows, flows[1:]))
