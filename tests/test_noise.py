@@ -1,5 +1,6 @@
 """Noise tests: the counter-addressed stream, its Gaussian draws, the example
-covariance and the Burkholder constant."""
+covariance, the Hilbert-Schmidt norm of a zero noise operator and the
+Burkholder constant."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from spdelab.noise import NoiseStream, burkholder_constant, example_covariance
+from spdelab.spectrum import hdot_norm
 
 
 def increment(cov, h, stream, step_index):
@@ -159,6 +161,13 @@ class TestGaussianity:
         corr = np.corrcoef(draws.T)
         off_diagonal = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diagonal)) < 3.0 / math.sqrt(draws.shape[0])
+
+
+class TestHSNorms:
+    def test_zero_operator(self):
+        # ||phi sqrt(Q)||_HS = ||sqrt(q) phi||_0, which is 0 for phi = 0
+        cov = example_covariance(5)
+        assert hdot_norm(0.0, np.sqrt(cov) * np.zeros(5)) == 0.0
 
 
 class TestBurkholderConstant:

@@ -59,7 +59,6 @@ class TestDirichletLaplacian:
 class TestHdotNorm:
     def test_zero_weight_is_euclidean(self):
         assert hdot_norm(0.0, coeffs(3.0, 4.0, 0.0)) == pytest.approx(5.0, rel=1e-15)
-        assert hdot_norm(0.0, np.zeros(5)) == 0.0
 
     def test_single_mode_weighting(self):
         # ||3 e_2||_1 = 3 sqrt(lam_2) = 6 pi, evaluated to 30 digits with mpmath
