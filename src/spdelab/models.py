@@ -48,7 +48,7 @@ class ScalarFunction:
 # declared constant is checked on a dense grid by tests/test_models.py.
 SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
     "cos": ScalarFunction(np.cos, 1.0),
-    "identity": ScalarFunction(lambda u: u, 1.0),
+    "identity": ScalarFunction(np.positive, 1.0),
     "one": ScalarFunction(lambda u: np.ones_like(u), 0.0),
     "sigmoid": ScalarFunction(lambda u: 1.0 / (1.0 + np.exp(-u)), 0.25),
     "sin": ScalarFunction(np.sin, 1.0),
@@ -56,13 +56,14 @@ SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagonal:
     """Diagonal operator acting as multiplication by m_k on mode k.
 
     As the drift it is F(x) = m x; as the diffusion it is the
     state-independent G(x) w = m w.  The multipliers are kept read-only, and
-    `ModelSpec` checks that they are finite and one per mode.
+    `ModelSpec` checks that they are finite and one per mode.  A spec holds
+    an array, so it compares and hashes by identity.
     """
 
     multipliers: np.ndarray
@@ -95,7 +96,7 @@ class ModelError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Full problem description with its declared regularity parameters.
 
@@ -104,6 +105,7 @@ class ModelSpec:
     F = 0.  `covariance` holds the variances q_k >= 0 of the noise modes, and
     `initial` the coefficients of X_0, whose norm at r + 1 must be finite;
     both are stored as read-only copies.  Every rejection is a `ModelError`.
+    A model holds arrays, so it compares and hashes by identity.
     """
 
     dimension: int
@@ -113,7 +115,7 @@ class ModelSpec:
     initial: np.ndarray
     r: float = 0.0
     p: float = 2.0
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:

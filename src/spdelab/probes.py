@@ -54,14 +54,28 @@ def estimate_lp_norm(samples: Sequence[float], p: float) -> tuple[float, float]:
     return estimate, moment_se * estimate / (p * moment)
 
 
-def _check_increment_arguments(s_values: Sequence[float], lags: Sequence[float] | None) -> None:
-    """A `ModelError` against `s_values` if it is empty or holds a non-finite s,
-    or against `lags` if it is given and empty."""
+def _top_weight(exponent: float, n_modes: int) -> float:
+    """lam_N^exponent at N = n_modes, inf if it overflows.
+
+    Every lam_k exceeds 1, so when any weight lam_k^exponent of the first N
+    modes overflows, this one does.
+    """
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the callers reject
+        return float(dirichlet_eigenvalues(n_modes)[-1] ** exponent)
+
+
+def _check_increment_arguments(s_values: Sequence[float], lags: Sequence[float] | None,
+                               n_modes: int) -> None:
+    """A `ModelError` against `s_values` if it is empty or holds an s that is not
+    finite or overflows lam_N^s on `n_modes` modes, or against `lags` if it is
+    given and empty."""
     if len(s_values) == 0:
         raise ModelError("need at least one smoothness value", "s_values")
     for s in s_values:
         if not math.isfinite(s):
             raise ModelError(f"smoothness s must be finite, got {s}", "s_values")
+        if not math.isfinite(_top_weight(s, n_modes)):
+            raise ModelError(f"lam_N^s overflows at N = {n_modes} for s = {s:g}", "s_values")
     if lags is not None and len(lags) == 0:
         raise ModelError("need at least one lag", "lags")
 
@@ -88,16 +102,17 @@ def increment_samples(
 ) -> np.ndarray:
     """Samples of ||X(anchor + lag) - X(anchor)||_s for every s in `s_values` and every lag.
 
-    Before any path runs, `s_values` must be non-empty and finite and `lags`
-    non-empty.  The run snapshots the anchor and then each anchor + lag in the
-    given order, so every time is a grid point in [0, T] and each lag falls on
-    a later step than the one before.  Otherwise a `ModelError` names
+    Before any path runs, `s_values` must be non-empty, finite and small
+    enough that lam_N^s is finite at the model's N, and `lags` non-empty.
+    The run snapshots the anchor and then each anchor + lag in the given
+    order, so every time is a grid point in [0, T] and each lag falls on a
+    later step than the one before.  Otherwise a `ModelError` names
     `s_values`, `anchor` or `lags`.
     Both times of an increment are read from the same path, and every (s, lag)
     column from the same ensemble: one ``map_paths`` run serves them all.
     Returns an array (len(s_values), len(lags), paths).
     """
-    _check_increment_arguments(s_values, lags)
+    _check_increment_arguments(s_values, lags, model.dimension)
     run_config = _increment_config(config, anchor, lags)
 
     def reduce_block(rows: np.ndarray) -> np.ndarray:
@@ -178,7 +193,7 @@ def temporal_probe(
     `ModelError` names the one at fault: `s_values`, `anchor`, `lags` or, for
     fewer than two paths, `paths`.
     """
-    _check_increment_arguments(s_values, lags)
+    _check_increment_arguments(s_values, lags, model.dimension)
     if anchor is None:
         anchor = config.steps // 2 * config.h
     if lags is None:
@@ -253,8 +268,8 @@ def spatial_sweep(
     every prefix, serves the whole sweep.  A Nemytskii term couples the modes
     through the sine transforms, so such a model runs once per truncation.
     Either way successive values differ by the added modes' contribution, and
-    `s`, every truncation and then the path count (at least two) are checked
-    before the first run.
+    `s`, every truncation, lam_N^s at the largest N and then the path count
+    (at least two) are checked before the first run.
     """
     if not math.isfinite(s):
         raise ModelError(f"smoothness s must be finite, got {s}", "s")
@@ -264,6 +279,8 @@ def spatial_sweep(
     decoupled = not any(isinstance(term, Nemytskii) for term in (model.drift, model.diffusion))
     runs = [n_values] if decoupled else [[n] for n in n_values]
     subs = [truncate_model(model, run[-1]) for run in runs]
+    if not math.isfinite(_top_weight(s, n_values[-1])):
+        raise ModelError(f"lam_N^s overflows at N = {n_values[-1]} for s = {s:g}", "s")
     if config.paths < 2:  # a moment estimate needs a standard error
         raise ModelError(f"need at least two paths, got {config.paths}", "paths")
     results = []
@@ -290,7 +307,8 @@ def example_series_partial_sum(r: float, t: float, n_modes: int) -> float:
     terms behave like pi^{2r} k^{2r-1}/ln(k)^2, which is not summable. At
     r = 0 the terms are at most 1/(k ln(k)^2), which decreases with
     antiderivative -1/ln(k), so by the integral test the tail beyond N is at
-    most 1/(2 ln N).
+    most 1/(2 ln N).  An r for which lam_N^r overflows is rejected before any
+    term is summed, and a partial sum that is not finite after.
     """
     if not t > 0.0:  # NaN too
         raise ModelError(f"time must be positive, got {t}", "t")
@@ -300,16 +318,28 @@ def example_series_partial_sum(r: float, t: float, n_modes: int) -> float:
         raise ModelError(f"r must be finite, got {r}", "r")
     if n_modes < 2:
         raise ModelError(f"need at least two modes, got {n_modes}", "n_modes")
+    if not math.isfinite(_top_weight(r, n_modes)):
+        raise ModelError(f"lam_N^r overflows at N = {n_modes} for r = {r:g}", "r")
     k = np.arange(2, n_modes + 1, dtype=float)
     lam = dirichlet_eigenvalues(n_modes)[1:]
-    terms = lam**r * (-np.expm1(-2.0 * lam * t)) / (k * np.log(k) ** 2)
-    return 0.5 * float(np.sum(terms))
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected next
+        terms = lam**r * (-np.expm1(-2.0 * lam * t)) / (k * np.log(k) ** 2)
+        total = 0.5 * float(np.sum(terms))
+    if not math.isfinite(total):
+        raise ModelError(f"partial sum at N = {n_modes} is not finite for r = {r:g}", "r")
+    return total
 
 
 def example_series_report(
     r: float, t: float, n_values: Sequence[int]
 ) -> tuple[tuple[int, float], ...]:
-    """(N, partial sum) pairs of the explicit second-moment series at growing truncations."""
+    """(N, partial sum) pairs of the explicit second-moment series at growing truncations.
+
+    r is checked against the largest N before any partial sum is taken.
+    """
     n_values = _increasing(n_values)
+    n_max = n_values[-1]
+    if n_max >= 2 and not math.isfinite(_top_weight(r, n_max)):  # N < 2 is the sum's rejection
+        raise ModelError(f"lam_N^r overflows at N = {n_max} for r = {r:g}", "r")
     return tuple((int(n), example_series_partial_sum(r, t, n)) for n in n_values)
 

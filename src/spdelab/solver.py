@@ -22,16 +22,18 @@ path's result is a pure function of (model, config, path index).  A Nemytskii
 term goes through the dense sine transforms, whose matrix products BLAS rounds
 differently for different row counts, so a row's last bits (about 1e-15
 relative) depend on the block it is computed in.  ``map_paths`` fixes the
-blocks from the path count and ``block_size`` alone.
+blocks from the path count and ``BLOCK_SIZE`` alone.
 
-Each call of ``_simulate_block`` creates one ``Workspace`` holding the
-block's scratch arrays: the grid values of states and noise, the pointwise
-images, and the drift and diffusion rows.  They are allocated on the first
-step and reused by every later one, and the state, noise and finiteness rows
-are updated in place.  Each path's stream writes its normals straight into
-that path's row of the block's noise buffer, through row views made once per
+Each call of ``_simulate_block`` creates one dict of scratch arrays for its
+block: the grid values of states and noise, the pointwise images, and the
+drift and diffusion rows.  ``_scratch`` hands them out by name, allocated on
+the first step and reused by every later one, and the state, noise and
+finiteness rows are updated in place.  What ``_drift_rows`` and
+``_diffusion_rows`` return is an array of that dict, valid until their next
+call with it.  Each path's stream writes its normals straight into that
+path's row of the block's noise buffer, through row views made once per
 block, so a step allocates no block-sized array and no per-path draw array.
-The workspace is local to the call: it is never shared between blocks.  Each
+The dict is local to the call: it is never shared between blocks.  Each
 step synthesizes the states at most once per grid size, so a Nemytskii drift
 and diffusion on one grid evaluate the same grid values.  In-place updates
 keep the operation order of the textbook formulas, so results are bitwise
@@ -54,6 +56,7 @@ from .noise import NoiseStream
 EXPONENTIAL_EULER = "exponential-euler"
 EXACT_GAUSSIAN = "exact-gaussian"
 _METHODS = (EXPONENTIAL_EULER, EXACT_GAUSSIAN)
+BLOCK_SIZE = 128  # paths per block of `map_paths`
 
 
 @dataclass(frozen=True)
@@ -123,25 +126,12 @@ class SolverConfig:
         return j
 
 
-class Workspace:
-    """Scratch arrays reused across the steps of one block of rows.
-
-    ``get(name, shape)`` returns the same float array for a name as long as the
-    shape stays the same, so a loop that asks for its buffers on every step
-    allocates them once.  What `_drift_rows` and `_diffusion_rows` write here
-    stays valid until their next call with the same workspace.  A workspace
-    belongs to one caller at a time: two blocks sharing one would overwrite
-    each other's rows.
-    """
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.empty(shape)
-        return arr
+def _scratch(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The float array `work[name]`, allocated on first use and again when `shape` changes."""
+    arr = work.get(name)
+    if arr is None or arr.shape != shape:
+        arr = work[name] = np.empty(shape)
+    return arr
 
 
 def _pointwise(spec: Nemytskii, state_grid: Callable[[int], np.ndarray],
@@ -152,7 +142,7 @@ def _pointwise(spec: Nemytskii, state_grid: Callable[[int], np.ndarray],
     return fn(values, out=out) if isinstance(fn, np.ufunc) else fn(values)
 
 
-def _drift_rows(model: ModelSpec, states: np.ndarray, work: Workspace,
+def _drift_rows(model: ModelSpec, states: np.ndarray, work: dict[str, np.ndarray],
                 state_grid: Callable[[int], np.ndarray]) -> np.ndarray:
     """Diagonal or Nemytskii drift F evaluated row-wise on a (paths, modes) state array.
 
@@ -161,14 +151,15 @@ def _drift_rows(model: ModelSpec, states: np.ndarray, work: Workspace,
     """
     drift = model.drift
     if isinstance(drift, Diagonal):
-        return np.multiply(states, drift.multipliers, out=work.get("drift", states.shape))
+        return np.multiply(states, drift.multipliers, out=_scratch(work, "drift", states.shape))
     grid_shape = (len(states), drift.grid_size - 1)
-    values = _pointwise(drift, state_grid, work.get("drift values", grid_shape))
-    return transforms.analyze(values, model.dimension, out=work.get("drift", states.shape))
+    values = _pointwise(drift, state_grid, _scratch(work, "drift values", grid_shape))
+    return transforms.analyze(values, model.dimension, out=_scratch(work, "drift", states.shape))
 
 
 def _diffusion_rows(model: ModelSpec, states: np.ndarray, increments: np.ndarray,
-                    work: Workspace, state_grid: Callable[[int], np.ndarray]) -> np.ndarray:
+                    work: dict[str, np.ndarray],
+                    state_grid: Callable[[int], np.ndarray]) -> np.ndarray:
     """G(state) dW evaluated row-wise on matching (paths, modes) arrays.
 
     A Nemytskii diffusion on an M-point grid reads the states' grid values
@@ -176,16 +167,15 @@ def _diffusion_rows(model: ModelSpec, states: np.ndarray, increments: np.ndarray
     """
     diffusion = model.diffusion
     if isinstance(diffusion, Diagonal):
-        out = work.get("diffusion", increments.shape)
+        out = _scratch(work, "diffusion", increments.shape)
         return np.multiply(increments, diffusion.multipliers, out=out)
     grid_shape = (len(states), diffusion.grid_size - 1)
-    values = _pointwise(diffusion, state_grid, work.get("diffusion values", grid_shape))
+    values = _pointwise(diffusion, state_grid, _scratch(work, "diffusion values", grid_shape))
     noise_values = transforms.synthesize(increments, diffusion.grid_size,
-                                         out=work.get("noise grid", grid_shape))
-    # into the noise buffer: a non-ufunc fn may return the shared state grid itself
+                                         out=_scratch(work, "noise grid", grid_shape))
     np.multiply(values, noise_values, out=noise_values)
     return transforms.analyze(noise_values, model.dimension,
-                              out=work.get("diffusion", increments.shape))
+                              out=_scratch(work, "diffusion", increments.shape))
 
 
 def _euler_rows(
@@ -194,13 +184,13 @@ def _euler_rows(
     h: float,
     states: np.ndarray,
     increments: np.ndarray,
-    work: Workspace,
+    work: dict[str, np.ndarray],
 ) -> None:
     """Advance (paths, modes) `states` in place to decay * ((x - h F(x)) + G(x) dW)."""
 
     @functools.cache  # the states are synthesized at most once per grid size
     def state_grid(m: int) -> np.ndarray:
-        out = work.get(f"state grid {m}", (len(states), m - 1))
+        out = _scratch(work, f"state grid {m}", (len(states), m - 1))
         return transforms.synthesize(states, m, out=out)
 
     # both terms are evaluated before `states` changes
@@ -256,7 +246,7 @@ def _simulate_block(
     z = np.empty((block, n))
     z_rows = list(z)  # row views, filled in place by each path's stream
     finite = np.empty((block, n), dtype=bool)
-    work = Workspace()  # this call's own: never shared between blocks
+    work: dict[str, np.ndarray] = {}  # this call's own: never shared between blocks
     lam = model.eigenvalues
     decay = np.exp(-lam * h)
 
@@ -300,12 +290,12 @@ def map_paths(
     config: SolverConfig,
     reduce_block: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
-    block_size: int = 128,
 ) -> np.ndarray:
     """Apply a per-path reduction over the whole ensemble, in path order.
 
     ``reduce_block`` maps a snapshot array (block, n_snapshots, modes) to an
-    array whose first axis is the block; the blocks of ``block_size`` paths
+    array whose first axis is the block.  Each block is a ``range`` of
+    ``BLOCK_SIZE`` path indices, the last one possibly shorter; the blocks
     run in path order on the calling thread, and their results are
     concatenated.  With ``config.method == EXACT_GAUSSIAN`` a model the exact
     stepper cannot sample is a `ModelError` against the method before the first
@@ -315,10 +305,8 @@ def map_paths(
     """
     if config.method == EXACT_GAUSSIAN:
         _require_linear_additive(model)
-    blocks = [
-        list(range(start, min(start + block_size, config.paths)))
-        for start in range(0, config.paths, block_size)
-    ]
+    blocks = [range(start, min(start + BLOCK_SIZE, config.paths))
+              for start in range(0, config.paths, BLOCK_SIZE)]
     return np.concatenate(
         [np.asarray(reduce_block(_simulate_block(model, config, b))) for b in blocks], axis=0
     )

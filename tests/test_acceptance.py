@@ -425,7 +425,7 @@ def split_euler(model, h, normals):
     decay = np.exp(-model.eigenvalues * h)
     noise_sd = np.sqrt(model.covariance * h)
     d, s = np.zeros(normals.shape[1:]), np.zeros(normals.shape[1:])
-    work = solver.Workspace()
+    work = {}
     for z in normals:
         x = d + s
         grid = functools.partial(transforms.synthesize, x)

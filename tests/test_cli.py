@@ -596,6 +596,17 @@ REJECTIONS = [
           ("decreasing", "16, 8", "truncation dimensions must be strictly increasing"),
           ("zero", "0, 8", "truncation dimensions must be >= 1, got 0"))
       for model_name, model in SWEEP_MODELS.items()),
+    # an s or r for which lam_N^s overflows would turn the output into NaN or inf
+    pytest.param(SPATIAL.replace("model.N = 32", "model.N = 64")
+                 + "probe.s = 400\nprobe.sweep_N = 16, 32, 64\n",
+                 "lam_N^s overflows at N = 64 for s = 400", "probe.s", 7, id="spatial-s-overflow"),
+    pytest.param(TEMPORAL.replace("probe.s = 0", "probe.s = 0, 400"),
+                 "lam_N^s overflows at N = 16 for s = 400", "probe.s", 7,
+                 id="temporal-s-overflow"),
+    pytest.param("kind = example-section5\nseries.r = 200\nseries.t = 0.1\n"
+                 "series.N = 1000, 10000, 100000\n",
+                 "lam_N^r overflows at N = 100000 for r = 200", "series.r", 2,
+                 id="series.r-overflow"),
     pytest.param("kind = example-section5\nseries.t = 0\nseries.N = 1000\n",
                  "time must be positive, got 0.0", "series.t", 2, id="series.t"),
     pytest.param("kind = example-section5\nseries.t = 0.1\nseries.N = 1, 1000\n",

@@ -60,6 +60,29 @@ class TestRegistry:
     def test_declared_constants_hold_on_dense_grid(self):
         assert understated_constants(SCALAR_FUNCTIONS) == []
 
+    # the kernel writes a ufunc's values into its own scratch array, so the
+    # identity must copy the state grid bit for bit, not hand the grid itself on
+    def test_identity_writes_a_bitwise_copy(self):
+        bits = np.array([0x8000000000000000, 0x7FF8000000000ABC, 0xFFF0000000000000, 0x1,
+                         0x3FF0000000000000], dtype=np.uint64)
+        grid = bits.view(np.float64)  # -0.0, a NaN payload, -inf, a subnormal and 1.0
+        out = np.empty_like(grid)
+        assert SCALAR_FUNCTIONS["identity"].fn(grid, out=out) is out
+        np.testing.assert_array_equal(out.view(np.uint64), bits)
+
+
+# a spec holding arrays compares and hashes by identity, as any object (Nemytskii
+# holds none and keeps its value equality, which test_truncate_model_slices_consistently reads)
+class TestSpecIdentity:
+    @pytest.mark.parametrize("build", [lambda: make_model(4), lambda: Diagonal(np.ones(3))],
+                             ids=["ModelSpec", "Diagonal"])
+    def test_array_specs_compare_and_hash_by_identity(self, build):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b"
+
 
 class TestModelValidation:
     def test_additive_allows_unit_regularity(self):
@@ -188,7 +211,7 @@ def drift_row(model, x):
     """F(x) for one state row, through the block kernel's drift evaluation."""
     rows = x[None, :]
     return solver._drift_rows(
-        model, rows, solver.Workspace(), functools.partial(transforms.synthesize, rows)
+        model, rows, {}, functools.partial(transforms.synthesize, rows)
     )[0]
 
 
@@ -196,7 +219,7 @@ def diffusion_row(model, x, dw):
     """G(x) dW for one state row, through the block kernel's diffusion evaluation."""
     rows = x[None, :]
     return solver._diffusion_rows(
-        model, rows, dw[None, :], solver.Workspace(), functools.partial(transforms.synthesize, rows)
+        model, rows, dw[None, :], {}, functools.partial(transforms.synthesize, rows)
     )[0]
 
 

@@ -270,6 +270,17 @@ class TestIncrementSamples:
         assert info.value.field == "s_values"
         assert map_paths_calls == []
 
+    # lam_64^400 overflows, so the s = 400 norms would be NaN and their fit a slope of NaN
+    @pytest.mark.filterwarnings("error")
+    def test_smoothness_overflowing_the_weights_is_rejected_before_any_path_runs(
+            self, map_paths_calls):
+        config = SolverConfig(T=0.2, steps=400, paths=20, master_seed=1)
+        with pytest.raises(ModelError,
+                           match=r"^lam_N\^s overflows at N = 64 for s = 400$") as info:
+            temporal_probe(linear_additive_model(64), config, (0.0, 400.0), 0.1)
+        assert info.value.field == "s_values"
+        assert map_paths_calls == []
+
     def test_default_anchor_and_lags(self):
         model = linear_drift_model(8)
         config = SolverConfig(T=0.02, steps=200, paths=40, master_seed=5)
@@ -441,6 +452,27 @@ class TestSpatialSweep:
         assert info.value.field == "s"
         assert map_paths_calls == []
 
+    # lam_64^s overflows from s = 67 on, which would make every value of the sweep NaN
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [67.0, 400.0])
+    def test_rejects_smoothness_overflowing_the_weights_before_any_run(self, s, map_paths_calls):
+        config = SolverConfig(T=0.01, steps=10, paths=50, master_seed=1)
+        with pytest.raises(ModelError,
+                           match=rf"^lam_N\^s overflows at N = 64 for s = {s:g}$") as info:
+            spatial_sweep(linear_additive_model(64), config, s, [16, 32, 64])
+        assert info.value.field == "s"
+        assert map_paths_calls == []
+
+    # the check reads the largest truncation, not the model's dimension: lam_32^70
+    # is finite and lam_64^70 is not, so only the second sweep fails before the path rule
+    def test_smoothness_is_checked_at_the_largest_truncation(self, map_paths_calls):
+        config = SolverConfig(T=0.01, steps=2, paths=1)
+        with pytest.raises(ModelError, match="^need at least two paths, got 1$"):
+            spatial_sweep(linear_additive_model(64), config, 70.0, [16, 32])
+        with pytest.raises(ModelError, match=r"^lam_N\^s overflows at N = 64 for s = 70$"):
+            spatial_sweep(linear_additive_model(64), config, 70.0, [16, 64])
+        assert map_paths_calls == []
+
 
 # one path gives a moment but no standard error, so both probes refuse it up front
 @pytest.mark.parametrize("probe", [
@@ -509,6 +541,27 @@ class TestExampleSeries:
         with pytest.raises(ModelError, match=f"^{message}$") as info:
             example_series_partial_sum(r, t, 10)
         assert info.value.field == field
+
+    # lam_N^200 overflows at every N here, and the report checks the largest N
+    # before it takes any partial sum
+    @pytest.mark.filterwarnings("error")
+    def test_report_rejects_an_overflowing_r_before_any_sum(self):
+        with pytest.raises(ModelError,
+                           match=r"^lam_N\^r overflows at N = 100000 for r = 200$") as info:
+            example_series_report(200.0, 0.1, [1000, 10000, 100000])
+        assert info.value.field == "r"
+
+    # lam_2^r is finite for r = 193.09, but the k = 2 term overflows in its division
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r, message", [
+        (193.1, r"lam_N\^r overflows at N = 2 for r = 193.1"),
+        (193.09, "partial sum at N = 2 is not finite for r = 193.09"),
+    ], ids=["weight", "sum"])
+    def test_overflowing_series_is_rejected(self, r, message):
+        with pytest.raises(ModelError, match=f"^{message}$") as info:
+            example_series_partial_sum(r, 0.1, 2)
+        assert info.value.field == "r"
+        assert math.isfinite(example_series_partial_sum(193.08, 0.1, 2))
 
     def test_report_rejects_an_empty_truncation_list(self):
         with pytest.raises(ModelError, match="^need at least one truncation dimension$") as info:

@@ -18,7 +18,6 @@ from spdelab.solver import (
     EXACT_GAUSSIAN,
     EXPONENTIAL_EULER,
     SolverConfig,
-    Workspace,
     _euler_rows,
     _simulate_block,
     map_paths,
@@ -113,7 +112,7 @@ def euler_step(model, x, dW, h):
     """One step of the kernel's row update on a single (1, modes) row."""
     state = np.array(x, dtype=float)[None, :]
     decay = np.exp(-model.eigenvalues * h)
-    _euler_rows(model, decay, h, state, np.array(dW, dtype=float)[None, :], Workspace())
+    _euler_rows(model, decay, h, state, np.array(dW, dtype=float)[None, :], {})
     return state[0]
 
 
@@ -419,7 +418,7 @@ class TestStrongSelfConvergence:
         lam, q = model.eigenvalues, model.covariance
         hs = [T / fine_steps * 2**level for level in range(levels + 1)]
         states = [np.zeros((paths, n)) for _ in hs]
-        works = [Workspace() for _ in hs]
+        works = [{} for _ in hs]
         rng = np.random.default_rng(1)
         chunk = 2**levels  # fine steps per step of the coarsest level
         for _ in range(fine_steps // chunk):
@@ -432,6 +431,30 @@ class TestStrongSelfConvergence:
         errors = [math.sqrt(np.mean(np.sum((x - states[0]) ** 2, axis=1))) for x in states[1:]]
         slope = np.polyfit(np.log(hs[1:]), np.log(errors), 1)[0]
         assert abs(slope - 0.5) <= 0.15, (slope, errors)
+
+
+# the kernel asks for its buffers by name on every step: a repeated request
+# reuses the array, and a new shape gets a fresh one
+class TestScratch:
+    def test_same_name_and_shape_reuse_one_array(self):
+        work = {}
+        first = solver._scratch(work, "drift", (3, 4))
+        assert first.shape == (3, 4) and first.dtype == np.float64
+        assert solver._scratch(work, "drift", (3, 4)) is first
+
+    def test_new_shape_allocates_afresh(self):
+        work = {}
+        first = solver._scratch(work, "drift", (3, 4))
+        second = solver._scratch(work, "drift", (2, 4))
+        assert second is not first and second.shape == (2, 4)
+        assert solver._scratch(work, "drift", (2, 4)) is second
+
+    def test_names_never_share_storage(self):
+        work = {}
+        names = ("drift", "diffusion", "noise grid", "state grid 16")
+        arrays = [solver._scratch(work, name, (3, 15)) for name in names]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 class TestNoiseDraws:
@@ -488,10 +511,12 @@ class TestEnsembleExecution:
         rows = map_paths(model, config, identity)
         compare(_simulate_block(model, config, [133])[0, 0], rows[133, 0, :])
 
-    def test_map_paths_preserves_path_order(self):
+    def test_map_paths_preserves_path_order(self, monkeypatch):
         model = linear_additive_model(4)
         config = SolverConfig(T=0.02, steps=4, paths=70, master_seed=1, snapshot_times=(0.02,))
-        firsts = map_paths(model, config, lambda rows: rows[:, 0, 1], block_size=16)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "BLOCK_SIZE", 16)
+            firsts = map_paths(model, config, lambda rows: rows[:, 0, 1])
         rows = map_paths(model, config, identity)
         np.testing.assert_array_equal(firsts, rows[:, 0, 1])
 
@@ -521,7 +546,7 @@ class TestEnsembleExecution:
         truncated = map_paths(truncate_model(model, n), config, identity)
         np.testing.assert_array_equal(truncated, full[..., :n])
 
-    # Blocks are fixed by block_size; a short last block must not change the rows.
+    # Blocks are fixed by BLOCK_SIZE; a short last block must not change the rows.
     # Additive models do elementwise arithmetic only, so their rows are bitwise
     # independent of the partition; the matrix products of a Nemytskii model may
     # round differently for different row counts.
@@ -538,8 +563,11 @@ class TestEnsembleExecution:
         config = SolverConfig(T=0.02, steps=4, paths=paths, master_seed=8,
                               snapshot_times=(0.01, 0.02))
 
-        blocked = map_paths(model, config, identity, block_size=block_size)
-        whole = map_paths(model, config, identity, block_size=paths)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(solver, "BLOCK_SIZE", block_size)
+            blocked = map_paths(model, config, identity)
+            patched.setattr(solver, "BLOCK_SIZE", paths)
+            whole = map_paths(model, config, identity)
         if nemytskii:
             np.testing.assert_allclose(blocked, whole, rtol=1e-12)
         else:
