@@ -30,7 +30,6 @@ from .noise import (
 from .probes import (
     HolderEstimate,
     estimate_lp_norm,
-    example_series_partial_sum,
     example_series_report,
     fit_holder_exponent,
     increment_samples,

@@ -49,8 +49,13 @@ def estimate_lp_norm(samples: Sequence[float], p: float) -> tuple[float, float]:
     moment = float(np.mean(powered))
     if moment == 0.0:
         return 0.0, 0.0
-    moment_se = float(np.std(powered, ddof=1) / math.sqrt(arr.size))
     estimate = moment ** (1.0 / p)
+    with np.errstate(over="ignore"):  # the squares of huge powers overflow; rescaled next
+        spread = float(np.std(powered, ddof=1))
+    if math.isinf(spread) and math.isfinite(moment):  # both over the largest power
+        peak = float(np.max(powered))
+        spread, moment = float(np.std(powered / peak, ddof=1)), moment / peak
+    moment_se = spread / math.sqrt(arr.size)
     return estimate, moment_se * estimate / (p * moment)
 
 
@@ -142,12 +147,12 @@ def fit_holder_exponent(
 ) -> HolderEstimate:
     """Ordinary least squares of log(estimate) on log(lag).
 
-    Requires lags that `_fit_lags` accepts and positive estimates.
+    Requires lags that `_fit_lags` accepts and positive, finite estimates.
     """
     lags = _fit_lags([lag for lag, _ in per_lag_estimates])
     estimates = np.array([est for _, est in per_lag_estimates], dtype=float)
-    if np.any(estimates <= 0.0):
-        raise ValueError("estimates must be positive for a log-log fit")
+    if not np.all((estimates > 0.0) & np.isfinite(estimates)):  # NaN fails both
+        raise ValueError("estimates must be positive and finite for a log-log fit")
     x, y = np.log(lags), np.log(estimates)
     n = x.size
     x_centered = x - x.mean()
@@ -297,49 +302,41 @@ def spatial_sweep(
     return results
 
 
-def example_series_partial_sum(r: float, t: float, n_modes: int) -> float:
-    """Partial sum (1/2) sum_{k=2}^{N} (k^2 pi^2)^r (1 - e^{-2 k^2 pi^2 t}) / (k ln(k)^2).
+def example_series_report(
+    r: float, t: float, n_values: Sequence[int]
+) -> tuple[tuple[int, float], ...]:
+    """(N, partial sum) pairs of the explicit second-moment series at growing truncations.
 
-    This is the exact second moment E||X(t)||_{1+r}^2 of the borderline example
+    The partial sum (1/2) sum_{k=2}^{N} (k^2 pi^2)^r (1 - e^{-2 k^2 pi^2 t}) / (k ln(k)^2)
+    is the exact second moment E||X(t)||_{1+r}^2 of the borderline example
     (identity diffusion, log-weighted covariance, zero initial state) at
     truncation N: the It/o isometry turns the stochastic integral into this
     deterministic series. For r >= 0 it converges iff r = 0: at r > 0 the
     terms behave like pi^{2r} k^{2r-1}/ln(k)^2, which is not summable. At
     r = 0 the terms are at most 1/(k ln(k)^2), which decreases with
     antiderivative -1/ln(k), so by the integral test the tail beyond N is at
-    most 1/(2 ln N).  An r for which lam_N^r overflows is rejected before any
-    term is summed, and a partial sum that is not finite after.
+    most 1/(2 ln N).  The terms are computed once, at the largest N, and each
+    partial sum adds a prefix of them.  Every argument is checked before the
+    first term is summed, and every partial sum's finiteness after.
     """
+    n_values = _increasing(n_values)
+    n_max = n_values[-1]
+    if n_max >= 2 and not math.isfinite(_top_weight(r, n_max)):  # N < 2 is rejected below
+        raise ModelError(f"lam_N^r overflows at N = {n_max} for r = {r:g}", "r")
     if not t > 0.0:  # NaN too
         raise ModelError(f"time must be positive, got {t}", "t")
     if not math.isfinite(t):
         raise ModelError(f"time must be finite, got {t}", "t")
     if not math.isfinite(r):
         raise ModelError(f"r must be finite, got {r}", "r")
-    if n_modes < 2:
-        raise ModelError(f"need at least two modes, got {n_modes}", "n_modes")
-    if not math.isfinite(_top_weight(r, n_modes)):
-        raise ModelError(f"lam_N^r overflows at N = {n_modes} for r = {r:g}", "r")
-    k = np.arange(2, n_modes + 1, dtype=float)
-    lam = dirichlet_eigenvalues(n_modes)[1:]
+    if n_values[0] < 2:
+        raise ModelError(f"need at least two modes, got {n_values[0]}", "n_modes")
+    k = np.arange(2, n_max + 1, dtype=float)
+    lam = dirichlet_eigenvalues(n_max)[1:]
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected next
         terms = lam**r * (-np.expm1(-2.0 * lam * t)) / (k * np.log(k) ** 2)
-        total = 0.5 * float(np.sum(terms))
-    if not math.isfinite(total):
-        raise ModelError(f"partial sum at N = {n_modes} is not finite for r = {r:g}", "r")
-    return total
-
-
-def example_series_report(
-    r: float, t: float, n_values: Sequence[int]
-) -> tuple[tuple[int, float], ...]:
-    """(N, partial sum) pairs of the explicit second-moment series at growing truncations.
-
-    r is checked against the largest N before any partial sum is taken.
-    """
-    n_values = _increasing(n_values)
-    n_max = n_values[-1]
-    if n_max >= 2 and not math.isfinite(_top_weight(r, n_max)):  # N < 2 is the sum's rejection
-        raise ModelError(f"lam_N^r overflows at N = {n_max} for r = {r:g}", "r")
-    return tuple((int(n), example_series_partial_sum(r, t, n)) for n in n_values)
-
+        sums = tuple((int(n), 0.5 * float(np.sum(terms[: n - 1]))) for n in n_values)
+    for n, total in sums:
+        if not math.isfinite(total):
+            raise ModelError(f"partial sum at N = {n} is not finite for r = {r:g}", "r")
+    return sums

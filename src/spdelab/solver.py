@@ -22,7 +22,10 @@ path's result is a pure function of (model, config, path index).  A Nemytskii
 term goes through the dense sine transforms, whose matrix products BLAS rounds
 differently for different row counts, so a row's last bits (about 1e-15
 relative) depend on the block it is computed in.  ``map_paths`` fixes the
-blocks from the path count and ``BLOCK_SIZE`` alone.
+blocks from the path count and ``BLOCK_SIZE`` alone.  The synthesis products
+also round by BLAS's thread count, which OpenBLAS takes from the machine's
+cores unless ``OPENBLAS_NUM_THREADS`` is set before numpy loads, so such a run
+repeats bit for bit only on one machine and thread count.
 
 Each call of ``_simulate_block`` creates one dict of scratch arrays for its
 block: the grid values of states and noise, the pointwise images, and the

@@ -17,7 +17,7 @@ from spdelab.models import Nemytskii
 from spdelab.noise import burkholder_constant, example_covariance
 from spdelab.probes import (
     estimate_lp_norm,
-    example_series_partial_sum,
+    example_series_report,
     increment_samples,
     spatial_sweep,
     temporal_probe,
@@ -233,9 +233,9 @@ def test_criterion_07_series_sharpness():
     """
     t = 0.1
     n_values = (10**3, 10**4, 10**5)
-    sums_div = [example_series_partial_sum(0.25, t, n) for n in n_values]
+    sums_div = [value for _, value in example_series_report(0.25, t, n_values)]
     inc_div = [b - a for a, b in zip(sums_div, sums_div[1:])]
-    sums_conv = [example_series_partial_sum(0.0, t, n) for n in n_values]
+    sums_conv = [value for _, value in example_series_report(0.0, t, n_values)]
     inc_conv = [b - a for a, b in zip(sums_conv, sums_conv[1:])]
     decades = list(zip(n_values, n_values[1:]))
     brackets = [integral_test_bracket(a, b, t) for a, b in decades]

@@ -14,7 +14,6 @@ from spdelab.models import Diagonal, ModelError, Nemytskii
 from spdelab.noise import example_covariance
 from spdelab.probes import (
     estimate_lp_norm,
-    example_series_partial_sum,
     example_series_report,
     fit_holder_exponent,
     geometric_lag_multiples,
@@ -30,7 +29,7 @@ from spdelab.solver import (
     SolverConfig,
     map_paths,
 )
-from spdelab.spectrum import stochastic_convolution_energy
+from spdelab.spectrum import dirichlet_eigenvalues, stochastic_convolution_energy
 
 from oracles import GaussianLaw, linear_additive_model, make_model
 
@@ -81,6 +80,17 @@ class TestEstimateLpNorm:
         _, se_large = estimate_lp_norm(base, 3.0)
         ratio = se_large / se_small
         assert 0.5 / 1.5 <= ratio <= 0.5 * 1.5
+
+    # the squares inside the spread of powers near 1e300 overflow; the
+    # standard error is the same multiple of the estimate as for the samples
+    # scaled down, and the estimate is the plain formula's
+    def test_standard_error_of_huge_samples_is_finite(self):
+        base = np.abs(np.random.default_rng(5).standard_normal(64)) + 0.5
+        samples = 1e150 * base
+        est, se = estimate_lp_norm(samples, 2.0)
+        assert est == float(np.mean(samples**2)) ** 0.5
+        est_small, se_small = estimate_lp_norm(base, 2.0)
+        assert se / est == pytest.approx(se_small / est_small, rel=1e-12)
 
 
 class TestFitHolderExponent:
@@ -141,6 +151,15 @@ class TestFitHolderExponent:
         decreasing = [(lag, lag) for lag in np.logspace(-1.0, -3.0, 10)]
         with pytest.raises(ModelError, match="^lags must be strictly increasing$"):
             fit_holder_exponent(decreasing, 0.5)
+
+    # NaN passes a plain `<= 0` test, and an inf estimate fits a slope of -inf
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_estimate_is_rejected(self, bad):
+        pairs = [(lag, math.sqrt(lag)) for lag in np.logspace(-3.0, -1.0, 8)]
+        pairs[3] = (pairs[3][0], bad)
+        with pytest.raises(ValueError,
+                           match="^estimates must be positive and finite for a log-log fit$"):
+            fit_holder_exponent(pairs, 0.5)
 
     def test_lag_multiple_helper(self):
         mults = geometric_lag_multiples(10, 100)
@@ -487,10 +506,14 @@ def test_probes_reject_one_path_before_any_run(probe, map_paths_calls):
     assert map_paths_calls == []
 
 
+def series_sums(r, t, n_values):
+    return [value for _, value in example_series_report(r, t, n_values)]
+
+
 class TestExampleSeries:
     def test_two_mode_value(self):
         # (1 - e^{-0.8 pi^2}) / (4 ln(2)^2) to 30 digits with mpmath
-        value = example_series_partial_sum(0.0, 0.1, 2)
+        (value,) = series_sums(0.0, 0.1, [2])
         assert value == pytest.approx(0.520148497218167055570432917789, rel=1e-14)
 
     def test_convergent_case_has_vanishing_doubling_gaps(self):
@@ -501,7 +524,8 @@ class TestExampleSeries:
         gaps = []
         for n in (100, 1000, 10000):
             assert -math.expm1(-2.0 * ((n + 1) * math.pi) ** 2 * t) == 1.0
-            gap = example_series_partial_sum(0.0, t, 2 * n) - example_series_partial_sum(0.0, t, n)
+            small, large = series_sums(0.0, t, [n, 2 * n])
+            gap = large - small
             lower = 0.5 * (1.0 / math.log(n + 1) - 1.0 / math.log(2 * n + 1))
             upper = 0.5 * (1.0 / math.log(n) - 1.0 / math.log(2 * n))
             assert lower <= gap <= upper
@@ -515,31 +539,47 @@ class TestExampleSeries:
         assert sums[0] < sums[1] < sums[2]
         assert sums[2] - sums[1] > sums[1] - sums[0]
 
+    # The report sums prefixes of one term array; the reference is the
+    # per-truncation formula it replaced, which built the terms afresh for each N.
+    @pytest.mark.parametrize("t", [1e-3, 0.1])
+    @pytest.mark.parametrize("r", [0.0, 0.25, 1.0])
+    def test_prefix_sums_are_bitwise_the_per_truncation_formula(self, r, t):
+        n_values = [2, 3, 128, 129, 1000, 10**4, 10**5]
+        for n, value in example_series_report(r, t, n_values):
+            k = np.arange(2, n + 1, dtype=float)
+            lam = dirichlet_eigenvalues(n)[1:]
+            terms = lam**r * (-np.expm1(-2.0 * lam * t)) / (k * np.log(k) ** 2)
+            assert value == 0.5 * float(np.sum(terms)), n
+
     def test_matches_convolution_energy_assembly(self):
         n = 200
         q = example_covariance(n)
         weighted = np.sqrt(q)
         energy = stochastic_convolution_energy(1.0, 0.0, 0.1, weighted)
-        series = example_series_partial_sum(0.0, 0.1, n)
+        (series,) = series_sums(0.0, 0.1, [n])
         assert series == pytest.approx(energy, rel=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            example_series_partial_sum(0.0, 0.0, 10)
+            example_series_report(0.0, 0.0, [10])
         with pytest.raises(ValueError):
-            example_series_partial_sum(0.0, 0.1, 1)
+            example_series_report(0.0, 0.1, [1])
 
-    # NaN passes a plain `t <= 0` test, and a NaN or infinite r makes every partial sum NaN or inf
-    @pytest.mark.parametrize("r, t, field, message", [
-        (0.0, math.nan, "t", "time must be positive, got nan"),
-        (0.0, -math.inf, "t", "time must be positive, got -inf"),
-        (0.0, math.inf, "t", "time must be finite, got inf"),
-        (math.nan, 0.1, "r", "r must be finite, got nan"),
-        (math.inf, 0.1, "r", "r must be finite, got inf"),
-    ], ids=["t-nan", "t--inf", "t-inf", "r-nan", "r-inf"])
-    def test_non_finite_arguments_are_rejected(self, r, t, field, message):
+    # NaN passes a plain `t <= 0` test, and a NaN or infinite r makes every
+    # partial sum NaN or inf.  lam_N^r at the largest N is checked first, so a
+    # NaN or +inf r reads as an overflow there, unless the largest N is below 2.
+    @pytest.mark.parametrize("r, t, n_values, field, message", [
+        (0.0, math.nan, [10], "t", "time must be positive, got nan"),
+        (0.0, -math.inf, [10], "t", "time must be positive, got -inf"),
+        (0.0, math.inf, [10], "t", "time must be finite, got inf"),
+        (math.nan, 0.1, [10], "r", r"lam_N\^r overflows at N = 10 for r = nan"),
+        (math.inf, 0.1, [10], "r", r"lam_N\^r overflows at N = 10 for r = inf"),
+        (-math.inf, 0.1, [10], "r", "r must be finite, got -inf"),
+        (math.nan, 0.1, [1], "r", "r must be finite, got nan"),
+    ], ids=["t-nan", "t--inf", "t-inf", "r-nan", "r-inf", "r--inf", "r-nan-one-mode"])
+    def test_non_finite_arguments_are_rejected(self, r, t, n_values, field, message):
         with pytest.raises(ModelError, match=f"^{message}$") as info:
-            example_series_partial_sum(r, t, 10)
+            example_series_report(r, t, n_values)
         assert info.value.field == field
 
     # lam_N^200 overflows at every N here, and the report checks the largest N
@@ -559,9 +599,9 @@ class TestExampleSeries:
     ], ids=["weight", "sum"])
     def test_overflowing_series_is_rejected(self, r, message):
         with pytest.raises(ModelError, match=f"^{message}$") as info:
-            example_series_partial_sum(r, 0.1, 2)
+            example_series_report(r, 0.1, [2])
         assert info.value.field == "r"
-        assert math.isfinite(example_series_partial_sum(193.08, 0.1, 2))
+        assert math.isfinite(series_sums(193.08, 0.1, [2])[0])
 
     def test_report_rejects_an_empty_truncation_list(self):
         with pytest.raises(ModelError, match="^need at least one truncation dimension$") as info:
