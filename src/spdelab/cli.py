@@ -211,9 +211,7 @@ def verify_lemmas(
     norms = solver.map_paths(model, config, lambda rows: hdot_norm(0.0, rows[:, 0, :]))
     energy = stochastic_convolution_energy(0.0, 0.0, t_final, np.sqrt(cov))
     for p in (2.0, 4.0):
-        powered = norms**p
-        moment = float(np.mean(powered))
-        se = float(np.std(powered, ddof=1) / math.sqrt(powered.size))
+        moment, se = probes.sample_moment(norms, p)
         bound = burkholder_constant(p) * energy ** (p / 2.0)
         passed = moment <= bound + 3.0 * se
         checks.append(

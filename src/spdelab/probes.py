@@ -36,26 +36,36 @@ def predicted_temporal_exponent(r: float, s: float) -> float:
     return min(0.5, 0.5 * (1.0 + r - s))
 
 
-def estimate_lp_norm(samples: Sequence[float], p: float) -> tuple[float, float]:
-    """Estimate (E[|samples|^p])^{1/p} with a delta-method standard error."""
+def sample_moment(samples: Sequence[float], p: float) -> tuple[float, float]:
+    """Mean of |samples|^p and its standard error std(ddof=1) / sqrt(n), n >= 2."""
     arr = np.asarray(samples, dtype=float)
     if arr.size < 2:
         raise ValueError(f"need at least two samples, got {arr.size}")
+    powered = np.abs(arr) ** p
+    return float(np.mean(powered)), float(np.std(powered, ddof=1) / math.sqrt(arr.size))
+
+
+def estimate_lp_norm(samples: Sequence[float], p: float) -> tuple[float, float]:
+    """Estimate (E[|samples|^p])^{1/p} with a delta-method standard error.
+
+    If the moment's error overflows while every sample is finite, both are read
+    again from samples / max|samples|.  That is exact: their ratio is scale-free,
+    and the estimate and its error are homogeneous of degree 1.  The plain p-th
+    root is scaled back only if it overflowed.  NaN samples are not rescued.
+    """
     if not math.isfinite(p):
         raise ValueError(f"moment order p must be finite, got {p}")
     if p < 2.0:
         raise ValueError(f"moment order must be >= 2, got {p}")
-    powered = np.abs(arr) ** p
-    moment = float(np.mean(powered))
+    arr = np.asarray(samples, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rescaled next
+        moment, moment_se = sample_moment(arr, p)
+        estimate, peak = moment ** (1.0 / p), float(np.max(np.abs(arr)))
+        if not math.isfinite(moment_se) and math.isfinite(peak):
+            moment, moment_se = sample_moment(arr / peak, p)
+            estimate = estimate if math.isfinite(estimate) else peak * moment ** (1.0 / p)
     if moment == 0.0:
         return 0.0, 0.0
-    estimate = moment ** (1.0 / p)
-    with np.errstate(over="ignore"):  # the squares of huge powers overflow; rescaled next
-        spread = float(np.std(powered, ddof=1))
-    if math.isinf(spread) and math.isfinite(moment):  # both over the largest power
-        peak = float(np.max(powered))
-        spread, moment = float(np.std(powered / peak, ddof=1)), moment / peak
-    moment_se = spread / math.sqrt(arr.size)
     return estimate, moment_se * estimate / (p * moment)
 
 
@@ -321,14 +331,14 @@ def example_series_report(
     """
     n_values = _increasing(n_values)
     n_max = n_values[-1]
+    if not math.isfinite(r):
+        raise ModelError(f"r must be finite, got {r}", "r")
     if n_max >= 2 and not math.isfinite(_top_weight(r, n_max)):  # N < 2 is rejected below
         raise ModelError(f"lam_N^r overflows at N = {n_max} for r = {r:g}", "r")
     if not t > 0.0:  # NaN too
         raise ModelError(f"time must be positive, got {t}", "t")
     if not math.isfinite(t):
         raise ModelError(f"time must be finite, got {t}", "t")
-    if not math.isfinite(r):
-        raise ModelError(f"r must be finite, got {r}", "r")
     if n_values[0] < 2:
         raise ModelError(f"need at least two modes, got {n_values[0]}", "n_modes")
     k = np.arange(2, n_max + 1, dtype=float)

@@ -327,6 +327,37 @@ def test_cli_keeps_no_copy_of_a_library_rule():
     assert errors_in_run > 0  # the check sees the one place that builds such an error
 
 
+def std_callers(source: str) -> list:
+    """The top-level definition around each `std` call in `source`, None outside one."""
+    return [
+        getattr(stmt, "name", None)
+        for stmt in ast.parse(source).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "std"
+    ]
+
+
+# every moment with a standard error goes through `probes.sample_moment`, the
+# library's one sample standard deviation
+def test_library_takes_one_sample_standard_deviation():
+    package = Path(spdelab.__file__).parent
+    callers = [(path.stem, name) for path in sorted(package.glob("*.py"))
+               for name in std_callers(path.read_text())]
+    assert callers == [("probes", "sample_moment")]
+
+
+def test_std_detector_flags_a_second_copy():
+    source = (
+        "import numpy as np\nfrom numpy import std\n"
+        "def sample_moment(x):\n    return np.std(x, ddof=1)\n"
+        "def verify(x):\n    def inner():\n        return x.std(ddof=1)\n    return inner()\n"
+        "SPREAD = std([1.0, 2.0])\n"
+        "def mean(x):\n    return np.mean(x), x.stdev\n"
+    )
+    assert std_callers(source) == ["sample_moment", "verify", None]
+
+
 def test_field_collector_expands_roles():
     source = (
         'def f(role, name):\n'
@@ -791,6 +822,24 @@ class TestRunProbes:
         assert "gaps decreasing" in capsys.readouterr().out
         rows = (tmp_path / "out" / "spatial_sweep.csv").read_text().splitlines()[2:]
         assert [int(r.split(",")[0]) for r in rows] == [4, 8, 16, 32]
+
+    # the fourth powers of the s = 60 norms overflow, yet each moment norm is
+    # representable, and the sweep prints it without a numpy warning
+    def test_spatial_probe_survives_overflowing_fourth_powers(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            BASE_MODEL.replace("model.N = 16", "model.N = 64").replace("model.p = 2", "model.p = 4")
+            + "kind = probe-spatial\nsolver.method = exact-gaussian\nsolver.T = 0.05\n"
+            "solver.steps = 10\nsolver.paths = 64\nsolver.seed = 1\n"
+            "probe.s = 60\nprobe.sweep_N = 16, 32, 64\n",
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "inf" not in captured.out and "nan" not in captured.out
+        rows = (tmp_path / "out" / "spatial_sweep.csv").read_text().splitlines()[2:]
+        values = np.array([float(r.split(",")[1]) for r in rows])
+        assert values.size == 3 and np.all(np.isfinite(values) & (values > 1e98))
 
     # the verdict compares consecutive gaps: one gap would read "decreasing" against
     # no other, and no gap has no verdict at all

@@ -19,6 +19,7 @@ from spdelab.probes import (
     geometric_lag_multiples,
     increment_samples,
     predicted_temporal_exponent,
+    sample_moment,
     spatial_sweep,
     temporal_probe,
     truncate_model,
@@ -91,6 +92,35 @@ class TestEstimateLpNorm:
         assert est == float(np.mean(samples**2)) ** 0.5
         est_small, se_small = estimate_lp_norm(base, 2.0)
         assert se / est == pytest.approx(se_small / est_small, rel=1e-12)
+
+    # the fourth powers of samples near 1e99 overflow, but the estimate and its
+    # error are homogeneous of degree 1: 1e99 times those of the samples scaled down
+    def test_overflowing_powers_scale_back(self):
+        est, se = estimate_lp_norm([1e99, 2e99, 3e99], 4.0)
+        est_small, se_small = estimate_lp_norm([1.0, 2.0, 3.0], 4.0)
+        assert est == pytest.approx(1e99 * est_small, rel=1e-12)
+        assert se == pytest.approx(1e99 * se_small, rel=1e-12)
+
+    # a NaN sample is not rescued, even beside a sample whose power overflows
+    def test_nan_sample_gives_nan(self):
+        est, se = estimate_lp_norm([1e99, math.nan], 4.0)
+        assert math.isnan(est) and math.isnan(se)
+
+
+class TestSampleMoment:
+    # the lemma suite's moment rows were computed inline by these lines
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_bitwise_the_inline_moment_and_error(self, p):
+        norms = np.sqrt(np.sum(np.random.default_rng(12).standard_normal((200, 32)) ** 2, axis=1))
+        powered = norms**p
+        assert sample_moment(norms, p) == (
+            float(np.mean(powered)), float(np.std(powered, ddof=1) / math.sqrt(powered.size))
+        )
+
+    @pytest.mark.parametrize("samples", [[], [1.0]], ids=["none", "one"])
+    def test_needs_two_samples(self, samples):
+        with pytest.raises(ValueError, match=f"^need at least two samples, got {len(samples)}$"):
+            sample_moment(samples, 2.0)
 
 
 class TestFitHolderExponent:
@@ -566,14 +596,14 @@ class TestExampleSeries:
             example_series_report(0.0, 0.1, [1])
 
     # NaN passes a plain `t <= 0` test, and a NaN or infinite r makes every
-    # partial sum NaN or inf.  lam_N^r at the largest N is checked first, so a
-    # NaN or +inf r reads as an overflow there, unless the largest N is below 2.
+    # partial sum NaN or inf.  r is checked before its weight lam_N^r, so a NaN
+    # or +inf r never reads as an overflow of that weight.
     @pytest.mark.parametrize("r, t, n_values, field, message", [
         (0.0, math.nan, [10], "t", "time must be positive, got nan"),
         (0.0, -math.inf, [10], "t", "time must be positive, got -inf"),
         (0.0, math.inf, [10], "t", "time must be finite, got inf"),
-        (math.nan, 0.1, [10], "r", r"lam_N\^r overflows at N = 10 for r = nan"),
-        (math.inf, 0.1, [10], "r", r"lam_N\^r overflows at N = 10 for r = inf"),
+        (math.nan, 0.1, [10], "r", "r must be finite, got nan"),
+        (math.inf, 0.1, [10], "r", "r must be finite, got inf"),
         (-math.inf, 0.1, [10], "r", "r must be finite, got -inf"),
         (math.nan, 0.1, [1], "r", "r must be finite, got nan"),
     ], ids=["t-nan", "t--inf", "t-inf", "r-nan", "r-inf", "r--inf", "r-nan-one-mode"])
